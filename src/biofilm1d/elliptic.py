@@ -32,35 +32,6 @@ logger = logging.getLogger(__name__)
 _PIVOT_FLOOR = 1e-30
 
 
-def _thomas_py(lower, diag, upper, rhs):
-    n = diag.size
-    gamma = np.empty(n - 1)
-    x = np.empty(n)
-    piv = diag[0]
-    if abs(piv) < _PIVOT_FLOOR:
-        return x, 1
-    gamma[0] = upper[0] / piv
-    x[0] = rhs[0] / piv
-    for k in range(1, n):
-        piv = diag[k] - lower[k - 1] * gamma[k - 1]
-        if abs(piv) < _PIVOT_FLOOR:
-            return x, k + 1
-        if k < n - 1:
-            gamma[k] = upper[k] / piv
-        x[k] = (rhs[k] - lower[k - 1] * x[k - 1]) / piv
-    for k in range(n - 2, -1, -1):
-        x[k] -= gamma[k] * x[k + 1]
-    return x, 0
-
-
-try:  # the jitted kernel is a drop-in replacement for the pure-python sweep
-    from numba import njit
-
-    _thomas = njit(cache=True)(_thomas_py)
-except ImportError:  # pragma: no cover - exercised only without numba
-    _thomas = _thomas_py
-
-
 def tridiagonal_solve(lower, diag, upper, rhs) -> np.ndarray:
     """Thomas elimination for a tridiagonal system.
 
@@ -73,14 +44,30 @@ def tridiagonal_solve(lower, diag, upper, rhs) -> np.ndarray:
     rhs = np.ascontiguousarray(rhs, dtype=float)
     if lower.size != diag.size - 1 or upper.size != diag.size - 1 or rhs.size != diag.size:
         raise ValueError("tridiagonal band lengths are inconsistent")
-    if diag.size == 1:
-        if abs(diag[0]) < _PIVOT_FLOOR:
-            raise SingularJacobian(f"pivot magnitude below {_PIVOT_FLOOR:g} at row 0")
-        return rhs / diag
-    x, status = _thomas(lower, diag, upper, rhs)
-    if status:
-        raise SingularJacobian(f"pivot magnitude below {_PIVOT_FLOOR:g} at row {status - 1}")
-    return x
+    # The sweeps run on Python floats, which are several times cheaper to
+    # index and combine than numpy scalars.  They do the same IEEE-754 double
+    # operations in the same order, so the result is bitwise that of a sweep
+    # over numpy scalars.  The zero padding (row 0 has no subdiagonal, row K-1
+    # no superdiagonal) leaves every pivot and forward value exact; the last
+    # gamma is never read.
+    gamma, y = [], []
+    g = yk = 0.0
+    for row, (a, b, c, d) in enumerate(zip([0.0] + lower.tolist(), diag.tolist(),
+                                            upper.tolist() + [0.0], rhs.tolist())):
+        piv = b - a * g
+        if abs(piv) < _PIVOT_FLOOR:
+            raise SingularJacobian(f"pivot magnitude below {_PIVOT_FLOOR:g} at row {row}")
+        g = c / piv
+        yk = (d - a * yk) / piv
+        gamma.append(g)
+        y.append(yk)
+    x = [yk]
+    xk = yk
+    for g, yk in zip(gamma[-2::-1], y[-2::-1]):
+        xk = yk - g * xk
+        x.append(xk)
+    x.reverse()
+    return np.array(x)
 
 
 @dataclass(frozen=True)
@@ -107,27 +94,30 @@ class EllipticSolution:
     iterations: int
 
 
-def _residual(problem: EllipticProblem, v: np.ndarray, scale: float) -> np.ndarray:
+def _residual(v: np.ndarray, rate, dirichlet: float, scale: float) -> np.ndarray:
     """Scaled residual; rows carry g/m^3.  ``scale = h^2 / D``."""
-    rate = np.broadcast_to(np.asarray(problem.reaction(v), dtype=float), v.shape)
+    rate = np.broadcast_to(np.asarray(rate, dtype=float), v.shape)
     r = np.empty_like(v)
     r[0] = 2.0 * v[0] - 2.0 * v[1] - scale * rate[0]
     r[1:-1] = -v[:-2] + 2.0 * v[1:-1] - v[2:] - scale * rate[1:-1]
-    r[-1] = v[-1] - problem.dirichlet_value
+    r[-1] = v[-1] - dirichlet
     return r
 
 
-def _bands(problem: EllipticProblem, v: np.ndarray, scale: float):
-    K = v.size
-    jac = np.broadcast_to(np.asarray(problem.reaction_jacobian(v), dtype=float), v.shape)
-    diag = 2.0 - scale * jac
-    diag = np.array(diag, dtype=float)
-    diag[-1] = 1.0
-    upper = np.full(K - 1, -1.0)
-    upper[0] = -2.0
+def _off_diagonals(K: int):
+    """Jacobian sub- and superdiagonal; unlike the diagonal they do not depend on v."""
     lower = np.full(K - 1, -1.0)
     lower[-1] = 0.0
-    return lower, diag, upper
+    upper = np.full(K - 1, -1.0)
+    upper[0] = -2.0
+    return lower, upper
+
+
+def _diagonal(problem: EllipticProblem, v: np.ndarray, scale: float) -> np.ndarray:
+    jac = np.broadcast_to(np.asarray(problem.reaction_jacobian(v), dtype=float), v.shape)
+    diag = 2.0 - scale * jac
+    diag[-1] = 1.0
+    return diag
 
 
 def _clamp_solution(values: np.ndarray, dirichlet: float) -> np.ndarray:
@@ -152,33 +142,35 @@ def solve_problem(problem: EllipticProblem, N: int, tol: float = 1e-9,
     h = problem.L / N
     scale = h * h / problem.D
     tol_abs = tol * max(1.0, abs(problem.dirichlet_value))
+    lower, upper = _off_diagonals(N + 1)
+
+    def residual(v):
+        return _residual(v, problem.reaction(v), problem.dirichlet_value, scale)
 
     if problem.linear_in_unknown:
         zero = np.zeros(N + 1)
         r0 = np.broadcast_to(np.asarray(problem.reaction(zero), dtype=float), zero.shape)
-        lower, diag, upper = _bands(problem, zero, scale)
         rhs = scale * np.array(r0, dtype=float)
         rhs[0] = scale * r0[0]
         rhs[-1] = problem.dirichlet_value
-        v = tridiagonal_solve(lower, diag, upper, rhs)
-        res = float(np.max(np.abs(_residual(problem, v, scale))))
+        v = tridiagonal_solve(lower, _diagonal(problem, zero, scale), upper, rhs)
+        res = float(np.max(np.abs(residual(v))))
         return EllipticSolution(_clamp_solution(v, problem.dirichlet_value), res, 1)
 
     v = np.full(N + 1, float(problem.dirichlet_value)) if initial is None \
         else np.array(initial, dtype=float)
     v[-1] = problem.dirichlet_value
-    res = _residual(problem, v, scale)
+    res = residual(v)
     res_norm = float(np.max(np.abs(res)))
     for it in range(1, max_iter + 1):
         if res_norm <= tol_abs:
             return EllipticSolution(_clamp_solution(v, problem.dirichlet_value),
                                     res_norm, it - 1)
-        lower, diag, upper = _bands(problem, v, scale)
-        delta = tridiagonal_solve(lower, diag, upper, -res)
+        delta = tridiagonal_solve(lower, _diagonal(problem, v, scale), upper, -res)
         alpha = 1.0
         for _ in range(30):
             v_try = v + alpha * delta
-            res_try = _residual(problem, v_try, scale)
+            res_try = residual(v_try)
             norm_try = float(np.max(np.abs(res_try)))
             if norm_try <= (1.0 - 1e-4 * alpha) * res_norm:
                 v, res, res_norm = v_try, res_try, norm_try
@@ -235,12 +227,7 @@ def solve_substrates(state, cfg) -> list[EllipticSolution]:
         residuals = []
         worst = 0.0
         for j in range(cfg.m):
-            scale = h * h / cfg.substrates[j].D
-            r = np.empty(N + 1)
-            r[0] = 2.0 * S_work[j, 0] - 2.0 * S_work[j, 1] - scale * rates[j, 0]
-            r[1:-1] = (-S_work[j, :-2] + 2.0 * S_work[j, 1:-1] - S_work[j, 2:]
-                       - scale * rates[j, 1:-1])
-            r[-1] = S_work[j, -1] - dirichlet[j]
+            r = _residual(S_work[j], rates[j], dirichlet[j], h * h / cfg.substrates[j].D)
             norm = float(np.max(np.abs(r)))
             residuals.append(norm)
             worst = max(worst, norm / max(1.0, abs(dirichlet[j])))

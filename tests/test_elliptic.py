@@ -1,14 +1,45 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import biofilm1d
 from biofilm1d.elliptic import (EllipticProblem, resolution_limit, solve_planktonic,
                                 solve_problem, solve_substrates, tridiagonal_solve)
 from biofilm1d.errors import BoundaryLayerResolutionWarning, SingularJacobian
 from biofilm1d.model import initial_state
 from biofilm1d.presets import build_preset
+
+
+def dominant_system(rng, n):
+    """A random diagonally dominant tridiagonal system of size n."""
+    lower = rng.standard_normal(n - 1)
+    upper = rng.standard_normal(n - 1)
+    diag = 4.0 + np.abs(rng.standard_normal(n)) \
+        + np.abs(np.append(lower, 0)) + np.abs(np.append(0, upper))
+    return lower, diag, upper, rng.standard_normal(n)
+
+
+def thomas_numpy_scalars(lower, diag, upper, rhs):
+    """Reference Thomas sweep over numpy float64 scalars, in the kernel's operation order."""
+    n = diag.size
+    gamma = np.empty(n - 1)
+    x = np.empty(n)
+    gamma[0] = upper[0] / diag[0]
+    x[0] = rhs[0] / diag[0]
+    for k in range(1, n):
+        piv = diag[k] - lower[k - 1] * gamma[k - 1]
+        if k < n - 1:
+            gamma[k] = upper[k] / piv
+        x[k] = (rhs[k] - lower[k - 1] * x[k - 1]) / piv
+    for k in range(n - 2, -1, -1):
+        x[k] -= gamma[k] * x[k + 1]
+    return x
 
 
 class TestTridiagonal:
@@ -27,13 +58,7 @@ class TestTridiagonal:
         np.testing.assert_allclose(x, [1.0, 2.0, 3.0], rtol=1e-12)
 
     def test_random_diagonally_dominant_residual(self):
-        rng = np.random.default_rng(3)
-        n = 100
-        lower = rng.standard_normal(n - 1)
-        upper = rng.standard_normal(n - 1)
-        diag = 4.0 + np.abs(rng.standard_normal(n)) \
-            + np.abs(np.append(lower, 0)) + np.abs(np.append(0, upper))
-        rhs = rng.standard_normal(n)
+        lower, diag, upper, rhs = dominant_system(np.random.default_rng(3), 100)
         x = tridiagonal_solve(lower, diag, upper, rhs)
         A = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
         res = np.max(np.abs(A @ x - rhs))
@@ -43,6 +68,23 @@ class TestTridiagonal:
         with pytest.raises(SingularJacobian):
             tridiagonal_solve(np.array([1.0]), np.array([0.0, 1.0]),
                               np.array([1.0]), np.array([1.0, 1.0]))
+
+    def test_pivot_vanishing_mid_sweep_names_row(self):
+        # [[1 1]; [1 1]]: the first pivot is 1, the second 1 - 1*1 = 0
+        with pytest.raises(SingularJacobian, match="at row 1"):
+            tridiagonal_solve(np.array([1.0]), np.array([1.0, 1.0]),
+                              np.array([1.0]), np.array([1.0, 2.0]))
+
+    def test_single_row(self):
+        x = tridiagonal_solve(np.empty(0), np.array([4.0]), np.empty(0), np.array([2.0]))
+        np.testing.assert_array_equal(x, [0.5])
+        with pytest.raises(SingularJacobian, match="at row 0"):
+            tridiagonal_solve(np.empty(0), np.array([0.0]), np.empty(0), np.array([2.0]))
+
+    @pytest.mark.parametrize("n", [2, 201, 2401])
+    def test_bitwise_equal_to_numpy_scalar_sweep(self, n):
+        bands = dominant_system(np.random.default_rng(n), n)
+        np.testing.assert_array_equal(tridiagonal_solve(*bands), thomas_numpy_scalars(*bands))
 
     def test_inconsistent_bands_rejected(self):
         with pytest.raises(ValueError):
@@ -195,3 +237,16 @@ class TestPlanktonicSolves:
         k = (2.5 / 2e-7) * (100.0 / 101.0)
         assert 1.0 / math.cosh(1e-4 * math.sqrt(k / 1e-5)) < 1e-40
         assert v[0] < 1e-30
+
+
+def test_import_loads_neither_scipy_nor_numba():
+    # Importing scipy.linalg more than doubles the package's import time and
+    # adds over 20 MB of resident memory; numba cannot be installed offline.
+    src = str(Path(biofilm1d.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, biofilm1d, biofilm1d.cli; "
+            "print(sorted({m.partition('.')[0] for m in sys.modules} & {'scipy', 'numba'}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
