@@ -16,6 +16,7 @@ single tridiagonal solve each.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import warnings
@@ -51,16 +52,18 @@ def tridiagonal_solve(lower, diag, upper, rhs) -> np.ndarray:
     # no superdiagonal) leaves every pivot and forward value exact; the last
     # gamma is never read.
     gamma, y = [], []
+    gamma_append, y_append = gamma.append, y.append
     g = yk = 0.0
-    for row, (a, b, c, d) in enumerate(zip([0.0] + lower.tolist(), diag.tolist(),
-                                            upper.tolist() + [0.0], rhs.tolist())):
+    for a, b, c, d in zip([0.0] + lower.tolist(), diag.tolist(),
+                          upper.tolist() + [0.0], rhs.tolist()):
         piv = b - a * g
         if abs(piv) < _PIVOT_FLOOR:
-            raise SingularJacobian(f"pivot magnitude below {_PIVOT_FLOOR:g} at row {row}")
+            raise SingularJacobian(
+                f"pivot magnitude below {_PIVOT_FLOOR:g} at row {len(y)}")
         g = c / piv
         yk = (d - a * yk) / piv
-        gamma.append(g)
-        y.append(yk)
+        gamma_append(g)
+        y_append(yk)
     x = [yk]
     xk = yk
     for g, yk in zip(gamma[-2::-1], y[-2::-1]):
@@ -94,9 +97,15 @@ class EllipticSolution:
     iterations: int
 
 
+def _nodal(a, v: np.ndarray) -> np.ndarray:
+    """``a`` as a float array of ``v``'s shape (a scalar is broadcast)."""
+    a = np.asarray(a, dtype=float)
+    return a if a.shape == v.shape else np.broadcast_to(a, v.shape)
+
+
 def _residual(v: np.ndarray, rate, dirichlet: float, scale: float) -> np.ndarray:
     """Scaled residual; rows carry g/m^3.  ``scale = h^2 / D``."""
-    rate = np.broadcast_to(np.asarray(rate, dtype=float), v.shape)
+    rate = _nodal(rate, v)
     r = np.empty_like(v)
     r[0] = 2.0 * v[0] - 2.0 * v[1] - scale * rate[0]
     r[1:-1] = -v[:-2] + 2.0 * v[1:-1] - v[2:] - scale * rate[1:-1]
@@ -104,18 +113,21 @@ def _residual(v: np.ndarray, rate, dirichlet: float, scale: float) -> np.ndarray
     return r
 
 
+@functools.cache
 def _off_diagonals(K: int):
-    """Jacobian sub- and superdiagonal; unlike the diagonal they do not depend on v."""
+    """Jacobian sub- and superdiagonal; unlike the diagonal they do not depend
+    on v, so they are built once per K and shared read-only."""
     lower = np.full(K - 1, -1.0)
     lower[-1] = 0.0
     upper = np.full(K - 1, -1.0)
     upper[0] = -2.0
+    lower.flags.writeable = False
+    upper.flags.writeable = False
     return lower, upper
 
 
 def _diagonal(problem: EllipticProblem, v: np.ndarray, scale: float) -> np.ndarray:
-    jac = np.broadcast_to(np.asarray(problem.reaction_jacobian(v), dtype=float), v.shape)
-    diag = 2.0 - scale * jac
+    diag = 2.0 - scale * _nodal(problem.reaction_jacobian(v), v)
     diag[-1] = 1.0
     return diag
 
@@ -149,9 +161,7 @@ def solve_problem(problem: EllipticProblem, N: int, tol: float = 1e-9,
 
     if problem.linear_in_unknown:
         zero = np.zeros(N + 1)
-        r0 = np.broadcast_to(np.asarray(problem.reaction(zero), dtype=float), zero.shape)
-        rhs = scale * np.array(r0, dtype=float)
-        rhs[0] = scale * r0[0]
+        rhs = scale * _nodal(problem.reaction(zero), zero)
         rhs[-1] = problem.dirichlet_value
         v = tridiagonal_solve(lower, _diagonal(problem, zero, scale), upper, rhs)
         res = float(np.max(np.abs(residual(v))))

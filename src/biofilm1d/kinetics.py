@@ -18,7 +18,7 @@ logger = logging.getLogger(__name__)
 
 def _clamped(a, label):
     a = np.asarray(a, dtype=float)
-    if np.any(a < 0.0):
+    if (a < 0.0).any():
         logger.debug("clamped %d negative %s value(s) during rate evaluation",
                      int(np.sum(a < 0.0)), label)
         a = np.maximum(a, 0.0)
@@ -47,12 +47,18 @@ def growth_rates(f, S, cfg):
     return mu * monod(s_sel, K) * f
 
 
+def _network_weighted(r_m, a):
+    """r_S from the growth rates; ``np.dot`` on the flattened load is what
+    ``np.tensordot(W, load, axes=(1, 0))`` runs, without its set-up cost."""
+    load = r_m * (a["rho"] / a["Y"]).reshape((-1,) + (1,) * (r_m.ndim - 1))
+    W = a["W"]
+    return np.dot(W, load.reshape(W.shape[1], -1)).reshape(
+        W.shape[:1] + load.shape[1:])
+
+
 def substrate_rates(f, S, cfg):
     """Substrate conversion rates (g/m^3/day), network-weighted."""
-    a = cfg.arrays
-    r_m = growth_rates(f, S, cfg)
-    load = r_m * (a["rho"] / a["Y"]).reshape((-1,) + (1,) * (r_m.ndim - 1))
-    return np.tensordot(a["W"], load, axes=(1, 0))
+    return _network_weighted(growth_rates(f, S, cfg), cfg.arrays)
 
 
 def substrate_rate_jacobian_diag(f, S, cfg):
@@ -83,12 +89,13 @@ def colonization_rates(Psi, S, cfg):
     return (k_col / rho) * monod(s_sel, K) * Psi
 
 
+def _planktonic_from(r_col, a):
+    return -(a["rho"] / a["Y_psi"]).reshape((-1,) + (1,) * (r_col.ndim - 1)) * r_col
+
+
 def planktonic_conversion_rates(Psi, S, cfg):
     """Planktonic consumption by the switch to sessile growth (g/m^3/day, <= 0)."""
-    a = cfg.arrays
-    r = colonization_rates(Psi, S, cfg)
-    trail = (1,) * (r.ndim - 1)
-    return -(a["rho"] / a["Y_psi"]).reshape((-1,) + trail) * r
+    return _planktonic_from(colonization_rates(Psi, S, cfg), cfg.arrays)
 
 
 def planktonic_sink_coefficients(S, cfg):
@@ -130,7 +137,5 @@ def rate_bundle(f, S, Psi, cfg) -> RateBundle:
     """Evaluate every rate once; ``G`` is the exact ordered sum of the parts."""
     r_m = growth_rates(f, S, cfg)
     r_col = colonization_rates(Psi, S, cfg)
-    r_s = substrate_rates(f, S, cfg)
-    r_psi = planktonic_conversion_rates(Psi, S, cfg)
-    return RateBundle(r_M=r_m, r_col=r_col, r_S=r_s, r_Psi=r_psi,
-                      G=_sum_G(r_m, r_col))
+    return RateBundle(r_M=r_m, r_col=r_col, r_S=_network_weighted(r_m, cfg.arrays),
+                      r_Psi=_planktonic_from(r_col, cfg.arrays), G=_sum_G(r_m, r_col))

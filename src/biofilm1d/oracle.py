@@ -275,32 +275,30 @@ def map_run_to_char_grid(run_output: RunResult, times: np.ndarray):
     profiles = run_output.profiles
     if profiles is None:
         raise OutOfDomain("run was not recorded with dense profiles")
-    cfg = run_output.cfg
-    rho = cfg.arrays["rho"]
-    n = rho.size
+    rho = run_output.cfg.arrays["rho"][:, None]
+    n = rho.shape[0]
     G1 = times.size
+    pt, pL, pf = profiles.t, profiles.L, profiles.f
     zeta = np.linspace(0.0, 1.0, profiles.u.shape[1])
-
-    def f_at(z, t):
-        k = int(np.searchsorted(profiles.t, t, side="right") - 1)
-        k = max(0, min(k, profiles.t.size - 2))
-        span = profiles.t[k + 1] - profiles.t[k]
-        w = 0.0 if span == 0 else min(max((t - profiles.t[k]) / span, 0.0), 1.0)
-        fa = np.array([np.interp(z, zeta * profiles.L[k], profiles.f[k, i])
-                       for i in range(n)])
-        fb = np.array([np.interp(z, zeta * profiles.L[k + 1], profiles.f[k + 1, i])
-                       for i in range(n)])
-        return (1.0 - w) * fa + w * fb
 
     x = np.zeros((n, G1, G1))
     c = np.zeros((G1, G1))
-    L = np.interp(times, profiles.t, profiles.L)
+    L = np.interp(times, pt, pL)
     for i, t0 in enumerate(times):
         path = characteristic_trace(run_output, float(t0), float(times[-1]))
-        for j in range(i, G1):
-            zj = float(np.interp(times[j], path.t, path.z))
-            c[i, j] = zj
-            x[:, i, j] = rho * f_at(zj, float(times[j]))
+        c[i, i:] = np.interp(times[i:], path.t, path.z)
+    # Column j holds every characteristic at time times[j]: one bracketing
+    # pair of recorded profiles, blended linearly in time, serves them all.
+    for j in range(G1):
+        t = float(times[j])
+        k = int(np.searchsorted(pt, t, side="right") - 1)
+        k = max(0, min(k, pt.size - 2))
+        span = pt[k + 1] - pt[k]
+        w = 0.0 if span == 0 else min(max((t - pt[k]) / span, 0.0), 1.0)
+        z = c[:j + 1, j]
+        fa = np.array([np.interp(z, zeta * pL[k], pf[k, i]) for i in range(n)])
+        fb = np.array([np.interp(z, zeta * pL[k + 1], pf[k + 1, i]) for i in range(n)])
+        x[:, :j + 1, j] = rho * ((1.0 - w) * fa + w * fb)
     return x, c, L
 
 

@@ -1,12 +1,26 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from biofilm1d import kinetics
+from biofilm1d.model import Stoichiometry, validate_config
 from biofilm1d.presets import build_preset
 
 CASE1 = build_preset("case1").cfg
 CASE2 = build_preset("case2").cfg
+# Species 1 and 2 share substrate 1; coefficients are not +-1 or 0.
+SHARED = dataclasses.replace(CASE2, stoichiometry=Stoichiometry(
+    substrate_of=(0, 0, 2),
+    production=((-1.3, -0.7, 0.0), (0.25, 0.0, 0.0), (0.6, 0.0, -2.5))))
+# Trailing node shapes: one point, a grid, and the oracle's (t0, t) plane.
+TRAILING = ((), (7,), (4, 5))
+
+
+def random_state(rng, trail):
+    return (rng.random((3,) + trail) / 3.0, rng.random((3,) + trail) * 100.0,
+            rng.random((3,) + trail) * 100.0)
 
 
 class TestMonod:
@@ -147,16 +161,23 @@ class TestSourceG:
 
     def test_bitwise_consistency_with_bundle(self):
         rng = np.random.default_rng(42)
-        for _ in range(1000):
-            f = rng.random(3) / 3.0
-            S = rng.random(3) * 100.0
-            Psi = rng.random(3) * 100.0
-            bundle = kinetics.rate_bundle(f, S, Psi, CASE2)
-            direct = kinetics.source_G(f, S, Psi, CASE2)
+        cases = ([(CASE2, ())] * 1000
+                 + [(cfg, trail) for cfg in (CASE2, SHARED) for trail in TRAILING] * 50)
+        for cfg, trail in cases:
+            f, S, Psi = random_state(rng, trail)
+            bundle = kinetics.rate_bundle(f, S, Psi, cfg)
+            direct = kinetics.source_G(f, S, Psi, cfg)
             manual = (bundle.r_M[0] + bundle.r_col[0])
             for i in (1, 2):
                 manual = manual + (bundle.r_M[i] + bundle.r_col[i])
-            assert direct == bundle.G == manual
+            assert np.array_equal(direct, bundle.G)
+            assert np.array_equal(direct, manual)
+            np.testing.assert_array_equal(bundle.r_M, kinetics.growth_rates(f, S, cfg))
+            np.testing.assert_array_equal(bundle.r_col,
+                                          kinetics.colonization_rates(Psi, S, cfg))
+            np.testing.assert_array_equal(bundle.r_S, kinetics.substrate_rates(f, S, cfg))
+            np.testing.assert_array_equal(
+                bundle.r_Psi, kinetics.planktonic_conversion_rates(Psi, S, cfg))
 
     def test_rates_continuous_at_clamp(self):
         f = np.full(3, 0.2)
@@ -165,3 +186,29 @@ class TestSourceG:
         at_zero = kinetics.rate_bundle(f, np.zeros(3), Psi, CASE2)
         np.testing.assert_array_equal(below.G, at_zero.G)
         np.testing.assert_array_equal(below.r_S, at_zero.r_S)
+
+
+class TestGeneralStoichiometry:
+    @pytest.mark.parametrize("trail", TRAILING)
+    def test_substrate_rates_equal_tensordot(self, trail):
+        rng = np.random.default_rng(3)
+        a = SHARED.arrays
+        for _ in range(20):
+            f, S, _ = random_state(rng, trail)
+            r_m = kinetics.growth_rates(f, S, SHARED)
+            load = r_m * (a["rho"] / a["Y"]).reshape((-1,) + (1,) * len(trail))
+            expect = np.tensordot(a["W"], load, axes=(1, 0))
+            got = kinetics.substrate_rates(f, S, SHARED)
+            assert got.shape == (3,) + trail
+            np.testing.assert_array_equal(got, expect)
+
+    def test_shared_substrate_sums_both_consumers(self):
+        assert validate_config(SHARED).ok
+        f = np.array([0.2, 0.3, 0.1])
+        S = np.array([50.0, 10.0, 20.0])
+        a = SHARED.arrays
+        load = kinetics.growth_rates(f, S, SHARED) * a["rho"] / a["Y"]
+        r_s = kinetics.substrate_rates(f, S, SHARED)
+        assert r_s[0] == pytest.approx(-1.3 * load[0] - 0.7 * load[1], rel=1e-14)
+        assert r_s[1] == pytest.approx(0.25 * load[0], rel=1e-14)
+        assert r_s[2] == pytest.approx(0.6 * load[0] - 2.5 * load[2], rel=1e-14)

@@ -6,7 +6,8 @@ import pytest
 
 from biofilm1d.errors import DetachmentRegime, NonConvergence, OutOfDomain
 from biofilm1d.oracle import (ContractionBox, box_from_run, characteristic_trace,
-                              estimate_contraction, picard_solve, window_root)
+                              estimate_contraction, map_run_to_char_grid,
+                              picard_solve, window_root)
 from biofilm1d.presets import build_preset
 from biofilm1d.stepper import BoundaryTrace, ProfileTrace, RunResult, run
 
@@ -143,6 +144,62 @@ class TestCharacteristicTrace:
         res = synthetic_run(times, lambda t: 1e-4, lambda z: 5.0 * z + 1e-5)
         path = characteristic_trace(res, t0=0.0)
         assert np.all(path.z <= 1e-4 + 1e-18)
+
+
+def per_point_map(run_output, times):
+    """Reference sampler: one trace lookup and one profile blend per (t0, t)."""
+    profiles = run_output.profiles
+    rho = run_output.cfg.arrays["rho"]
+    n = rho.size
+    G1 = times.size
+    zeta = np.linspace(0.0, 1.0, profiles.u.shape[1])
+
+    def f_at(z, t):
+        k = int(np.searchsorted(profiles.t, t, side="right") - 1)
+        k = max(0, min(k, profiles.t.size - 2))
+        span = profiles.t[k + 1] - profiles.t[k]
+        w = 0.0 if span == 0 else min(max((t - profiles.t[k]) / span, 0.0), 1.0)
+        fa = np.array([np.interp(z, zeta * profiles.L[k], profiles.f[k, i])
+                       for i in range(n)])
+        fb = np.array([np.interp(z, zeta * profiles.L[k + 1], profiles.f[k + 1, i])
+                       for i in range(n)])
+        return (1.0 - w) * fa + w * fb
+
+    x = np.zeros((n, G1, G1))
+    c = np.zeros((G1, G1))
+    L = np.interp(times, profiles.t, profiles.L)
+    for i, t0 in enumerate(times):
+        path = characteristic_trace(run_output, float(t0), float(times[-1]))
+        for j in range(i, G1):
+            zj = float(np.interp(times[j], path.t, path.z))
+            c[i, j] = zj
+            x[:, i, j] = rho * f_at(zj, float(times[j]))
+    return x, c, L
+
+
+class TestMapRunToCharGrid:
+    def test_bitwise_equal_to_per_point_sampling(self):
+        res = run(short_cfg(CASE1, 0.02, N=50), record_profiles=True)
+        times = np.linspace(0.0, 0.02, 26)
+        x, c, L = map_run_to_char_grid(res, times)
+        x_ref, c_ref, L_ref = per_point_map(res, times)
+        np.testing.assert_array_equal(x, x_ref)
+        np.testing.assert_array_equal(c, c_ref)
+        np.testing.assert_array_equal(L, L_ref)
+        below = np.tril(np.ones((times.size, times.size), dtype=bool), k=-1)
+        assert np.all(c[below] == 0.0)
+        assert np.all(x[:, below] == 0.0)
+        # the sampled wedge is not trivially zero
+        assert np.all(c[~below] > 0.0)
+        assert np.all(x[0][~below] > 0.0)
+
+    def test_requires_profiles(self):
+        times = np.linspace(0.0, 1.0, 11)
+        res = synthetic_run(times, lambda t: 1e-4, lambda z: np.zeros_like(z))
+        bare = RunResult(cfg=res.cfg, snapshots=[], boundary=res.boundary,
+                         profiles=None)
+        with pytest.raises(OutOfDomain):
+            map_run_to_char_grid(bare, times)
 
 
 class TestContractionEstimate:
