@@ -31,12 +31,14 @@ from .stepper import RunResult, attachment_flux, inflow_fractions
 def _ctz(A, axis, delta):
     """Cumulative trapezoid along ``axis`` with step ``delta``, leading zero."""
     A = np.asarray(A, dtype=float)
-    mids = (np.take(A, range(1, A.shape[axis]), axis=axis)
-            + np.take(A, range(0, A.shape[axis] - 1), axis=axis)) * (0.5 * delta)
-    zero_shape = list(A.shape)
-    zero_shape[axis] = 1
-    return np.concatenate([np.zeros(zero_shape), np.cumsum(mids, axis=axis)],
-                          axis=axis)
+    head = [slice(None)] * A.ndim
+    tail = [slice(None)] * A.ndim
+    head[axis] = slice(None, -1)
+    tail[axis] = slice(1, None)
+    head, tail = tuple(head), tuple(tail)
+    out = np.zeros(A.shape)
+    np.cumsum((A[tail] + A[head]) * (0.5 * delta), axis=axis, out=out[tail])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,44 +228,76 @@ def _velocity_field(profiles):
     return u_at
 
 
-def characteristic_trace(run_output: RunResult, t0: float,
-                         t_end: Optional[float] = None) -> CharPath:
-    """Integrate a material path dz/dt = u(z, t) from the interface at t0.
+def characteristic_trace(run_output: RunResult, t0,
+                         t_end: Optional[float] = None) -> CharPath | list[CharPath]:
+    """Integrate material paths dz/dt = u(z, t) from the interface at t0.
 
     Uses the dense profiles recorded by :func:`biofilm1d.stepper.run`
-    (midpoint rule on the recorded time grid); the path is clamped inside
-    [0, L(t)].
+    (midpoint rule on the recorded time grid); each path is clamped inside
+    [0, L(t)].  A float ``t0`` returns one :class:`CharPath`; a 1-D array of
+    launch times returns a list with one path per launch, each equal to the
+    path its scalar call returns::
+
+        path = characteristic_trace(result, 0.2, t_end=1.0)
+        paths = characteristic_trace(result, np.linspace(0.0, 0.5, 6), 1.0)
+
+    Each path takes its own partial step from t0 to the next record time;
+    from there all paths step together over the record intervals.
     """
     profiles = run_output.profiles
     if profiles is None or profiles.t.size < 2:
         raise OutOfDomain("run was not recorded with dense profiles")
     pt, pL = profiles.t, profiles.L
     t_end = float(pt[-1]) if t_end is None else float(t_end)
-    if not (pt[0] <= t0 <= pt[-1]) or t_end > pt[-1] + 1e-12 or t_end < t0:
+    launches = np.asarray(t0, dtype=float)
+    t0s = launches.reshape(-1)
+    if not (np.all((pt[0] <= t0s) & (t0s <= pt[-1]) & (t0s <= t_end))
+            and t_end <= pt[-1] + 1e-12):
         raise OutOfDomain("requested path leaves the recorded time span")
+    if t0s.size == 0:
+        return []
 
     u_at = _velocity_field(profiles)
-    L_at = lambda t: float(np.interp(t, pt, pL))
 
-    ts = [t0]
-    k0 = int(np.searchsorted(pt, t0, side="right"))
-    ts.extend(float(t) for t in pt[k0:] if t <= t_end + 1e-15)
-    if ts[-1] < t_end - 1e-15:
-        ts.append(t_end)
-
-    z = L_at(t0)
-    path_t = [t0]
-    path_z = [z]
-    for ta, tb in zip(ts[:-1], ts[1:]):
+    def step(z, ta, tb):
         dt = tb - ta
-        if dt <= 0.0:
-            continue
         z_mid = z + 0.5 * dt * u_at(z, ta)
         z = z + dt * u_at(z_mid, ta + 0.5 * dt)
-        z = min(max(z, 0.0), L_at(tb))
-        path_t.append(tb)
-        path_z.append(z)
-    return CharPath(t=np.array(path_t), z=np.array(path_z))
+        return np.minimum(np.maximum(z, 0.0), float(np.interp(tb, pt, pL)))
+
+    # Nodes: the record times up to t_end, then t_end when it is off that grid.
+    k_end = int(np.searchsorted(pt, t_end + 1e-15, side="right"))
+    nodes = pt[:k_end].tolist()
+    if nodes[-1] < t_end - 1e-15:
+        nodes.append(t_end)
+    stepped = np.ones(len(nodes), dtype=bool)
+
+    # Path i steps alone from its launch to nodes[first[i]], then rides every
+    # shared step after it; a launch past the last record node and within
+    # 1e-15 of t_end takes no step.
+    first = np.searchsorted(pt, t0s, side="right")
+    z_launch = np.interp(t0s, pt, pL)
+    z = z_launch.copy()
+    zs = np.empty((len(nodes), t0s.size))
+    for i, (ta, k) in enumerate(zip(t0s.tolist(), first.tolist())):
+        if k < k_end or (k < len(nodes) and ta < t_end - 1e-15):
+            z[i] = zs[k, i] = step(z[i], ta, nodes[k])
+        else:
+            first[i] = len(nodes)
+    for j, (ta, tb) in enumerate(zip(nodes[:-1], nodes[1:])):
+        if tb - ta <= 0.0:
+            stepped[j + 1] = False
+            continue
+        riding = first <= j
+        z[riding] = zs[j + 1, riding] = step(z[riding], ta, tb)
+
+    node_t = np.array(nodes)
+    paths = []
+    for i, k in enumerate(first.tolist()):
+        visited = np.arange(k, len(nodes))[stepped[k:]]
+        paths.append(CharPath(t=np.concatenate(([t0s[i]], node_t[visited])),
+                              z=np.concatenate(([z_launch[i]], zs[visited, i]))))
+    return paths if launches.ndim else paths[0]
 
 
 def map_run_to_char_grid(run_output: RunResult, times: np.ndarray):
@@ -284,8 +318,8 @@ def map_run_to_char_grid(run_output: RunResult, times: np.ndarray):
     x = np.zeros((n, G1, G1))
     c = np.zeros((G1, G1))
     L = np.interp(times, pt, pL)
-    for i, t0 in enumerate(times):
-        path = characteristic_trace(run_output, float(t0), float(times[-1]))
+    paths = characteristic_trace(run_output, times, float(times[-1]))
+    for i, path in enumerate(paths):
         c[i, i:] = np.interp(times[i:], path.t, path.z)
     # Column j holds every characteristic at time times[j]: one bracketing
     # pair of recorded profiles, blended linearly in time, serves them all.

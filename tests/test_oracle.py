@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from biofilm1d.errors import DetachmentRegime, NonConvergence, OutOfDomain
-from biofilm1d.oracle import (ContractionBox, box_from_run, characteristic_trace,
+from biofilm1d.oracle import (CharPath, ContractionBox, _ctz, _velocity_field,
+                              box_from_run, characteristic_trace,
                               estimate_contraction, map_run_to_char_grid,
                               picard_solve, window_root)
 from biofilm1d.presets import build_preset
@@ -26,6 +27,33 @@ def short_cfg(cfg, horizon, N=100, dt_max=None):
     nm = dataclasses.replace(cfg.numerics, N=N, dt_max=dt_max)
     return dataclasses.replace(cfg, numerics=nm, horizon=horizon,
                                snapshot_times=())
+
+
+def take_concat_ctz(A, axis, delta):
+    """Reference cumulative trapezoid: gathered neighbours, zero row prepended."""
+    A = np.asarray(A, dtype=float)
+    mids = (np.take(A, range(1, A.shape[axis]), axis=axis)
+            + np.take(A, range(0, A.shape[axis] - 1), axis=axis)) * (0.5 * delta)
+    zero_shape = list(A.shape)
+    zero_shape[axis] = 1
+    return np.concatenate([np.zeros(zero_shape), np.cumsum(mids, axis=axis)],
+                          axis=axis)
+
+
+class TestCumulativeTrapezoid:
+    @pytest.mark.parametrize("shape,axis", [((3, 7, 7), 0), ((3, 7, 7), 1),
+                                            ((3, 7, 7), 2), ((7,), 0)])
+    def test_bitwise_equal_to_take_concat(self, shape, axis):
+        A = np.random.default_rng(11).normal(size=shape)
+        np.testing.assert_array_equal(_ctz(A, axis, 0.37),
+                                      take_concat_ctz(A, axis, 0.37))
+
+    def test_single_sample_axis_is_one_zero(self):
+        A = np.random.default_rng(12).normal(size=(3, 1, 7))
+        out = _ctz(A, 1, 0.5)
+        np.testing.assert_array_equal(out, take_concat_ctz(A, 1, 0.5))
+        np.testing.assert_array_equal(out, np.zeros((3, 1, 7)))
+        np.testing.assert_array_equal(_ctz([2.5], 0, 0.1), [0.0])
 
 
 class TestPicardSolve:
@@ -144,6 +172,125 @@ class TestCharacteristicTrace:
         res = synthetic_run(times, lambda t: 1e-4, lambda z: 5.0 * z + 1e-5)
         path = characteristic_trace(res, t0=0.0)
         assert np.all(path.z <= 1e-4 + 1e-18)
+
+
+def scalar_trace(run_output, t0, t_end=None):
+    """Reference trace: one path, one midpoint step per interval, scalar clamp."""
+    profiles = run_output.profiles
+    pt, pL = profiles.t, profiles.L
+    t_end = float(pt[-1]) if t_end is None else float(t_end)
+    u_at = _velocity_field(profiles)
+    L_at = lambda t: float(np.interp(t, pt, pL))
+
+    ts = [t0]
+    k0 = int(np.searchsorted(pt, t0, side="right"))
+    ts.extend(float(t) for t in pt[k0:] if t <= t_end + 1e-15)
+    if ts[-1] < t_end - 1e-15:
+        ts.append(t_end)
+
+    z = L_at(t0)
+    path_t = [t0]
+    path_z = [z]
+    for ta, tb in zip(ts[:-1], ts[1:]):
+        dt = tb - ta
+        if dt <= 0.0:
+            continue
+        z_mid = z + 0.5 * dt * u_at(z, ta)
+        z = z + dt * u_at(z_mid, ta + 0.5 * dt)
+        z = min(max(z, 0.0), L_at(tb))
+        path_t.append(tb)
+        path_z.append(z)
+    return np.array(path_t), np.array(path_z)
+
+
+@pytest.fixture(scope="module")
+def case1_recorded():
+    return run(short_cfg(CASE1, 0.02, N=50), record_profiles=True)
+
+
+def growth_run(times):
+    """Synthetic run whose paths move: u = 3 z on a growing interface."""
+    return synthetic_run(times, lambda t: 1e-4 * math.exp(4.0 * t),
+                         lambda z: 3.0 * z)
+
+
+class TestArrayLaunch:
+    def assert_matches_scalar(self, res, t0s, t_end=None):
+        paths = characteristic_trace(res, np.asarray(t0s, dtype=float), t_end)
+        assert isinstance(paths, list) and len(paths) == len(t0s)
+        for t0, path in zip(t0s, paths):
+            ref_t, ref_z = scalar_trace(res, float(t0), t_end)
+            np.testing.assert_array_equal(path.t, ref_t)
+            np.testing.assert_array_equal(path.z, ref_z)
+            single = characteristic_trace(res, float(t0), t_end)
+            assert isinstance(single, CharPath)
+            np.testing.assert_array_equal(single.t, ref_t)
+            np.testing.assert_array_equal(single.z, ref_z)
+
+    def test_char_grid_launches_on_recorded_run(self, case1_recorded):
+        times = np.linspace(0.0, 0.02, 26)
+        self.assert_matches_scalar(case1_recorded, times, float(times[-1]))
+        assert np.ptp(characteristic_trace(case1_recorded, 0.0).z) > 0.0
+
+    def test_launch_on_a_record_time(self, case1_recorded):
+        pt = case1_recorded.profiles.t
+        self.assert_matches_scalar(case1_recorded, [pt[0], pt[3], pt[-2], pt[-1]])
+
+    def test_end_between_record_times(self, case1_recorded):
+        pt = case1_recorded.profiles.t
+        t_end = 0.5 * (pt[-3] + pt[-2])
+        self.assert_matches_scalar(case1_recorded,
+                                   [pt[0], 0.5 * (pt[1] + pt[2]), pt[-3],
+                                    0.5 * (pt[-3] + t_end), t_end], t_end)
+        path = characteristic_trace(case1_recorded, float(pt[1]), t_end)
+        assert path.t[-1] == t_end and path.t[-2] == pt[-3]
+
+    def test_launch_at_end_is_a_point(self, case1_recorded):
+        pt = case1_recorded.profiles.t
+        for t in (float(pt[-1]), 0.5 * (pt[4] + pt[5])):
+            path = characteristic_trace(case1_recorded, t, t)
+            np.testing.assert_array_equal(path.t, [t])
+            self.assert_matches_scalar(case1_recorded, [t], t)
+
+    def test_synthetic_runs(self):
+        times = np.linspace(0.0, 1.0, 101)
+        flat = synthetic_run(times, lambda t: 1e-4, lambda z: np.zeros_like(z))
+        self.assert_matches_scalar(flat, [0.0, 0.2, 0.205, 1.0])
+        g, z0 = 0.8, 1e-4
+        fine = np.linspace(0.0, 1.0, 401)
+        outrun = synthetic_run(fine, lambda t: 2.0 * z0 * math.exp(2 * g * (t - 0.1)),
+                               lambda z: g * z)
+        self.assert_matches_scalar(outrun, [0.1, 0.3337, 0.9999], 0.99995)
+        clamped = synthetic_run(np.linspace(0.0, 0.5, 201), lambda t: 1e-4,
+                                lambda z: 5.0 * z + 1e-5)
+        self.assert_matches_scalar(clamped, [0.0, 0.1, 0.4999])
+        self.assert_matches_scalar(growth_run(times), np.linspace(0.0, 0.9, 31), 0.95)
+
+    def test_repeated_record_times(self):
+        times = np.array([0.0, 0.1, 0.2, 0.2, 0.3, 0.4, 0.4, 0.5])
+        res = growth_run(times)
+        self.assert_matches_scalar(res, [0.0, 0.15, 0.2, 0.35, 0.4], 0.45)
+
+    def test_empty_launches(self, case1_recorded):
+        assert characteristic_trace(case1_recorded, np.array([])) == []
+
+    def test_launches_outside_span_rejected(self):
+        times = np.linspace(0.0, 1.0, 11)
+        res = growth_run(times)
+        for bad in ([0.2, 1.5], [-0.1, 0.5], [0.2, 0.9]):
+            with pytest.raises(OutOfDomain, match="recorded time span"):
+                characteristic_trace(res, np.array(bad), t_end=0.8)
+        with pytest.raises(OutOfDomain, match="recorded time span"):
+            characteristic_trace(res, np.array([0.2]), t_end=1.5)
+
+    def test_array_requires_profiles(self):
+        times = np.linspace(0.0, 1.0, 11)
+        res = growth_run(times)
+        bare = RunResult(cfg=res.cfg, snapshots=[], boundary=res.boundary,
+                         profiles=None)
+        for launches in (np.array([0.2, 0.5]), np.array([])):
+            with pytest.raises(OutOfDomain, match="dense profiles"):
+                characteristic_trace(bare, launches)
 
 
 def per_point_map(run_output, times):
