@@ -4,19 +4,28 @@ Each dissolved field obeys ``-D v'' = r(v)`` on [0, L] with a no-flux
 condition at the substratum (second-order ghost node) and a Dirichlet value
 at the moving interface.  The discretization is central differences on the
 uniform normalized grid; rows are scaled by ``h^2/D`` so residuals carry
-concentration units and the tridiagonal systems stay well conditioned.
+concentration units and the systems stay well conditioned.  Every system
+therefore has one stencil: the ghost-node row 0 with superdiagonal -2,
+interior rows with -1 on both off-diagonals, and the Dirichlet row K-1 with
+no subdiagonal.  Only the diagonal and the right-hand side vary, and there
+are two solves for it:
+
+* :func:`tridiagonal_solve`, a Thomas sweep with the off-diagonals fixed,
+  for the Newton corrections of :func:`solve_problem`;
+* a homogeneous solve for the planktonic fields, whose right-hand side is
+  zero except on the Dirichlet row: the pivots, then one cumulative product.
 
 Substrate reactions are Monod-nonlinear, solved by damped Newton with an
 analytic diagonal Jacobian; cross-substrate coupling is relaxed by
 Gauss-Seidel sweeps until the coupled residual meets tolerance (the built-in
 network is triangular, so one sweep already lands on the coupled solution).
-Planktonic fields are linear in themselves at frozen substrates and need a
-single tridiagonal solve each.
+Planktonic fields are linear in themselves at frozen substrates, so each is
+one homogeneous solve, and a species without colonization (``k_col = 0``)
+is its Dirichlet value everywhere.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import warnings
@@ -33,44 +42,75 @@ logger = logging.getLogger(__name__)
 _PIVOT_FLOOR = 1e-30
 
 
-def tridiagonal_solve(lower, diag, upper, rhs) -> np.ndarray:
-    """Thomas elimination for a tridiagonal system.
+def tridiagonal_solve(diag, rhs) -> np.ndarray:
+    """Thomas elimination for the package's one stencil.
 
-    ``diag`` has length K, ``lower``/``upper`` length K-1.  Raises
-    :class:`SingularJacobian` when an elimination pivot falls below 1e-30.
+    Row 0 is the ghost-node row (superdiagonal -2), rows 1..K-2 have -1 on
+    both off-diagonals and row K-1 is the Dirichlet row (no subdiagonal);
+    ``diag`` and ``rhs`` have length K.  Raises :class:`SingularJacobian`
+    when an elimination pivot falls below 1e-30.
     """
-    lower = np.ascontiguousarray(lower, dtype=float)
-    diag = np.ascontiguousarray(diag, dtype=float)
-    upper = np.ascontiguousarray(upper, dtype=float)
-    rhs = np.ascontiguousarray(rhs, dtype=float)
-    if lower.size != diag.size - 1 or upper.size != diag.size - 1 or rhs.size != diag.size:
-        raise ValueError("tridiagonal band lengths are inconsistent")
+    b = np.asarray(diag, dtype=float).tolist()
+    r = np.asarray(rhs, dtype=float).tolist()
+    if not b or len(r) != len(b):
+        raise ValueError("diagonal and right-hand side lengths differ")
     # The sweeps run on Python floats, which are several times cheaper to
-    # index and combine than numpy scalars.  They do the same IEEE-754 double
-    # operations in the same order, so the result is bitwise that of a sweep
-    # over numpy scalars.  The zero padding (row 0 has no subdiagonal, row K-1
-    # no superdiagonal) leaves every pivot and forward value exact; the last
-    # gamma is never read.
-    gamma, y = [], []
+    # index and combine than numpy scalars.  With the off-diagonals fixed,
+    # ``b - (-1)*g`` is ``b + g`` and ``d - (-1)*y`` is ``d + y``, the same
+    # IEEE-754 operations, so every value is bitwise that of the general
+    # four-band sweep.  The last row keeps its zero-subdiagonal products,
+    # which decide the sign of a zero result.
+    piv = b[0]
+    if abs(piv) < _PIVOT_FLOOR:
+        raise SingularJacobian(f"pivot magnitude below {_PIVOT_FLOOR:g} at row 0")
+    g = -2.0 / piv
+    yk = r[0] / piv
+    if len(b) == 1:
+        return np.array([yk])
+    gamma, y = [g], [yk]
     gamma_append, y_append = gamma.append, y.append
-    g = yk = 0.0
-    for a, b, c, d in zip([0.0] + lower.tolist(), diag.tolist(),
-                          upper.tolist() + [0.0], rhs.tolist()):
-        piv = b - a * g
+    for bk, dk in zip(b[1:-1], r[1:-1]):
+        piv = bk + g
         if abs(piv) < _PIVOT_FLOOR:
             raise SingularJacobian(
                 f"pivot magnitude below {_PIVOT_FLOOR:g} at row {len(y)}")
-        g = c / piv
-        yk = (d - a * yk) / piv
+        g = -1.0 / piv
+        yk = (dk + yk) / piv
         gamma_append(g)
         y_append(yk)
-    x = [yk]
-    xk = yk
-    for g, yk in zip(gamma[-2::-1], y[-2::-1]):
+    piv = b[-1] - 0.0 * g
+    if abs(piv) < _PIVOT_FLOOR:
+        raise SingularJacobian(
+            f"pivot magnitude below {_PIVOT_FLOOR:g} at row {len(y)}")
+    xk = (r[-1] - 0.0 * yk) / piv
+    x = [xk]
+    for g, yk in zip(reversed(gamma), reversed(y)):
         xk = yk - g * xk
         x.append(xk)
     x.reverse()
     return np.array(x)
+
+
+def _homogeneous_solve(sk: np.ndarray, dirichlet: float) -> np.ndarray:
+    """:func:`tridiagonal_solve` of the stencil with diagonal ``2 + sk`` (last
+    row 1), right-hand side ``-0.0`` and ``dirichlet >= 0`` on the last row.
+
+    That is a planktonic field at ``sk = scale * kappa >= 0``.  Every pivot
+    is at least 1 and every forward value a zero, so back substitution
+    ``x_k = y_k - gamma_k x_{k+1}`` is the product ``(-gamma_k) x_{k+1}``:
+    the sweep computes only the pivots and then one cumulative product,
+    bitwise equal to the full sweep.  The last row turns a -0.0 Dirichlet
+    value into +0.0, as the sweep does.
+    """
+    b = (2.0 + sk[:-1]).tolist()
+    h = 2.0 / b[0]  # -gamma_0
+    minus_gamma = [h]
+    append = minus_gamma.append
+    for bk in b[1:]:
+        h = 1.0 / (bk - h)
+        append(h)
+    minus_gamma.append(dirichlet + 0.0)
+    return np.cumprod(minus_gamma[::-1])[::-1]
 
 
 @dataclass(frozen=True)
@@ -113,19 +153,6 @@ def _residual(v: np.ndarray, rate, dirichlet: float, scale: float) -> np.ndarray
     return r
 
 
-@functools.cache
-def _off_diagonals(K: int):
-    """Jacobian sub- and superdiagonal; unlike the diagonal they do not depend
-    on v, so they are built once per K and shared read-only."""
-    lower = np.full(K - 1, -1.0)
-    lower[-1] = 0.0
-    upper = np.full(K - 1, -1.0)
-    upper[0] = -2.0
-    lower.flags.writeable = False
-    upper.flags.writeable = False
-    return lower, upper
-
-
 def _diagonal(problem: EllipticProblem, v: np.ndarray, scale: float) -> np.ndarray:
     diag = 2.0 - scale * _nodal(problem.reaction_jacobian(v), v)
     diag[-1] = 1.0
@@ -154,7 +181,6 @@ def solve_problem(problem: EllipticProblem, N: int, tol: float = 1e-9,
     h = problem.L / N
     scale = h * h / problem.D
     tol_abs = tol * max(1.0, abs(problem.dirichlet_value))
-    lower, upper = _off_diagonals(N + 1)
 
     def residual(v):
         return _residual(v, problem.reaction(v), problem.dirichlet_value, scale)
@@ -163,25 +189,25 @@ def solve_problem(problem: EllipticProblem, N: int, tol: float = 1e-9,
         zero = np.zeros(N + 1)
         rhs = scale * _nodal(problem.reaction(zero), zero)
         rhs[-1] = problem.dirichlet_value
-        v = tridiagonal_solve(lower, _diagonal(problem, zero, scale), upper, rhs)
-        res = float(np.max(np.abs(residual(v))))
+        v = tridiagonal_solve(_diagonal(problem, zero, scale), rhs)
+        res = float(np.abs(residual(v)).max())
         return EllipticSolution(_clamp_solution(v, problem.dirichlet_value), res, 1)
 
     v = np.full(N + 1, float(problem.dirichlet_value)) if initial is None \
         else np.array(initial, dtype=float)
     v[-1] = problem.dirichlet_value
     res = residual(v)
-    res_norm = float(np.max(np.abs(res)))
+    res_norm = float(np.abs(res).max())
     for it in range(1, max_iter + 1):
         if res_norm <= tol_abs:
             return EllipticSolution(_clamp_solution(v, problem.dirichlet_value),
                                     res_norm, it - 1)
-        delta = tridiagonal_solve(lower, _diagonal(problem, v, scale), upper, -res)
+        delta = tridiagonal_solve(_diagonal(problem, v, scale), -res)
         alpha = 1.0
         for _ in range(30):
-            v_try = v + alpha * delta
+            v_try = v + delta if alpha == 1.0 else v + alpha * delta
             res_try = residual(v_try)
-            norm_try = float(np.max(np.abs(res_try)))
+            norm_try = float(np.abs(res_try).max())
             if norm_try <= (1.0 - 1e-4 * alpha) * res_norm:
                 v, res, res_norm = v_try, res_try, norm_try
                 break
@@ -212,13 +238,15 @@ def solve_substrates(state, cfg) -> list[EllipticSolution]:
     worst = math.inf
 
     def make_problem(j, frozen):
+        # The other rows stay frozen while field j is solved, so one scratch
+        # copy per problem serves every closure call.
+        full = frozen.copy()
+
         def reaction(v):
-            full = frozen.copy()
             full[j] = v
             return kinetics.substrate_rates(f, full, cfg)[j]
 
         def jacobian(v):
-            full = frozen.copy()
             full[j] = v
             return kinetics.substrate_rate_jacobian_diag(f, full, cfg)[j]
 
@@ -238,7 +266,7 @@ def solve_substrates(state, cfg) -> list[EllipticSolution]:
         worst = 0.0
         for j in range(cfg.m):
             r = _residual(S_work[j], rates[j], dirichlet[j], h * h / cfg.substrates[j].D)
-            norm = float(np.max(np.abs(r)))
+            norm = float(np.abs(r).max())
             residuals.append(norm)
             worst = max(worst, norm / max(1.0, abs(dirichlet[j])))
         if worst <= nm.newton_tol:
@@ -257,8 +285,10 @@ def resolution_limit(L, species) -> float:
 
 def solve_planktonic(state, cfg) -> list[EllipticSolution]:
     """Solve all planktonic fields at frozen substrates (one linear solve each)."""
-    nm = cfg.numerics
+    if state.L <= 0:
+        raise ValueError("domain length must be positive")
     N = state.N
+    h = state.L / N
     kappa = kinetics.planktonic_sink_coefficients(state.S, cfg)
     psi_bulk = cfg.psi_star(state.t)
     out = []
@@ -271,11 +301,13 @@ def solve_planktonic(state, cfg) -> list[EllipticSolution]:
                 "profile is under-resolved", BoundaryLayerResolutionWarning,
                 stacklevel=2)
         k_row = kappa[i]
-        problem = EllipticProblem(
-            D=sp.D_psi, L=state.L, dirichlet_value=float(psi_bulk[i]),
-            reaction=lambda v, k_row=k_row: -k_row * v,
-            reaction_jacobian=lambda v, k_row=k_row: -k_row,
-            linear_in_unknown=True)
-        out.append(solve_problem(problem, N, tol=nm.newton_tol,
-                                 max_iter=nm.newton_max_iter))
+        scale = h * h / sp.D_psi
+        dirichlet = float(psi_bulk[i])
+        if sp.k_col == 0:
+            # kappa = 0: every pivot ratio is 1 and the product is constant.
+            v = np.full(N + 1, dirichlet + 0.0)
+        else:
+            v = _homogeneous_solve(scale * k_row, dirichlet)
+        res = float(np.abs(_residual(v, -k_row * v, dirichlet, scale)).max())
+        out.append(EllipticSolution(_clamp_solution(v, dirichlet), res, 1))
     return out

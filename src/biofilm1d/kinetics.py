@@ -50,7 +50,7 @@ def growth_rates(f, S, cfg):
 def _network_weighted(r_m, a):
     """r_S from the growth rates; ``np.dot`` on the flattened load is what
     ``np.tensordot(W, load, axes=(1, 0))`` runs, without its set-up cost."""
-    load = r_m * (a["rho"] / a["Y"]).reshape((-1,) + (1,) * (r_m.ndim - 1))
+    load = r_m * a["rho_Y"].reshape((-1,) + (1,) * (r_m.ndim - 1))
     W = a["W"]
     return np.dot(W, load.reshape(W.shape[1], -1)).reshape(
         W.shape[:1] + load.shape[1:])
@@ -70,10 +70,10 @@ def substrate_rate_jacobian_diag(f, S, cfg):
     mu = a["mu_max"].reshape((-1,) + trail)
     K = a["K"].reshape(mu.shape)
     s_sel = S[a["substrate_of"]]
-    dload = mu * dmonod(s_sel, K) * f * (a["rho"] / a["Y"]).reshape(mu.shape)
+    dload = mu * dmonod(s_sel, K) * f * a["rho_Y"].reshape(mu.shape)
     out = np.zeros_like(S)
-    for i, j in enumerate(a["substrate_of"]):
-        out[j] += a["W"][j, i] * dload[i]
+    for i, (j, w) in enumerate(a["jacobian_terms"]):
+        out[j] += w * dload[i]
     return out
 
 

@@ -126,13 +126,17 @@ class ScenarioConfig:
         D = np.array([sb.D for sb in self.substrates], dtype=float)
         W = np.array(self.stoichiometry.production, dtype=float)
         sigma = np.array(self.stoichiometry.substrate_of, dtype=int)
-        for a in (D, W, sigma):
+        rho_Y = col("rho") / col("Y")
+        for a in (D, W, sigma, rho_Y):
             a.flags.writeable = False
         return {
             "mu_max": col("mu_max"), "K": col("K"), "Y": col("Y"),
             "rho": col("rho"), "v_a": col("v_a"), "k_col": col("k_col"),
             "Y_psi": col("Y_psi"), "D_psi": col("D_psi"),
-            "D": D, "W": W, "substrate_of": sigma,
+            "D": D, "W": W, "substrate_of": sigma, "rho_Y": rho_Y,
+            # (substrate row, coefficient) of each species' Jacobian term
+            "jacobian_terms": tuple((int(j), float(W[j, i]))
+                                    for i, j in enumerate(sigma)),
         }
 
     def psi_star(self, t: float) -> np.ndarray:

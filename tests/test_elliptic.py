@@ -9,20 +9,28 @@ import numpy as np
 import pytest
 
 import biofilm1d
-from biofilm1d.elliptic import (EllipticProblem, resolution_limit, solve_planktonic,
-                                solve_problem, solve_substrates, tridiagonal_solve)
+from biofilm1d.elliptic import (EllipticProblem, _homogeneous_solve, resolution_limit,
+                                solve_planktonic, solve_problem, solve_substrates,
+                                tridiagonal_solve)
 from biofilm1d.errors import BoundaryLayerResolutionWarning, SingularJacobian
 from biofilm1d.model import initial_state
 from biofilm1d.presets import build_preset
 
 
+def stencil_bands(n):
+    """The solver's fixed off-diagonals at size n: -2 above row 0, -1 inside,
+    nothing below the Dirichlet row."""
+    lower = np.full(n - 1, -1.0)
+    lower[-1] = 0.0
+    upper = np.full(n - 1, -1.0)
+    upper[0] = -2.0
+    return lower, upper
+
+
 def dominant_system(rng, n):
-    """A random diagonally dominant tridiagonal system of size n."""
-    lower = rng.standard_normal(n - 1)
-    upper = rng.standard_normal(n - 1)
-    diag = 4.0 + np.abs(rng.standard_normal(n)) \
-        + np.abs(np.append(lower, 0)) + np.abs(np.append(0, upper))
-    return lower, diag, upper, rng.standard_normal(n)
+    """A random diagonally dominant system of size n on the solver's stencil."""
+    diag = 4.0 + np.abs(rng.standard_normal(n))
+    return diag, rng.standard_normal(n)
 
 
 def thomas_numpy_scalars(lower, diag, upper, rhs):
@@ -42,53 +50,111 @@ def thomas_numpy_scalars(lower, diag, upper, rhs):
     return x
 
 
+def stencil_reference(diag, rhs):
+    lower, upper = stencil_bands(diag.size)
+    return thomas_numpy_scalars(lower, diag, upper, rhs)
+
+
+def assert_bitwise_equal(actual, expected):
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
 class TestTridiagonal:
     def test_identity(self):
-        b = np.array([3.0, -1.0, 4.0, 1.5])
-        x = tridiagonal_solve(np.zeros(3), np.ones(4), np.zeros(3), b)
-        np.testing.assert_array_equal(x, b)
+        # The stencil's trivial system: diagonal 2 (1 on the Dirichlet row)
+        # and a zero right-hand side make every pivot 1, so the solution is
+        # the Dirichlet value everywhere, with no round-off.
+        diag = np.append(np.full(5, 2.0), 1.0)
+        rhs = np.append(np.zeros(5), 3.25)
+        np.testing.assert_array_equal(tridiagonal_solve(diag, rhs), np.full(6, 3.25))
 
     def test_hand_solution(self):
-        # [2 1 0; 1 2 1; 0 1 2] x = [4, 8, 8]  ->  x = [1, 2, 3]
-        lower = np.array([1.0, 1.0])
-        diag = np.array([2.0, 2.0, 2.0])
-        upper = np.array([1.0, 1.0])
-        rhs = np.array([4.0, 8.0, 8.0])
-        x = tridiagonal_solve(lower, diag, upper, rhs)
+        # [4 -2 0; -1 4 -1; 0 0 1] x = [0, 4, 3]  ->  x = [1, 2, 3]
+        x = tridiagonal_solve(np.array([4.0, 4.0, 1.0]), np.array([0.0, 4.0, 3.0]))
         np.testing.assert_allclose(x, [1.0, 2.0, 3.0], rtol=1e-12)
 
     def test_random_diagonally_dominant_residual(self):
-        lower, diag, upper, rhs = dominant_system(np.random.default_rng(3), 100)
-        x = tridiagonal_solve(lower, diag, upper, rhs)
+        diag, rhs = dominant_system(np.random.default_rng(3), 100)
+        x = tridiagonal_solve(diag, rhs)
+        lower, upper = stencil_bands(diag.size)
         A = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
         res = np.max(np.abs(A @ x - rhs))
         assert res <= 1e-10 * np.max(np.abs(rhs))
 
     def test_vanishing_pivot_rejected(self):
         with pytest.raises(SingularJacobian):
-            tridiagonal_solve(np.array([1.0]), np.array([0.0, 1.0]),
-                              np.array([1.0]), np.array([1.0, 1.0]))
+            tridiagonal_solve(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
 
     def test_pivot_vanishing_mid_sweep_names_row(self):
-        # [[1 1]; [1 1]]: the first pivot is 1, the second 1 - 1*1 = 0
+        # the first pivot is 2, so gamma_0 = -1 and the second 1 - 1 = 0
         with pytest.raises(SingularJacobian, match="at row 1"):
-            tridiagonal_solve(np.array([1.0]), np.array([1.0, 1.0]),
-                              np.array([1.0]), np.array([1.0, 2.0]))
+            tridiagonal_solve(np.array([2.0, 1.0, 1.0]), np.ones(3))
+
+    def test_vanishing_dirichlet_pivot_names_row(self):
+        with pytest.raises(SingularJacobian, match="at row 2"):
+            tridiagonal_solve(np.array([2.0, 2.0, 0.0]), np.ones(3))
 
     def test_single_row(self):
-        x = tridiagonal_solve(np.empty(0), np.array([4.0]), np.empty(0), np.array([2.0]))
+        x = tridiagonal_solve(np.array([4.0]), np.array([2.0]))
         np.testing.assert_array_equal(x, [0.5])
         with pytest.raises(SingularJacobian, match="at row 0"):
-            tridiagonal_solve(np.empty(0), np.array([0.0]), np.empty(0), np.array([2.0]))
+            tridiagonal_solve(np.array([0.0]), np.array([2.0]))
 
     @pytest.mark.parametrize("n", [2, 201, 2401])
     def test_bitwise_equal_to_numpy_scalar_sweep(self, n):
-        bands = dominant_system(np.random.default_rng(n), n)
-        np.testing.assert_array_equal(tridiagonal_solve(*bands), thomas_numpy_scalars(*bands))
+        diag, rhs = dominant_system(np.random.default_rng(n), n)
+        assert_bitwise_equal(tridiagonal_solve(diag, rhs), stencil_reference(diag, rhs))
+
+    @pytest.mark.parametrize("n", [2, 3, 201])
+    def test_newton_rhs_negative_zero_on_dirichlet_row(self, n):
+        # A Newton correction's last entry is -res[-1] = -0.0.  After a
+        # negative forward value the sweep's -0.0 - 0.0 * y is +0.0, and
+        # after a positive one it stays -0.0.
+        for sign in (-1.0, 1.0):
+            diag = np.append(np.full(n - 1, 2.5), 1.0)
+            rhs = np.append(np.full(n - 1, sign * 0.75), -0.0)
+            expected = stencil_reference(diag, rhs)
+            assert np.signbit(expected[-1]) == (sign > 0)
+            assert_bitwise_equal(tridiagonal_solve(diag, rhs), expected)
 
     def test_inconsistent_bands_rejected(self):
         with pytest.raises(ValueError):
-            tridiagonal_solve(np.zeros(3), np.ones(3), np.zeros(2), np.ones(3))
+            tridiagonal_solve(np.ones(3), np.ones(2))
+        with pytest.raises(ValueError):
+            tridiagonal_solve(np.empty(0), np.empty(0))
+
+
+class TestHomogeneousSolve:
+    """The planktonic solve against the sweep over the system that the linear
+    branch of ``solve_problem`` assembles for the sink ``-kappa * v``."""
+
+    @staticmethod
+    def swept(k, scale, dirichlet):
+        zero = np.zeros(k.size)
+        rhs = scale * (-k * zero)
+        rhs[-1] = dirichlet
+        diag = 2.0 - scale * (-k)
+        diag[-1] = 1.0
+        return stencil_reference(diag, rhs)
+
+    @pytest.mark.parametrize("n", [2, 9, 201, 2401])
+    def test_bitwise_equal_to_sweep(self, n):
+        rng = np.random.default_rng(n)
+        for dirichlet in (0.0, -0.0, 1e-300, 3.7, 100.0):
+            for top in (0.0, 1e-3, 1.0, 1e3, 1e7):
+                k = top * rng.random(n)
+                k[rng.random(n) < 0.3] = 0.0  # rows without colonization
+                scale = rng.uniform(0.2, 1.0)
+                x = _homogeneous_solve(scale * k, dirichlet)
+                assert_bitwise_equal(x, self.swept(k, scale, dirichlet))
+
+    def test_strong_sink_underflows_to_zero(self):
+        k = np.full(201, 1e7)
+        x = _homogeneous_solve(k, 100.0)
+        assert x[-1] == 100.0
+        assert x[0] == 0.0 and not np.signbit(x[0])
+        assert_bitwise_equal(x, self.swept(k, 1.0, 100.0))
 
 
 def quadratic_problem(q=100.0, L=1e-3, D=1e-5, bulk=100.0):
