@@ -9,11 +9,11 @@ stepper on short horizons and quantifies the contraction window on which
 the integral formulation is provably well posed.
 """
 
-from .errors import (Biofilm1dError, BoundaryLayerResolutionWarning, CflViolation,
-                     ConfigError, DetachmentRegime, IoFailure, NoAttachment,
-                     NonConvergence, NumericalBlowup, OutOfDomain, SingularJacobian,
-                     UnknownPreset)
-from .kinetics import (RateBundle, colonization_rates, growth_rates, monod,
+from .errors import (Biofilm1dError, BoundaryLayerResolutionWarning, ConfigError,
+                     DetachmentRegime, IoFailure, NoAttachment, NonConvergence,
+                     NumericalBlowup, OutOfDomain, SingularJacobian, UnknownPreset)
+from .kinetics import (RateBundle, attachment_flux, colonization_rates,
+                       detachment_flux, growth_rates, inflow_fractions, monod,
                        planktonic_conversion_rates, rate_bundle, source_G,
                        substrate_rates)
 from .model import (CONSTRAINT_TOL, BiofilmState, NumericsConfig, Regime,
@@ -22,10 +22,8 @@ from .model import (CONSTRAINT_TOL, BiofilmState, NumericsConfig, Regime,
                     validate_config)
 from .elliptic import (EllipticProblem, EllipticSolution, solve_planktonic,
                        solve_substrates, tridiagonal_solve)
-from .stepper import (BoundaryTrace, ProfileTrace, RunResult, StepDiagnostics,
-                      advance_biomass, advance_boundary, attachment_flux,
-                      compute_velocity, detachment_flux, inflow_fractions,
-                      make_snapshot, run, step)
+from .stepper import (BoundaryTrace, ProfileTrace, RunResult, advance_boundary,
+                      compute_velocity, make_snapshot, run)
 from .oracle import (CharField, CharPath, ContractionBox, ContractionEstimate,
                      box_from_run, characteristic_trace, estimate_contraction,
                      map_run_to_char_grid, picard_solve, window_root)

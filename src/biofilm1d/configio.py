@@ -7,15 +7,15 @@ round-tripping a configuration through text reproduces it exactly.
 
 from __future__ import annotations
 
+import dataclasses
+
 from .errors import ConfigError
 from .model import (NumericsConfig, ScenarioConfig, SpeciesParams, Stoichiometry,
                     SubstrateParams)
 from .traces import BulkTraces, parse_descriptor
 
 _SPECIES_FIELDS = ("mu_max", "K", "Y", "rho", "v_a", "k_col", "Y_psi", "D_psi")
-_NUMERICS_FIELDS = ("N", "dt_max", "cfl", "L_eps", "newton_tol",
-                    "newton_max_iter", "picard_tol", "picard_max_iter",
-                    "transport")
+_NUMERICS_FIELDS = dataclasses.fields(NumericsConfig)
 
 
 def _fmt(x):
@@ -49,8 +49,8 @@ def dumps(cfg: ScenarioConfig) -> str:
             lines.append(f"stoichiometry.production.{j} = "
                          + ", ".join(_fmt(float(w)) for w in row))
     nm = cfg.numerics
-    for name in _NUMERICS_FIELDS:
-        lines.append(f"numerics.{name} = {_fmt(getattr(nm, name))}")
+    for field in _NUMERICS_FIELDS:
+        lines.append(f"numerics.{field.name} = {_fmt(getattr(nm, field.name))}")
     return "\n".join(lines) + "\n"
 
 
@@ -133,18 +133,20 @@ def loads(text: str) -> ScenarioConfig:
         stoich = Stoichiometry(substrate_of=sof, production=tuple(rows), kind="custom")
 
     nm_kwargs = {}
-    for name in _NUMERICS_FIELDS:
-        key = f"numerics.{name}"
-        if key not in entries:
-            continue
-        raw = entries.pop(key)
-        if name in ("N", "newton_max_iter", "picard_max_iter"):
-            nm_kwargs[name] = int(raw)
-        elif name == "transport":
-            nm_kwargs[name] = raw
-        else:
-            nm_kwargs[name] = float(raw)
+    for field in _NUMERICS_FIELDS:
+        key = f"numerics.{field.name}"
+        if key in entries:
+            try:
+                nm_kwargs[field.name] = type(field.default)(entries.pop(key))
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key!r}: {exc}") from None
     numerics = NumericsConfig(**nm_kwargs)
+    # Keys of the removed upwind engine, still present in older files.
+    entries.pop("numerics.cfl", None)
+    transport = entries.pop("numerics.transport", "characteristics")
+    if transport != "characteristics":
+        raise ConfigError(f"numerics.transport = {transport}: the upwind engine "
+                          "was removed; characteristics is the only transport")
 
     delta = _pop_float(entries, "scenario.delta")
     horizon = _pop_float(entries, "scenario.horizon")

@@ -28,10 +28,6 @@ class SingularJacobian(Biofilm1dError):
     """A linear solve hit a vanishing pivot."""
 
 
-class CflViolation(Biofilm1dError):
-    """The requested time step exceeds the advective stability bound."""
-
-
 class NumericalBlowup(Biofilm1dError):
     """A state field turned non-finite; carries the failing time."""
 

@@ -1,7 +1,9 @@
-"""Reaction-rate evaluations: growth, substrate conversion, colonization.
+"""Reaction-rate evaluations: growth, substrate conversion, colonization,
+and the interface attachment and detachment fluxes.
 
-All functions are pure and broadcast over a trailing node axis, so they can
-be evaluated for a single point ``(n,)`` or a whole grid ``(n, K)`` alike.
+All functions are pure.  The rates broadcast over a trailing node axis, so
+they can be evaluated for a single point ``(n,)`` or a whole grid ``(n, K)``
+alike.
 Negative concentrations (transient numerical undershoot) are clamped to zero
 on the rate side only; state arrays are never mutated.
 """
@@ -12,6 +14,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import NoAttachment
 
 logger = logging.getLogger(__name__)
 
@@ -139,3 +143,39 @@ def rate_bundle(f, S, Psi, cfg) -> RateBundle:
     r_col = colonization_rates(Psi, S, cfg)
     return RateBundle(r_M=r_m, r_col=r_col, r_S=_network_weighted(r_m, cfg.arrays),
                       r_Psi=_planktonic_from(r_col, cfg.arrays), G=_sum_G(r_m, r_col))
+
+
+def attachment_flux(psi_star, cfg) -> float:
+    """Total interface gain from attaching bulk cells, sum v_a_i psi_i / rho_i (m/day)."""
+    a = cfg.arrays
+    psi = np.maximum(np.asarray(psi_star, dtype=float), 0.0)
+    return float(np.sum(a["v_a"] * psi / a["rho"]))
+
+
+def detachment_flux(L, delta) -> float:
+    """Interface erosion rate delta * L^2 (m/day)."""
+    return delta * L * L
+
+
+def inflow_fractions(psi_star, cfg) -> np.ndarray:
+    """Composition of freshly attached biomass.
+
+    Proportional to v_a_i * psi_i; species with zero attachment stay exactly
+    zero, and the closure to unit sum is folded into the last nonzero
+    component so the fractions sum to one.
+    """
+    a = cfg.arrays
+    psi = np.maximum(np.asarray(psi_star, dtype=float), 0.0)
+    raw = a["v_a"] * psi
+    total = float(raw.sum())
+    if total <= 0.0:
+        raise NoAttachment("all attachment fluxes vanish")
+    out = raw / total
+    k = int(np.nonzero(raw)[0][-1])
+    out[k] = 1.0 - (out.sum() - out[k])
+    for _ in range(3):
+        err = out.sum() - 1.0
+        if err == 0.0:
+            break
+        out[k] -= err
+    return out

@@ -13,6 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoAttachment
+from .kinetics import attachment_flux, inflow_fractions
 from .traces import BulkTraces
 
 #: Absolute tolerance on the nodewise volume-fraction sum constraint.  Tight
@@ -85,13 +86,11 @@ class NumericsConfig:
 
     N: int = 200             # interior grid intervals (N+1 nodes)
     dt_max: float = 1e-3     # time-step cap, day
-    cfl: float = 0.5         # Courant safety factor for the upwind path
     L_eps: float = 1e-9      # seed thickness replacing the L(0)=0 singularity, m
     newton_tol: float = 1e-9     # relative elliptic residual tolerance
     newton_max_iter: int = 50
     picard_tol: float = 1e-8     # fixed-point iterate distance tolerance
     picard_max_iter: int = 200
-    transport: str = "characteristics"  # "characteristics" | "upwind"
 
 
 @dataclass(frozen=True)
@@ -267,15 +266,12 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
 
     nm = cfg.numerics
     check(nm.N >= 8, "numerics.N", "N must be >= 8")
-    check(0 < nm.cfl <= 1, "numerics.cfl", "cfl must be in (0, 1]")
     check(nm.dt_max > 0, "numerics.dt_max", "dt_max must be > 0")
     check(nm.L_eps > 0, "numerics.L_eps", "L_eps must be > 0")
     check(nm.newton_tol > 0, "numerics.newton_tol", "newton_tol must be > 0")
     check(nm.newton_max_iter > 0, "numerics.newton_max_iter", "newton_max_iter must be > 0")
     check(nm.picard_tol > 0, "numerics.picard_tol", "picard_tol must be > 0")
     check(nm.picard_max_iter > 0, "numerics.picard_max_iter", "picard_max_iter must be > 0")
-    check(nm.transport in ("characteristics", "upwind"), "numerics.transport",
-          "transport must be 'characteristics' or 'upwind'")
 
     return ValidationReport(tuple(bad))
 
@@ -291,8 +287,6 @@ def initial_state(cfg: ScenarioConfig) -> BiofilmState:
     Raises :class:`NoAttachment` when nothing attaches at t = 0, in which
     case no biofilm can nucleate.
     """
-    from .stepper import attachment_flux, inflow_fractions
-
     psi0 = cfg.psi_star(0.0)
     if attachment_flux(psi0, cfg) <= 0.0:
         raise NoAttachment("total attachment flux at t = 0 is zero")

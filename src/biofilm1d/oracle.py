@@ -25,7 +25,8 @@ import numpy as np
 
 from . import kinetics
 from .errors import DetachmentRegime, NoAttachment, NonConvergence, OutOfDomain
-from .stepper import RunResult, attachment_flux, inflow_fractions
+from .kinetics import attachment_flux, inflow_fractions
+from .stepper import RunResult
 
 
 def _ctz(A, axis, delta):

@@ -1,28 +1,20 @@
 """Time integration of the coupled free-boundary system.
 
-One step performs, in order: quasi-static substrate solves, quasi-static
-planktonic solves, rate evaluation, velocity quadrature, interface-flux
-evaluation and time-step selection, the explicit interface update, and the
-biomass transport update.
+The sessile volume fractions are transported along characteristics:
+material parcels carry them with the flow, so the grid of unknowns moves
+with ``u``.  A parcel is injected at the interface while attachment
+dominates, and parcels above the receding interface are shed during
+detachment.  Composition fronts stay sharp to round-off because fractions
+are never interpolated between parcels during a run; the parcels are
+resampled onto the uniform normalized grid only for the dissolved-field
+solves and for emitted snapshots.
 
-Two transport discretizations are available:
-
-``characteristics``
-    Material parcels carry the volume fractions along the flow (the grid of
-    unknowns moves with ``u``); a parcel is injected at the interface while
-    attachment dominates and parcels above the receding interface are
-    shed during detachment.  Composition fronts stay sharp to round-off
-    because fractions are never interpolated between parcels during a run;
-    output states are resampled onto the uniform normalized grid only when a
-    snapshot is emitted.  This is the default.
-
-``upwind``
-    First-order upwind differences for the moving-grid advection term on the
-    fixed normalized grid.  Monotone and simple, but a composition contact
-    smears over a growing number of cells.
-
-Both engines share the elliptic solves, kinetics, interface fluxes and
-snapshot format, and are deterministic for a fixed configuration.
+One step performs, in order: quasi-static substrate and planktonic solves
+on the uniform grid, rate evaluation on the parcels, velocity quadrature,
+interface-flux evaluation, the explicit interface update and the explicit
+parcel update.  Steps are capped at ``dt_max`` and land exactly on snapshot
+times and bulk-trace breakpoints, so a run is deterministic for a fixed
+configuration.
 """
 
 from __future__ import annotations
@@ -34,10 +26,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import kinetics
 from .elliptic import solve_planktonic, solve_substrates
-from .errors import CflViolation, ConfigError, NoAttachment, NumericalBlowup
-from .kinetics import RateBundle, rate_bundle
+from .errors import ConfigError, NumericalBlowup
+from .kinetics import (attachment_flux, detachment_flux, inflow_fractions,
+                       rate_bundle)
 from .model import (BiofilmState, Regime, ScenarioConfig, Snapshot,
                     initial_state, validate_config)
 
@@ -46,49 +38,16 @@ logger = logging.getLogger(__name__)
 _TIME_SNAP = 1e-12
 
 
-def attachment_flux(psi_star, cfg) -> float:
-    """Total interface gain from attaching bulk cells, sum v_a_i psi_i / rho_i (m/day)."""
-    a = cfg.arrays
-    psi = np.maximum(np.asarray(psi_star, dtype=float), 0.0)
-    return float(np.sum(a["v_a"] * psi / a["rho"]))
+def compute_velocity(G, dz) -> np.ndarray:
+    """Velocity profile from the source G by trapezoidal quadrature, u(0) = 0.
 
-
-def detachment_flux(L, delta) -> float:
-    """Interface erosion rate delta * L^2 (m/day)."""
-    return delta * L * L
-
-
-def inflow_fractions(psi_star, cfg) -> np.ndarray:
-    """Composition of freshly attached biomass.
-
-    Proportional to v_a_i * psi_i; species with zero attachment stay exactly
-    zero, and the closure to unit sum is folded into the last nonzero
-    component so the fractions sum to one.
+    ``dz`` is the node spacing: the scalar ``L/N`` on the uniform grid or
+    ``np.diff(z)`` on the parcels.
     """
-    a = cfg.arrays
-    psi = np.maximum(np.asarray(psi_star, dtype=float), 0.0)
-    raw = a["v_a"] * psi
-    total = float(raw.sum())
-    if total <= 0.0:
-        raise NoAttachment("all attachment fluxes vanish")
-    out = raw / total
-    k = int(np.nonzero(raw)[0][-1])
-    out[k] = 1.0 - (out.sum() - out[k])
-    for _ in range(3):
-        err = out.sum() - 1.0
-        if err == 0.0:
-            break
-        out[k] -= err
-    return out
-
-
-def compute_velocity(state: BiofilmState, rates: RateBundle) -> np.ndarray:
-    """Velocity profile from the source G by trapezoidal quadrature, u(0) = 0."""
-    G = np.asarray(rates.G, dtype=float)
-    N = G.size - 1
-    u = np.empty(N + 1)
+    G = np.asarray(G, dtype=float)
+    u = np.empty(G.size)
     u[0] = 0.0
-    u[1:] = np.cumsum((G[:-1] + G[1:]) * (0.5 * state.L / N))
+    u[1:] = np.cumsum((G[:-1] + G[1:]) * (0.5 * dz))
     return u
 
 
@@ -101,110 +60,19 @@ def advance_boundary(L, u_L, sigma_a, sigma_d, dt) -> float:
     return L_next
 
 
-@dataclass(frozen=True)
-class StepDiagnostics:
-    dt_used: float
-    cfl_bound: float
-    sum_f_drift: float
-    regime: Regime
-    sigma_a: float
-    sigma_d: float
-    clamped_nodes: int
+def _interface_fluxes(t, L, cfg):
+    """``(sigma_a, sigma_d)``: attachment at the bulk supply of time t,
+    erosion at thickness L."""
+    return attachment_flux(cfg.psi_star(t), cfg), detachment_flux(L, cfg.delta)
 
 
-def advance_biomass(state: BiofilmState, rates: RateBundle, u: np.ndarray,
-                    L_next: float, dt: float, cfg: ScenarioConfig):
-    """First-order upwind transport of the volume fractions on the fixed grid.
-
-    The advection speed is the grid-relative velocity (u - zeta * Ldot) / L.
-    While attachment dominates the interface node takes the inflow
-    composition; otherwise the interface is an outflow handled by the upwind
-    stencil itself.  Returns ``(f_next, drift, clamped_nodes)`` where
-    ``drift`` is the pre-renormalization constraint violation.
-    """
-    N = state.N
-    h = 1.0 / N
-    L = state.L
-    Ldot = (L_next - L) / dt
-    w = (u - state.zeta * Ldot) / L
-
-    wmax = float(np.max(np.abs(w)))
-    bound = math.inf if wmax == 0.0 else cfg.numerics.cfl * h / wmax
-    # The bound protects the growth of spatial differences; a spatially
-    # uniform composition (the nucleation seed) advects trivially at any dt.
-    has_gradient = float(np.max(state.f.max(axis=1) - state.f.min(axis=1))) > 0.0
-    if has_gradient and dt > bound * (1.0 + 1e-9):
-        raise CflViolation(f"dt = {dt:g} exceeds advective bound {bound:g}")
-
-    f = state.f
-    grad_back = np.zeros_like(f)
-    grad_back[:, 1:] = (f[:, 1:] - f[:, :-1]) / h
-    grad_fwd = np.zeros_like(f)
-    grad_fwd[:, :-1] = (f[:, 1:] - f[:, :-1]) / h
-    grad = np.where(w > 0.0, grad_back, np.where(w < 0.0, grad_fwd, 0.0))
-
-    growth = rates.r_M + rates.r_col
-    f_next = f + dt * (-w * grad + growth - f * rates.G)
-
-    t_next = state.t + dt
-    # Inflow composition is sampled where the regime was classified (the
-    # step's start), which keeps it well defined even if the bulk supply
-    # shuts off exactly at t + dt.
-    sigma_a = attachment_flux(cfg.psi_star(state.t), cfg)
-    sigma_d = detachment_flux(L, cfg.delta)
-    if Regime.classify(sigma_a, sigma_d) is Regime.ATTACHMENT:
-        f_next[:, -1] = inflow_fractions(cfg.psi_star(state.t), cfg)
-
-    clamped = int(np.sum(np.any(f_next < 0.0, axis=0)))
-    f_next = np.maximum(f_next, 0.0)
-    col_sum = f_next.sum(axis=0)
-    drift = float(np.max(np.abs(col_sum - 1.0)))
-    if np.min(col_sum) <= 0.1:
-        raise NumericalBlowup("volume-fraction sum collapsed", t=t_next)
-    f_next = f_next / col_sum
-    return f_next, drift, clamped
-
-
-def step(state: BiofilmState, cfg: ScenarioConfig, dt: Optional[float] = None,
-         dt_cap: float = math.inf):
-    """Advance the upwind-transport state one step.
-
-    ``dt`` forces a step size (subject to the CFL check); otherwise the step
-    is the tightest of dt_max, the CFL bound and ``dt_cap``.
-    Returns ``(state_next, StepDiagnostics)``.
-    """
-    nm = cfg.numerics
+def _equilibrate(state: BiofilmState, cfg: ScenarioConfig):
+    """Quasi-static substrate, then planktonic, fields ``(S, Psi)`` on the
+    uniform grid; ``state.S`` is the substrate Newton starting guess."""
     S = np.stack([sol.values for sol in solve_substrates(state, cfg)])
     Psi = np.stack([sol.values for sol in
                     solve_planktonic(replace(state, S=S), cfg)])
-    rates = rate_bundle(state.f, S, Psi, cfg)
-    u = compute_velocity(state, rates)
-
-    sigma_a = attachment_flux(cfg.psi_star(state.t), cfg)
-    sigma_d = detachment_flux(state.L, cfg.delta)
-    Ldot_est = u[-1] + sigma_a - sigma_d
-    u_rel = np.max(np.abs(u - state.zeta * Ldot_est))
-    h_phys = state.L / state.N
-    cfl_bound = math.inf if u_rel == 0.0 else h_phys / u_rel
-    if dt is None:
-        dt = min(nm.dt_max, nm.cfl * cfl_bound, dt_cap)
-    if dt <= 0.0:
-        raise ValueError("time step must be positive")
-
-    L_next = advance_boundary(state.L, u[-1], sigma_a, sigma_d, dt)
-    work = replace(state, S=S, Psi=Psi, u=u)
-    f_next, drift, clamped = advance_biomass(work, rates, u, L_next, dt, cfg)
-
-    if not (np.isfinite(L_next) and np.all(np.isfinite(f_next))):
-        raise NumericalBlowup("non-finite state after step", t=state.t + dt)
-
-    state_next = BiofilmState(t=state.t + dt, L=L_next, zeta=state.zeta,
-                              f=f_next, S=S, Psi=Psi, u=u)
-    diag = StepDiagnostics(dt_used=dt, cfl_bound=cfl_bound, sum_f_drift=drift,
-                           regime=Regime.classify(sigma_a, sigma_d),
-                           sigma_a=sigma_a, sigma_d=sigma_d,
-                           clamped_nodes=clamped)
-    return state_next, diag
+    return S, Psi
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +115,9 @@ class RunResult:
 
 def make_snapshot(state: BiofilmState, cfg: ScenarioConfig) -> Snapshot:
     """Re-equilibrate the dissolved fields and package interface diagnostics."""
-    S = np.stack([sol.values for sol in solve_substrates(state, cfg)])
-    Psi = np.stack([sol.values for sol in
-                    solve_planktonic(replace(state, S=S), cfg)])
-    rates = rate_bundle(state.f, S, Psi, cfg)
-    u = compute_velocity(state, rates)
-    sigma_a = attachment_flux(cfg.psi_star(state.t), cfg)
-    sigma_d = detachment_flux(state.L, cfg.delta)
+    S, Psi = _equilibrate(state, cfg)
+    u = compute_velocity(rate_bundle(state.f, S, Psi, cfg).G, state.L / state.N)
+    sigma_a, sigma_d = _interface_fluxes(state.t, state.L, cfg)
     full = BiofilmState(t=state.t, L=state.L, zeta=state.zeta, f=state.f,
                         S=S, Psi=Psi, u=u)
     return Snapshot(state=full, sigma_a=sigma_a, sigma_d=sigma_d,
@@ -277,8 +141,11 @@ class _TraceRecorder:
     def boundary_row(self, t, L, sa, sd, uL, attach, drift, clamped):
         self.rows.append((t, L, sa, sd, uL, attach, drift, clamped))
 
+    def wants_profile(self, t):
+        return self.record_profiles and t <= self.profile_t_max
+
     def profile_row(self, t, L, u, f, S, Psi):
-        if self.record_profiles and t <= self.profile_t_max:
+        if self.wants_profile(t):
             self.pt.append(t)
             self.pL.append(L)
             self.pu.append(np.array(u))
@@ -304,77 +171,6 @@ class _TraceRecorder:
                                     u=np.stack(self.pu), f=np.stack(self.pf),
                                     S=np.stack(self.pS), Psi=np.stack(self.pPsi))
         return boundary, profiles
-
-
-def run(cfg: ScenarioConfig, record_profiles: bool = False,
-        profile_t_max: float = math.inf) -> RunResult:
-    """Integrate from t = 0 to the horizon, emitting scheduled snapshots.
-
-    Steps land exactly on snapshot times and on bulk-trace breakpoints.
-    ``record_profiles`` keeps per-step uniform-grid velocity and composition
-    profiles (through ``profile_t_max``) for characteristic-path tracing.
-    """
-    report = validate_config(cfg)
-    if not report.ok:
-        raise ConfigError(f"invalid configuration:\n{report}")
-    if cfg.numerics.transport == "characteristics":
-        return _run_characteristics(cfg, record_profiles, profile_t_max)
-    return _run_upwind(cfg, record_profiles, profile_t_max)
-
-
-def _emit_due(snap_list, pending, t, state_like, cfg):
-    while pending and abs(pending[0] - t) <= _TIME_SNAP * max(1.0, abs(t)):
-        snap_list.append(make_snapshot(state_like, cfg))
-        pending.pop(0)
-
-
-def _run_upwind(cfg, record_profiles, profile_t_max):
-    state = initial_state(cfg)
-    pending = [float(s) for s in cfg.snapshot_times]
-    snaps: list = []
-    forced = _forced_times(cfg)
-    rec = _TraceRecorder(record_profiles, profile_t_max)
-
-    _emit_due(snaps, pending, 0.0, state, cfg)
-    t = 0.0
-    for target in forced:
-        while t < target - _TIME_SNAP * max(1.0, target):
-            prev = state
-            try:
-                state, diag = step(state, cfg, dt_cap=target - t)
-            except NumericalBlowup:
-                raise
-            except Exception as exc:
-                raise type(exc)(f"step failed at t = {t:.6g} d: {exc}") from exc
-            t = state.t
-            if abs(t - target) <= _TIME_SNAP * max(1.0, target):
-                t = target
-                state = replace(state, t=target)
-            rec.boundary_row(prev.t, prev.L, diag.sigma_a, diag.sigma_d,
-                             float(state.u[-1]), diag.regime is Regime.ATTACHMENT,
-                             diag.sum_f_drift, diag.clamped_nodes)
-            rec.profile_row(prev.t, prev.L, state.u, prev.f, state.S, state.Psi)
-        _emit_due(snaps, pending, t, state, cfg)
-
-    _close_trace(rec, state.t, state.L, state, cfg, snaps)
-    boundary, profiles = rec.finish()
-    return RunResult(cfg=cfg, snapshots=snaps, boundary=boundary, profiles=profiles)
-
-
-def _close_trace(rec, t, L, state_like, cfg, snaps):
-    """Final boundary row at the horizon (reuses the last snapshot if it is here)."""
-    if snaps and abs(snaps[-1].state.t - t) <= _TIME_SNAP * max(1.0, t):
-        last = snaps[-1]
-        rec.boundary_row(t, L, last.sigma_a, last.sigma_d, last.u_L,
-                         last.regime is Regime.ATTACHMENT, 0.0, 0)
-        rec.profile_row(t, L, last.state.u, last.state.f,
-                        last.state.S, last.state.Psi)
-    else:
-        snap = make_snapshot(state_like, cfg)
-        rec.boundary_row(t, L, snap.sigma_a, snap.sigma_d, snap.u_L,
-                         snap.regime is Regime.ATTACHMENT, 0.0, 0)
-        rec.profile_row(t, L, snap.state.u, snap.state.f,
-                        snap.state.S, snap.state.Psi)
 
 
 class _CharacteristicEngine:
@@ -403,26 +199,24 @@ class _CharacteristicEngine:
                             u=np.zeros_like(self.zeta))
 
     def advance(self, dt: float):
+        """One explicit step of length ``dt``.
+
+        Returns ``(sigma_a, sigma_d, u_L, z, u, f, S, Psi)``: the interface
+        fluxes and velocity, the parcel abscissae and velocities, and the
+        uniform-grid fields, all at the start of the step.
+        """
         cfg = self.cfg
         base = self.uniform_state()
-        S_sols = solve_substrates(base, cfg)
-        S_u = np.stack([s.values for s in S_sols])
-        Psi_u = np.stack([s.values for s in
-                          solve_planktonic(replace(base, S=S_u), cfg)])
+        S_u, Psi_u = _equilibrate(base, cfg)
         self.S_uniform = S_u
 
         zu = self.zeta * self.L
         S_lag = np.stack([np.interp(self.z, zu, S_u[j]) for j in range(cfg.m)])
         Psi_lag = np.stack([np.interp(self.z, zu, Psi_u[i]) for i in range(cfg.n)])
         rates = rate_bundle(self.fz, S_lag, Psi_lag, cfg)
+        u = compute_velocity(rates.G, np.diff(self.z))
 
-        G = np.asarray(rates.G, dtype=float)
-        u = np.empty_like(self.z)
-        u[0] = 0.0
-        u[1:] = np.cumsum((G[:-1] + G[1:]) * 0.5 * np.diff(self.z))
-
-        sigma_a = attachment_flux(cfg.psi_star(self.t), cfg)
-        sigma_d = detachment_flux(self.L, cfg.delta)
+        sigma_a, sigma_d = _interface_fluxes(self.t, self.L, cfg)
         u_L = float(u[-1])
         L_new = advance_boundary(self.L, u_L, sigma_a, sigma_d, dt)
         if L_new < cfg.numerics.L_eps:
@@ -430,7 +224,7 @@ class _CharacteristicEngine:
             L_new = cfg.numerics.L_eps
 
         growth = rates.r_M + rates.r_col
-        f_new = self.fz + dt * (growth - self.fz * G)
+        f_new = self.fz + dt * (growth - self.fz * rates.G)
         self.clamped = int(np.sum(np.any(f_new < 0.0, axis=0)))
         f_new = np.maximum(f_new, 0.0)
         col = f_new.sum(axis=0)
@@ -439,7 +233,8 @@ class _CharacteristicEngine:
             raise NumericalBlowup("volume-fraction sum collapsed", t=self.t + dt)
         f_new = f_new / col
 
-        z_new = self.z + dt * u
+        z = self.z
+        z_new = z + dt * u
         t_new = self.t + dt
 
         # Parcel gaps never shrink (G >= 0 stretches material), so only the
@@ -467,40 +262,59 @@ class _CharacteristicEngine:
             f_new = np.column_stack([f_new[:, keep], f_top])
 
         self.t, self.L, self.z, self.fz = t_new, L_new, z_new, f_new
-        return sigma_a, sigma_d, u_L, u, zu, S_u, Psi_u
+        return sigma_a, sigma_d, u_L, z, u, base.f, S_u, Psi_u
 
 
-def _run_characteristics(cfg, record_profiles, profile_t_max):
+def _emit_due(snap_list, pending, t, state_like, cfg):
+    while pending and abs(pending[0] - t) <= _TIME_SNAP * max(1.0, abs(t)):
+        snap_list.append(make_snapshot(state_like, cfg))
+        pending.pop(0)
+
+
+def run(cfg: ScenarioConfig, record_profiles: bool = False,
+        profile_t_max: float = math.inf) -> RunResult:
+    """Integrate from t = 0 to the horizon, emitting scheduled snapshots.
+
+    Steps land exactly on snapshot times and on bulk-trace breakpoints.
+    ``record_profiles`` keeps per-step uniform-grid velocity and composition
+    profiles (through ``profile_t_max``) for characteristic-path tracing.
+    """
+    report = validate_config(cfg)
+    if not report.ok:
+        raise ConfigError(f"invalid configuration:\n{report}")
     engine = _CharacteristicEngine(cfg)
     pending = [float(s) for s in cfg.snapshot_times]
     snaps: list = []
-    forced = _forced_times(cfg)
     rec = _TraceRecorder(record_profiles, profile_t_max)
 
     _emit_due(snaps, pending, 0.0, engine.uniform_state(), cfg)
     t = 0.0
-    for target in forced:
+    for target in _forced_times(cfg):
         while t < target - _TIME_SNAP * max(1.0, target):
-            dt = min(cfg.numerics.dt_max, target - t)
             t_prev, L_prev = engine.t, engine.L
-            if record_profiles and t_prev <= profile_t_max:
-                f_prev = engine.uniform_state().f
-                z_prev = engine.z.copy()
-            sigma_a, sigma_d, u_L, u_lag, zu, S_u, Psi_u = engine.advance(dt)
+            sigma_a, sigma_d, u_L, z, u, f_u, S_u, Psi_u = engine.advance(
+                min(cfg.numerics.dt_max, target - t))
             if not (np.isfinite(engine.L) and np.all(np.isfinite(engine.fz))):
                 raise NumericalBlowup("non-finite state after step", t=engine.t)
             t = engine.t
             if abs(t - target) <= _TIME_SNAP * max(1.0, target):
-                t = target
-                engine.t = target
+                t = engine.t = target
             rec.boundary_row(t_prev, L_prev, sigma_a, sigma_d, u_L,
                              Regime.classify(sigma_a, sigma_d) is Regime.ATTACHMENT,
                              engine.drift, engine.clamped)
-            if record_profiles and t_prev <= profile_t_max:
-                u_uniform = np.interp(zu, z_prev, u_lag)
-                rec.profile_row(t_prev, L_prev, u_uniform, f_prev, S_u, Psi_u)
+            if rec.wants_profile(t_prev):
+                rec.profile_row(t_prev, L_prev, np.interp(engine.zeta * L_prev, z, u),
+                                f_u, S_u, Psi_u)
         _emit_due(snaps, pending, t, engine.uniform_state(), cfg)
 
-    _close_trace(rec, engine.t, engine.L, engine.uniform_state(), cfg, snaps)
+    # Final boundary row at the horizon (reuses the last snapshot if it is here).
+    t, L = engine.t, engine.L
+    if snaps and abs(snaps[-1].state.t - t) <= _TIME_SNAP * max(1.0, t):
+        last = snaps[-1]
+    else:
+        last = make_snapshot(engine.uniform_state(), cfg)
+    rec.boundary_row(t, L, last.sigma_a, last.sigma_d, last.u_L,
+                     last.regime is Regime.ATTACHMENT, 0.0, 0)
+    rec.profile_row(t, L, last.state.u, last.state.f, last.state.S, last.state.Psi)
     boundary, profiles = rec.finish()
     return RunResult(cfg=cfg, snapshots=snaps, boundary=boundary, profiles=profiles)

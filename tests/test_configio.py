@@ -76,3 +76,33 @@ class TestParsing:
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError, match="key = value"):
             configio.loads("scenario.delta 2000\n")
+
+
+class TestRemovedKeys:
+    def legacy_text(self, transport):
+        # files written while the upwind engine existed carry two more keys
+        return (configio.dumps(build_preset("case1").cfg)
+                + f"numerics.cfl = 0.5\nnumerics.transport = {transport}\n")
+
+    def test_legacy_keys_load_as_no_ops(self):
+        cfg = build_preset("case1").cfg
+        assert configio.loads(self.legacy_text("characteristics")) == cfg
+
+    @pytest.mark.parametrize("transport", ["upwind", "lax-wendroff"])
+    def test_other_transport_rejected(self, transport):
+        with pytest.raises(ConfigError, match="upwind engine was removed"):
+            configio.loads(self.legacy_text(transport))
+
+    def test_bad_numerics_value_rejected(self):
+        text = configio.dumps(build_preset("case1").cfg).replace(
+            "numerics.N = 200", "numerics.N = 2.5e2")
+        with pytest.raises(ConfigError, match="numerics.N"):
+            configio.loads(text)
+
+    def test_numerics_keys_follow_the_dataclass(self):
+        keys = [line.split(" = ")[0] for line in
+                configio.dumps(build_preset("case1").cfg).splitlines()
+                if line.startswith("numerics.")]
+        assert keys == ["numerics.N", "numerics.dt_max", "numerics.L_eps",
+                        "numerics.newton_tol", "numerics.newton_max_iter",
+                        "numerics.picard_tol", "numerics.picard_max_iter"]

@@ -1,9 +1,15 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import biofilm1d
 from biofilm1d.errors import NoAttachment
+from biofilm1d.kinetics import attachment_flux
 from biofilm1d.model import (CONSTRAINT_TOL, NumericsConfig, Regime,
                              ScenarioConfig, SpeciesParams, Stoichiometry,
                              SubstrateParams, initial_state, validate_config)
@@ -71,7 +77,6 @@ class TestInitialState:
         np.testing.assert_array_equal(st.f[:, 0], [1.0, 0.0, 0.0])
 
     def test_three_way_split_and_flux(self):
-        from biofilm1d.stepper import attachment_flux
         cfg = make_cfg(psi=(100.0, 100.0, 100.0))
         st = initial_state(cfg)
         np.testing.assert_allclose(st.f[:, 0], [1 / 3, 1 / 3, 1 / 3], rtol=1e-15)
@@ -112,3 +117,21 @@ class TestRegime:
         assert Regime.classify(2.0, 1.0) is Regime.ATTACHMENT
         assert Regime.classify(1.0, 2.0) is Regime.DETACHMENT
         assert Regime.classify(1.0, 1.0) is Regime.DETACHMENT
+
+
+def test_model_does_not_import_stepper():
+    # The package __init__ imports every module, so the check loads
+    # ``biofilm1d.model`` under a bare package object in a fresh interpreter.
+    pkg_dir = str(Path(biofilm1d.__file__).resolve().parent)
+    src = str(Path(pkg_dir).parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, types; pkg = types.ModuleType('biofilm1d'); "
+            f"pkg.__path__ = [{pkg_dir!r}]; sys.modules['biofilm1d'] = pkg; "
+            "from biofilm1d.model import initial_state; "
+            "from biofilm1d.presets import build_preset; "
+            "initial_state(build_preset('case1').cfg); "
+            "print('biofilm1d.stepper' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
