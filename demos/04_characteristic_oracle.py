@@ -9,7 +9,7 @@ contraction-mapping argument: the map shrinks distances by at least
 Lambda(T) = a T^2 + b T, and T_star keeps Lambda below one alongside the
 kernel-bound caps.
 
-Runtime: ~10 s.
+Runtime: ~1 s.
 """
 
 import dataclasses

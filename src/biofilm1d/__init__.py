@@ -20,8 +20,8 @@ from .model import (CONSTRAINT_TOL, BiofilmState, NumericsConfig, Regime,
                     ScenarioConfig, Snapshot, SpeciesParams, Stoichiometry,
                     SubstrateParams, ValidationReport, initial_state,
                     validate_config)
-from .elliptic import (EllipticProblem, EllipticSolution, solve_planktonic,
-                       solve_substrates, tridiagonal_solve)
+from .elliptic import (EllipticSolution, solve_planktonic, solve_substrates,
+                       tridiagonal_solve)
 from .stepper import (BoundaryTrace, ProfileTrace, RunResult, advance_boundary,
                       compute_velocity, make_snapshot, run)
 from .oracle import (CharField, CharPath, ContractionBox, ContractionEstimate,

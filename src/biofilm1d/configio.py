@@ -70,13 +70,16 @@ def _parse_lines(text):
     return entries
 
 
-def _pop_float(entries, key):
+def _pop(entries, key, parse=float, default=None):
+    """Remove ``key`` and parse its value; ``default`` stands in for a missing
+    key.  A missing required key or a malformed value is a ConfigError."""
+    raw = entries.pop(key, default)
+    if raw is None:
+        raise ConfigError(f"missing required key {key!r}")
     try:
-        return float(entries.pop(key))
-    except KeyError:
-        raise ConfigError(f"missing required key {key!r}") from None
+        return parse(raw)
     except ValueError as exc:
-        raise ConfigError(f"bad float for {key!r}: {exc}") from None
+        raise ConfigError(f"bad value for {key!r}: {exc}") from None
 
 
 def _count_indexed(entries, prefix):
@@ -104,10 +107,10 @@ def loads(text: str) -> ScenarioConfig:
 
     species = []
     for i in range(1, n + 1):
-        kwargs = {name: _pop_float(entries, f"species.{i}.{name}")
+        kwargs = {name: _pop(entries, f"species.{i}.{name}")
                   for name in _SPECIES_FIELDS}
         species.append(SpeciesParams(**kwargs))
-    substrates = [SubstrateParams(D=_pop_float(entries, f"substrate.{j}.D"))
+    substrates = [SubstrateParams(D=_pop(entries, f"substrate.{j}.D"))
                   for j in range(1, m + 1)]
 
     psi = tuple(parse_descriptor(entries.pop(f"bulk.psi.{i}", "constant,0"))
@@ -119,27 +122,18 @@ def loads(text: str) -> ScenarioConfig:
     if kind == "builtin3x3":
         stoich = Stoichiometry.builtin3x3()
     else:
-        try:
-            sof = tuple(int(v) - 1 for v in
-                        entries.pop("stoichiometry.substrate_of").split(","))
-        except KeyError:
-            raise ConfigError("custom stoichiometry needs substrate_of") from None
-        rows = []
-        for j in range(1, m + 1):
-            row = entries.pop(f"stoichiometry.production.{j}", None)
-            if row is None:
-                raise ConfigError(f"missing stoichiometry.production.{j}")
-            rows.append(tuple(float(v) for v in row.split(",")))
-        stoich = Stoichiometry(substrate_of=sof, production=tuple(rows), kind="custom")
+        sof = _pop(entries, "stoichiometry.substrate_of",
+                   lambda raw: tuple(int(v) - 1 for v in raw.split(",")))
+        rows = tuple(_pop(entries, f"stoichiometry.production.{j}",
+                          lambda raw: tuple(float(v) for v in raw.split(",")))
+                     for j in range(1, m + 1))
+        stoich = Stoichiometry(substrate_of=sof, production=rows, kind="custom")
 
     nm_kwargs = {}
     for field in _NUMERICS_FIELDS:
         key = f"numerics.{field.name}"
         if key in entries:
-            try:
-                nm_kwargs[field.name] = type(field.default)(entries.pop(key))
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {exc}") from None
+            nm_kwargs[field.name] = _pop(entries, key, type(field.default))
     numerics = NumericsConfig(**nm_kwargs)
     # Keys of the removed upwind engine, still present in older files.
     entries.pop("numerics.cfl", None)
@@ -148,10 +142,10 @@ def loads(text: str) -> ScenarioConfig:
         raise ConfigError(f"numerics.transport = {transport}: the upwind engine "
                           "was removed; characteristics is the only transport")
 
-    delta = _pop_float(entries, "scenario.delta")
-    horizon = _pop_float(entries, "scenario.horizon")
-    snap_raw = entries.pop("scenario.snapshot_times", "")
-    snapshot_times = tuple(float(v) for v in snap_raw.split(",") if v.strip())
+    delta = _pop(entries, "scenario.delta")
+    horizon = _pop(entries, "scenario.horizon")
+    snapshot_times = _pop(entries, "scenario.snapshot_times", lambda raw: tuple(
+        float(v) for v in raw.split(",") if v.strip()), default="")
 
     if entries:
         raise ConfigError("unknown keys: " + ", ".join(sorted(entries)))
@@ -169,5 +163,9 @@ def save(cfg: ScenarioConfig, path) -> None:
 
 
 def load(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {str(path)!r}: {exc.strerror or exc}") from None
+    return loads(text)

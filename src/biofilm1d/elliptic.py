@@ -15,13 +15,17 @@ are two solves for it:
 * a homogeneous solve for the planktonic fields, whose right-hand side is
   zero except on the Dirichlet row: the pivots, then one cumulative product.
 
-Substrate reactions are Monod-nonlinear, solved by damped Newton with an
-analytic diagonal Jacobian; cross-substrate coupling is relaxed by
-Gauss-Seidel sweeps until the coupled residual meets tolerance (the built-in
-network is triangular, so one sweep already lands on the coupled solution).
-Planktonic fields are linear in themselves at frozen substrates, so each is
-one homogeneous solve, and a species without colonization (``k_col = 0``)
-is its Dirichlet value everywhere.
+The fields are constraints re-solved from the current sessile fractions at
+every instant, so both solves take arrays and return arrays:
+``solve_substrates(t, L, f, S, cfg)``, where S is the Newton starting guess,
+and ``solve_planktonic(t, L, S, cfg)``.  Substrate reactions are Monod-nonlinear, solved by damped Newton
+(:func:`solve_problem`, one call per field) with an analytic diagonal
+Jacobian; cross-substrate coupling is relaxed by Gauss-Seidel sweeps until
+the coupled residual meets tolerance (the built-in network is triangular, so
+one sweep already lands on the coupled solution).  Planktonic fields are
+linear in themselves at frozen substrates, so each is one homogeneous solve,
+and a species without colonization (``k_col = 0``) is its Dirichlet value
+everywhere.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -113,50 +116,20 @@ def _homogeneous_solve(sk: np.ndarray, dirichlet: float) -> np.ndarray:
     return np.cumprod(minus_gamma[::-1])[::-1]
 
 
-@dataclass(frozen=True)
-class EllipticProblem:
-    """One field's boundary-value problem on [0, L].
-
-    ``reaction(values)`` returns the nodal source (g/m^3/day) and
-    ``reaction_jacobian(values)`` its derivative with respect to the local
-    unknown; companion fields are frozen inside the closures.
-    """
-
-    D: float
-    L: float
-    dirichlet_value: float
-    reaction: Callable[[np.ndarray], np.ndarray]
-    reaction_jacobian: Callable[[np.ndarray], np.ndarray]
-    linear_in_unknown: bool = False
-
-
 @dataclass(frozen=True, eq=False)
 class EllipticSolution:
     values: np.ndarray
-    residual_norm: float
     iterations: int
 
 
-def _nodal(a, v: np.ndarray) -> np.ndarray:
-    """``a`` as a float array of ``v``'s shape (a scalar is broadcast)."""
-    a = np.asarray(a, dtype=float)
-    return a if a.shape == v.shape else np.broadcast_to(a, v.shape)
-
-
-def _residual(v: np.ndarray, rate, dirichlet: float, scale: float) -> np.ndarray:
+def _residual(v: np.ndarray, rate: np.ndarray, dirichlet: float,
+              scale: float) -> np.ndarray:
     """Scaled residual; rows carry g/m^3.  ``scale = h^2 / D``."""
-    rate = _nodal(rate, v)
     r = np.empty_like(v)
     r[0] = 2.0 * v[0] - 2.0 * v[1] - scale * rate[0]
     r[1:-1] = -v[:-2] + 2.0 * v[1:-1] - v[2:] - scale * rate[1:-1]
     r[-1] = v[-1] - dirichlet
     return r
-
-
-def _diagonal(problem: EllipticProblem, v: np.ndarray, scale: float) -> np.ndarray:
-    diag = 2.0 - scale * _nodal(problem.reaction_jacobian(v), v)
-    diag[-1] = 1.0
-    return diag
 
 
 def _clamp_solution(values: np.ndarray, dirichlet: float) -> np.ndarray:
@@ -169,44 +142,30 @@ def _clamp_solution(values: np.ndarray, dirichlet: float) -> np.ndarray:
     return out
 
 
-def solve_problem(problem: EllipticProblem, N: int, tol: float = 1e-9,
-                  max_iter: int = 50, initial: Optional[np.ndarray] = None) -> EllipticSolution:
-    """Solve one boundary-value problem on N+1 uniform nodes.
+def solve_problem(reaction, jacobian, initial, dirichlet: float, scale: float,
+                  tol: float, max_iter: int) -> EllipticSolution:
+    """Damped Newton for one field on the nodes of ``initial``.
 
+    ``reaction(v)`` is the nodal source (g/m^3/day) and ``jacobian(v)`` its
+    derivative with respect to the local unknown; ``scale = h^2 / D``.
     ``tol`` is relative: convergence at residual inf-norm below
     ``tol * max(1, |dirichlet|)``.
     """
-    if problem.L <= 0:
-        raise ValueError("domain length must be positive")
-    h = problem.L / N
-    scale = h * h / problem.D
-    tol_abs = tol * max(1.0, abs(problem.dirichlet_value))
-
-    def residual(v):
-        return _residual(v, problem.reaction(v), problem.dirichlet_value, scale)
-
-    if problem.linear_in_unknown:
-        zero = np.zeros(N + 1)
-        rhs = scale * _nodal(problem.reaction(zero), zero)
-        rhs[-1] = problem.dirichlet_value
-        v = tridiagonal_solve(_diagonal(problem, zero, scale), rhs)
-        res = float(np.abs(residual(v)).max())
-        return EllipticSolution(_clamp_solution(v, problem.dirichlet_value), res, 1)
-
-    v = np.full(N + 1, float(problem.dirichlet_value)) if initial is None \
-        else np.array(initial, dtype=float)
-    v[-1] = problem.dirichlet_value
-    res = residual(v)
+    tol_abs = tol * max(1.0, abs(dirichlet))
+    v = np.array(initial, dtype=float)
+    v[-1] = dirichlet
+    res = _residual(v, reaction(v), dirichlet, scale)
     res_norm = float(np.abs(res).max())
     for it in range(1, max_iter + 1):
         if res_norm <= tol_abs:
-            return EllipticSolution(_clamp_solution(v, problem.dirichlet_value),
-                                    res_norm, it - 1)
-        delta = tridiagonal_solve(_diagonal(problem, v, scale), -res)
+            return EllipticSolution(_clamp_solution(v, dirichlet), it - 1)
+        diag = 2.0 - scale * jacobian(v)
+        diag[-1] = 1.0
+        delta = tridiagonal_solve(diag, -res)
         alpha = 1.0
         for _ in range(30):
             v_try = v + delta if alpha == 1.0 else v + alpha * delta
-            res_try = residual(v_try)
+            res_try = _residual(v_try, reaction(v_try), dirichlet, scale)
             norm_try = float(np.abs(res_try).max())
             if norm_try <= (1.0 - 1e-4 * alpha) * res_norm:
                 v, res, res_norm = v_try, res_try, norm_try
@@ -216,30 +175,32 @@ def solve_problem(problem: EllipticProblem, N: int, tol: float = 1e-9,
             raise NonConvergence("elliptic line search stalled",
                                  iterations=it, residual=res_norm)
     if res_norm <= tol_abs:
-        return EllipticSolution(_clamp_solution(v, problem.dirichlet_value),
-                                res_norm, max_iter)
+        return EllipticSolution(_clamp_solution(v, dirichlet), max_iter)
     raise NonConvergence("elliptic Newton exceeded max iterations",
                          iterations=max_iter, residual=res_norm)
 
 
-def solve_substrates(state, cfg) -> list[EllipticSolution]:
-    """Solve all substrate fields at frozen volume fractions.
+def solve_substrates(t: float, L: float, f: np.ndarray, S: np.ndarray,
+                     cfg) -> list[EllipticSolution]:
+    """Solve all substrate fields at time t on [0, L] at frozen fractions f.
 
-    Substrates are swept in order with the latest companion fields until the
-    fully coupled residual of every field meets tolerance.
+    ``S`` (m, N+1) is the Newton starting guess.  Substrates are swept in
+    order with the latest companion fields until the fully coupled residual
+    of every field meets tolerance.
     """
+    if L <= 0:
+        raise ValueError("domain length must be positive")
     nm = cfg.numerics
-    N = state.N
-    h = state.L / N
-    f = state.f
-    dirichlet = cfg.s_star(state.t)
-    S_work = np.maximum(np.asarray(state.S, dtype=float).copy(), 0.0)
+    S_work = np.maximum(np.asarray(S, dtype=float), 0.0)
+    h = L / (S_work.shape[1] - 1)
+    scales = [h * h / sb.D for sb in cfg.substrates]
+    dirichlet = cfg.s_star(t)
     iters = [0] * cfg.m
     worst = math.inf
 
-    def make_problem(j, frozen):
+    def closures(j, frozen):
         # The other rows stay frozen while field j is solved, so one scratch
-        # copy per problem serves every closure call.
+        # copy per field serves every closure call.
         full = frozen.copy()
 
         def reaction(v):
@@ -250,28 +211,24 @@ def solve_substrates(state, cfg) -> list[EllipticSolution]:
             full[j] = v
             return kinetics.substrate_rate_jacobian_diag(f, full, cfg)[j]
 
-        return EllipticProblem(D=cfg.substrates[j].D, L=state.L,
-                               dirichlet_value=float(dirichlet[j]),
-                               reaction=reaction, reaction_jacobian=jacobian)
+        return reaction, jacobian
 
     for _sweep in range(nm.newton_max_iter):
         for j in range(cfg.m):
-            sol = solve_problem(make_problem(j, S_work), N, tol=nm.newton_tol,
-                                max_iter=nm.newton_max_iter, initial=S_work[j])
+            reaction, jacobian = closures(j, S_work)
+            sol = solve_problem(reaction, jacobian, S_work[j], float(dirichlet[j]),
+                                scales[j], nm.newton_tol, nm.newton_max_iter)
             S_work[j] = sol.values
             iters[j] += sol.iterations
         # Coupled convergence check with every field at its latest value.
         rates = kinetics.substrate_rates(f, S_work, cfg)
-        residuals = []
         worst = 0.0
         for j in range(cfg.m):
-            r = _residual(S_work[j], rates[j], dirichlet[j], h * h / cfg.substrates[j].D)
-            norm = float(np.abs(r).max())
-            residuals.append(norm)
+            norm = float(np.abs(_residual(S_work[j], rates[j], dirichlet[j],
+                                          scales[j])).max())
             worst = max(worst, norm / max(1.0, abs(dirichlet[j])))
         if worst <= nm.newton_tol:
-            return [EllipticSolution(S_work[j], residuals[j], iters[j])
-                    for j in range(cfg.m)]
+            return [EllipticSolution(S_work[j], iters[j]) for j in range(cfg.m)]
     raise NonConvergence("coupled substrate sweeps did not converge",
                          iterations=sum(iters), residual=worst)
 
@@ -283,31 +240,29 @@ def resolution_limit(L, species) -> float:
     return L / (0.5 * math.sqrt(species.D_psi * species.Y_psi / species.k_col))
 
 
-def solve_planktonic(state, cfg) -> list[EllipticSolution]:
-    """Solve all planktonic fields at frozen substrates (one linear solve each)."""
-    if state.L <= 0:
+def solve_planktonic(t: float, L: float, S: np.ndarray, cfg) -> np.ndarray:
+    """All planktonic fields (n, N+1) at time t on [0, L] at frozen
+    substrates S (one homogeneous solve each)."""
+    if L <= 0:
         raise ValueError("domain length must be positive")
-    N = state.N
-    h = state.L / N
-    kappa = kinetics.planktonic_sink_coefficients(state.S, cfg)
-    psi_bulk = cfg.psi_star(state.t)
-    out = []
+    N = S.shape[1] - 1
+    h = L / N
+    kappa = kinetics.planktonic_sink_coefficients(S, cfg)
+    psi_bulk = cfg.psi_star(t)
+    Psi = np.empty((cfg.n, N + 1))
     for i, sp in enumerate(cfg.species):
-        need = resolution_limit(state.L, sp)
+        need = resolution_limit(L, sp)
         if need > N:
             warnings.warn(
                 f"species {i + 1}: planktonic boundary layer needs N >= "
-                f"{math.ceil(need)} at L = {state.L:.3e} m (have N = {N}); "
+                f"{math.ceil(need)} at L = {L:.3e} m (have N = {N}); "
                 "profile is under-resolved", BoundaryLayerResolutionWarning,
                 stacklevel=2)
-        k_row = kappa[i]
-        scale = h * h / sp.D_psi
         dirichlet = float(psi_bulk[i])
         if sp.k_col == 0:
             # kappa = 0: every pivot ratio is 1 and the product is constant.
             v = np.full(N + 1, dirichlet + 0.0)
         else:
-            v = _homogeneous_solve(scale * k_row, dirichlet)
-        res = float(np.abs(_residual(v, -k_row * v, dirichlet, scale)).max())
-        out.append(EllipticSolution(_clamp_solution(v, dirichlet), res, 1))
-    return out
+            v = _homogeneous_solve(h * h / sp.D_psi * kappa[i], dirichlet)
+        Psi[i] = _clamp_solution(v, dirichlet)
+    return Psi

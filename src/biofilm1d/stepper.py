@@ -12,16 +12,18 @@ solves and for emitted snapshots.
 One step performs, in order: quasi-static substrate and planktonic solves
 on the uniform grid, rate evaluation on the parcels, velocity quadrature,
 interface-flux evaluation, the explicit interface update and the explicit
-parcel update.  Steps are capped at ``dt_max`` and land exactly on snapshot
-times and bulk-trace breakpoints, so a run is deterministic for a fixed
-configuration.
+parcel update.  The dissolved fields are constraints re-solved from the
+resampled fractions, so they pass between the solves as arrays: no step
+builds a ``BiofilmState``, and each emitted :class:`Snapshot` holds one.
+Steps are capped at ``dt_max`` and land exactly on snapshot times and
+bulk-trace breakpoints, so a run is deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -66,13 +68,11 @@ def _interface_fluxes(t, L, cfg):
     return attachment_flux(cfg.psi_star(t), cfg), detachment_flux(L, cfg.delta)
 
 
-def _equilibrate(state: BiofilmState, cfg: ScenarioConfig):
+def _equilibrate(t, L, f, S_guess, cfg: ScenarioConfig):
     """Quasi-static substrate, then planktonic, fields ``(S, Psi)`` on the
-    uniform grid; ``state.S`` is the substrate Newton starting guess."""
-    S = np.stack([sol.values for sol in solve_substrates(state, cfg)])
-    Psi = np.stack([sol.values for sol in
-                    solve_planktonic(replace(state, S=S), cfg)])
-    return S, Psi
+    uniform grid at fractions ``f``; ``S_guess`` starts the substrate Newton."""
+    S = np.stack([sol.values for sol in solve_substrates(t, L, f, S_guess, cfg)])
+    return S, solve_planktonic(t, L, S, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +113,14 @@ class RunResult:
     profiles: Optional[ProfileTrace] = None
 
 
-def make_snapshot(state: BiofilmState, cfg: ScenarioConfig) -> Snapshot:
-    """Re-equilibrate the dissolved fields and package interface diagnostics."""
-    S, Psi = _equilibrate(state, cfg)
-    u = compute_velocity(rate_bundle(state.f, S, Psi, cfg).G, state.L / state.N)
-    sigma_a, sigma_d = _interface_fluxes(state.t, state.L, cfg)
-    full = BiofilmState(t=state.t, L=state.L, zeta=state.zeta, f=state.f,
-                        S=S, Psi=Psi, u=u)
-    return Snapshot(state=full, sigma_a=sigma_a, sigma_d=sigma_d,
+def make_snapshot(t, L, zeta, f, S_guess, cfg: ScenarioConfig) -> Snapshot:
+    """Re-equilibrate the dissolved fields at fractions ``f`` on the uniform
+    grid ``zeta`` and package them with the interface diagnostics."""
+    S, Psi = _equilibrate(t, L, f, S_guess, cfg)
+    u = compute_velocity(rate_bundle(f, S, Psi, cfg).G, L / (zeta.size - 1))
+    sigma_a, sigma_d = _interface_fluxes(t, L, cfg)
+    state = BiofilmState(t=t, L=L, zeta=zeta, f=f, S=S, Psi=Psi, u=u)
+    return Snapshot(state=state, sigma_a=sigma_a, sigma_d=sigma_d,
                     u_L=float(u[-1]), regime=Regime.classify(sigma_a, sigma_d))
 
 
@@ -188,15 +188,15 @@ class _CharacteristicEngine:
         self.drift = 0.0
         self.clamped = 0
 
-    def uniform_state(self) -> BiofilmState:
-        """Current fields resampled onto the uniform normalized grid."""
+    def uniform_f(self) -> np.ndarray:
+        """Current fractions resampled onto the uniform normalized grid."""
         zu = self.zeta * self.L
-        f_u = np.stack([np.interp(zu, self.z, self.fz[i])
-                        for i in range(self.fz.shape[0])])
-        return BiofilmState(t=self.t, L=self.L, zeta=self.zeta, f=f_u,
-                            S=self.S_uniform,
-                            Psi=np.zeros_like(self.fz[:, :1] * self.zeta),
-                            u=np.zeros_like(self.zeta))
+        return np.stack([np.interp(zu, self.z, self.fz[i])
+                         for i in range(self.fz.shape[0])])
+
+    def snapshot(self) -> Snapshot:
+        return make_snapshot(self.t, self.L, self.zeta, self.uniform_f(),
+                             self.S_uniform, self.cfg)
 
     def advance(self, dt: float):
         """One explicit step of length ``dt``.
@@ -206,8 +206,8 @@ class _CharacteristicEngine:
         uniform-grid fields, all at the start of the step.
         """
         cfg = self.cfg
-        base = self.uniform_state()
-        S_u, Psi_u = _equilibrate(base, cfg)
+        f_u = self.uniform_f()
+        S_u, Psi_u = _equilibrate(self.t, self.L, f_u, self.S_uniform, cfg)
         self.S_uniform = S_u
 
         zu = self.zeta * self.L
@@ -262,12 +262,12 @@ class _CharacteristicEngine:
             f_new = np.column_stack([f_new[:, keep], f_top])
 
         self.t, self.L, self.z, self.fz = t_new, L_new, z_new, f_new
-        return sigma_a, sigma_d, u_L, z, u, base.f, S_u, Psi_u
+        return sigma_a, sigma_d, u_L, z, u, f_u, S_u, Psi_u
 
 
-def _emit_due(snap_list, pending, t, state_like, cfg):
+def _emit_due(snap_list, pending, t, engine):
     while pending and abs(pending[0] - t) <= _TIME_SNAP * max(1.0, abs(t)):
-        snap_list.append(make_snapshot(state_like, cfg))
+        snap_list.append(engine.snapshot())
         pending.pop(0)
 
 
@@ -287,7 +287,7 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
     snaps: list = []
     rec = _TraceRecorder(record_profiles, profile_t_max)
 
-    _emit_due(snaps, pending, 0.0, engine.uniform_state(), cfg)
+    _emit_due(snaps, pending, 0.0, engine)
     t = 0.0
     for target in _forced_times(cfg):
         while t < target - _TIME_SNAP * max(1.0, target):
@@ -305,14 +305,14 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
             if rec.wants_profile(t_prev):
                 rec.profile_row(t_prev, L_prev, np.interp(engine.zeta * L_prev, z, u),
                                 f_u, S_u, Psi_u)
-        _emit_due(snaps, pending, t, engine.uniform_state(), cfg)
+        _emit_due(snaps, pending, t, engine)
 
     # Final boundary row at the horizon (reuses the last snapshot if it is here).
     t, L = engine.t, engine.L
     if snaps and abs(snaps[-1].state.t - t) <= _TIME_SNAP * max(1.0, t):
         last = snaps[-1]
     else:
-        last = make_snapshot(engine.uniform_state(), cfg)
+        last = engine.snapshot()
     rec.boundary_row(t, L, last.sigma_a, last.sigma_d, last.u_L,
                      last.regime is Regime.ATTACHMENT, 0.0, 0)
     rec.profile_row(t, L, last.state.u, last.state.f, last.state.S, last.state.Psi)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from biofilm1d.elliptic import EllipticProblem, solve_problem
+from biofilm1d.elliptic import _homogeneous_solve, solve_problem
 from biofilm1d.model import CONSTRAINT_TOL, Regime
 from biofilm1d.oracle import (box_from_run, characteristic_trace,
                               estimate_contraction, map_run_to_char_grid,
@@ -176,17 +176,19 @@ class TestCriterion5ConstraintPositivity:
 
 class TestCriterion6EllipticConvergence:
     def test_closed_form_convergence(self):
+        # The quadratic goes through the substrate Newton solve and the
+        # screened profile through the planktonic solve.
         q, L, D, bulk = 100.0, 1e-3, 1e-5, 100.0
-        quad = EllipticProblem(D=D, L=L, dirichlet_value=bulk,
-                               reaction=lambda v: np.full_like(v, -q),
-                               reaction_jacobian=lambda v: np.zeros_like(v),
-                               linear_in_unknown=True)
         k = 5.0
         mu = math.sqrt(k / D)
-        screen = EllipticProblem(D=D, L=L, dirichlet_value=bulk,
-                                 reaction=lambda v: -k * v,
-                                 reaction_jacobian=lambda v: np.full_like(v, -k),
-                                 linear_in_unknown=True)
+
+        def solve_quad(N):
+            return solve_problem(lambda v: np.full_like(v, -q), np.zeros_like,
+                                 np.full(N + 1, bulk), bulk, (L / N) ** 2 / D,
+                                 1e-9, 50).values
+
+        def solve_screen(N):
+            return _homogeneous_solve(np.full(N + 1, (L / N) ** 2 / D * k), bulk)
 
         def exact_quad(zeta):
             return bulk - (q * L * L / (2 * D)) * (1 - zeta ** 2)
@@ -197,8 +199,8 @@ class TestCriterion6EllipticConvergence:
         errs = {}
         for N in (200, 400):
             zeta = np.linspace(0.0, 1.0, N + 1)
-            e_quad = np.max(np.abs(solve_problem(quad, N).values - exact_quad(zeta)))
-            e_scr = np.max(np.abs(solve_problem(screen, N).values - exact_screen(zeta)))
+            e_quad = np.max(np.abs(solve_quad(N) - exact_quad(zeta)))
+            e_scr = np.max(np.abs(solve_screen(N) - exact_screen(zeta)))
             errs[N] = (e_quad, e_scr)
 
         # central differences are exact on the quadratic solution, so its

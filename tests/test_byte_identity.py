@@ -1,28 +1,51 @@
 """Byte-identity guard for the elliptic layer.
 
 Short case1 and case2 runs are repeated with frozen copies of the earlier
-general solver (the four-band Thomas kernel, ``solve_problem`` with its
-planktonic linear branch, the substrate sweep with a fresh scratch copy per
-closure call, and the per-species Jacobian loop) patched in where the
-stepper and ``elliptic`` look them up.  Every snapshot field, the boundary
+general solver (the four-band Thomas kernel, ``solve_problem`` on its
+``EllipticProblem`` wrapper with the planktonic linear branch, the substrate
+sweep with a fresh scratch copy per closure call, and the per-species
+Jacobian loop) patched in where the stepper and ``elliptic`` look them up.  Every snapshot field, the boundary
 trace and the recorded profiles must agree bitwise, signs of zeros included.
 """
 
 import dataclasses
 import math
 import warnings
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
 
 from biofilm1d import elliptic, kinetics, stepper
-from biofilm1d.elliptic import (EllipticProblem, EllipticSolution, _clamp_solution,
-                                _diagonal, _nodal, _residual, resolution_limit)
+from biofilm1d.elliptic import (EllipticSolution, _clamp_solution, _residual,
+                                resolution_limit)
 from biofilm1d.errors import (BoundaryLayerResolutionWarning, NonConvergence,
                               SingularJacobian)
 from biofilm1d.presets import build_preset
 
 # --- frozen copies of the general solver --------------------------------------
+
+
+@dataclass(frozen=True)
+class EllipticProblem:
+    D: float
+    L: float
+    dirichlet_value: float
+    reaction: Callable[[np.ndarray], np.ndarray]
+    reaction_jacobian: Callable[[np.ndarray], np.ndarray]
+    linear_in_unknown: bool = False
+
+
+def _nodal(a, v):
+    a = np.asarray(a, dtype=float)
+    return a if a.shape == v.shape else np.broadcast_to(a, v.shape)
+
+
+def _diagonal(problem, v, scale):
+    diag = 2.0 - scale * _nodal(problem.reaction_jacobian(v), v)
+    diag[-1] = 1.0
+    return diag
 
 
 def four_band_solve(lower, diag, upper, rhs):
@@ -69,15 +92,14 @@ def general_solve_problem(problem, N, tol=1e-9, max_iter=50, initial=None):
     lower, upper = off_diagonals(N + 1)
 
     def residual(v):
-        return _residual(v, problem.reaction(v), problem.dirichlet_value, scale)
+        return _residual(v, _nodal(problem.reaction(v), v), problem.dirichlet_value, scale)
 
     if problem.linear_in_unknown:
         zero = np.zeros(N + 1)
         rhs = scale * _nodal(problem.reaction(zero), zero)
         rhs[-1] = problem.dirichlet_value
         v = four_band_solve(lower, _diagonal(problem, zero, scale), upper, rhs)
-        res = float(np.max(np.abs(residual(v))))
-        return EllipticSolution(_clamp_solution(v, problem.dirichlet_value), res, 1)
+        return EllipticSolution(_clamp_solution(v, problem.dirichlet_value), 1)
 
     v = np.full(N + 1, float(problem.dirichlet_value)) if initial is None \
         else np.array(initial, dtype=float)
@@ -86,8 +108,7 @@ def general_solve_problem(problem, N, tol=1e-9, max_iter=50, initial=None):
     res_norm = float(np.max(np.abs(res)))
     for it in range(1, max_iter + 1):
         if res_norm <= tol_abs:
-            return EllipticSolution(_clamp_solution(v, problem.dirichlet_value),
-                                    res_norm, it - 1)
+            return EllipticSolution(_clamp_solution(v, problem.dirichlet_value), it - 1)
         delta = four_band_solve(lower, _diagonal(problem, v, scale), upper, -res)
         alpha = 1.0
         for _ in range(30):
@@ -102,8 +123,7 @@ def general_solve_problem(problem, N, tol=1e-9, max_iter=50, initial=None):
             raise NonConvergence("elliptic line search stalled",
                                  iterations=it, residual=res_norm)
     if res_norm <= tol_abs:
-        return EllipticSolution(_clamp_solution(v, problem.dirichlet_value),
-                                res_norm, max_iter)
+        return EllipticSolution(_clamp_solution(v, problem.dirichlet_value), max_iter)
     raise NonConvergence("elliptic Newton exceeded max iterations",
                          iterations=max_iter, residual=res_norm)
 
@@ -123,13 +143,12 @@ def species_loop_jacobian_diag(f, S, cfg):
     return out
 
 
-def general_solve_substrates(state, cfg):
+def general_solve_substrates(t, L, f, S, cfg):
     nm = cfg.numerics
-    N = state.N
-    h = state.L / N
-    f = state.f
-    dirichlet = cfg.s_star(state.t)
-    S_work = np.maximum(np.asarray(state.S, dtype=float).copy(), 0.0)
+    N = S.shape[1] - 1
+    h = L / N
+    dirichlet = cfg.s_star(t)
+    S_work = np.maximum(np.asarray(S, dtype=float).copy(), 0.0)
     iters = [0] * cfg.m
     worst = math.inf
 
@@ -144,7 +163,7 @@ def general_solve_substrates(state, cfg):
             full[j] = v
             return species_loop_jacobian_diag(f, full, cfg)[j]
 
-        return EllipticProblem(D=cfg.substrates[j].D, L=state.L,
+        return EllipticProblem(D=cfg.substrates[j].D, L=L,
                                dirichlet_value=float(dirichlet[j]),
                                reaction=reaction, reaction_jacobian=jacobian)
 
@@ -155,38 +174,35 @@ def general_solve_substrates(state, cfg):
             S_work[j] = sol.values
             iters[j] += sol.iterations
         rates = kinetics.substrate_rates(f, S_work, cfg)
-        residuals = []
         worst = 0.0
         for j in range(cfg.m):
             r = _residual(S_work[j], rates[j], dirichlet[j], h * h / cfg.substrates[j].D)
             norm = float(np.max(np.abs(r)))
-            residuals.append(norm)
             worst = max(worst, norm / max(1.0, abs(dirichlet[j])))
         if worst <= nm.newton_tol:
-            return [EllipticSolution(S_work[j], residuals[j], iters[j])
-                    for j in range(cfg.m)]
+            return [EllipticSolution(S_work[j], iters[j]) for j in range(cfg.m)]
     raise NonConvergence("coupled substrate sweeps did not converge",
                          iterations=sum(iters), residual=worst)
 
 
-def general_solve_planktonic(state, cfg):
+def general_solve_planktonic(t, L, S, cfg):
     nm = cfg.numerics
-    N = state.N
-    kappa = kinetics.planktonic_sink_coefficients(state.S, cfg)
-    psi_bulk = cfg.psi_star(state.t)
+    N = S.shape[1] - 1
+    kappa = kinetics.planktonic_sink_coefficients(S, cfg)
+    psi_bulk = cfg.psi_star(t)
     out = []
     for i, sp in enumerate(cfg.species):
-        if resolution_limit(state.L, sp) > N:
+        if resolution_limit(L, sp) > N:
             warnings.warn("under-resolved", BoundaryLayerResolutionWarning)
         k_row = kappa[i]
         problem = EllipticProblem(
-            D=sp.D_psi, L=state.L, dirichlet_value=float(psi_bulk[i]),
+            D=sp.D_psi, L=L, dirichlet_value=float(psi_bulk[i]),
             reaction=lambda v, k_row=k_row: -k_row * v,
             reaction_jacobian=lambda v, k_row=k_row: -k_row,
             linear_in_unknown=True)
         out.append(general_solve_problem(problem, N, tol=nm.newton_tol,
-                                         max_iter=nm.newton_max_iter))
-    return out
+                                         max_iter=nm.newton_max_iter).values)
+    return np.stack(out)
 
 
 # --- the guard ----------------------------------------------------------------

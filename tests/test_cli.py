@@ -58,6 +58,12 @@ class TestValidateCommand:
         path.write_text("scenario.delta == oops\n")
         assert cli(["validate", "--config", str(path)]) == EXIT_VALIDATION
 
+    def test_missing_config_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.cfg"
+        assert cli(["validate", "--config", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and str(path) in err
+
 
 class TestUsageErrors:
     def test_unknown_flag(self):

@@ -77,6 +77,22 @@ class TestParsing:
         with pytest.raises(ConfigError, match="key = value"):
             configio.loads("scenario.delta 2000\n")
 
+    @pytest.mark.parametrize("key, bad", [
+        ("stoichiometry.substrate_of", "1, x, 3"),
+        ("stoichiometry.production.2", "0.5, zz, 0.0"),
+        ("scenario.snapshot_times", "1.0, soon"),
+    ])
+    def test_malformed_list_value_names_key(self, key, bad):
+        stoich = Stoichiometry(substrate_of=(0, 1, 2),
+                               production=((-1.0, 0.0, 0.0), (0.5, -1.0, 0.0),
+                                           (1.0, 0.0, -1.0)))
+        cfg = dataclasses.replace(build_preset("case2").cfg, stoichiometry=stoich)
+        lines = [f"{key} = {bad}" if line.startswith(key + " =") else line
+                 for line in configio.dumps(cfg).splitlines()]
+        assert f"{key} = {bad}" in lines
+        with pytest.raises(ConfigError, match=key):
+            configio.loads("\n".join(lines))
+
 
 class TestRemovedKeys:
     def legacy_text(self, transport):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import biofilm1d
-from biofilm1d.elliptic import (EllipticProblem, _homogeneous_solve, resolution_limit,
+from biofilm1d.elliptic import (_homogeneous_solve, _residual, resolution_limit,
                                 solve_planktonic, solve_problem, solve_substrates,
                                 tridiagonal_solve)
 from biofilm1d.errors import BoundaryLayerResolutionWarning, SingularJacobian
@@ -126,8 +126,9 @@ class TestTridiagonal:
 
 
 class TestHomogeneousSolve:
-    """The planktonic solve against the sweep over the system that the linear
-    branch of ``solve_problem`` assembles for the sink ``-kappa * v``."""
+    """The planktonic solve against the full sweep over its linear system:
+    the sink ``-kappa * v`` assembled at ``v = 0``, so the right-hand side is
+    ``scale * (-kappa * 0) = -0.0`` off the Dirichlet row."""
 
     @staticmethod
     def swept(k, scale, dirichlet):
@@ -157,78 +158,74 @@ class TestHomogeneousSolve:
         assert_bitwise_equal(x, self.swept(k, 1.0, 100.0))
 
 
-def quadratic_problem(q=100.0, L=1e-3, D=1e-5, bulk=100.0):
-    """-D v'' = -q, v(L) = bulk, v'(0) = 0  ->  v = bulk - (q L^2/2D)(1 - zeta^2)."""
-    prob = EllipticProblem(D=D, L=L, dirichlet_value=bulk,
-                           reaction=lambda v: np.full_like(v, -q),
-                           reaction_jacobian=lambda v: np.zeros_like(v),
-                           linear_in_unknown=True)
-
-    def exact(zeta):
-        return bulk - (q * L * L / (2.0 * D)) * (1.0 - zeta ** 2)
-
-    return prob, exact
+D, L, BULK = 1e-5, 1e-3, 100.0
 
 
-def screening_problem(k=5.0, L=1e-3, D=1e-5, bulk=100.0):
-    """-D v'' = -k v, v(L) = bulk, v'(0) = 0  ->  v = bulk cosh(mu z)/cosh(mu L)."""
-    prob = EllipticProblem(D=D, L=L, dirichlet_value=bulk,
-                           reaction=lambda v: -k * v,
-                           reaction_jacobian=lambda v: np.full_like(v, -k),
-                           linear_in_unknown=True)
+def scale_at(N):
+    return (L / N) ** 2 / D
+
+
+def quadratic_solve(N, q=100.0):
+    """-D v'' = -q, v(L) = bulk, v'(0) = 0, by Newton from the bulk value."""
+    return solve_problem(lambda v: np.full_like(v, -q), np.zeros_like,
+                         np.full(N + 1, BULK), BULK, scale_at(N), 1e-9, 50)
+
+
+def quadratic_exact(zeta, q=100.0):
+    return BULK - (q * L * L / (2.0 * D)) * (1.0 - zeta ** 2)
+
+
+def screening_solve(N, k=5.0):
+    """-D v'' = -k v, v(L) = bulk, v'(0) = 0, by the planktonic solve."""
+    return _homogeneous_solve(np.full(N + 1, scale_at(N) * k), BULK)
+
+
+def screening_exact(zeta, k=5.0):
+    """v = bulk cosh(mu z)/cosh(mu L)."""
     mu = math.sqrt(k / D)
-
-    def exact(zeta):
-        return bulk * np.cosh(mu * zeta * L) / math.cosh(mu * L)
-
-    return prob, exact
+    return BULK * np.cosh(mu * zeta * L) / math.cosh(mu * L)
 
 
 class TestClosedForms:
     def test_quadratic_profile_exact(self):
-        prob, exact = quadratic_problem()
-        sol = solve_problem(prob, 200)
+        sol = quadratic_solve(200)
         zeta = np.linspace(0, 1, 201)
         assert sol.values[0] == pytest.approx(95.0, abs=1e-10)
-        # central differences are exact on quadratics, so only round-off remains
-        assert np.max(np.abs(sol.values - exact(zeta))) < 1e-10
+        # central differences are exact on quadratics, so only round-off
+        # remains, and the first Newton correction already lands there
+        assert np.max(np.abs(sol.values - quadratic_exact(zeta))) < 1e-10
+        assert sol.iterations == 1
 
     def test_screening_profile(self):
-        prob, exact = screening_problem()
-        sol = solve_problem(prob, 400)
         zeta = np.linspace(0, 1, 401)
-        err = np.max(np.abs(sol.values - exact(zeta)))
-        assert err <= 1e-6 * prob.dirichlet_value
+        err = np.max(np.abs(screening_solve(400) - screening_exact(zeta)))
+        assert err <= 1e-6 * BULK
 
     def test_second_order_convergence(self):
-        prob, exact = screening_problem()
         errs = []
         for N in (200, 400):
-            sol = solve_problem(prob, N)
             zeta = np.linspace(0, 1, N + 1)
-            errs.append(np.max(np.abs(sol.values - exact(zeta))))
+            errs.append(np.max(np.abs(screening_solve(N) - screening_exact(zeta))))
         assert 3.5 <= errs[0] / errs[1] <= 4.5
 
     def test_dirichlet_exact_and_neumann_small(self):
-        prob, _ = screening_problem()
-        sol = solve_problem(prob, 100)
-        assert sol.values[-1] == prob.dirichlet_value
+        k, N = 5.0, 100
+        v = screening_solve(N, k)
+        assert v[-1] == BULK
         # ghost-node closure: residual row 0 within solver tolerance
-        assert sol.residual_norm <= 1e-9 * prob.dirichlet_value * 10
+        res = _residual(v, -k * v, BULK, scale_at(N))
+        assert np.max(np.abs(res)) <= 1e-9 * BULK * 10
 
     def test_maximum_principle_pure_consumption(self):
-        prob, _ = screening_problem(k=50.0)
-        sol = solve_problem(prob, 64)
-        assert np.all(sol.values >= 0.0)
-        assert np.all(sol.values <= prob.dirichlet_value)
+        v = screening_solve(64, k=50.0)
+        assert np.all(v >= 0.0)
+        assert np.all(v <= BULK)
 
     def test_interface_flux_balances_consumption(self):
         # trapezoid of the sink equals the diffusive flux through z = L, to O(h)
-        q, L, D, N = 100.0, 1e-3, 1e-5, 100
-        prob, _ = quadratic_problem(q=q, L=L, D=D)
-        sol = solve_problem(prob, N)
-        h = L / N
-        flux = D * (sol.values[-1] - sol.values[-2]) / h
+        q, N = 100.0, 100
+        v = quadratic_solve(N, q).values
+        flux = D * (v[-1] - v[-2]) / (L / N)
         assert flux == pytest.approx(q * L, rel=2.0 / N)
 
 
@@ -236,66 +233,74 @@ CASE1 = build_preset("case1").cfg
 CASE2 = build_preset("case2").cfg
 
 
-def developed_state(cfg, L=1e-4):
-    return dataclasses.replace(initial_state(cfg), L=L)
+def developed(cfg, L=1e-4):
+    """``(t, L, f, S)`` of the seed state at thickness L."""
+    st = initial_state(cfg)
+    return st.t, L, st.f, st.S
 
 
 class TestSubstrateSolves:
     def test_zero_reaction_gives_bulk_everywhere(self):
         dead = tuple(dataclasses.replace(sp, mu_max=0.0) for sp in CASE1.species)
         cfg = dataclasses.replace(CASE1, species=dead)
-        sols = solve_substrates(developed_state(cfg), cfg)
+        sols = solve_substrates(*developed(cfg), cfg)
         for sol, bulk in zip(sols, (100.0, 100.0, 0.0)):
             np.testing.assert_allclose(sol.values, bulk, atol=1e-9)
 
     def test_interior_production_peak(self):
         # substrate 3 enters at zero on the interface and is produced inside
-        sols = solve_substrates(developed_state(CASE1), CASE1)
+        sols = solve_substrates(*developed(CASE1), CASE1)
         s3 = sols[2].values
         assert s3[-1] == 0.0
         assert s3.max() > 0.0
         assert np.argmax(s3) < s3.size - 1
 
     def test_resolve_is_idempotent(self):
-        st = developed_state(CASE1)
-        first = solve_substrates(st, CASE1)
-        st2 = dataclasses.replace(st, S=np.stack([s.values for s in first]))
-        second = solve_substrates(st2, CASE1)
+        args = developed(CASE1)
+        first = solve_substrates(*args, CASE1)
+        second = solve_substrates(*args[:3], np.stack([s.values for s in first]), CASE1)
         for a, b in zip(first, second):
             np.testing.assert_allclose(a.values, b.values, atol=1e-9)
 
     def test_positivity(self):
-        sols = solve_substrates(developed_state(CASE1, L=5e-4), CASE1)
+        sols = solve_substrates(*developed(CASE1, L=5e-4), CASE1)
         for sol in sols:
             assert np.all(sol.values >= 0.0)
+
+    def test_empty_domain_rejected(self):
+        t, _, f, S = developed(CASE1)
+        with pytest.raises(ValueError, match="domain length"):
+            solve_substrates(t, 0.0, f, S, CASE1)
+
+
+def planktonic(cfg, L=1e-4):
+    t, L, _, S = developed(cfg, L)
+    return solve_planktonic(t, L, S, cfg)
 
 
 class TestPlanktonicSolves:
     def test_no_sink_gives_bulk(self):
-        sols = solve_planktonic(developed_state(CASE1), CASE1)
-        np.testing.assert_allclose(sols[0].values, 100.0, atol=1e-9)
-        np.testing.assert_allclose(sols[2].values, 0.0, atol=1e-12)
+        Psi = planktonic(CASE1)
+        assert Psi.shape == (CASE1.n, CASE1.numerics.N + 1)
+        np.testing.assert_allclose(Psi[0], 100.0, atol=1e-9)
+        np.testing.assert_allclose(Psi[2], 0.0, atol=1e-12)
 
     def test_zero_bulk_gives_zero_field(self):
-        st = developed_state(CASE2)
         with pytest.warns(BoundaryLayerResolutionWarning):
-            sols = solve_planktonic(st, CASE2)
-        np.testing.assert_array_equal(sols[2].values, np.zeros(st.N + 1))
+            Psi = planktonic(CASE2)
+        np.testing.assert_array_equal(Psi[2], np.zeros(CASE2.numerics.N + 1))
 
     def test_boundary_layer_warning_threshold(self):
         # need = L / (0.5 sqrt(D Y / k_col)); at L = 1e-4 that is ~224 > N = 200
         sp = CASE2.species[0]
         assert resolution_limit(1e-4, sp) == pytest.approx(
             1e-4 / (0.5 * math.sqrt(1e-5 * 2e-7 / 2.5)), rel=1e-12)
-        st = developed_state(CASE2, L=1e-4)
         with pytest.warns(BoundaryLayerResolutionWarning):
-            solve_planktonic(st, CASE2)
+            planktonic(CASE2, L=1e-4)
 
     def test_screened_profile_decays_monotonically(self):
-        st = developed_state(CASE2, L=1e-4)
         with pytest.warns(BoundaryLayerResolutionWarning):
-            sols = solve_planktonic(st, CASE2)
-        v = sols[0].values
+            v = planktonic(CASE2, L=1e-4)[0]
         assert v[-1] == 100.0
         assert np.all(np.diff(v) >= -1e-12)
         # the continuum attenuation 1/cosh(L sqrt(k/D)) is astronomically
@@ -303,6 +308,10 @@ class TestPlanktonicSolves:
         k = (2.5 / 2e-7) * (100.0 / 101.0)
         assert 1.0 / math.cosh(1e-4 * math.sqrt(k / 1e-5)) < 1e-40
         assert v[0] < 1e-30
+
+    def test_empty_domain_rejected(self):
+        with pytest.raises(ValueError, match="domain length"):
+            planktonic(CASE1, L=0.0)
 
 
 def test_import_loads_neither_scipy_nor_numba():

@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from biofilm1d import stepper
+from biofilm1d import elliptic, stepper
 from biofilm1d.errors import NoAttachment
 from biofilm1d.kinetics import (RateBundle, attachment_flux, detachment_flux,
                                 inflow_fractions)
@@ -274,10 +274,11 @@ class TestRun:
         assert np.any(np.isclose(res.boundary.t, 0.2, atol=1e-12))
 
     def test_traced_bindings_called_once_per_step(self, monkeypatch):
-        # perfbench/tracing.py counts steps and parcels by patching these
-        # module globals of the stepper; a loop that bypassed them would
-        # leave those counters at zero.
+        # perfbench/tracing.py counts steps, parcels, Newton iterations and
+        # per-field solves by patching these module globals; a loop that
+        # bypassed them would leave those counters at zero.
         calls = {"solve_substrates": 0, "rate_bundle": 0}
+        field_solves, iterations = [0], []
         in_snapshot = [0]
 
         def counted(name):
@@ -286,7 +287,10 @@ class TestRun:
             def wrapper(*args, **kwargs):
                 if not in_snapshot[0]:
                     calls[name] += 1
-                return real(*args, **kwargs)
+                out = real(*args, **kwargs)
+                if name == "solve_substrates":
+                    iterations.extend(sol.iterations for sol in out)
+                return out
             return wrapper
 
         real_snapshot = stepper.make_snapshot
@@ -298,13 +302,26 @@ class TestRun:
             finally:
                 in_snapshot[0] -= 1
 
+        real_field_solve = elliptic.solve_problem
+
+        def field_solve(*args, **kwargs):
+            field_solves[0] += 1
+            return real_field_solve(*args, **kwargs)
+
         for name in calls:
             monkeypatch.setattr(stepper, name, counted(name))
         monkeypatch.setattr(stepper, "make_snapshot", snapshot)
-        res = run(small_case1())
+        monkeypatch.setattr(elliptic, "solve_problem", field_solve)
+        cfg = small_case1()
+        res = run(cfg)
         steps = res.boundary.t.size - 1
         assert steps == 100 and len(res.snapshots) == 2
         assert calls == {"solve_substrates": steps, "rate_bundle": steps}
+        # one Newton solve per field and substrate solve, snapshots included
+        # (the built-in network is triangular, so one sweep converges)
+        assert len(iterations) == cfg.m * (steps + len(res.snapshots))
+        assert field_solves[0] == len(iterations)
+        assert all(isinstance(it, int) for it in iterations)
 
     def test_pulsed_supply_flips_regimes_and_recovers(self):
         from biofilm1d.traces import TableTrace
