@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -77,7 +78,8 @@ def _build_parser() -> _Parser:
 def _load_cfg(args):
     if args.config:
         cfg = configio.load(args.config)
-        notes = (f"configuration loaded from file {args.config}",)
+        # the file name only, so the manifest does not depend on where it lives
+        notes = (f"configuration loaded from file {Path(args.config).name}",)
         return cfg, notes
     if not args.preset:
         raise ConfigError("either --preset or --config is required")

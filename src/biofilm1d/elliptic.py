@@ -17,15 +17,19 @@ are two solves for it:
 
 The fields are constraints re-solved from the current sessile fractions at
 every instant, so both solves take arrays and return arrays:
-``solve_substrates(t, L, f, S, cfg)``, where S is the Newton starting guess,
-and ``solve_planktonic(t, L, S, cfg)``.  Substrate reactions are Monod-nonlinear, solved by damped Newton
+``solve_substrates(t, L, f, S, cfg)``, where S is the Newton starting guess
+(the stepper extrapolates it in time), and ``solve_planktonic(t, L, S,
+cfg)``.  Substrate reactions are Monod-nonlinear, solved by damped Newton
 (:func:`solve_problem`, one call per field) with an analytic diagonal
-Jacobian; cross-substrate coupling is relaxed by Gauss-Seidel sweeps until
-the coupled residual meets tolerance (the built-in network is triangular, so
-one sweep already lands on the coupled solution).  Planktonic fields are
-linear in themselves at frozen substrates, so each is one homogeneous solve,
-and a species without colonization (``k_col = 0``) is its Dirichlet value
-everywhere.
+Jacobian.  The Newton for field j evaluates row j only: the growth load of
+the species on substrate j and row j of the network product
+(:func:`kinetics.substrate_row_rates`), and the Jacobian of that row.
+Cross-substrate coupling is relaxed by Gauss-Seidel sweeps until the coupled
+residual of all fields, evaluated in one vectorised pass, meets tolerance
+(the built-in network is triangular, so one sweep already lands on the
+coupled solution).  Planktonic fields are linear in themselves at frozen
+substrates, so each is one homogeneous solve, and a species without
+colonization (``k_col = 0``) is its Dirichlet value everywhere.
 """
 
 from __future__ import annotations
@@ -113,7 +117,7 @@ def _homogeneous_solve(sk: np.ndarray, dirichlet: float) -> np.ndarray:
         h = 1.0 / (bk - h)
         append(h)
     minus_gamma.append(dirichlet + 0.0)
-    return np.cumprod(minus_gamma[::-1])[::-1]
+    return np.cumprod(np.array(minus_gamma)[::-1])[::-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,12 +126,17 @@ class EllipticSolution:
     iterations: int
 
 
-def _residual(v: np.ndarray, rate: np.ndarray, dirichlet: float,
-              scale: float) -> np.ndarray:
-    """Scaled residual; rows carry g/m^3.  ``scale = h^2 / D``."""
-    r = np.empty_like(v)
-    r[0] = 2.0 * v[0] - 2.0 * v[1] - scale * rate[0]
-    r[1:-1] = -v[:-2] + 2.0 * v[1:-1] - v[2:] - scale * rate[1:-1]
+def _residual(v: np.ndarray, rate: np.ndarray, dirichlet, scale) -> np.ndarray:
+    """Scaled residual along the first (node) axis; rows carry g/m^3 and
+    ``scale = h^2 / D``.  Fields may run along a second axis, with one
+    ``dirichlet`` and ``scale`` each.  ``-(scale * rate)`` is added last,
+    which is exactly subtracting ``scale * rate``."""
+    r = rate * -scale
+    mid = 2.0 * v[1:-1]
+    mid -= v[:-2]
+    mid -= v[2:]
+    r[1:-1] += mid
+    r[0] += 2.0 * v[0] - 2.0 * v[1]
     r[-1] = v[-1] - dirichlet
     return r
 
@@ -197,36 +206,30 @@ def solve_substrates(t: float, L: float, f: np.ndarray, S: np.ndarray,
     dirichlet = cfg.s_star(t)
     iters = [0] * cfg.m
     worst = math.inf
+    # The other rows stay at their latest values while field j is solved.
+    row_rate = kinetics.substrate_row_rates(f, S_work, cfg)
 
-    def closures(j, frozen):
-        # The other rows stay frozen while field j is solved, so one scratch
-        # copy per field serves every closure call.
-        full = frozen.copy()
-
+    def closures(j):
         def reaction(v):
-            full[j] = v
-            return kinetics.substrate_rates(f, full, cfg)[j]
+            return row_rate(j, v)
 
         def jacobian(v):
-            full[j] = v
-            return kinetics.substrate_rate_jacobian_diag(f, full, cfg)[j]
+            return kinetics.substrate_rate_jacobian_diag(f, v, j, cfg)
 
         return reaction, jacobian
 
     for _sweep in range(nm.newton_max_iter):
         for j in range(cfg.m):
-            reaction, jacobian = closures(j, S_work)
-            sol = solve_problem(reaction, jacobian, S_work[j], float(dirichlet[j]),
+            sol = solve_problem(*closures(j), S_work[j], float(dirichlet[j]),
                                 scales[j], nm.newton_tol, nm.newton_max_iter)
             S_work[j] = sol.values
+            row_rate(j, S_work[j])  # the next fields see the accepted field
             iters[j] += sol.iterations
         # Coupled convergence check with every field at its latest value.
         rates = kinetics.substrate_rates(f, S_work, cfg)
-        worst = 0.0
-        for j in range(cfg.m):
-            norm = float(np.abs(_residual(S_work[j], rates[j], dirichlet[j],
-                                          scales[j])).max())
-            worst = max(worst, norm / max(1.0, abs(dirichlet[j])))
+        norms = np.abs(_residual(S_work.T, rates.T, dirichlet,
+                                 np.array(scales))).max(axis=0)
+        worst = float((norms / np.maximum(1.0, np.abs(dirichlet))).max())
         if worst <= nm.newton_tol:
             return [EllipticSolution(S_work[j], iters[j]) for j in range(cfg.m)]
     raise NonConvergence("coupled substrate sweeps did not converge",

@@ -22,7 +22,8 @@ logger = logging.getLogger(__name__)
 
 def _clamped(a, label):
     a = np.asarray(a, dtype=float)
-    if (a < 0.0).any():
+    # any(a < 0), NaN ignored, without the boolean temporary
+    if np.fmin.reduce(a, axis=None, initial=0.0) < 0.0:
         logger.debug("clamped %d negative %s value(s) during rate evaluation",
                      int(np.sum(a < 0.0)), label)
         a = np.maximum(a, 0.0)
@@ -41,20 +42,36 @@ def dmonod(s, K):
     return K / (K + s) ** 2
 
 
+def _column(v, ndim):
+    """Per-species vector ``v`` shaped to broadcast over ``ndim - 1`` node axes."""
+    return v.reshape((-1,) + (1,) * (ndim - 1))
+
+
+def _limitation(S, a, ndim):
+    """Monod factor of every species on its own substrate, (n, ...)."""
+    s_sel = np.asarray(S, dtype=float)[a["substrate_of"]]
+    return monod(s_sel, _column(a["K"], ndim))
+
+
+def _growth(f, limitation, a):
+    return _column(a["mu_max"], f.ndim) * limitation * f
+
+
+def _colonization(Psi, limitation, a):
+    return (_column(a["k_col"], Psi.ndim) / _column(a["rho"], Psi.ndim)) \
+        * limitation * Psi
+
+
 def growth_rates(f, S, cfg):
     """Specific sessile growth rates, one per species (1/day)."""
-    a = cfg.arrays
     f = _clamped(f, "fraction")
-    s_sel = np.asarray(S, dtype=float)[a["substrate_of"]]
-    mu = a["mu_max"].reshape((-1,) + (1,) * (f.ndim - 1))
-    K = a["K"].reshape(mu.shape)
-    return mu * monod(s_sel, K) * f
+    return _growth(f, _limitation(S, cfg.arrays, f.ndim), cfg.arrays)
 
 
 def _network_weighted(r_m, a):
     """r_S from the growth rates; ``np.dot`` on the flattened load is what
     ``np.tensordot(W, load, axes=(1, 0))`` runs, without its set-up cost."""
-    load = r_m * a["rho_Y"].reshape((-1,) + (1,) * (r_m.ndim - 1))
+    load = r_m * _column(a["rho_Y"], r_m.ndim)
     W = a["W"]
     return np.dot(W, load.reshape(W.shape[1], -1)).reshape(
         W.shape[:1] + load.shape[1:])
@@ -65,36 +82,51 @@ def substrate_rates(f, S, cfg):
     return _network_weighted(growth_rates(f, S, cfg), cfg.arrays)
 
 
-def substrate_rate_jacobian_diag(f, S, cfg):
-    """d r_S[j] / d S[j] at each node; used by the elliptic Newton solver."""
+def substrate_row_rates(f, S, cfg):
+    """One substrate row at a time on a grid: ``f`` (n, K) and ``S`` (m, K).
+
+    Returns ``rate(j, s)``, the conversion rate of substrate j with S[j]
+    replaced by ``s`` and every other row at its value in S or at the last
+    ``s`` passed for it.  A call refreshes only the load rows ``rho/Y * r_M``
+    of the species growing on substrate j and returns row j of the same
+    ``np.dot(W, load)`` as :func:`substrate_rates`, so it is bitwise that
+    function's row j; a dot with row j of W alone rounds differently.
+    """
     a = cfg.arrays
     f = _clamped(f, "fraction")
-    S = np.asarray(S, dtype=float)
-    trail = (1,) * (f.ndim - 1)
-    mu = a["mu_max"].reshape((-1,) + trail)
-    K = a["K"].reshape(mu.shape)
-    s_sel = S[a["substrate_of"]]
-    dload = mu * dmonod(s_sel, K) * f * a["rho_Y"].reshape(mu.shape)
-    out = np.zeros_like(S)
-    for i, (j, w) in enumerate(a["jacobian_terms"]):
-        out[j] += w * dload[i]
+    load = growth_rates(f, S, cfg) * _column(a["rho_Y"], 2)
+    W = a["W"]
+    rows = [(sp, mu, K, f[sp], rho_Y)
+            for sp, _, mu, K, rho_Y in a["substrate_rows"]]
+
+    def rate(j, s):
+        sp, mu, K, f_sp, rho_Y = rows[j]
+        load[sp] = mu * monod(s, K) * f_sp * rho_Y
+        return np.dot(W, load)[j]
+
+    return rate
+
+
+def substrate_rate_jacobian_diag(f, s, j, cfg):
+    """d r_S[j] / d S[j] at each node, at S[j] = ``s``; used by the elliptic
+    Newton solver.  Row j depends on no other substrate: only the species
+    growing on substrate j contribute, added in species order."""
+    sp, weights, mu, K, rho_Y = cfg.arrays["substrate_rows"][j]
+    dload = mu * dmonod(s, K) * _clamped(np.asarray(f)[sp], "fraction") * rho_Y
+    out = np.zeros(np.shape(s))
+    for w, d in zip(weights, dload):
+        out += w * d
     return out
 
 
 def colonization_rates(Psi, S, cfg):
     """Sessile growth rates fed by planktonic cells (1/day)."""
-    a = cfg.arrays
     Psi = _clamped(Psi, "planktonic")
-    s_sel = np.asarray(S, dtype=float)[a["substrate_of"]]
-    trail = (1,) * (Psi.ndim - 1)
-    k_col = a["k_col"].reshape((-1,) + trail)
-    K = a["K"].reshape(k_col.shape)
-    rho = a["rho"].reshape(k_col.shape)
-    return (k_col / rho) * monod(s_sel, K) * Psi
+    return _colonization(Psi, _limitation(S, cfg.arrays, Psi.ndim), cfg.arrays)
 
 
 def _planktonic_from(r_col, a):
-    return -(a["rho"] / a["Y_psi"]).reshape((-1,) + (1,) * (r_col.ndim - 1)) * r_col
+    return -_column(a["rho"] / a["Y_psi"], r_col.ndim) * r_col
 
 
 def planktonic_conversion_rates(Psi, S, cfg):
@@ -105,12 +137,9 @@ def planktonic_conversion_rates(Psi, S, cfg):
 def planktonic_sink_coefficients(S, cfg):
     """Coefficients kappa_i >= 0 with r_Psi[i] = -kappa_i * Psi[i] at frozen S."""
     a = cfg.arrays
-    s_sel = np.asarray(S, dtype=float)[a["substrate_of"]]
-    trail = (1,) * (s_sel.ndim - 1)
-    k_col = a["k_col"].reshape((-1,) + trail)
-    K = a["K"].reshape(k_col.shape)
-    Y_psi = a["Y_psi"].reshape(k_col.shape)
-    return (k_col / Y_psi) * monod(s_sel, K)
+    ndim = np.ndim(S)
+    return (_column(a["k_col"], ndim) / _column(a["Y_psi"], ndim)) \
+        * _limitation(S, a, ndim)
 
 
 def _sum_G(r_m, r_col):
@@ -139,10 +168,14 @@ class RateBundle:
 
 def rate_bundle(f, S, Psi, cfg) -> RateBundle:
     """Evaluate every rate once; ``G`` is the exact ordered sum of the parts."""
-    r_m = growth_rates(f, S, cfg)
-    r_col = colonization_rates(Psi, S, cfg)
-    return RateBundle(r_M=r_m, r_col=r_col, r_S=_network_weighted(r_m, cfg.arrays),
-                      r_Psi=_planktonic_from(r_col, cfg.arrays), G=_sum_G(r_m, r_col))
+    a = cfg.arrays
+    f = _clamped(f, "fraction")
+    Psi = _clamped(Psi, "planktonic")
+    limitation = _limitation(S, a, f.ndim)  # shared by both rates
+    r_m = _growth(f, limitation, a)
+    r_col = _colonization(Psi, limitation, a)
+    return RateBundle(r_M=r_m, r_col=r_col, r_S=_network_weighted(r_m, a),
+                      r_Psi=_planktonic_from(r_col, a), G=_sum_G(r_m, r_col))
 
 
 def attachment_flux(psi_star, cfg) -> float:

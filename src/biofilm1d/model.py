@@ -7,7 +7,8 @@ construction so states can be shared between threads or cached safely.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -126,16 +127,27 @@ class ScenarioConfig:
         W = np.array(self.stoichiometry.production, dtype=float)
         sigma = np.array(self.stoichiometry.substrate_of, dtype=int)
         rho_Y = col("rho") / col("Y")
-        for a in (D, W, sigma, rho_Y):
+        mu, K = col("mu_max"), col("K")
+        rows = []
+        for j in range(self.m):
+            # the species growing on substrate j, in species order (a slice
+            # when they are adjacent), with their coefficients W[j, i] and
+            # (k, 1) parameter columns
+            sp = np.flatnonzero(sigma == j)
+            if sp.size == 0:
+                sp = slice(0, 0)
+            elif sp[-1] - sp[0] == sp.size - 1:
+                sp = slice(int(sp[0]), int(sp[-1]) + 1)
+            rows.append((sp, tuple(float(w) for w in W[j, sp]),
+                         mu[sp, None], K[sp, None], rho_Y[sp, None]))
+        for a in (D, W, sigma, rho_Y) + tuple(a for row in rows for a in row[2:]):
             a.flags.writeable = False
         return {
-            "mu_max": col("mu_max"), "K": col("K"), "Y": col("Y"),
+            "mu_max": mu, "K": K, "Y": col("Y"),
             "rho": col("rho"), "v_a": col("v_a"), "k_col": col("k_col"),
             "Y_psi": col("Y_psi"), "D_psi": col("D_psi"),
             "D": D, "W": W, "substrate_of": sigma, "rho_Y": rho_Y,
-            # (substrate row, coefficient) of each species' Jacobian term
-            "jacobian_terms": tuple((int(j), float(W[j, i]))
-                                    for i, j in enumerate(sigma)),
+            "substrate_rows": tuple(rows),
         }
 
     def psi_star(self, t: float) -> np.ndarray:
@@ -222,10 +234,15 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
         if not ok:
             bad.append(Violation(field_name, constraint))
 
+    def finite(field_name, *values):
+        check(all(math.isfinite(v) for v in values), field_name, "must be finite")
+
     check(cfg.n >= 1, "species", "at least one species required")
     check(cfg.m >= 1, "substrates", "at least one substrate required")
     for i, sp in enumerate(cfg.species, start=1):
         tag = f"species.{i}"
+        for param in fields(sp):
+            finite(f"{tag}.{param.name}", getattr(sp, param.name))
         check(sp.mu_max >= 0, f"{tag}.mu_max", "mu_max must be >= 0")
         check(sp.K > 0, f"{tag}.K", "K must be > 0")
         check(sp.Y > 0, f"{tag}.Y", "Y must be > 0")
@@ -235,7 +252,11 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
         check(sp.Y_psi > 0, f"{tag}.Y_psi", "Y_psi must be > 0")
         check(sp.D_psi > 0, f"{tag}.D_psi", "D_psi must be > 0")
     for j, sb in enumerate(cfg.substrates, start=1):
+        finite(f"substrate.{j}.D", sb.D)
         check(sb.D > 0, f"substrate.{j}.D", "D must be > 0")
+    finite("scenario.delta", cfg.delta)
+    finite("scenario.horizon", cfg.horizon)
+    finite("scenario.snapshot_times", *cfg.snapshot_times)
     check(cfg.delta >= 0, "scenario.delta", "delta must be >= 0")
     check(cfg.horizon >= 0, "scenario.horizon", "horizon must be >= 0")
 
@@ -265,6 +286,8 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
           "each row needs one coefficient per species")
 
     nm = cfg.numerics
+    for name in ("dt_max", "L_eps", "newton_tol", "picard_tol"):
+        finite(f"numerics.{name}", getattr(nm, name))
     check(nm.N >= 8, "numerics.N", "N must be >= 8")
     check(nm.dt_max > 0, "numerics.dt_max", "dt_max must be > 0")
     check(nm.L_eps > 0, "numerics.L_eps", "L_eps must be > 0")

@@ -15,6 +15,9 @@ interface-flux evaluation, the explicit interface update and the explicit
 parcel update.  The dissolved fields are constraints re-solved from the
 resampled fractions, so they pass between the solves as arrays: no step
 builds a ``BiofilmState``, and each emitted :class:`Snapshot` holds one.
+The substrate Newton of a step starts from the linear extrapolation in time
+of the last two substrate solutions, the standard starting value for the
+algebraic part of a differential-algebraic system.
 Steps are capped at ``dt_max`` and land exactly on snapshot times and
 bulk-trace breakpoints, so a run is deterministic for a fixed configuration.
 """
@@ -185,6 +188,8 @@ class _CharacteristicEngine:
         self.fz = np.column_stack([seed.f[:, 0], seed.f[:, 0]])
         self.zeta = seed.zeta
         self.S_uniform = np.array(seed.S)
+        # (t, S) of the last two substrate solves, oldest first
+        self._solved = []
         self.drift = 0.0
         self.clamped = 0
 
@@ -193,6 +198,15 @@ class _CharacteristicEngine:
         zu = self.zeta * self.L
         return np.stack([np.interp(zu, self.z, self.fz[i])
                          for i in range(self.fz.shape[0])])
+
+    def _predicted_S(self, t: float) -> np.ndarray:
+        """Newton start for the substrates at time t: the linear extrapolation
+        in time of the last two solutions (steps may be uneven), or the last
+        solution while there are fewer than two."""
+        if len(self._solved) < 2:
+            return self.S_uniform
+        (t2, S2), (t1, S1) = self._solved
+        return S1 + (t - t1) / (t1 - t2) * (S1 - S2)
 
     def snapshot(self) -> Snapshot:
         return make_snapshot(self.t, self.L, self.zeta, self.uniform_f(),
@@ -207,8 +221,9 @@ class _CharacteristicEngine:
         """
         cfg = self.cfg
         f_u = self.uniform_f()
-        S_u, Psi_u = _equilibrate(self.t, self.L, f_u, self.S_uniform, cfg)
+        S_u, Psi_u = _equilibrate(self.t, self.L, f_u, self._predicted_S(self.t), cfg)
         self.S_uniform = S_u
+        self._solved = self._solved[-1:] + [(self.t, S_u)]
 
         zu = self.zeta * self.L
         S_lag = np.stack([np.interp(self.z, zu, S_u[j]) for j in range(cfg.m)])

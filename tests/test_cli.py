@@ -31,6 +31,19 @@ class TestRunCommand:
     def test_run_requires_scenario(self, tmp_path):
         assert cli(["run", "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
 
+    def test_manifest_independent_of_config_location(self, tiny_config, tmp_path):
+        text = tiny_config.read_bytes()
+        manifests = []
+        for where in ("a", "a_much_longer_directory_name/nested"):
+            path = tmp_path / where / "tiny.cfg"
+            path.parent.mkdir(parents=True)
+            path.write_bytes(text)
+            out = tmp_path / f"out_{len(manifests)}"
+            assert cli(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
+            manifests.append((out / MANIFEST_NAME).read_bytes())
+        assert manifests[0] == manifests[1]
+        assert b"configuration loaded from file tiny.cfg\n" in manifests[0]
+
     def test_run_rejects_invalid_config(self, tiny_config, tmp_path):
         bad = tiny_config.read_text().replace("scenario.delta = 2000.0",
                                               "scenario.delta = -1.0")
@@ -52,6 +65,14 @@ class TestValidateCommand:
         path.write_text(bad)
         assert cli(["validate", "--config", str(path)]) == EXIT_VALIDATION
         assert "delta" in capsys.readouterr().out
+
+    def test_infinite_horizon_rejected(self, tiny_config, capsys):
+        text = tiny_config.read_text()
+        assert "scenario.horizon = 0.02\n" in text
+        path = tiny_config.parent / "forever.cfg"
+        path.write_text(text.replace("scenario.horizon = 0.02", "scenario.horizon = inf"))
+        assert cli(["validate", "--config", str(path)]) == EXIT_VALIDATION
+        assert "scenario.horizon: must be finite" in capsys.readouterr().out
 
     def test_unparseable_config(self, tmp_path):
         path = tmp_path / "broken.cfg"

@@ -14,6 +14,10 @@ CASE2 = build_preset("case2").cfg
 SHARED = dataclasses.replace(CASE2, stoichiometry=Stoichiometry(
     substrate_of=(0, 0, 2),
     production=((-1.3, -0.7, 0.0), (0.25, 0.0, 0.0), (0.6, 0.0, -2.5))))
+# Species 1 and 3 share substrate 1 without being adjacent.
+SPLIT = dataclasses.replace(CASE2, stoichiometry=Stoichiometry(
+    substrate_of=(0, 1, 0),
+    production=((-1.3, 0.0, -0.4), (0.25, -1.0, 0.0), (0.6, 0.0, 0.0))))
 # Trailing node shapes: one point, a grid, and the oracle's (t0, t) plane.
 TRAILING = ((), (7,), (4, 5))
 
@@ -89,14 +93,75 @@ class TestSubstrateRates:
         rng = np.random.default_rng(7)
         f = rng.random((3, 5)) / 3.0
         S = rng.random((3, 5)) * 50.0
-        jac = kinetics.substrate_rate_jacobian_diag(f, S, CASE1)
         eps = 1e-6
         for j in range(3):
+            jac = kinetics.substrate_rate_jacobian_diag(f, S[j], j, CASE1)
             Sp = S.copy(); Sp[j] += eps
             Sm = S.copy(); Sm[j] -= eps
             num = (kinetics.substrate_rates(f, Sp, CASE1)[j]
                    - kinetics.substrate_rates(f, Sm, CASE1)[j]) / (2 * eps)
-            np.testing.assert_allclose(jac[j], num, rtol=1e-5, atol=1e-8)
+            np.testing.assert_allclose(jac, num, rtol=1e-5, atol=1e-8)
+
+
+def all_rows_jacobian_diag(f, S, cfg):
+    """Frozen copy of the earlier all-rows kernel: the Jacobian diagonal of
+    every row, accumulated species by species."""
+    a = cfg.arrays
+    f = kinetics._clamped(f, "fraction")
+    S = np.asarray(S, dtype=float)
+    mu = a["mu_max"].reshape(-1, 1)
+    K = a["K"].reshape(mu.shape)
+    dload = mu * kinetics.dmonod(S[a["substrate_of"]], K) * f \
+        * a["rho_Y"].reshape(mu.shape)
+    out = np.zeros_like(S)
+    for i, j in enumerate(a["substrate_of"]):
+        out[j] += float(a["W"][j, i]) * dload[i]
+    return out
+
+
+def assert_bitwise(actual, expected):
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def random_grid(rng, K=201):
+    """Fractions with signed zeros and substrates with signed zeros and
+    negative entries, which the rates clamp."""
+    f = rng.random((3, K)) / 3.0
+    f[rng.random((3, K)) < 0.3] = 0.0
+    f[rng.random((3, K)) < 0.1] = -0.0
+    S = rng.normal(20.0, 40.0, (3, K))
+    S[rng.random((3, K)) < 0.1] = 0.0
+    S[rng.random((3, K)) < 0.1] = -0.0
+    return f, S
+
+
+class TestRowKernels:
+    @pytest.mark.parametrize("cfg", [CASE1, SHARED, SPLIT],
+                             ids=["case1", "shared", "split"])
+    def test_row_rate_bitwise_equal_to_full_rates(self, cfg):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            f, S = random_grid(rng)
+            rate = kinetics.substrate_row_rates(f, S, cfg)
+            full = kinetics.substrate_rates(f, S, cfg)
+            for j in range(3):
+                assert_bitwise(rate(j, S[j]), full[j])
+            # replace rows one at a time; later rows see the earlier ones
+            for j in rng.permutation(3):
+                S[j] = random_grid(rng)[1][j]
+                assert_bitwise(rate(j, S[j]), kinetics.substrate_rates(f, S, cfg)[j])
+
+    @pytest.mark.parametrize("cfg", [CASE1, SHARED, SPLIT],
+                             ids=["case1", "shared", "split"])
+    def test_row_jacobian_bitwise_equal_to_all_rows_loop(self, cfg):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            f, S = random_grid(rng)
+            full = all_rows_jacobian_diag(f, S, cfg)
+            for j in range(3):
+                assert_bitwise(kinetics.substrate_rate_jacobian_diag(f, S[j], j, cfg),
+                               full[j])
 
 
 class TestColonization:

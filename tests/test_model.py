@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,8 @@ from biofilm1d.errors import NoAttachment
 from biofilm1d.kinetics import attachment_flux
 from biofilm1d.model import (CONSTRAINT_TOL, NumericsConfig, Regime,
                              ScenarioConfig, SpeciesParams, Stoichiometry,
-                             SubstrateParams, initial_state, validate_config)
+                             SubstrateParams, Violation, initial_state,
+                             validate_config)
 from biofilm1d.presets import build_preset
 from biofilm1d.traces import BulkTraces, ConstantTrace
 
@@ -58,6 +60,32 @@ class TestValidateConfig:
     def test_unsorted_snapshots_flagged(self):
         report = validate_config(make_cfg(snapshot_times=(0.5, 0.25)))
         assert any("sorted" in v.constraint for v in report.violations)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field_name, build", [
+        ("species.2.mu_max", lambda cfg, x: dataclasses.replace(cfg, species=(
+            cfg.species[0], dataclasses.replace(cfg.species[1], mu_max=x),
+            cfg.species[2]))),
+        ("species.1.D_psi", lambda cfg, x: dataclasses.replace(cfg, species=(
+            dataclasses.replace(cfg.species[0], D_psi=x),) + cfg.species[1:])),
+        ("substrate.3.D", lambda cfg, x: dataclasses.replace(
+            cfg, substrates=cfg.substrates[:2] + (SubstrateParams(x),))),
+        ("scenario.delta", lambda cfg, x: dataclasses.replace(cfg, delta=x)),
+        ("scenario.horizon", lambda cfg, x: dataclasses.replace(cfg, horizon=x)),
+        ("scenario.snapshot_times",
+         lambda cfg, x: dataclasses.replace(cfg, snapshot_times=(0.5, x))),
+        ("numerics.dt_max", lambda cfg, x: dataclasses.replace(
+            cfg, numerics=dataclasses.replace(cfg.numerics, dt_max=x))),
+        ("numerics.L_eps", lambda cfg, x: dataclasses.replace(
+            cfg, numerics=dataclasses.replace(cfg.numerics, L_eps=x))),
+        ("numerics.newton_tol", lambda cfg, x: dataclasses.replace(
+            cfg, numerics=dataclasses.replace(cfg.numerics, newton_tol=x))),
+        ("numerics.picard_tol", lambda cfg, x: dataclasses.replace(
+            cfg, numerics=dataclasses.replace(cfg.numerics, picard_tol=x))),
+    ])
+    def test_non_finite_value_flagged(self, field_name, build, value):
+        report = validate_config(build(make_cfg(), value))
+        assert Violation(field_name, "must be finite") in report.violations
 
     def test_reports_do_not_raise(self):
         cfg = make_cfg(delta=-1.0)

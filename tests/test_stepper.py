@@ -1,12 +1,13 @@
 import copy
 import dataclasses
 import logging
+import warnings
 
 import numpy as np
 import pytest
 
-from biofilm1d import elliptic, stepper
-from biofilm1d.errors import NoAttachment
+from biofilm1d import elliptic, kinetics, stepper
+from biofilm1d.errors import BoundaryLayerResolutionWarning, NoAttachment
 from biofilm1d.kinetics import (RateBundle, attachment_flux, detachment_flux,
                                 inflow_fractions)
 from biofilm1d.model import (NumericsConfig, Regime, ScenarioConfig, SpeciesParams,
@@ -275,9 +276,12 @@ class TestRun:
 
     def test_traced_bindings_called_once_per_step(self, monkeypatch):
         # perfbench/tracing.py counts steps, parcels, Newton iterations and
-        # per-field solves by patching these module globals; a loop that
-        # bypassed them would leave those counters at zero.
+        # per-field solves by patching these module globals, and times the
+        # kinetics through the ``kinetics`` module; a loop that bypassed them
+        # would leave those counters at zero.
         calls = {"solve_substrates": 0, "rate_bundle": 0}
+        kinetic_calls = {"substrate_rates": 0, "substrate_rate_jacobian_diag": 0}
+        per_step = []  # kinetics calls made inside each step's substrate solve
         field_solves, iterations = [0], []
         in_snapshot = [0]
 
@@ -287,10 +291,22 @@ class TestRun:
             def wrapper(*args, **kwargs):
                 if not in_snapshot[0]:
                     calls[name] += 1
+                before = dict(kinetic_calls)
                 out = real(*args, **kwargs)
                 if name == "solve_substrates":
                     iterations.extend(sol.iterations for sol in out)
+                    if not in_snapshot[0]:
+                        per_step.append({k: kinetic_calls[k] - before[k]
+                                         for k in kinetic_calls})
                 return out
+            return wrapper
+
+        def kinetic(name):
+            real = getattr(kinetics, name)
+
+            def wrapper(*args, **kwargs):
+                kinetic_calls[name] += 1
+                return real(*args, **kwargs)
             return wrapper
 
         real_snapshot = stepper.make_snapshot
@@ -312,11 +328,21 @@ class TestRun:
             monkeypatch.setattr(stepper, name, counted(name))
         monkeypatch.setattr(stepper, "make_snapshot", snapshot)
         monkeypatch.setattr(elliptic, "solve_problem", field_solve)
+        for name in kinetic_calls:
+            monkeypatch.setattr(kinetics, name, kinetic(name))
         cfg = small_case1()
         res = run(cfg)
         steps = res.boundary.t.size - 1
         assert steps == 100 and len(res.snapshots) == 2
         assert calls == {"solve_substrates": steps, "rate_bundle": steps}
+        # perfbench fails a traced op in which either kinetics count is zero.
+        # The coupled check evaluates every rate once per step.  The first
+        # step needs no Newton iteration: at the seed thickness the bulk
+        # values already meet the tolerance.
+        assert len(per_step) == steps
+        assert all(counts["substrate_rates"] >= 1 for counts in per_step)
+        assert all(counts["substrate_rate_jacobian_diag"] >= 1
+                   for counts in per_step[1:])
         # one Newton solve per field and substrate solve, snapshots included
         # (the built-in network is triangular, so one sweep converges)
         assert len(iterations) == cfg.m * (steps + len(res.snapshots))
@@ -340,3 +366,46 @@ class TestRun:
         snap = res.snapshots[-1]
         assert snap.state.L > 0.0
         assert snap.state.sum_f_drift() <= 1e-8
+
+
+class TestPredictedNewtonStart:
+    """The substrate Newton starts from the time extrapolation of the last two
+    solutions; that moves the answers by about the Newton tolerance."""
+
+    @staticmethod
+    def short_run(monkeypatch, case, horizon):
+        cfg = build_preset(case).cfg
+        times = tuple(sorted({0.0, horizon / 2, horizon}
+                             | {t for t in cfg.snapshot_times if t < horizon}))
+        cfg = dataclasses.replace(cfg, horizon=horizon, snapshot_times=times)
+        iterations = [0]
+        real = stepper.solve_substrates
+
+        def counted(*args, **kwargs):
+            out = real(*args, **kwargs)
+            iterations[0] += sum(sol.iterations for sol in out)
+            return out
+
+        with monkeypatch.context() as m, warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryLayerResolutionWarning)
+            m.setattr(stepper, "solve_substrates", counted)
+            return run(cfg), iterations[0]
+
+    @pytest.mark.parametrize("case, horizon", [("case2", 0.3), ("case1", 0.05)])
+    def test_close_to_last_solution_start_in_fewer_iterations(self, monkeypatch,
+                                                              case, horizon):
+        new, new_iterations = self.short_run(monkeypatch, case, horizon)
+        with monkeypatch.context() as m:
+            m.setattr(_CharacteristicEngine, "_predicted_S",
+                      lambda engine, t: engine.S_uniform)
+            old, old_iterations = self.short_run(monkeypatch, case, horizon)
+
+        assert new_iterations < old_iterations
+        np.testing.assert_array_equal(new.boundary.t, old.boundary.t)
+        np.testing.assert_allclose(new.boundary.L, old.boundary.L, rtol=1e-6, atol=0)
+        assert len(new.snapshots) == len(old.snapshots) >= 3
+        for a, b in zip(new.snapshots, old.snapshots):
+            assert a.state.L == pytest.approx(b.state.L, rel=1e-6, abs=0)
+            for name in ("S", "f", "Psi"):
+                np.testing.assert_allclose(getattr(a.state, name),
+                                           getattr(b.state, name), rtol=0, atol=1e-4)
