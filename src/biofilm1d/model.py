@@ -226,6 +226,19 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
+def _trace_numbers(trace) -> list:
+    """Every number a bulk-trace descriptor holds (its ``value``, ``psi30``
+    and ``t1``, or its table ``times`` and ``values``)."""
+    numbers = []
+    for param in fields(trace):
+        v = getattr(trace, param.name)
+        if isinstance(v, tuple):
+            numbers.extend(v)
+        elif not isinstance(v, str):
+            numbers.append(v)
+    return numbers
+
+
 def validate_config(cfg: ScenarioConfig) -> ValidationReport:
     """Check every declared invariant of a scenario; report, never raise."""
     bad = []
@@ -269,9 +282,11 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
     check(len(cfg.bulk.psi_star) == cfg.n, "bulk.psi", "one trace per species required")
     check(len(cfg.bulk.s_star) == cfg.m, "bulk.s", "one trace per substrate required")
     for i, tr in enumerate(cfg.bulk.psi_star, start=1):
+        finite(f"bulk.psi.{i}", *_trace_numbers(tr))
         check(tr.lower_bound(cfg.horizon) >= 0, f"bulk.psi.{i}",
               "bulk trace must stay >= 0 over the horizon")
     for j, tr in enumerate(cfg.bulk.s_star, start=1):
+        finite(f"bulk.s.{j}", *_trace_numbers(tr))
         check(tr.lower_bound(cfg.horizon) >= 0, f"bulk.s.{j}",
               "bulk trace must stay >= 0 over the horizon")
 

@@ -13,6 +13,17 @@ integrand bounds and Lipschitz constants over a stated box.
 
 This solver shares only the kinetics with the time stepper, so it serves as
 an independent cross-check of the finite-difference path.
+
+Interface law: the oracle solves ``L = Sigma + int u_L`` with
+``Sigma = int sigma_a`` and launches each characteristic at
+``c_t0 = sigma_a``, so it has attachment and no erosion; the detachment
+flux ``delta L^2`` enters only the check that raises
+:class:`DetachmentRegime`.  The time stepper moves the interface with
+``u_L + sigma_a - delta L^2``, so the two solve different laws wherever
+erosion is not negligible (ROADMAP item 1).
+
+Memory: one Picard step holds the old and new iterates plus a few working
+arrays, about ``11 * n * (G+1)**2 * 8`` bytes at its peak.
 """
 
 from __future__ import annotations
@@ -62,64 +73,96 @@ class CharField:
 
 def _iterate_map(cfg, times, mask, X0, S_star, psi_star, Sigma, sigma_a,
                  x, s, psi, L, c, ct0):
-    """One application of the integral map; returns the new tuple of fields."""
+    """One application of the integral map; returns the new tuple of fields.
+
+    Each (n, G+1, G+1) working array is built in place on a buffer the map
+    owns and dropped once used, so a step holds the two iterates and a few
+    working arrays; the arithmetic, operand order included, is the plain
+    expression written in each comment.
+    """
     delta = times[1] - times[0]
     a = cfg.arrays
     rho = a["rho"][:, None, None]
-
-    f = x / rho
-    bundle = kinetics.rate_bundle(f, s, psi, cfg)
-    G = bundle.G * mask
-    F_x = (rho * (bundle.r_M + bundle.r_col) - x * bundle.G) * mask
-    r_S = bundle.r_S * mask
-    r_Psi = bundle.r_Psi * mask
-
     idx = np.arange(times.size)
 
+    bundle = kinetics.rate_bundle(x / rho, s, psi, cfg)
+    F_x, xG, r_S, r_Psi, g = (bundle.r_M, bundle.r_col, bundle.r_S,
+                              bundle.r_Psi, bundle.G)
+    del bundle
+
+    # F_x = (rho * (r_M + r_col) - x * G) * mask, with G unmasked.
+    np.add(F_x, xG, out=F_x)
+    np.multiply(rho, F_x, out=F_x)
+    np.multiply(x, g, out=xG)
+    np.subtract(F_x, xG, out=F_x)
+    del xG
+    F_x *= mask
+
     # Sessile concentrations: line integrals along each characteristic.
-    Cx = _ctz(F_x, axis=2, delta=delta)
-    x_new = X0[:, :, None] + Cx - Cx[:, idx, idx][:, :, None]
+    # x_new = X0 + Cx - diag(Cx)
+    x_new = _ctz(F_x, axis=2, delta=delta)
+    del F_x
+    diag = x_new[:, idx, idx][:, :, None]
+    np.add(X0[:, :, None], x_new, out=x_new)
+    x_new -= diag
 
     # Dissolved fields: double integrals across the slice at fixed t.
-    g = G * ct0                       # shared geometric integrand
     def dissolved(rate, Dcoef, bulk_t):
-        W = rate * ct0
-        I1 = _ctz(W, axis=1, delta=delta)          # over the inner t0 coordinate
-        V = ct0[None, :, :] * I1
-        C2 = _ctz(V, axis=1, delta=delta)
+        # W = rate * mask * ct0, V = ct0 * I1, C2 = ctz(V),
+        # result = bulk + (diag(C2) - C2) / D
+        rate *= mask
+        rate *= ct0
+        I1 = _ctz(rate, axis=1, delta=delta)        # over the inner t0 coordinate
+        np.multiply(ct0[None, :, :], I1, out=rate)
+        del I1
+        C2 = _ctz(rate, axis=1, delta=delta)
         diag = C2[:, idx, idx]
-        return bulk_t[:, None, :] + (diag[:, None, :] - C2) / Dcoef[:, None, None]
+        np.subtract(diag[:, None, :], C2, out=C2)
+        C2 /= Dcoef[:, None, None]
+        return np.add(bulk_t[:, None, :], C2, out=C2)
 
     s_new = dissolved(r_S, a["D"], S_star)
+    del r_S
     psi_new = dissolved(r_Psi, a["D_psi"], psi_star)
+    del r_Psi
+
+    # Shared geometric integrand g = G * mask * ct0.
+    g *= mask
+    g *= ct0
 
     # Interface: Sigma plus the time integral of the interface velocity.
     Ig = _ctz(g, axis=0, delta=delta)              # integral over t0 up to row index
     u_iface = Ig[idx, idx]
     L_new = Sigma + _ctz(u_iface, axis=0, delta=delta)
 
-    # Characteristic positions and their t0 derivative.
-    Q = _ctz(Ig, axis=1, delta=delta)
-    c_new = L_new[:, None] + Q - Q[idx, idx][:, None]
-    R = _ctz(g, axis=1, delta=delta)
-    ct0_new = sigma_a[:, None] + R - R[idx, idx][:, None]
+    # Characteristic positions and their t0 derivative:
+    # c_new = L_new + Q - diag(Q), ct0_new = sigma_a + R - diag(R).
+    c_new = _ctz(Ig, axis=1, delta=delta)
+    del Ig
+    diag = c_new[idx, idx][:, None]
+    np.add(L_new[:, None], c_new, out=c_new)
+    c_new -= diag
+    ct0_new = _ctz(g, axis=1, delta=delta)
+    diag = ct0_new[idx, idx][:, None]
+    np.add(sigma_a[:, None], ct0_new, out=ct0_new)
+    ct0_new -= diag
 
     return x_new, s_new, psi_new, L_new, c_new, ct0_new
 
 
 def _distance(mask, old, new):
     """Summed per-component sup distances over the valid wedge."""
+    diff = np.empty(mask.shape)
     total = 0.0
     for A, B in zip(old, new):
         if A.ndim == 1:
             total += float(np.max(np.abs(B - A)))
-        else:
-            diff = np.abs(B - A)
-            if diff.ndim == 3:
-                for comp in diff:
-                    total += float(np.max(comp[mask]))
-            else:
-                total += float(np.max(diff[mask]))
+            continue
+        for a_plane, b_plane in zip(A.reshape((-1,) + mask.shape),
+                                    B.reshape((-1,) + mask.shape)):
+            np.subtract(b_plane, a_plane, out=diff)
+            np.abs(diff, out=diff)
+            total += float(np.max(diff, where=mask, initial=0.0))
     return total
 
 
@@ -158,14 +201,15 @@ def picard_solve(cfg, T_o: float, grid_n: int, tol: Optional[float] = None,
     Sigma = _ctz(sigma_a, axis=0, delta=times[1] - times[0])
 
     # Zeroth iterate: boundary data swept across the wedge.
-    ones = np.ones((G1, G1))
     if zeroth is None:
+        ones = np.ones((G1, G1))
         x = X0[:, :, None] * ones
         s = S_b[:, None, :] * ones
         psi = psi_b[:, None, :] * ones
         L = Sigma.copy()
         c = Sigma[:, None] * ones
         ct0 = sigma_a[:, None] * ones
+        del ones
     else:
         x, s, psi, L, c, ct0 = (np.array(a, dtype=float) for a in zeroth)
 
@@ -197,8 +241,10 @@ def picard_solve(cfg, T_o: float, grid_n: int, tol: Optional[float] = None,
             "detachment would dominate on this horizon; the characteristic "
             "formulation only covers the attachment regime")
 
-    fields = CharField(times=times, x=x * mask, s=s * mask, psi=psi * mask,
-                       c=c * mask, c_t0=ct0 * mask, L=L)
+    # The iterates are the map's own arrays: mask them in place.
+    for A in (x, s, psi, c, ct0):
+        A *= mask
+    fields = CharField(times=times, x=x, s=s, psi=psi, c=c, c_t0=ct0, L=L)
     return fields, history
 
 

@@ -74,6 +74,15 @@ class TestValidateCommand:
         assert cli(["validate", "--config", str(path)]) == EXIT_VALIDATION
         assert "scenario.horizon: must be finite" in capsys.readouterr().out
 
+    def test_infinite_bulk_trace_rejected(self, tiny_config, capsys):
+        text = tiny_config.read_text()
+        assert "bulk.s.1 = constant,100.0\n" in text
+        path = tiny_config.parent / "flood.cfg"
+        path.write_text(text.replace("bulk.s.1 = constant,100.0",
+                                     "bulk.s.1 = table,0.0:100.0;1.0:inf"))
+        assert cli(["validate", "--config", str(path)]) == EXIT_VALIDATION
+        assert "bulk.s.1: must be finite" in capsys.readouterr().out
+
     def test_unparseable_config(self, tmp_path):
         path = tmp_path / "broken.cfg"
         path.write_text("scenario.delta == oops\n")

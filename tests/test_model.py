@@ -16,7 +16,7 @@ from biofilm1d.model import (CONSTRAINT_TOL, NumericsConfig, Regime,
                              SubstrateParams, Violation, initial_state,
                              validate_config)
 from biofilm1d.presets import build_preset
-from biofilm1d.traces import BulkTraces, ConstantTrace
+from biofilm1d.traces import BulkTraces, ConstantTrace, RampTrace, TableTrace
 
 
 def make_cfg(psi=(100.0, 100.0, 0.0), v_a=(0.025, 0.025, 0.025), **overrides):
@@ -37,6 +37,14 @@ def make_cfg(psi=(100.0, 100.0, 0.0), v_a=(0.025, 0.025, 0.025), **overrides):
     )
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def with_trace(cfg, kind, k, trace):
+    """``cfg`` with bulk trace ``k`` of ``kind`` (psi_star or s_star) replaced."""
+    traces = list(getattr(cfg.bulk, kind))
+    traces[k] = trace
+    return dataclasses.replace(
+        cfg, bulk=dataclasses.replace(cfg.bulk, **{kind: tuple(traces)}))
 
 
 class TestValidateConfig:
@@ -82,10 +90,21 @@ class TestValidateConfig:
             cfg, numerics=dataclasses.replace(cfg.numerics, newton_tol=x))),
         ("numerics.picard_tol", lambda cfg, x: dataclasses.replace(
             cfg, numerics=dataclasses.replace(cfg.numerics, picard_tol=x))),
+        ("bulk.s.1", lambda cfg, x: with_trace(cfg, "s_star", 0, ConstantTrace(x))),
+        ("bulk.psi.3", lambda cfg, x: with_trace(cfg, "psi_star", 2, RampTrace(x, 0.2))),
+        ("bulk.psi.3", lambda cfg, x: with_trace(cfg, "psi_star", 2, RampTrace(50.0, x))),
+        ("bulk.s.2", lambda cfg, x: with_trace(
+            cfg, "s_star", 1, TableTrace((0.0, 1.0), (100.0, x)))),
     ])
     def test_non_finite_value_flagged(self, field_name, build, value):
         report = validate_config(build(make_cfg(), value))
         assert Violation(field_name, "must be finite") in report.violations
+
+    @pytest.mark.parametrize("times", [(0.0, math.inf), (math.nan, 1.0)])
+    def test_non_finite_table_time_flagged(self, times):
+        cfg = with_trace(make_cfg(), "s_star", 2, TableTrace(times, (100.0, 50.0)))
+        report = validate_config(cfg)
+        assert Violation("bulk.s.3", "must be finite") in report.violations
 
     def test_reports_do_not_raise(self):
         cfg = make_cfg(delta=-1.0)

@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from biofilm1d import kinetics, oracle
 from biofilm1d.errors import DetachmentRegime, NonConvergence, OutOfDomain
 from biofilm1d.oracle import (CharPath, ContractionBox, _ctz, _velocity_field,
                               box_from_run, characteristic_trace,
@@ -13,6 +15,8 @@ from biofilm1d.presets import build_preset
 from biofilm1d.stepper import BoundaryTrace, ProfileTrace, RunResult, run
 
 CASE1 = build_preset("case1").cfg
+CASE2 = build_preset("case2").cfg
+CASE3 = build_preset("case3").cfg
 
 
 def dead_cfg():
@@ -112,6 +116,131 @@ class TestPicardSolve:
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
             picard_solve(CASE1, T_o=0.0, grid_n=10)
+
+
+def full_temporaries_map(cfg, times, mask, X0, S_star, psi_star, Sigma,
+                         sigma_a, x, s, psi, L, c, ct0):
+    """Reference integral map: one fresh full-size array per expression."""
+    delta = times[1] - times[0]
+    a = cfg.arrays
+    rho = a["rho"][:, None, None]
+
+    f = x / rho
+    bundle = kinetics.rate_bundle(f, s, psi, cfg)
+    G = bundle.G * mask
+    F_x = (rho * (bundle.r_M + bundle.r_col) - x * bundle.G) * mask
+    r_S = bundle.r_S * mask
+    r_Psi = bundle.r_Psi * mask
+
+    idx = np.arange(times.size)
+
+    Cx = _ctz(F_x, axis=2, delta=delta)
+    x_new = X0[:, :, None] + Cx - Cx[:, idx, idx][:, :, None]
+
+    g = G * ct0
+    def dissolved(rate, Dcoef, bulk_t):
+        W = rate * ct0
+        I1 = _ctz(W, axis=1, delta=delta)
+        V = ct0[None, :, :] * I1
+        C2 = _ctz(V, axis=1, delta=delta)
+        diag = C2[:, idx, idx]
+        return bulk_t[:, None, :] + (diag[:, None, :] - C2) / Dcoef[:, None, None]
+
+    s_new = dissolved(r_S, a["D"], S_star)
+    psi_new = dissolved(r_Psi, a["D_psi"], psi_star)
+
+    Ig = _ctz(g, axis=0, delta=delta)
+    u_iface = Ig[idx, idx]
+    L_new = Sigma + _ctz(u_iface, axis=0, delta=delta)
+
+    Q = _ctz(Ig, axis=1, delta=delta)
+    c_new = L_new[:, None] + Q - Q[idx, idx][:, None]
+    R = _ctz(g, axis=1, delta=delta)
+    ct0_new = sigma_a[:, None] + R - R[idx, idx][:, None]
+
+    return x_new, s_new, psi_new, L_new, c_new, ct0_new
+
+
+def boolean_index_distance(mask, old, new):
+    """Reference iterate distance: sup over boolean-indexed copies."""
+    total = 0.0
+    for A, B in zip(old, new):
+        if A.ndim == 1:
+            total += float(np.max(np.abs(B - A)))
+        else:
+            diff = np.abs(B - A)
+            if diff.ndim == 3:
+                for comp in diff:
+                    total += float(np.max(comp[mask]))
+            else:
+                total += float(np.max(diff[mask]))
+    return total
+
+
+def solve_with_reference_map(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "_iterate_map", full_temporaries_map)
+        mp.setattr(oracle, "_distance", boolean_index_distance)
+        return picard_solve(*args, **kwargs)
+
+
+def assert_bitwise_equal(a, b):
+    """Equal bit patterns: signs of zero and NaN payloads included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def assert_same_solve(got, ref):
+    (fields, history), (ref_fields, ref_history) = got, ref
+    for name in ("times", "x", "s", "psi", "c", "c_t0", "L"):
+        assert_bitwise_equal(getattr(fields, name), getattr(ref_fields, name))
+    assert_bitwise_equal(history, ref_history)
+
+
+class TestBoundedTemporaries:
+    @pytest.mark.parametrize("cfg, T_o, grid_n", [
+        (CASE1, 0.02, 50), (CASE2, 5e-4, 60), (CASE3, 5e-4, 60),
+    ], ids=["case1", "case2", "case3"])
+    def test_bitwise_equal_to_reference_map(self, monkeypatch, cfg, T_o, grid_n):
+        got = picard_solve(cfg, T_o=T_o, grid_n=grid_n)
+        ref = solve_with_reference_map(monkeypatch, cfg, T_o=T_o, grid_n=grid_n)
+        assert_same_solve(got, ref)
+        assert len(got[1]) > 2
+        # colonization is on: the planktonic fields leave their bulk values
+        if cfg is not CASE1:
+            assert np.ptp(got[0].psi[:, got[0].wedge]) > 0.0
+
+    def test_zeroth_start_bitwise_equal_and_untouched(self, monkeypatch):
+        a, _ = picard_solve(CASE1, T_o=0.01, grid_n=40)
+        G1 = a.times.size
+        zeroth = (a.x * 0.0 + 2500.0, a.s * 0.97, a.psi * 0.95,
+                  a.L * -0.0, a.c * -0.0, np.full((G1, G1), 1e-3))
+        before = [z.copy() for z in zeroth]
+        got = picard_solve(CASE1, T_o=0.01, grid_n=40, zeroth=zeroth)
+        ref = solve_with_reference_map(monkeypatch, CASE1, T_o=0.01, grid_n=40,
+                                       zeroth=zeroth)
+        assert_same_solve(got, ref)
+        for z, z0 in zip(zeroth, before):
+            assert_bitwise_equal(z, z0)
+
+    def test_peak_memory_bounded(self):
+        grid_n = 100
+        picard_solve(CASE1, T_o=0.02, grid_n=grid_n)   # fill lazy caches first
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            picard_solve(CASE1, T_o=0.02, grid_n=grid_n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        # bytes of one (n, G+1, G+1) array; the two iterates are about 7.3
+        array_bytes = CASE1.n * (grid_n + 1) ** 2 * 8
+        assert peak - base <= 14 * array_bytes
 
 
 def synthetic_run(times, L_of_t, u_of_z_rows, N=40):
