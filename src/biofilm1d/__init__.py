@@ -12,10 +12,8 @@ the integral formulation is provably well posed.
 from .errors import (Biofilm1dError, BoundaryLayerResolutionWarning, ConfigError,
                      DetachmentRegime, IoFailure, NoAttachment, NonConvergence,
                      NumericalBlowup, OutOfDomain, SingularJacobian, UnknownPreset)
-from .kinetics import (RateBundle, attachment_flux, colonization_rates,
-                       detachment_flux, growth_rates, inflow_fractions, monod,
-                       planktonic_conversion_rates, rate_bundle, source_G,
-                       substrate_rates)
+from .kinetics import (RateBundle, attachment_flux, detachment_flux,
+                       inflow_fractions, monod, rate_bundle, substrate_rates)
 from .model import (CONSTRAINT_TOL, BiofilmState, NumericsConfig, Regime,
                     ScenarioConfig, Snapshot, SpeciesParams, Stoichiometry,
                     SubstrateParams, ValidationReport, initial_state,

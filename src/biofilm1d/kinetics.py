@@ -62,12 +62,6 @@ def _colonization(Psi, limitation, a):
         * limitation * Psi
 
 
-def growth_rates(f, S, cfg):
-    """Specific sessile growth rates, one per species (1/day)."""
-    f = _clamped(f, "fraction")
-    return _growth(f, _limitation(S, cfg.arrays, f.ndim), cfg.arrays)
-
-
 def _network_weighted(r_m, a):
     """r_S from the growth rates; ``np.dot`` on the flattened load is what
     ``np.tensordot(W, load, axes=(1, 0))`` runs, without its set-up cost."""
@@ -79,7 +73,9 @@ def _network_weighted(r_m, a):
 
 def substrate_rates(f, S, cfg):
     """Substrate conversion rates (g/m^3/day), network-weighted."""
-    return _network_weighted(growth_rates(f, S, cfg), cfg.arrays)
+    a = cfg.arrays
+    f = _clamped(f, "fraction")
+    return _network_weighted(_growth(f, _limitation(S, a, f.ndim), a), a)
 
 
 def substrate_row_rates(f, S, cfg):
@@ -94,7 +90,7 @@ def substrate_row_rates(f, S, cfg):
     """
     a = cfg.arrays
     f = _clamped(f, "fraction")
-    load = growth_rates(f, S, cfg) * _column(a["rho_Y"], 2)
+    load = _growth(f, _limitation(S, a, f.ndim), a) * _column(a["rho_Y"], 2)
     W = a["W"]
     rows = [(sp, mu, K, f[sp], rho_Y)
             for sp, _, mu, K, rho_Y in a["substrate_rows"]]
@@ -119,21 +115,6 @@ def substrate_rate_jacobian_diag(f, s, j, cfg):
     return out
 
 
-def colonization_rates(Psi, S, cfg):
-    """Sessile growth rates fed by planktonic cells (1/day)."""
-    Psi = _clamped(Psi, "planktonic")
-    return _colonization(Psi, _limitation(S, cfg.arrays, Psi.ndim), cfg.arrays)
-
-
-def _planktonic_from(r_col, a):
-    return -_column(a["rho"] / a["Y_psi"], r_col.ndim) * r_col
-
-
-def planktonic_conversion_rates(Psi, S, cfg):
-    """Planktonic consumption by the switch to sessile growth (g/m^3/day, <= 0)."""
-    return _planktonic_from(colonization_rates(Psi, S, cfg), cfg.arrays)
-
-
 def planktonic_sink_coefficients(S, cfg):
     """Coefficients kappa_i >= 0 with r_Psi[i] = -kappa_i * Psi[i] at frozen S."""
     a = cfg.arrays
@@ -148,11 +129,6 @@ def _sum_G(r_m, r_col):
     for i in range(1, r_m.shape[0]):
         G = G + (r_m[i] + r_col[i])
     return G
-
-
-def source_G(f, S, Psi, cfg):
-    """Velocity source: total specific volume production (1/day)."""
-    return _sum_G(growth_rates(f, S, cfg), colonization_rates(Psi, S, cfg))
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +151,8 @@ def rate_bundle(f, S, Psi, cfg) -> RateBundle:
     r_m = _growth(f, limitation, a)
     r_col = _colonization(Psi, limitation, a)
     return RateBundle(r_M=r_m, r_col=r_col, r_S=_network_weighted(r_m, a),
-                      r_Psi=_planktonic_from(r_col, a), G=_sum_G(r_m, r_col))
+                      r_Psi=-_column(a["rho"] / a["Y_psi"], r_col.ndim) * r_col,
+                      G=_sum_G(r_m, r_col))
 
 
 def attachment_flux(psi_star, cfg) -> float:

@@ -20,7 +20,7 @@ Interface law: the oracle solves ``L = Sigma + int u_L`` with
 flux ``delta L^2`` enters only the check that raises
 :class:`DetachmentRegime`.  The time stepper moves the interface with
 ``u_L + sigma_a - delta L^2``, so the two solve different laws wherever
-erosion is not negligible (ROADMAP item 1).
+erosion is not negligible (ROADMAP item 3).
 
 Memory: one Picard step holds the old and new iterates plus a few working
 arrays, about ``11 * n * (G+1)**2 * 8`` bytes at its peak.
@@ -186,6 +186,8 @@ def picard_solve(cfg, T_o: float, grid_n: int, tol: Optional[float] = None,
     nm = cfg.numerics
     tol = nm.picard_tol if tol is None else tol
     max_iter = nm.picard_max_iter if max_iter is None else max_iter
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
 
     G1 = grid_n + 1
     times = np.linspace(0.0, T_o, G1)
@@ -258,38 +260,24 @@ class CharPath:
     z: np.ndarray
 
 
-def _velocity_field(profiles):
-    """Bilinear u(z, t) interpolator over recorded profiles."""
-    pt, pL, pu = profiles.t, profiles.L, profiles.u
-    zeta = np.linspace(0.0, 1.0, pu.shape[1])
-
-    def u_at(z, t):
-        k = int(np.searchsorted(pt, t, side="right") - 1)
-        k = max(0, min(k, pt.size - 2))
-        w = 0.0 if pt[k + 1] == pt[k] else (t - pt[k]) / (pt[k + 1] - pt[k])
-        w = min(max(w, 0.0), 1.0)
-        ua = np.interp(z, zeta * pL[k], pu[k])
-        ub = np.interp(z, zeta * pL[k + 1], pu[k + 1])
-        return (1.0 - w) * ua + w * ub
-
-    return u_at
-
-
 def characteristic_trace(run_output: RunResult, t0,
                          t_end: Optional[float] = None) -> CharPath | list[CharPath]:
-    """Integrate material paths dz/dt = u(z, t) from the interface at t0.
+    """The characteristic ``c(t0, t)`` that leaves the interface at ``t0``,
+    read from the labelled parcels of a run recorded by
+    :func:`biofilm1d.stepper.run`.
 
-    Uses the dense profiles recorded by :func:`biofilm1d.stepper.run`
-    (midpoint rule on the recorded time grid); each path is clamped inside
-    [0, L(t)].  A float ``t0`` returns one :class:`CharPath`; a 1-D array of
-    launch times returns a list with one path per launch, each equal to the
-    path its scalar call returns::
+    A path starts at ``(t0, L(t0))`` and visits every record time after
+    ``t0`` up to ``t_end``, where its position is interpolated linearly in
+    launch-time label between the two parcels that bracket ``t0``; a path
+    launched at a record time is that record's top parcel.  An off-grid
+    ``t_end`` is reached by interpolating linearly in time towards the next
+    record.  A path ends at the last record where its parcel still exists,
+    that is before detachment sheds it.  A float ``t0`` returns one
+    :class:`CharPath`; a 1-D array of launch times returns a list with one
+    path per launch::
 
         path = characteristic_trace(result, 0.2, t_end=1.0)
         paths = characteristic_trace(result, np.linspace(0.0, 0.5, 6), 1.0)
-
-    Each path takes its own partial step from t0 to the next record time;
-    from there all paths step together over the record intervals.
     """
     profiles = run_output.profiles
     if profiles is None or profiles.t.size < 2:
@@ -304,46 +292,34 @@ def characteristic_trace(run_output: RunResult, t0,
     if t0s.size == 0:
         return []
 
-    u_at = _velocity_field(profiles)
+    def at_record(k):
+        """Every launch's position at record k, and whether its parcel exists."""
+        labels = profiles.parcel_t0[k]
+        return np.interp(t0s, labels, profiles.parcel_z[k]), t0s <= labels[-1]
 
-    def step(z, ta, tb):
-        dt = tb - ta
-        z_mid = z + 0.5 * dt * u_at(z, ta)
-        z = z + dt * u_at(z_mid, ta + 0.5 * dt)
-        return np.minimum(np.maximum(z, 0.0), float(np.interp(tb, pt, pL)))
-
-    # Nodes: the record times up to t_end, then t_end when it is off that grid.
+    # The record times up to t_end, each once; an off-grid t_end is bracketed
+    # by the last of them and the record after it.
     k_end = int(np.searchsorted(pt, t_end + 1e-15, side="right"))
-    nodes = pt[:k_end].tolist()
-    if nodes[-1] < t_end - 1e-15:
-        nodes.append(t_end)
-    stepped = np.ones(len(nodes), dtype=bool)
-
-    # Path i steps alone from its launch to nodes[first[i]], then rides every
-    # shared step after it; a launch past the last record node and within
-    # 1e-15 of t_end takes no step.
-    first = np.searchsorted(pt, t0s, side="right")
+    ks = [k for k in range(k_end) if k == 0 or pt[k] > pt[k - 1]]
+    zs, alive = (np.array(a) for a in zip(*map(at_record, ks)))
+    off_grid = pt[ks[-1]] < t_end - 1e-15 and k_end < pt.size
+    if off_grid:
+        z_next, alive_next = at_record(k_end)
     z_launch = np.interp(t0s, pt, pL)
-    z = z_launch.copy()
-    zs = np.empty((len(nodes), t0s.size))
-    for i, (ta, k) in enumerate(zip(t0s.tolist(), first.tolist())):
-        if k < k_end or (k < len(nodes) and ta < t_end - 1e-15):
-            z[i] = zs[k, i] = step(z[i], ta, nodes[k])
-        else:
-            first[i] = len(nodes)
-    for j, (ta, tb) in enumerate(zip(nodes[:-1], nodes[1:])):
-        if tb - ta <= 0.0:
-            stepped[j + 1] = False
-            continue
-        riding = first <= j
-        z[riding] = zs[j + 1, riding] = step(z[riding], ta, tb)
 
-    node_t = np.array(nodes)
+    tk = pt[ks]
     paths = []
-    for i, k in enumerate(first.tolist()):
-        visited = np.arange(k, len(nodes))[stepped[k:]]
-        paths.append(CharPath(t=np.concatenate(([t0s[i]], node_t[visited])),
-                              z=np.concatenate(([z_launch[i]], zs[visited, i]))))
+    for i, ta in enumerate(t0s.tolist()):
+        rows = np.flatnonzero(tk > ta)
+        kept = np.logical_and.accumulate(alive[rows, i])
+        rows = rows[kept]
+        t = np.concatenate(([ta], tk[rows]))
+        z = np.concatenate(([z_launch[i]], zs[rows, i]))
+        if off_grid and ta < t_end - 1e-15 and kept.all() and alive_next[i]:
+            w = (t_end - t[-1]) / (pt[k_end] - t[-1])
+            t = np.append(t, t_end)
+            z = np.append(z, z[-1] + w * (z_next[i] - z[-1]))
+        paths.append(CharPath(t=t, z=z))
     return paths if launches.ndim else paths[0]
 
 
@@ -360,7 +336,7 @@ def map_run_to_char_grid(run_output: RunResult, times: np.ndarray):
     n = rho.shape[0]
     G1 = times.size
     pt, pL, pf = profiles.t, profiles.L, profiles.f
-    zeta = np.linspace(0.0, 1.0, profiles.u.shape[1])
+    zeta = np.linspace(0.0, 1.0, profiles.f.shape[2])
 
     x = np.zeros((n, G1, G1))
     c = np.zeros((G1, G1))
@@ -404,15 +380,11 @@ class ContractionEstimate:
     M_x: np.ndarray
     M_s: np.ndarray
     M_psi: np.ndarray
-    M_L: float
-    M_c1: float
-    M_c2: float
+    M_L: float          # bounds the geometric kernel G c_t0 of L, c and c_t0
     lam_x: np.ndarray
     lam_s: np.ndarray
     lam_psi: np.ndarray
     lam_L: float
-    lam_c1: float
-    lam_c2: float
     a: float
     b: float
     caps: dict
@@ -553,9 +525,8 @@ def estimate_contraction(cfg, box: ContractionBox, t_max: Optional[float] = None
     T_star = T_min if math.isinf(T_min) else 0.99 * T_min
 
     return ContractionEstimate(
-        M_x=M_x, M_s=M_s, M_psi=M_psi, M_L=M_geo, M_c1=M_geo, M_c2=M_geo,
-        lam_x=lam_x, lam_s=lam_s, lam_psi=lam_psi,
-        lam_L=lam_geo, lam_c1=lam_geo, lam_c2=lam_geo,
+        M_x=M_x, M_s=M_s, M_psi=M_psi, M_L=M_geo,
+        lam_x=lam_x, lam_s=lam_s, lam_psi=lam_psi, lam_L=lam_geo,
         a=a_sum, b=b_sum, caps=caps, T_star=T_star, samples=pts.shape[0])
 
 

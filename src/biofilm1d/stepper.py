@@ -7,7 +7,8 @@ dominates, and parcels above the receding interface are shed during
 detachment.  Composition fronts stay sharp to round-off because fractions
 are never interpolated between parcels during a run; the parcels are
 resampled onto the uniform normalized grid only for the dissolved-field
-solves and for emitted snapshots.
+solves and for emitted snapshots.  Labelled with their launch times t0,
+the parcels are the characteristics ``c(t0, t)``.
 
 One step performs, in order: quasi-static substrate and planktonic solves
 on the uniform grid, rate evaluation on the parcels, velocity quadrature,
@@ -98,14 +99,16 @@ class BoundaryTrace:
 
 @dataclass(frozen=True, eq=False)
 class ProfileTrace:
-    """Dense uniform-grid profiles recorded each step (for path tracing)."""
+    """Records at each step start and at the horizon: uniform-grid fields,
+    and the parcels' abscissae with their launch times, bottom to top."""
 
     t: np.ndarray        # (steps,)
     L: np.ndarray        # (steps,)
-    u: np.ndarray        # (steps, N+1)
     f: np.ndarray        # (steps, n, N+1)
     S: np.ndarray        # (steps, m, N+1)
     Psi: np.ndarray      # (steps, n, N+1)
+    parcel_z: tuple      # (steps,) arrays of the parcel count at each record
+    parcel_t0: tuple     # (steps,) arrays of launch times, strictly increasing
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,25 +139,17 @@ def _forced_times(cfg: ScenarioConfig):
 
 class _TraceRecorder:
     def __init__(self, record_profiles, profile_t_max):
-        self.rows = []
+        self.rows, self.profile_rows = [], []
         self.record_profiles = record_profiles
         self.profile_t_max = profile_t_max
-        self.pt, self.pL, self.pu, self.pf, self.pS, self.pPsi = [], [], [], [], [], []
 
     def boundary_row(self, t, L, sa, sd, uL, attach, drift, clamped):
         self.rows.append((t, L, sa, sd, uL, attach, drift, clamped))
 
-    def wants_profile(self, t):
-        return self.record_profiles and t <= self.profile_t_max
-
-    def profile_row(self, t, L, u, f, S, Psi):
-        if self.wants_profile(t):
-            self.pt.append(t)
-            self.pL.append(L)
-            self.pu.append(np.array(u))
-            self.pf.append(np.array(f))
-            self.pS.append(np.array(S))
-            self.pPsi.append(np.array(Psi))
+    def profile_row(self, t, L, f, S, Psi, z, t0):
+        if self.record_profiles and t <= self.profile_t_max:
+            self.profile_rows.append(
+                (t, L) + tuple(np.array(a) for a in (f, S, Psi, z, t0)))
 
     def finish(self):
         cols = list(zip(*self.rows)) if self.rows else [[]] * 8
@@ -169,15 +164,20 @@ class _TraceRecorder:
             clamped_nodes=np.array(cols[7], dtype=int),
         )
         profiles = None
-        if self.record_profiles and self.pt:
-            profiles = ProfileTrace(t=np.array(self.pt), L=np.array(self.pL),
-                                    u=np.stack(self.pu), f=np.stack(self.pf),
-                                    S=np.stack(self.pS), Psi=np.stack(self.pPsi))
+        if self.profile_rows:
+            t, L, f, S, Psi, z, t0 = zip(*self.profile_rows)
+            profiles = ProfileTrace(t=np.array(t), L=np.array(L), f=np.stack(f),
+                                    S=np.stack(S), Psi=np.stack(Psi),
+                                    parcel_z=z, parcel_t0=t0)
         return boundary, profiles
 
 
 class _CharacteristicEngine:
-    """Lagrangian parcel transport; fractions never cross parcel boundaries."""
+    """Lagrangian parcel transport; fractions never cross parcel boundaries.
+
+    ``t0`` holds each parcel's launch time.  The seed film counts as attached
+    over the step before t = 0, so its substratum parcel takes ``-dt_max``.
+    """
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
@@ -185,6 +185,7 @@ class _CharacteristicEngine:
         self.t = 0.0
         self.L = float(seed.L)
         self.z = np.array([0.0, self.L])
+        self.t0 = np.array([-cfg.numerics.dt_max, 0.0])
         self.fz = np.column_stack([seed.f[:, 0], seed.f[:, 0]])
         self.zeta = seed.zeta
         self.S_uniform = np.array(seed.S)
@@ -207,6 +208,13 @@ class _CharacteristicEngine:
             return self.S_uniform
         (t2, S2), (t1, S1) = self._solved
         return S1 + (t - t1) / (t1 - t2) * (S1 - S2)
+
+    def land(self, t: float):
+        """Put the clock on the forced time ``t`` that the last step ended
+        within rounding of, relabelling the parcel attached over that step."""
+        if self.t0[-1] == self.t:
+            self.t0[-1] = t
+        self.t = t
 
     def snapshot(self) -> Snapshot:
         return make_snapshot(self.t, self.L, self.zeta, self.uniform_f(),
@@ -260,23 +268,24 @@ class _CharacteristicEngine:
             # composition of the parcel attached over [t, t+dt], sampled at
             # the step start where the attachment regime is guaranteed
             f_in = inflow_fractions(cfg.psi_star(self.t), cfg)
-            if L_new - z_new[-1] <= margin:
-                z_new[-1] = L_new
-                f_new[:, -1] = f_in
-            else:
-                z_new = np.append(z_new, L_new)
-                f_new = np.column_stack([f_new, f_in])
+            # a parcel attached within the margin of the top one replaces it
+            keep = slice(None, -1 if L_new - z_new[-1] <= margin else None)
+            z_new = np.append(z_new[keep], L_new)
+            f_new = np.column_stack([f_new[:, keep], f_in])
+            t0_new = np.append(self.t0[keep], t_new)
         else:
             # Receding interface: sample the material profile at the new top,
             # then shed everything above it.
             f_top = np.array([np.interp(L_new, z_new, f_new[i])
                               for i in range(f_new.shape[0])])
+            t0_top = np.interp(L_new, z_new, self.t0)
             keep = z_new < L_new - margin
             keep[0] = True
             z_new = np.append(z_new[keep], L_new)
             f_new = np.column_stack([f_new[:, keep], f_top])
+            t0_new = np.append(self.t0[keep], t0_top)
 
-        self.t, self.L, self.z, self.fz = t_new, L_new, z_new, f_new
+        self.t, self.L, self.z, self.fz, self.t0 = t_new, L_new, z_new, f_new, t0_new
         return sigma_a, sigma_d, u_L, z, u, f_u, S_u, Psi_u
 
 
@@ -291,8 +300,10 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
     """Integrate from t = 0 to the horizon, emitting scheduled snapshots.
 
     Steps land exactly on snapshot times and on bulk-trace breakpoints.
-    ``record_profiles`` keeps per-step uniform-grid velocity and composition
-    profiles (through ``profile_t_max``) for characteristic-path tracing.
+    ``record_profiles`` keeps a :class:`ProfileTrace` of every step that
+    starts by ``profile_t_max``: the uniform-grid fractions and dissolved
+    fields, and the labelled parcels that
+    :func:`biofilm1d.oracle.characteristic_trace` reads paths from.
     """
     report = validate_config(cfg)
     if not report.ok:
@@ -306,20 +317,18 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
     t = 0.0
     for target in _forced_times(cfg):
         while t < target - _TIME_SNAP * max(1.0, target):
-            t_prev, L_prev = engine.t, engine.L
-            sigma_a, sigma_d, u_L, z, u, f_u, S_u, Psi_u = engine.advance(
+            t_prev, L_prev, t0_prev = engine.t, engine.L, engine.t0
+            sigma_a, sigma_d, u_L, z, _, f_u, S_u, Psi_u = engine.advance(
                 min(cfg.numerics.dt_max, target - t))
             if not (np.isfinite(engine.L) and np.all(np.isfinite(engine.fz))):
                 raise NumericalBlowup("non-finite state after step", t=engine.t)
+            if abs(engine.t - target) <= _TIME_SNAP * max(1.0, target):
+                engine.land(target)
             t = engine.t
-            if abs(t - target) <= _TIME_SNAP * max(1.0, target):
-                t = engine.t = target
             rec.boundary_row(t_prev, L_prev, sigma_a, sigma_d, u_L,
                              Regime.classify(sigma_a, sigma_d) is Regime.ATTACHMENT,
                              engine.drift, engine.clamped)
-            if rec.wants_profile(t_prev):
-                rec.profile_row(t_prev, L_prev, np.interp(engine.zeta * L_prev, z, u),
-                                f_u, S_u, Psi_u)
+            rec.profile_row(t_prev, L_prev, f_u, S_u, Psi_u, z, t0_prev)
         _emit_due(snaps, pending, t, engine)
 
     # Final boundary row at the horizon (reuses the last snapshot if it is here).
@@ -330,6 +339,7 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
         last = engine.snapshot()
     rec.boundary_row(t, L, last.sigma_a, last.sigma_d, last.u_L,
                      last.regime is Regime.ATTACHMENT, 0.0, 0)
-    rec.profile_row(t, L, last.state.u, last.state.f, last.state.S, last.state.Psi)
+    rec.profile_row(t, L, last.state.f, last.state.S, last.state.Psi,
+                    engine.z, engine.t0)
     boundary, profiles = rec.finish()
     return RunResult(cfg=cfg, snapshots=snaps, boundary=boundary, profiles=profiles)

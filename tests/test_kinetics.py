@@ -22,6 +22,13 @@ SPLIT = dataclasses.replace(CASE2, stoichiometry=Stoichiometry(
 TRAILING = ((), (7,), (4, 5))
 
 
+def rates(cfg, f=None, S=None, Psi=None):
+    """The rate bundle at one point; absent arguments are zero."""
+    f, S, Psi = (np.zeros(3) if v is None else np.asarray(v, dtype=float)
+                 for v in (f, S, Psi))
+    return kinetics.rate_bundle(f, S, Psi, cfg)
+
+
 def random_state(rng, trail):
     return (rng.random((3,) + trail) / 3.0, rng.random((3,) + trail) * 100.0,
             rng.random((3,) + trail) * 100.0)
@@ -53,15 +60,15 @@ class TestGrowthRates:
         # 0.4 * (100/101) * 0.5
         f = np.array([0.5, 0.0, 0.0])
         S = np.array([100.0, 0.0, 0.0])
-        r = kinetics.growth_rates(f, S, CASE1)
+        r = rates(CASE1, f, S).r_M
         assert r[0] == pytest.approx(0.4 * (100 / 101) * 0.5, rel=1e-15)
 
     def test_no_biomass_no_growth(self):
-        r = kinetics.growth_rates(np.zeros(3), np.full(3, 50.0), CASE1)
+        r = rates(CASE1, np.zeros(3), np.full(3, 50.0)).r_M
         np.testing.assert_array_equal(r, np.zeros(3))
 
     def test_no_substrate_no_growth(self):
-        r = kinetics.growth_rates(np.full(3, 0.3), np.zeros(3), CASE1)
+        r = rates(CASE1, np.full(3, 0.3), np.zeros(3)).r_M
         np.testing.assert_array_equal(r, np.zeros(3))
 
 
@@ -69,7 +76,7 @@ class TestSubstrateRates:
     def test_consumption_of_first_substrate(self):
         f = np.array([0.5, 0.0, 0.0])
         S = np.array([100.0, 0.0, 0.0])
-        r_m = kinetics.growth_rates(f, S, CASE1)
+        r_m = rates(CASE1, f, S).r_M
         r_s = kinetics.substrate_rates(f, S, CASE1)
         assert r_s[0] == pytest.approx(-(r_m[0] / 0.4) * 5000.0, rel=1e-14)
         assert r_s[0] == pytest.approx(-2475.2475, rel=1e-6)
@@ -168,30 +175,30 @@ class TestColonization:
     def test_hand_value(self):
         Psi = np.array([100.0, 0.0, 0.0])
         S = np.array([100.0, 0.0, 0.0])
-        r = kinetics.colonization_rates(Psi, S, CASE2)
+        r = rates(CASE2, S=S, Psi=Psi).r_col
         assert r[0] == pytest.approx((2.5 / 5000.0) * (100 / 101) * 100.0, rel=1e-15)
         assert r[0] == pytest.approx(0.049505, rel=1e-5)
 
     def test_no_planktonic_no_colonization(self):
-        r = kinetics.colonization_rates(np.zeros(3), np.full(3, 10.0), CASE2)
-        np.testing.assert_array_equal(r, np.zeros(3))
+        bundle = rates(CASE2, np.full(3, 0.3), np.full(3, 10.0), np.zeros(3))
+        np.testing.assert_array_equal(bundle.r_col, np.zeros(3))
+        np.testing.assert_array_equal(bundle.r_Psi, np.zeros(3))
 
     def test_disabled_recovers_attachment_only_model(self):
         Psi = np.full(3, 100.0)
         S = np.full(3, 100.0)
         f = np.array([0.4, 0.3, 0.3])
-        np.testing.assert_array_equal(
-            kinetics.colonization_rates(Psi, S, CASE1), np.zeros(3))
-        np.testing.assert_array_equal(
-            kinetics.planktonic_conversion_rates(Psi, S, CASE1), np.zeros(3))
-        bundle = kinetics.rate_bundle(f, S, Psi, CASE1)
-        assert bundle.G == kinetics.growth_rates(f, S, CASE1).sum()
+        bundle = rates(CASE1, f, S, Psi)
+        np.testing.assert_array_equal(bundle.r_col, np.zeros(3))
+        np.testing.assert_array_equal(bundle.r_Psi, np.zeros(3))
+        np.testing.assert_array_equal(bundle.r_M, rates(CASE1, f, S).r_M)
+        assert bundle.G == bundle.r_M.sum()
 
     def test_conversion_hand_value(self):
         Psi = np.array([100.0, 0.0, 0.0])
         S = np.array([100.0, 0.0, 0.0])
-        r = kinetics.colonization_rates(Psi, S, CASE2)
-        r_psi = kinetics.planktonic_conversion_rates(Psi, S, CASE2)
+        bundle = rates(CASE2, S=S, Psi=Psi)
+        r, r_psi = bundle.r_col, bundle.r_Psi
         assert r_psi[0] == pytest.approx(-(5000.0 / 2e-7) * r[0], rel=1e-14)
         assert r_psi[0] == pytest.approx(-1.2376e9, rel=1e-4)
         assert np.all(r_psi <= 0.0)
@@ -199,28 +206,27 @@ class TestColonization:
     def test_linearity_in_planktonic(self):
         S = np.array([80.0, 3.0, 12.0])
         Psi = np.array([10.0, 20.0, 5.0])
-        r1 = kinetics.planktonic_conversion_rates(Psi, S, CASE2)
-        r2 = kinetics.planktonic_conversion_rates(2.0 * Psi, S, CASE2)
+        r1 = rates(CASE2, S=S, Psi=Psi).r_Psi
+        r2 = rates(CASE2, S=S, Psi=2.0 * Psi).r_Psi
         np.testing.assert_allclose(r2, 2.0 * r1, rtol=1e-14)
 
     def test_sink_coefficients_match_conversion(self):
         S = np.array([80.0, 3.0, 12.0])
         Psi = np.array([10.0, 20.0, 5.0])
         kappa = kinetics.planktonic_sink_coefficients(S, CASE2)
-        np.testing.assert_allclose(
-            kinetics.planktonic_conversion_rates(Psi, S, CASE2),
-            -kappa * Psi, rtol=1e-14)
+        np.testing.assert_allclose(rates(CASE2, S=S, Psi=Psi).r_Psi,
+                                   -kappa * Psi, rtol=1e-14)
 
 
 class TestSourceG:
     def test_zero_substrates(self):
-        G = kinetics.source_G(np.full(3, 0.3), np.zeros(3), np.full(3, 5.0), CASE2)
+        G = rates(CASE2, np.full(3, 0.3), np.zeros(3), np.full(3, 5.0)).G
         assert G == 0.0
 
     def test_case1_fresh_interface_value(self):
         f = np.array([0.5, 0.5, 0.0])
         S = np.array([100.0, 100.0, 0.0])
-        G = kinetics.source_G(f, S, np.zeros(3), CASE1)
+        G = rates(CASE1, f, S).G
         # r_M1 = 0.4*(100/101)*0.5, r_M2 = 1.5*(100/120)*0.5
         assert G == pytest.approx(0.19802 + 0.625, rel=1e-4)
 
@@ -231,18 +237,20 @@ class TestSourceG:
         for cfg, trail in cases:
             f, S, Psi = random_state(rng, trail)
             bundle = kinetics.rate_bundle(f, S, Psi, cfg)
-            direct = kinetics.source_G(f, S, Psi, cfg)
             manual = (bundle.r_M[0] + bundle.r_col[0])
             for i in (1, 2):
                 manual = manual + (bundle.r_M[i] + bundle.r_col[i])
-            assert np.array_equal(direct, bundle.G)
-            assert np.array_equal(direct, manual)
-            np.testing.assert_array_equal(bundle.r_M, kinetics.growth_rates(f, S, cfg))
-            np.testing.assert_array_equal(bundle.r_col,
-                                          kinetics.colonization_rates(Psi, S, cfg))
+            assert np.array_equal(manual, bundle.G)
+            # each part is its rate law, evaluated in the same order
+            a = cfg.arrays
+            col = lambda v: v.reshape((-1,) + (1,) * len(trail))
+            limitation = kinetics.monod(S[a["substrate_of"]], col(a["K"]))
+            r_col = col(a["k_col"] / a["rho"]) * limitation * Psi
+            np.testing.assert_array_equal(bundle.r_M, col(a["mu_max"]) * limitation * f)
+            np.testing.assert_array_equal(bundle.r_col, r_col)
             np.testing.assert_array_equal(bundle.r_S, kinetics.substrate_rates(f, S, cfg))
-            np.testing.assert_array_equal(
-                bundle.r_Psi, kinetics.planktonic_conversion_rates(Psi, S, cfg))
+            np.testing.assert_array_equal(bundle.r_Psi,
+                                          -col(a["rho"] / a["Y_psi"]) * r_col)
 
     def test_rates_continuous_at_clamp(self):
         f = np.full(3, 0.2)
@@ -260,7 +268,7 @@ class TestGeneralStoichiometry:
         a = SHARED.arrays
         for _ in range(20):
             f, S, _ = random_state(rng, trail)
-            r_m = kinetics.growth_rates(f, S, SHARED)
+            r_m = kinetics.rate_bundle(f, S, np.zeros_like(f), SHARED).r_M
             load = r_m * (a["rho"] / a["Y"]).reshape((-1,) + (1,) * len(trail))
             expect = np.tensordot(a["W"], load, axes=(1, 0))
             got = kinetics.substrate_rates(f, S, SHARED)
@@ -272,7 +280,7 @@ class TestGeneralStoichiometry:
         f = np.array([0.2, 0.3, 0.1])
         S = np.array([50.0, 10.0, 20.0])
         a = SHARED.arrays
-        load = kinetics.growth_rates(f, S, SHARED) * a["rho"] / a["Y"]
+        load = rates(SHARED, f, S).r_M * a["rho"] / a["Y"]
         r_s = kinetics.substrate_rates(f, S, SHARED)
         assert r_s[0] == pytest.approx(-1.3 * load[0] - 0.7 * load[1], rel=1e-14)
         assert r_s[1] == pytest.approx(0.25 * load[0], rel=1e-14)

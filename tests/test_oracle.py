@@ -7,7 +7,7 @@ import pytest
 
 from biofilm1d import kinetics, oracle
 from biofilm1d.errors import DetachmentRegime, NonConvergence, OutOfDomain
-from biofilm1d.oracle import (CharPath, ContractionBox, _ctz, _velocity_field,
+from biofilm1d.oracle import (CharPath, ContractionBox, _ctz,
                               box_from_run, characteristic_trace,
                               estimate_contraction, map_run_to_char_grid,
                               picard_solve, window_root)
@@ -116,6 +116,11 @@ class TestPicardSolve:
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
             picard_solve(CASE1, T_o=0.0, grid_n=10)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_bad_iteration_cap(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            picard_solve(CASE1, T_o=0.02, grid_n=10, max_iter=max_iter)
 
 
 def full_temporaries_map(cfg, times, mask, X0, S_star, psi_star, Sigma,
@@ -243,93 +248,39 @@ class TestBoundedTemporaries:
         assert peak - base <= 14 * array_bytes
 
 
-def synthetic_run(times, L_of_t, u_of_z_rows, N=40):
-    """RunResult carrying hand-made profile traces."""
-    zeta = np.linspace(0.0, 1.0, N + 1)
+def synthetic_run(times, L_of_t, c_of=None, N=40):
+    """RunResult carrying hand-made records: record k holds one parcel per
+    distinct record time up to ``times[k]``, on the exact characteristic
+    ``c_of(t0, t)`` (parcels at rest by default), over the substratum."""
+    times = np.asarray(times, float)
     L = np.array([L_of_t(t) for t in times])
-    u = np.stack([u_of_z_rows(zeta * Lk) for Lk in L])
+    c_of = c_of or (lambda t0, t: L_of_t(t0))
+    parcel_z, parcel_t0 = [], []
+    for k, t in enumerate(times):
+        launched = np.unique(times[:k + 1])
+        parcel_t0.append(np.concatenate(([-1.0], launched)))
+        parcel_z.append(np.concatenate(([0.0], [c_of(t0, t) for t0 in launched])))
     f = np.ones((times.size, 1, N + 1))
     S = np.zeros((times.size, 1, N + 1))
     Psi = np.zeros((times.size, 1, N + 1))
-    profiles = ProfileTrace(t=np.asarray(times, float), L=L, u=u, f=f, S=S, Psi=Psi)
-    boundary = BoundaryTrace(t=np.asarray(times, float), L=L,
+    profiles = ProfileTrace(t=times, L=L, f=f, S=S, Psi=Psi,
+                            parcel_z=tuple(parcel_z), parcel_t0=tuple(parcel_t0))
+    boundary = BoundaryTrace(t=times, L=L,
                              sigma_a=np.full(times.size, 1e-3),
                              sigma_d=np.zeros(times.size),
-                             u_L=u[:, -1], attachment=np.ones(times.size, bool),
+                             u_L=np.zeros(times.size),
+                             attachment=np.ones(times.size, bool),
                              sum_f_drift=np.zeros(times.size),
                              clamped_nodes=np.zeros(times.size, int))
     return RunResult(cfg=CASE1, snapshots=[], boundary=boundary,
                      profiles=profiles)
 
 
-class TestCharacteristicTrace:
-    def test_zero_velocity_path_is_constant(self):
-        times = np.linspace(0.0, 1.0, 101)
-        res = synthetic_run(times, lambda t: 1e-4, lambda z: np.zeros_like(z))
-        path = characteristic_trace(res, t0=0.2)
-        np.testing.assert_allclose(path.z, 1e-4, rtol=1e-14)
-
-    def test_linear_velocity_exponential_path(self):
-        # u = g z and an interface outrunning the flow: z(t) = L(t0) e^{g(t-t0)}
-        g = 0.8
-        t0, z0 = 0.1, 1e-4
-        times = np.linspace(0.0, 1.0, 401)
-        res = synthetic_run(times, lambda t: 2.0 * z0 * math.exp(2 * g * (t - t0)),
-                            lambda z: g * z)
-        path = characteristic_trace(res, t0=t0)
-        exact = 2.0 * z0 * np.exp(g * (path.t - t0))
-        np.testing.assert_allclose(path.z, exact, rtol=1e-5)
-
-    def test_requires_profiles(self):
-        times = np.linspace(0.0, 1.0, 11)
-        res = synthetic_run(times, lambda t: 1e-4, lambda z: np.zeros_like(z))
-        bare = RunResult(cfg=res.cfg, snapshots=[], boundary=res.boundary,
-                         profiles=None)
-        with pytest.raises(OutOfDomain):
-            characteristic_trace(bare, t0=0.5)
-
-    def test_out_of_span_rejected(self):
-        times = np.linspace(0.0, 1.0, 11)
-        res = synthetic_run(times, lambda t: 1e-4, lambda z: np.zeros_like(z))
-        with pytest.raises(OutOfDomain):
-            characteristic_trace(res, t0=2.0)
-        with pytest.raises(OutOfDomain):
-            characteristic_trace(res, t0=0.5, t_end=1.5)
-
-    def test_path_stays_inside_domain(self):
-        times = np.linspace(0.0, 0.5, 201)
-        res = synthetic_run(times, lambda t: 1e-4, lambda z: 5.0 * z + 1e-5)
-        path = characteristic_trace(res, t0=0.0)
-        assert np.all(path.z <= 1e-4 + 1e-18)
-
-
-def scalar_trace(run_output, t0, t_end=None):
-    """Reference trace: one path, one midpoint step per interval, scalar clamp."""
-    profiles = run_output.profiles
-    pt, pL = profiles.t, profiles.L
-    t_end = float(pt[-1]) if t_end is None else float(t_end)
-    u_at = _velocity_field(profiles)
-    L_at = lambda t: float(np.interp(t, pt, pL))
-
-    ts = [t0]
-    k0 = int(np.searchsorted(pt, t0, side="right"))
-    ts.extend(float(t) for t in pt[k0:] if t <= t_end + 1e-15)
-    if ts[-1] < t_end - 1e-15:
-        ts.append(t_end)
-
-    z = L_at(t0)
-    path_t = [t0]
-    path_z = [z]
-    for ta, tb in zip(ts[:-1], ts[1:]):
-        dt = tb - ta
-        if dt <= 0.0:
-            continue
-        z_mid = z + 0.5 * dt * u_at(z, ta)
-        z = z + dt * u_at(z_mid, ta + 0.5 * dt)
-        z = min(max(z, 0.0), L_at(tb))
-        path_t.append(tb)
-        path_z.append(z)
-    return np.array(path_t), np.array(path_z)
+def growth_run(times):
+    """Synthetic run whose paths move: u = 3 z on a growing interface."""
+    L_of_t = lambda t: 1e-4 * math.exp(4.0 * t)
+    return synthetic_run(times, L_of_t,
+                         lambda t0, t: L_of_t(t0) * math.exp(3.0 * (t - t0)))
 
 
 @pytest.fixture(scope="module")
@@ -337,68 +288,139 @@ def case1_recorded():
     return run(short_cfg(CASE1, 0.02, N=50), record_profiles=True)
 
 
-def growth_run(times):
-    """Synthetic run whose paths move: u = 3 z on a growing interface."""
-    return synthetic_run(times, lambda t: 1e-4 * math.exp(4.0 * t),
-                         lambda z: 3.0 * z)
+class TestCharacteristicTrace:
+    def test_zero_velocity_path_is_constant(self):
+        times = np.linspace(0.0, 1.0, 101)
+        res = synthetic_run(times, lambda t: 1e-4)
+        path = characteristic_trace(res, t0=0.2)
+        np.testing.assert_allclose(path.z, 1e-4, rtol=1e-14)
+
+    def test_linear_velocity_exponential_path(self):
+        # u = g z and an interface outrunning the flow: z(t) = L(t0) e^{g(t-t0)};
+        # an off-grid launch is interpolated between two labelled parcels
+        g = 0.8
+        times = np.linspace(0.0, 1.0, 401)
+        L_of_t = lambda t: 2e-4 * math.exp(2 * g * (t - 0.1))
+        res = synthetic_run(times, L_of_t,
+                            lambda t0, t: L_of_t(t0) * math.exp(g * (t - t0)))
+        for t0 in (0.1, 0.1037):
+            path = characteristic_trace(res, t0=t0)
+            exact = L_of_t(t0) * np.exp(g * (path.t - t0))
+            np.testing.assert_allclose(path.z, exact, rtol=1e-5)
+
+    def test_requires_profiles(self):
+        times = np.linspace(0.0, 1.0, 11)
+        res = synthetic_run(times, lambda t: 1e-4)
+        bare = RunResult(cfg=res.cfg, snapshots=[], boundary=res.boundary,
+                         profiles=None)
+        with pytest.raises(OutOfDomain):
+            characteristic_trace(bare, t0=0.5)
+
+    def test_out_of_span_rejected(self):
+        times = np.linspace(0.0, 1.0, 11)
+        res = synthetic_run(times, lambda t: 1e-4)
+        with pytest.raises(OutOfDomain):
+            characteristic_trace(res, t0=2.0)
+        with pytest.raises(OutOfDomain):
+            characteristic_trace(res, t0=0.5, t_end=1.5)
+
+    def test_path_stays_inside_domain(self, case1_recorded):
+        pt, pL = case1_recorded.profiles.t, case1_recorded.profiles.L
+        for path in characteristic_trace(case1_recorded, pt[::5]):
+            assert np.all(path.z >= 0.0)
+            assert np.all(path.z <= np.interp(path.t, pt, pL))
+
+    def test_path_ends_where_detachment_sheds_its_parcel(self):
+        # strong erosion: the interface stalls near 1e-5 m and recedes
+        # through the material, so the early parcels leave through the top
+        cfg = dataclasses.replace(short_cfg(CASE1, 0.1, N=50, dt_max=5e-4),
+                                  delta=1e7)
+        res = run(cfg, record_profiles=True)
+        profiles = res.profiles
+        top = np.array([labels[-1] for labels in profiles.parcel_t0])
+        assert not res.boundary.attachment[-1]
+        for t0 in (0.02, 0.0213, 0.025):
+            path = characteristic_trace(res, t0)
+            k_last = int(np.searchsorted(profiles.t, path.t[-1]))
+            assert profiles.t[k_last] == path.t[-1] < profiles.t[-1]
+            # alive at every record it visits, shed at the next one
+            assert np.all(t0 <= top[np.searchsorted(profiles.t, path.t[1:])])
+            assert t0 > top[k_last + 1]
+        # the deepest material stays; the last parcels attached leave first
+        assert characteristic_trace(res, 0.005).t[-1] == profiles.t[-1]
+        assert characteristic_trace(res, 0.025).t[-1] < 0.05
 
 
 class TestArrayLaunch:
-    def assert_matches_scalar(self, res, t0s, t_end=None):
+    def assert_matches_scalar_calls(self, res, t0s, t_end=None):
         paths = characteristic_trace(res, np.asarray(t0s, dtype=float), t_end)
         assert isinstance(paths, list) and len(paths) == len(t0s)
         for t0, path in zip(t0s, paths):
-            ref_t, ref_z = scalar_trace(res, float(t0), t_end)
-            np.testing.assert_array_equal(path.t, ref_t)
-            np.testing.assert_array_equal(path.z, ref_z)
             single = characteristic_trace(res, float(t0), t_end)
             assert isinstance(single, CharPath)
-            np.testing.assert_array_equal(single.t, ref_t)
-            np.testing.assert_array_equal(single.z, ref_z)
+            np.testing.assert_array_equal(path.t, single.t)
+            np.testing.assert_array_equal(path.z, single.z)
+            assert path.t[0] == t0
+        return paths
 
     def test_char_grid_launches_on_recorded_run(self, case1_recorded):
         times = np.linspace(0.0, 0.02, 26)
-        self.assert_matches_scalar(case1_recorded, times, float(times[-1]))
+        paths = self.assert_matches_scalar_calls(case1_recorded, times,
+                                                 float(times[-1]))
+        assert all(path.t[-1] == times[-1] for path in paths)
         assert np.ptp(characteristic_trace(case1_recorded, 0.0).z) > 0.0
 
     def test_launch_on_a_record_time(self, case1_recorded):
-        pt = case1_recorded.profiles.t
-        self.assert_matches_scalar(case1_recorded, [pt[0], pt[3], pt[-2], pt[-1]])
+        # the path is the parcel labelled with that time, bitwise
+        profiles = case1_recorded.profiles
+        pt = profiles.t
+        ks = [0, 1, 7, pt.size - 2, pt.size - 1]
+        paths = self.assert_matches_scalar_calls(case1_recorded, pt[ks])
+        for k, path in zip(ks, paths):
+            np.testing.assert_array_equal(path.t, pt[k:])
+            for j in range(k, pt.size):
+                mine = profiles.parcel_t0[j] == pt[k]
+                assert mine.sum() == 1
+                assert path.z[j - k] == profiles.parcel_z[j][mine][0]
 
     def test_end_between_record_times(self, case1_recorded):
-        pt = case1_recorded.profiles.t
+        profiles = case1_recorded.profiles
+        pt = profiles.t
         t_end = 0.5 * (pt[-3] + pt[-2])
-        self.assert_matches_scalar(case1_recorded,
-                                   [pt[0], 0.5 * (pt[1] + pt[2]), pt[-3],
-                                    0.5 * (pt[-3] + t_end), t_end], t_end)
+        self.assert_matches_scalar_calls(
+            case1_recorded, [pt[0], 0.5 * (pt[1] + pt[2]), pt[-3],
+                             0.5 * (pt[-3] + t_end), t_end], t_end)
         path = characteristic_trace(case1_recorded, float(pt[1]), t_end)
         assert path.t[-1] == t_end and path.t[-2] == pt[-3]
+        # linear in time between the last record and the parcel at the next
+        mine = profiles.parcel_t0[pt.size - 2] == pt[1]
+        z_next = profiles.parcel_z[pt.size - 2][mine][0]
+        assert path.z[-1] == pytest.approx(0.5 * (path.z[-2] + z_next), rel=1e-12)
+        assert path.z[-2] < path.z[-1] < z_next
 
     def test_launch_at_end_is_a_point(self, case1_recorded):
-        pt = case1_recorded.profiles.t
+        pt, pL = case1_recorded.profiles.t, case1_recorded.profiles.L
         for t in (float(pt[-1]), 0.5 * (pt[4] + pt[5])):
             path = characteristic_trace(case1_recorded, t, t)
             np.testing.assert_array_equal(path.t, [t])
-            self.assert_matches_scalar(case1_recorded, [t], t)
+            np.testing.assert_array_equal(path.z, [np.interp(t, pt, pL)])
+            self.assert_matches_scalar_calls(case1_recorded, [t], t)
 
     def test_synthetic_runs(self):
         times = np.linspace(0.0, 1.0, 101)
-        flat = synthetic_run(times, lambda t: 1e-4, lambda z: np.zeros_like(z))
-        self.assert_matches_scalar(flat, [0.0, 0.2, 0.205, 1.0])
-        g, z0 = 0.8, 1e-4
-        fine = np.linspace(0.0, 1.0, 401)
-        outrun = synthetic_run(fine, lambda t: 2.0 * z0 * math.exp(2 * g * (t - 0.1)),
-                               lambda z: g * z)
-        self.assert_matches_scalar(outrun, [0.1, 0.3337, 0.9999], 0.99995)
-        clamped = synthetic_run(np.linspace(0.0, 0.5, 201), lambda t: 1e-4,
-                                lambda z: 5.0 * z + 1e-5)
-        self.assert_matches_scalar(clamped, [0.0, 0.1, 0.4999])
-        self.assert_matches_scalar(growth_run(times), np.linspace(0.0, 0.9, 31), 0.95)
+        flat = synthetic_run(times, lambda t: 1e-4)
+        self.assert_matches_scalar_calls(flat, [0.0, 0.2, 0.205, 1.0])
+        self.assert_matches_scalar_calls(growth_run(times),
+                                         np.linspace(0.0, 0.9, 31), 0.95)
 
     def test_repeated_record_times(self):
         times = np.array([0.0, 0.1, 0.2, 0.2, 0.3, 0.4, 0.4, 0.5])
         res = growth_run(times)
-        self.assert_matches_scalar(res, [0.0, 0.15, 0.2, 0.35, 0.4], 0.45)
+        for path in self.assert_matches_scalar_calls(
+                res, [0.0, 0.15, 0.2, 0.35, 0.4], 0.45):
+            assert np.all(np.diff(path.t) > 0.0)
+        path = characteristic_trace(res, 0.0, 0.45)
+        np.testing.assert_array_equal(path.t, [0.0, 0.1, 0.2, 0.3, 0.4, 0.45])
 
     def test_empty_launches(self, case1_recorded):
         assert characteristic_trace(case1_recorded, np.array([])) == []
@@ -428,7 +450,7 @@ def per_point_map(run_output, times):
     rho = run_output.cfg.arrays["rho"]
     n = rho.size
     G1 = times.size
-    zeta = np.linspace(0.0, 1.0, profiles.u.shape[1])
+    zeta = np.linspace(0.0, 1.0, profiles.f.shape[2])
 
     def f_at(z, t):
         k = int(np.searchsorted(profiles.t, t, side="right") - 1)
@@ -471,7 +493,7 @@ class TestMapRunToCharGrid:
 
     def test_requires_profiles(self):
         times = np.linspace(0.0, 1.0, 11)
-        res = synthetic_run(times, lambda t: 1e-4, lambda z: np.zeros_like(z))
+        res = synthetic_run(times, lambda t: 1e-4)
         bare = RunResult(cfg=res.cfg, snapshots=[], boundary=res.boundary,
                          profiles=None)
         with pytest.raises(OutOfDomain):

@@ -41,9 +41,11 @@ def two_species_cfg(v_a=(0.0, 0.0), psi=(0.0, 0.0), delta=0.0):
 
 
 def parcel_engine(cfg, z, f):
-    """A characteristic engine whose parcels sit at ``z`` with fractions ``f``."""
+    """A characteristic engine whose parcels sit at ``z`` with fractions ``f``,
+    launched at evenly spaced times up to 0."""
     eng = _CharacteristicEngine(cfg)
     eng.L, eng.z, eng.fz = float(z[-1]), np.array(z), np.array(f)
+    eng.t0 = np.linspace(-1.0, 0.0, len(z))
     return eng
 
 
@@ -160,6 +162,75 @@ class TestAdvanceBiomass:
         np.testing.assert_allclose(eng.fz[1, :-1], 0.501, rtol=1e-12)
         # the parcels ride u = G z
         np.testing.assert_allclose(eng.z[:-1], 1.004 * self.z, rtol=1e-12)
+
+
+class TestLaunchLabels:
+    """Every parcel carries its launch time; the labels never feed back."""
+
+    z = np.linspace(0.0, 1e-4, 17)
+    f = np.stack([np.full(17, 1.0), np.zeros(17)])
+
+    def test_attached_parcel_takes_the_step_end(self):
+        eng = parcel_engine(two_species_cfg(v_a=(0.02, 0.0), psi=(50.0, 0.0)),
+                            self.z, self.f)
+        eng.t = 0.3
+        before = eng.t0
+        eng.advance(1e-3)
+        np.testing.assert_array_equal(eng.t0[:-1], before)
+        assert eng.t0[-1] == eng.t == 0.3 + 1e-3
+        eng.land(0.301)
+        assert eng.t0[-1] == eng.t == 0.301
+
+    def test_receding_top_takes_an_interpolated_label(self):
+        # no growth and strong erosion: the interface recedes through parcels
+        eng = parcel_engine(two_species_cfg(v_a=(0.02, 0.0), psi=(50.0, 0.0),
+                                            delta=1e7), self.z, self.f)
+        before = eng.t0
+        eng.advance(1e-4)
+        kept = self.z < eng.L
+        assert 2 <= np.sum(~kept) < self.z.size - 2
+        np.testing.assert_array_equal(eng.z[:-1], self.z[kept])
+        np.testing.assert_array_equal(eng.t0[:-1], before[kept])
+        assert eng.t0[-1] == np.interp(eng.L, self.z, before)
+        assert np.all(np.diff(eng.t0) > 0.0)
+        top = eng.t0[-1]
+        eng.land(eng.t)   # a receding step attached no parcel to relabel
+        assert eng.t0[-1] == top
+
+    def test_landing_relabels_the_attached_parcel(self):
+        # 0.8999999999999999 + 0.1 rounds to 0.9999999999999999, within the
+        # landing tolerance of the horizon: the clock and the label snap to 1
+        cfg = two_species_cfg(v_a=(0.02, 0.0), psi=(50.0, 0.0))
+        cfg = dataclasses.replace(
+            cfg, numerics=dataclasses.replace(cfg.numerics, dt_max=0.1),
+            horizon=1.0, snapshot_times=())
+        p = run(cfg, record_profiles=True).profiles
+        assert p.t[-2] + 0.1 != 1.0
+        assert p.parcel_t0[-1][-1] == p.t[-1] == 1.0
+
+    def test_records_through_regime_flips(self):
+        from biofilm1d.traces import TableTrace
+        cfg = two_species_cfg(v_a=(0.02, 0.0), delta=2e4)
+        pulsed = TableTrace((0.0, 0.03, 0.031, 0.06, 0.061, 0.2),
+                            (50.0, 50.0, 0.0, 0.0, 50.0, 50.0))
+        bulk = dataclasses.replace(cfg.bulk,
+                                   psi_star=(pulsed, cfg.bulk.psi_star[1]))
+        cfg = dataclasses.replace(cfg, bulk=bulk, horizon=0.1, snapshot_times=())
+        res = run(cfg, record_profiles=True)
+        p, b = res.profiles, res.boundary
+        assert len(p.parcel_z) == len(p.parcel_t0) == p.t.size == b.t.size
+        for k, (z, t0) in enumerate(zip(p.parcel_z, p.parcel_t0)):
+            assert z.shape == t0.shape
+            assert z[0] == 0.0 and z[-1] == p.L[k]
+            assert t0[0] == -cfg.numerics.dt_max
+            assert np.all(np.diff(t0) > 0.0)
+            # a parcel attached over the last step carries the record time,
+            # landings on the supply breakpoints included
+            if k and b.attachment[k - 1]:
+                assert t0[-1] == p.t[k]
+            elif k:
+                assert t0[-1] < p.t[k - 1]
+        assert (~b.attachment).any()
 
 
 class TestStep:

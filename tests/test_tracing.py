@@ -1,0 +1,72 @@
+"""The benchmark's per-layer tracer still finds every binding it patches.
+
+``perfbench/tracing.py`` wraps module attributes by name; a refactor that
+moves or renames one of them would otherwise surface only as a failed
+traced benchmark op.
+"""
+
+import dataclasses
+import importlib.util
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import biofilm1d
+import biofilm1d.cli  # noqa: F401  (the tracer patches bindings on the CLI module)
+from biofilm1d.errors import BoundaryLayerResolutionWarning
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bound(mod, attr):
+    return getattr(getattr(biofilm1d, mod), attr)
+
+
+def test_install_patches_every_binding_and_close_restores_it(tracing):
+    originals = {(mod, attr): bound(mod, attr) for mod, attr, _ in tracing.BINDINGS}
+    tracer = tracing.Tracer()
+    tracer.install(biofilm1d)
+    try:
+        for (mod, attr), original in originals.items():
+            assert bound(mod, attr).__wrapped__ is original
+    finally:
+        tracer.close()
+    for (mod, attr), original in originals.items():
+        assert bound(mod, attr) is original
+
+
+def test_traced_cross_check_reaches_the_wrapped_layers(tracing):
+    # the calls of the oracle cross-check, on a short case1 horizon
+    cli = biofilm1d.cli
+    cfg = biofilm1d.build_preset("case1").cfg
+    cfg = dataclasses.replace(cfg, numerics=dataclasses.replace(cfg.numerics, N=40))
+    tracer = tracing.Tracer()
+    tracer.install(biofilm1d)
+    try:
+        fields, _ = cli.picard_solve(cfg, 0.01, 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryLayerResolutionWarning)
+            result = cli.run_scenario(cli._short_numerics(cfg, 0.01),
+                                      record_profiles=True)
+        cli.map_run_to_char_grid(result, fields.times)
+    finally:
+        tracer.close()
+    layers = tracer.metrics()
+    for name in ("oracle.characteristic_trace.calls", "stepper.steps",
+                 "stepper.parcels.max", "elliptic.solve_substrates.calls",
+                 "elliptic.tridiagonal_solve.calls",
+                 "kinetics.rate_bundle.calls", "kinetics.substrate_rates.calls",
+                 "kinetics.substrate_rate_jacobian_diag.calls",
+                 "oracle.picard_solve.iters"):
+        assert layers[name] > 0, name
+    assert np.isfinite(layers["oracle.map_run_to_char_grid.self_s"])
