@@ -16,8 +16,9 @@ import dataclasses
 
 import numpy as np
 
-from biofilm1d import (box_from_run, build_preset, estimate_contraction,
-                       map_run_to_char_grid, picard_solve, run)
+from biofilm1d import (box_from_run, build_preset, cross_check_errors,
+                       estimate_contraction, map_run_to_char_grid, picard_solve,
+                       run)
 
 print(__doc__)
 
@@ -34,12 +35,8 @@ print(f"interface grew to L(T) = {fields.L[-1]:.4e} m; "
 nm = dataclasses.replace(cfg.numerics, N=100, dt_max=4e-4)
 short = dataclasses.replace(cfg, numerics=nm, horizon=T_o, snapshot_times=())
 res = run(short, record_profiles=True)
-x_fd, c_fd, L_fd = map_run_to_char_grid(res, fields.times)
-w = fields.wedge
-err_x = max(np.max(np.abs((fields.x[i] - x_fd[i])[w])) for i in range(3)) \
-    / max(np.max(np.abs(fields.x[i][w])) for i in range(3))
-err_c = np.max(np.abs((fields.c - c_fd)[w])) / np.max(fields.c[w])
-err_L = np.max(np.abs(fields.L - L_fd)) / np.max(fields.L)
+err_x, err_c, err_L = cross_check_errors(
+    fields, *map_run_to_char_grid(res, fields.times))
 print("stepper mapped onto characteristic coordinates, relative sup errors:")
 print(f"  sessile concentrations {err_x:.2e}, paths {err_c:.2e}, "
       f"interface {err_L:.2e}\n")

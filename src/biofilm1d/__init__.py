@@ -23,8 +23,9 @@ from .elliptic import (EllipticSolution, solve_planktonic, solve_substrates,
 from .stepper import (BoundaryTrace, ProfileTrace, RunResult, advance_boundary,
                       compute_velocity, make_snapshot, run)
 from .oracle import (CharField, CharPath, ContractionBox, ContractionEstimate,
-                     box_from_run, characteristic_trace, estimate_contraction,
-                     map_run_to_char_grid, picard_solve, window_root)
+                     box_from_run, characteristic_trace, cross_check_errors,
+                     estimate_contraction, map_run_to_char_grid, picard_solve,
+                     window_root)
 from .presets import DEFAULT_T1, PRESET_IDS, CasePreset, build_preset
 from .traces import (BulkTraces, ConstantTrace, RampTrace, TableTrace,
                      parse_descriptor, psi3_ramp)

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation failure, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -20,8 +21,8 @@ import numpy as np
 from . import configio
 from .errors import Biofilm1dError, ConfigError, IoFailure
 from .model import validate_config
-from .oracle import (box_from_run, estimate_contraction, map_run_to_char_grid,
-                     picard_solve)
+from .oracle import (box_from_run, cross_check_errors, estimate_contraction,
+                     map_run_to_char_grid, picard_solve)
 from .output import emit
 from .presets import DEFAULT_T1, PRESET_IDS, build_preset
 from .stepper import run as run_scenario
@@ -37,6 +38,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
+
+
+def _positive(kind):
+    """Argument type: a positive finite ``kind`` (``int`` or ``float``)."""
+    def parse(text):
+        value = kind(text)
+        if not (value > 0 and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(f"must be positive and finite: {text!r}")
+        return value
+    parse.__name__ = kind.__name__   # argparse names it in "invalid <name> value"
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -55,9 +67,9 @@ def _build_parser() -> _Parser:
 
     p_or = sub.add_parser("oracle", help="fixed-point solve and cross-validation")
     p_or.add_argument("--preset", choices=PRESET_IDS, required=True)
-    p_or.add_argument("--horizon", type=float, required=True,
+    p_or.add_argument("--horizon", type=_positive(float), required=True,
                       help="oracle horizon (day)")
-    p_or.add_argument("--grid", type=int, required=True,
+    p_or.add_argument("--grid", type=_positive(int), required=True,
                       help="triangular grid intervals")
     p_or.add_argument("--t1", type=float, default=DEFAULT_T1)
     p_or.add_argument("--ramp", choices=("printed", "corrected"), default="printed")
@@ -66,7 +78,7 @@ def _build_parser() -> _Parser:
     p_w.add_argument("--preset", choices=PRESET_IDS, required=True)
     p_w.add_argument("--t1", type=float, default=DEFAULT_T1)
     p_w.add_argument("--ramp", choices=("printed", "corrected"), default="printed")
-    p_w.add_argument("--span", type=float, default=0.05,
+    p_w.add_argument("--span", type=_positive(float), default=0.05,
                      help="observation run horizon for the sampling box (day)")
 
     p_v = sub.add_parser("validate", help="check a scenario file")
@@ -120,14 +132,7 @@ def _cmd_oracle(args) -> int:
     run_cfg = _short_numerics(cfg, args.horizon)
     result = run_scenario(run_cfg, record_profiles=True)
     x_fd, c_fd, L_fd = map_run_to_char_grid(result, fields.times)
-    wedge = fields.wedge
-    err_x = max(float(np.max(np.abs((fields.x[i] - x_fd[i])[wedge])))
-                / max(float(np.max(np.abs(fields.x[i][wedge]))), 1e-300)
-                for i in range(cfg.n))
-    err_c = (float(np.max(np.abs((fields.c - c_fd)[wedge])))
-             / max(float(np.max(np.abs(fields.c[wedge]))), 1e-300))
-    err_L = (float(np.max(np.abs(fields.L - L_fd)))
-             / max(float(np.max(np.abs(fields.L))), 1e-300))
+    err_x, err_c, err_L = cross_check_errors(fields, x_fd, c_fd, L_fd)
     print("cross-validation against the stepper (relative sup norms):")
     print(f"  sessile concentrations: {err_x:.3e}")
     print(f"  characteristic paths:   {err_c:.3e}")

@@ -14,7 +14,7 @@ from .model import (NumericsConfig, ScenarioConfig, SpeciesParams, Stoichiometry
                     SubstrateParams)
 from .traces import BulkTraces, parse_descriptor
 
-_SPECIES_FIELDS = ("mu_max", "K", "Y", "rho", "v_a", "k_col", "Y_psi", "D_psi")
+_SPECIES_FIELDS = tuple(field.name for field in dataclasses.fields(SpeciesParams))
 _NUMERICS_FIELDS = dataclasses.fields(NumericsConfig)
 
 

@@ -183,10 +183,6 @@ class BiofilmState:
     def N(self) -> int:
         return self.zeta.size - 1
 
-    def z(self) -> np.ndarray:
-        """Physical node positions."""
-        return self.zeta * self.L
-
     def sum_f_drift(self) -> float:
         """Max nodewise deviation of the volume-fraction sum from one."""
         return float(np.max(np.abs(self.f.sum(axis=0) - 1.0)))

@@ -12,7 +12,9 @@ and estimates the horizon on which contraction is guaranteed by sampling the
 integrand bounds and Lipschitz constants over a stated box.
 
 This solver shares only the kinetics with the time stepper, so it serves as
-an independent cross-check of the finite-difference path.
+an independent cross-check of the finite-difference path.  It reads
+``c(t0, t)`` and ``x(t0, t)`` from a run's labelled parcels, which are
+interpolated in launch time and in time but never in space.
 
 Interface law: the oracle solves ``L = Sigma + int u_L`` with
 ``Sigma = int sigma_a`` and launches each characteristic at
@@ -166,6 +168,20 @@ def _distance(mask, old, new):
     return total
 
 
+def _boundary_data(cfg, times):
+    """Boundary data on ``times``: bulk supplies ``psi*`` (n, T) and ``S*``
+    (m, T), attachment flux ``sigma_a`` (T,) and inflow concentrations
+    ``X0`` (n, T).  Raises :class:`NoAttachment` where ``sigma_a`` vanishes."""
+    psi_b = np.stack([cfg.psi_star(t) for t in times], axis=1)
+    S_b = np.stack([cfg.s_star(t) for t in times], axis=1)
+    sigma_a = np.array([attachment_flux(psi_b[:, k], cfg) for k in range(len(times))])
+    if np.any(sigma_a <= 0.0):
+        raise NoAttachment("attachment flux must stay positive on the horizon")
+    X0 = np.stack([cfg.arrays["rho"] * inflow_fractions(psi_b[:, k], cfg)
+                   for k in range(len(times))], axis=1)
+    return psi_b, S_b, sigma_a, X0
+
+
 def picard_solve(cfg, T_o: float, grid_n: int, tol: Optional[float] = None,
                  max_iter: Optional[int] = None,
                  zeroth: Optional[tuple] = None):
@@ -181,8 +197,10 @@ def picard_solve(cfg, T_o: float, grid_n: int, tol: Optional[float] = None,
     ``(x, s, psi, L, c, c_t0)`` tuple of matching shapes (used to witness
     uniqueness: admissible starts converge to the same fixed point).
     """
-    if T_o <= 0:
-        raise ValueError("oracle horizon must be positive")
+    if not (T_o > 0 and math.isfinite(T_o)):
+        raise ValueError("oracle horizon must be positive and finite")
+    if grid_n < 1:
+        raise ValueError("grid_n must be at least 1")
     nm = cfg.numerics
     tol = nm.picard_tol if tol is None else tol
     max_iter = nm.picard_max_iter if max_iter is None else max_iter
@@ -193,13 +211,7 @@ def picard_solve(cfg, T_o: float, grid_n: int, tol: Optional[float] = None,
     times = np.linspace(0.0, T_o, G1)
     mask = np.triu(np.ones((G1, G1), dtype=bool))
 
-    psi_b = np.stack([cfg.psi_star(t) for t in times], axis=1)   # (n, G+1)
-    S_b = np.stack([cfg.s_star(t) for t in times], axis=1)       # (m, G+1)
-    sigma_a = np.array([attachment_flux(psi_b[:, k], cfg) for k in range(G1)])
-    if np.any(sigma_a <= 0.0):
-        raise NoAttachment("attachment flux must stay positive on the horizon")
-    X0 = np.stack([cfg.arrays["rho"] * inflow_fractions(psi_b[:, k], cfg)
-                   for k in range(G1)], axis=1)                  # (n, G+1)
+    psi_b, S_b, sigma_a, X0 = _boundary_data(cfg, times)
     Sigma = _ctz(sigma_a, axis=0, delta=times[1] - times[0])
 
     # Zeroth iterate: boundary data swept across the wedge.
@@ -258,6 +270,7 @@ def picard_solve(cfg, T_o: float, grid_n: int, tol: Optional[float] = None,
 class CharPath:
     t: np.ndarray
     z: np.ndarray
+    f: np.ndarray  # (n, t.size) volume fractions carried along the path
 
 
 def characteristic_trace(run_output: RunResult, t0,
@@ -266,13 +279,14 @@ def characteristic_trace(run_output: RunResult, t0,
     read from the labelled parcels of a run recorded by
     :func:`biofilm1d.stepper.run`.
 
-    A path starts at ``(t0, L(t0))`` and visits every record time after
-    ``t0`` up to ``t_end``, where its position is interpolated linearly in
-    launch-time label between the two parcels that bracket ``t0``; a path
-    launched at a record time is that record's top parcel.  An off-grid
-    ``t_end`` is reached by interpolating linearly in time towards the next
-    record.  A path ends at the last record where its parcel still exists,
-    that is before detachment sheds it.  A float ``t0`` returns one
+    A path starts at ``(t0, L(t0))`` with the fractions of the last record at
+    or before ``t0`` (clamped to its top parcel).  It visits every record
+    time after ``t0`` up to ``t_end``, where its position and fractions are
+    interpolated linearly in launch-time label between the two parcels that
+    bracket ``t0``; a path launched at a record time is that record's top
+    parcel.  An off-grid ``t_end`` is reached by interpolating linearly in
+    time towards the next record.  A path ends at the last record where its
+    parcel still exists, that is before detachment sheds it.  A float ``t0`` returns one
     :class:`CharPath`; a 1-D array of launch times returns a list with one
     path per launch::
 
@@ -293,33 +307,37 @@ def characteristic_trace(run_output: RunResult, t0,
         return []
 
     def at_record(k):
-        """Every launch's position at record k, and whether its parcel exists."""
+        """Every launch's position and fractions (rows) at record k, and
+        whether its parcel exists."""
         labels = profiles.parcel_t0[k]
-        return np.interp(t0s, labels, profiles.parcel_z[k]), t0s <= labels[-1]
+        rows = (profiles.parcel_z[k], *profiles.parcel_f[k])
+        return np.array([np.interp(t0s, labels, r) for r in rows]), t0s <= labels[-1]
 
     # The record times up to t_end, each once; an off-grid t_end is bracketed
     # by the last of them and the record after it.
     k_end = int(np.searchsorted(pt, t_end + 1e-15, side="right"))
     ks = [k for k in range(k_end) if k == 0 or pt[k] > pt[k - 1]]
-    zs, alive = (np.array(a) for a in zip(*map(at_record, ks)))
+    vals, alive = (np.array(a) for a in zip(*map(at_record, ks)))
     off_grid = pt[ks[-1]] < t_end - 1e-15 and k_end < pt.size
     if off_grid:
-        z_next, alive_next = at_record(k_end)
+        v_next, alive_next = at_record(k_end)
     z_launch = np.interp(t0s, pt, pL)
 
     tk = pt[ks]
+    launch_rows = np.searchsorted(tk, t0s, side="right") - 1
     paths = []
     for i, ta in enumerate(t0s.tolist()):
         rows = np.flatnonzero(tk > ta)
         kept = np.logical_and.accumulate(alive[rows, i])
         rows = rows[kept]
         t = np.concatenate(([ta], tk[rows]))
-        z = np.concatenate(([z_launch[i]], zs[rows, i]))
+        v = vals[np.concatenate(([launch_rows[i]], rows)), :, i].T
+        v[0, 0] = z_launch[i]
         if off_grid and ta < t_end - 1e-15 and kept.all() and alive_next[i]:
             w = (t_end - t[-1]) / (pt[k_end] - t[-1])
             t = np.append(t, t_end)
-            z = np.append(z, z[-1] + w * (z_next[i] - z[-1]))
-        paths.append(CharPath(t=t, z=z))
+            v = np.column_stack([v, v[:, -1] + w * (v_next[:, i] - v[:, -1])])
+        paths.append(CharPath(t=t, z=v[0], f=v[1:]))
     return paths if launches.ndim else paths[0]
 
 
@@ -327,36 +345,32 @@ def map_run_to_char_grid(run_output: RunResult, times: np.ndarray):
     """Sample a recorded run on the oracle's (t0, t) grid.
 
     Returns ``(x, c, L)`` with the same layout as :class:`CharField`; entries
-    outside the wedge are zero.
+    outside the wedge are zero.  Row i is the path launched at ``times[i]``,
+    interpolated linearly in time: its position and its fractions times the
+    densities.
     """
-    profiles = run_output.profiles
-    if profiles is None:
-        raise OutOfDomain("run was not recorded with dense profiles")
-    rho = run_output.cfg.arrays["rho"][:, None]
-    n = rho.shape[0]
-    G1 = times.size
-    pt, pL, pf = profiles.t, profiles.L, profiles.f
-    zeta = np.linspace(0.0, 1.0, profiles.f.shape[2])
-
-    x = np.zeros((n, G1, G1))
-    c = np.zeros((G1, G1))
-    L = np.interp(times, pt, pL)
     paths = characteristic_trace(run_output, times, float(times[-1]))
+    rho = run_output.cfg.arrays["rho"][:, None]
+    G1 = times.size
+    x = np.zeros((rho.shape[0], G1, G1))
+    c = np.zeros((G1, G1))
     for i, path in enumerate(paths):
         c[i, i:] = np.interp(times[i:], path.t, path.z)
-    # Column j holds every characteristic at time times[j]: one bracketing
-    # pair of recorded profiles, blended linearly in time, serves them all.
-    for j in range(G1):
-        t = float(times[j])
-        k = int(np.searchsorted(pt, t, side="right") - 1)
-        k = max(0, min(k, pt.size - 2))
-        span = pt[k + 1] - pt[k]
-        w = 0.0 if span == 0 else min(max((t - pt[k]) / span, 0.0), 1.0)
-        z = c[:j + 1, j]
-        fa = np.array([np.interp(z, zeta * pL[k], pf[k, i]) for i in range(n)])
-        fb = np.array([np.interp(z, zeta * pL[k + 1], pf[k + 1, i]) for i in range(n)])
-        x[:, :j + 1, j] = rho * ((1.0 - w) * fa + w * fb)
-    return x, c, L
+        x[:, i, i:] = rho * np.array([np.interp(times[i:], path.t, f) for f in path.f])
+    return x, c, np.interp(times, run_output.profiles.t, run_output.profiles.L)
+
+
+def cross_check_errors(fields: CharField, x_fd, c_fd, L_fd):
+    """Relative sup errors ``(err_x, err_c, err_L)`` of a run sampled by
+    :func:`map_run_to_char_grid` against the fixed point, over the wedge;
+    ``err_x`` is the worst species, each relative to its own scale."""
+    wedge = fields.wedge
+
+    def rel(ref, got):
+        return float(np.max(np.abs(ref - got))) / max(float(np.max(np.abs(ref))), 1e-300)
+
+    err_x = max(rel(x[wedge], x_run[wedge]) for x, x_run in zip(fields.x, x_fd))
+    return err_x, rel(fields.c[wedge], c_fd[wedge]), rel(fields.L, L_fd)
 
 
 # ---------------------------------------------------------------------------
@@ -405,28 +419,22 @@ def window_root(a: float, b: float) -> float:
 
 
 def estimate_contraction(cfg, box: ContractionBox, t_max: Optional[float] = None,
-                         T1: Optional[float] = None, n_samples: int = 4096,
+                         T1: Optional[float] = None,
                          seed: int = 0) -> ContractionEstimate:
     """Bound and Lipschitz estimates for the integral-map kernels over a box.
 
     Bounds ``M`` come from dense random sampling of the kernels over the box
-    (plus its corners); Lipschitz constants come from symmetric difference
-    quotients along each argument, taking the worst sample.  The window
-    ``T_star`` is the least of the per-component caps and the positive root
-    of the contraction condition, shrunk by a 1 percent safety margin.
+    (4096 points plus its corners); Lipschitz constants come from symmetric
+    difference quotients along each argument, taking the worst sample.  The
+    window ``T_star`` is the least of the per-component caps and the positive
+    root of the contraction condition, shrunk by a 1 percent safety margin.
     """
     a_ = cfg.arrays
     n, m = cfg.n, cfg.m
     horizon = cfg.horizon if t_max is None else t_max
     tgrid = np.linspace(0.0, max(horizon, 1e-12), 257)
 
-    psi_b = np.stack([cfg.psi_star(t) for t in tgrid], axis=1)
-    S_b = np.stack([cfg.s_star(t) for t in tgrid], axis=1)
-    sig = np.array([attachment_flux(psi_b[:, k], cfg) for k in range(tgrid.size)])
-    if np.any(sig <= 0.0):
-        raise NoAttachment("attachment flux must stay positive for the window")
-    X0 = np.stack([a_["rho"] * inflow_fractions(psi_b[:, k], cfg)
-                   for k in range(tgrid.size)], axis=1)
+    psi_b, S_b, sig, X0 = _boundary_data(cfg, tgrid)
 
     lo = np.concatenate([
         np.maximum(X0.min(axis=1) - np.asarray(box.h_x), 0.0),
@@ -442,7 +450,7 @@ def estimate_contraction(cfg, box: ContractionBox, t_max: Optional[float] = None
     ])
     dim = lo.size
     rng = np.random.default_rng(seed)
-    pts = lo + (hi - lo) * rng.random((n_samples, dim))
+    pts = lo + (hi - lo) * rng.random((4096, dim))
     # Corner points sharpen the bound estimates for monotone kernels.
     if dim <= 12:
         corners = np.array(np.meshgrid(*[(l, h) for l, h in zip(lo, hi)],
@@ -544,17 +552,11 @@ def box_from_run(run_output: RunResult, margin: float = 2.0) -> ContractionBox:
     bnd = run_output.boundary
     span = float(profiles.t[-1] - profiles.t[0])
 
-    dev_x = np.zeros(cfg.n)
-    dev_s = np.zeros(cfg.m)
-    dev_psi = np.zeros(cfg.n)
-    for k, t in enumerate(profiles.t):
-        X0 = a_["rho"] * inflow_fractions(cfg.psi_star(float(t)), cfg)
-        dev_x = np.maximum(dev_x, np.max(np.abs(
-            a_["rho"][:, None] * profiles.f[k] - X0[:, None]), axis=1))
-        dev_s = np.maximum(dev_s, np.max(np.abs(
-            profiles.S[k] - cfg.s_star(float(t))[:, None]), axis=1))
-        dev_psi = np.maximum(dev_psi, np.max(np.abs(
-            profiles.Psi[k] - cfg.psi_star(float(t))[:, None]), axis=1))
+    psi_b, S_b, _, X0 = _boundary_data(cfg, profiles.t)
+    dev_x = np.max([np.max(np.abs(a_["rho"][:, None] * f - X0[:, k, None]), axis=1)
+                    for k, f in enumerate(profiles.parcel_f)], axis=0)
+    dev_s = np.max(np.abs(profiles.S - S_b.T[:, :, None]), axis=(0, 2))
+    dev_psi = np.max(np.abs(profiles.Psi - psi_b.T[:, :, None]), axis=(0, 2))
 
     Sigma = np.concatenate([[0.0], np.cumsum(
         (bnd.sigma_a[1:] + bnd.sigma_a[:-1]) * 0.5 * np.diff(bnd.t))])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import UnknownPreset
 from .model import (NumericsConfig, ScenarioConfig, SpeciesParams, Stoichiometry,
                     SubstrateParams)
-from .traces import BulkTraces, ConstantTrace, RampTrace, psi3_ramp  # noqa: F401
+from .traces import BulkTraces, ConstantTrace, RampTrace
 
 PRESET_IDS = ("case1", "case2", "case3")
 

@@ -8,7 +8,8 @@ detachment.  Composition fronts stay sharp to round-off because fractions
 are never interpolated between parcels during a run; the parcels are
 resampled onto the uniform normalized grid only for the dissolved-field
 solves and for emitted snapshots.  Labelled with their launch times t0,
-the parcels are the characteristics ``c(t0, t)``.
+the parcels are the characteristics ``c(t0, t)``, and a recorded run keeps
+them with their fractions: the sessile unknowns ``x(t0, t)``.
 
 One step performs, in order: quasi-static substrate and planktonic solves
 on the uniform grid, rate evaluation on the parcels, velocity quadrature,
@@ -99,16 +100,17 @@ class BoundaryTrace:
 
 @dataclass(frozen=True, eq=False)
 class ProfileTrace:
-    """Records at each step start and at the horizon: uniform-grid fields,
-    and the parcels' abscissae with their launch times, bottom to top."""
+    """Records at each step start and at the horizon: the dissolved fields on
+    the uniform grid they are solved on, and the parcels' abscissae, launch
+    times and fractions, bottom to top."""
 
     t: np.ndarray        # (steps,)
     L: np.ndarray        # (steps,)
-    f: np.ndarray        # (steps, n, N+1)
     S: np.ndarray        # (steps, m, N+1)
     Psi: np.ndarray      # (steps, n, N+1)
     parcel_z: tuple      # (steps,) arrays of the parcel count at each record
     parcel_t0: tuple     # (steps,) arrays of launch times, strictly increasing
+    parcel_f: tuple      # (steps,) arrays of shape (n, parcel count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,29 +148,22 @@ class _TraceRecorder:
     def boundary_row(self, t, L, sa, sd, uL, attach, drift, clamped):
         self.rows.append((t, L, sa, sd, uL, attach, drift, clamped))
 
-    def profile_row(self, t, L, f, S, Psi, z, t0):
+    def profile_row(self, t, L, S, Psi, z, t0, fz):
         if self.record_profiles and t <= self.profile_t_max:
             self.profile_rows.append(
-                (t, L) + tuple(np.array(a) for a in (f, S, Psi, z, t0)))
+                (t, L) + tuple(np.array(a) for a in (S, Psi, z, t0, fz)))
 
     def finish(self):
+        # one column per BoundaryTrace field, in declaration order
         cols = list(zip(*self.rows)) if self.rows else [[]] * 8
-        boundary = BoundaryTrace(
-            t=np.array(cols[0], dtype=float),
-            L=np.array(cols[1], dtype=float),
-            sigma_a=np.array(cols[2], dtype=float),
-            sigma_d=np.array(cols[3], dtype=float),
-            u_L=np.array(cols[4], dtype=float),
-            attachment=np.array(cols[5], dtype=bool),
-            sum_f_drift=np.array(cols[6], dtype=float),
-            clamped_nodes=np.array(cols[7], dtype=int),
-        )
+        dtypes = (float,) * 5 + (bool, float, int)
+        boundary = BoundaryTrace(*(np.array(c, dtype=d) for c, d in zip(cols, dtypes)))
         profiles = None
         if self.profile_rows:
-            t, L, f, S, Psi, z, t0 = zip(*self.profile_rows)
-            profiles = ProfileTrace(t=np.array(t), L=np.array(L), f=np.stack(f),
-                                    S=np.stack(S), Psi=np.stack(Psi),
-                                    parcel_z=z, parcel_t0=t0)
+            t, L, S, Psi, z, t0, fz = zip(*self.profile_rows)
+            profiles = ProfileTrace(t=np.array(t), L=np.array(L), S=np.stack(S),
+                                    Psi=np.stack(Psi), parcel_z=z, parcel_t0=t0,
+                                    parcel_f=fz)
         return boundary, profiles
 
 
@@ -223,13 +218,13 @@ class _CharacteristicEngine:
     def advance(self, dt: float):
         """One explicit step of length ``dt``.
 
-        Returns ``(sigma_a, sigma_d, u_L, z, u, f, S, Psi)``: the interface
+        Returns ``(sigma_a, sigma_d, u_L, z, u, S, Psi)``: the interface
         fluxes and velocity, the parcel abscissae and velocities, and the
-        uniform-grid fields, all at the start of the step.
+        uniform-grid dissolved fields, all at the start of the step.
         """
         cfg = self.cfg
-        f_u = self.uniform_f()
-        S_u, Psi_u = _equilibrate(self.t, self.L, f_u, self._predicted_S(self.t), cfg)
+        S_u, Psi_u = _equilibrate(self.t, self.L, self.uniform_f(),
+                                  self._predicted_S(self.t), cfg)
         self.S_uniform = S_u
         self._solved = self._solved[-1:] + [(self.t, S_u)]
 
@@ -286,7 +281,7 @@ class _CharacteristicEngine:
             t0_new = np.append(self.t0[keep], t0_top)
 
         self.t, self.L, self.z, self.fz, self.t0 = t_new, L_new, z_new, f_new, t0_new
-        return sigma_a, sigma_d, u_L, z, u, f_u, S_u, Psi_u
+        return sigma_a, sigma_d, u_L, z, u, S_u, Psi_u
 
 
 def _emit_due(snap_list, pending, t, engine):
@@ -301,8 +296,8 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
 
     Steps land exactly on snapshot times and on bulk-trace breakpoints.
     ``record_profiles`` keeps a :class:`ProfileTrace` of every step that
-    starts by ``profile_t_max``: the uniform-grid fractions and dissolved
-    fields, and the labelled parcels that
+    starts by ``profile_t_max``: the uniform-grid dissolved fields, and the
+    labelled parcels with their fractions that
     :func:`biofilm1d.oracle.characteristic_trace` reads paths from.
     """
     report = validate_config(cfg)
@@ -317,8 +312,8 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
     t = 0.0
     for target in _forced_times(cfg):
         while t < target - _TIME_SNAP * max(1.0, target):
-            t_prev, L_prev, t0_prev = engine.t, engine.L, engine.t0
-            sigma_a, sigma_d, u_L, z, _, f_u, S_u, Psi_u = engine.advance(
+            t_prev, L_prev, t0_prev, f_prev = engine.t, engine.L, engine.t0, engine.fz
+            sigma_a, sigma_d, u_L, z, _, S_u, Psi_u = engine.advance(
                 min(cfg.numerics.dt_max, target - t))
             if not (np.isfinite(engine.L) and np.all(np.isfinite(engine.fz))):
                 raise NumericalBlowup("non-finite state after step", t=engine.t)
@@ -328,7 +323,7 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
             rec.boundary_row(t_prev, L_prev, sigma_a, sigma_d, u_L,
                              Regime.classify(sigma_a, sigma_d) is Regime.ATTACHMENT,
                              engine.drift, engine.clamped)
-            rec.profile_row(t_prev, L_prev, f_u, S_u, Psi_u, z, t0_prev)
+            rec.profile_row(t_prev, L_prev, S_u, Psi_u, z, t0_prev, f_prev)
         _emit_due(snaps, pending, t, engine)
 
     # Final boundary row at the horizon (reuses the last snapshot if it is here).
@@ -339,7 +334,7 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
         last = engine.snapshot()
     rec.boundary_row(t, L, last.sigma_a, last.sigma_d, last.u_L,
                      last.regime is Regime.ATTACHMENT, 0.0, 0)
-    rec.profile_row(t, L, last.state.f, last.state.S, last.state.Psi,
-                    engine.z, engine.t0)
+    rec.profile_row(t, L, last.state.S, last.state.Psi, engine.z, engine.t0,
+                    engine.fz)
     boundary, profiles = rec.finish()
     return RunResult(cfg=cfg, snapshots=snaps, boundary=boundary, profiles=profiles)

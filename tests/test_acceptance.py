@@ -14,8 +14,8 @@ import pytest
 from biofilm1d.elliptic import _homogeneous_solve, solve_problem
 from biofilm1d.model import CONSTRAINT_TOL, Regime
 from biofilm1d.oracle import (box_from_run, characteristic_trace,
-                              estimate_contraction, map_run_to_char_grid,
-                              picard_solve)
+                              cross_check_errors, estimate_contraction,
+                              map_run_to_char_grid, picard_solve)
 from biofilm1d.cli import EXIT_OK, cli
 from biofilm1d.output import BOUNDARY_NAME, MANIFEST_NAME, PROFILE_NAME
 from biofilm1d.presets import DEFAULT_T1, build_preset
@@ -225,16 +225,8 @@ def _short_cfg(cfg, horizon, N, dt_max):
 def _oracle_errors(cfg, T_o, N, dt_max, grid_n):
     res = run(_short_cfg(cfg, T_o, N, dt_max), record_profiles=True)
     fields, history = picard_solve(cfg, T_o=T_o, grid_n=grid_n)
-    x_fd, c_fd, L_fd = map_run_to_char_grid(res, fields.times)
-    w = fields.wedge
-    x_scale = max(float(np.max(np.abs(fields.x[i][w]))) for i in range(cfg.n))
-    err_x = max(float(np.max(np.abs((fields.x[i] - x_fd[i])[w])))
-                for i in range(cfg.n)) / x_scale
-    err_c = (float(np.max(np.abs((fields.c - c_fd)[w])))
-             / float(np.max(np.abs(fields.c[w]))))
-    err_L = (float(np.max(np.abs(fields.L - L_fd)))
-             / float(np.max(np.abs(fields.L))))
-    return res, history, (err_x, err_c, err_L)
+    errs = cross_check_errors(fields, *map_run_to_char_grid(res, fields.times))
+    return res, history, errs
 
 
 class TestCriterion7OracleEquivalence:

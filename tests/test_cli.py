@@ -131,3 +131,22 @@ class TestAnalysisCommands:
         out = capsys.readouterr().out
         assert "fixed point reached" in out
         assert "cross-validation" in out
+
+
+class TestAnalysisArguments:
+    @pytest.mark.parametrize("flag, value", [
+        ("--grid", "0"), ("--grid", "-3"), ("--grid", "1.5"),
+        ("--horizon", "-1"), ("--horizon", "0"), ("--horizon", "nan"),
+        ("--horizon", "inf"),
+    ])
+    def test_bad_oracle_argument_is_a_usage_error(self, capsys, flag, value):
+        # the last occurrence of a flag wins
+        argv = ["oracle", "--preset", "case1", "--horizon=0.004", "--grid=16",
+                f"{flag}={value}"]
+        assert cli(argv) == EXIT_USAGE
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-0.05", "nan", "inf", "-inf"])
+    def test_bad_window_span_is_a_usage_error(self, capsys, value):
+        assert cli(["window", "--preset", "case1", f"--span={value}"]) == EXIT_USAGE
+        assert "argument --span" in capsys.readouterr().err

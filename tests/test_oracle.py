@@ -11,7 +11,7 @@ from biofilm1d.oracle import (CharPath, ContractionBox, _ctz,
                               box_from_run, characteristic_trace,
                               estimate_contraction, map_run_to_char_grid,
                               picard_solve, window_root)
-from biofilm1d.presets import build_preset
+from biofilm1d.presets import DEFAULT_T1, build_preset
 from biofilm1d.stepper import BoundaryTrace, ProfileTrace, RunResult, run
 
 CASE1 = build_preset("case1").cfg
@@ -114,8 +114,14 @@ class TestPicardSolve:
             picard_solve(CASE1, T_o=5.0, grid_n=40, max_iter=60)
 
     def test_bad_horizon(self):
-        with pytest.raises(ValueError):
-            picard_solve(CASE1, T_o=0.0, grid_n=10)
+        for T_o in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="horizon"):
+                picard_solve(CASE1, T_o=T_o, grid_n=10)
+
+    @pytest.mark.parametrize("grid_n", [0, -3])
+    def test_bad_grid(self, grid_n):
+        with pytest.raises(ValueError, match="grid_n"):
+            picard_solve(CASE1, T_o=0.02, grid_n=grid_n)
 
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_bad_iteration_cap(self, max_iter):
@@ -251,7 +257,8 @@ class TestBoundedTemporaries:
 def synthetic_run(times, L_of_t, c_of=None, N=40):
     """RunResult carrying hand-made records: record k holds one parcel per
     distinct record time up to ``times[k]``, on the exact characteristic
-    ``c_of(t0, t)`` (parcels at rest by default), over the substratum."""
+    ``c_of(t0, t)`` (parcels at rest by default), over the substratum; a
+    parcel's one fraction is its launch time."""
     times = np.asarray(times, float)
     L = np.array([L_of_t(t) for t in times])
     c_of = c_of or (lambda t0, t: L_of_t(t0))
@@ -260,11 +267,11 @@ def synthetic_run(times, L_of_t, c_of=None, N=40):
         launched = np.unique(times[:k + 1])
         parcel_t0.append(np.concatenate(([-1.0], launched)))
         parcel_z.append(np.concatenate(([0.0], [c_of(t0, t) for t0 in launched])))
-    f = np.ones((times.size, 1, N + 1))
     S = np.zeros((times.size, 1, N + 1))
     Psi = np.zeros((times.size, 1, N + 1))
-    profiles = ProfileTrace(t=times, L=L, f=f, S=S, Psi=Psi,
-                            parcel_z=tuple(parcel_z), parcel_t0=tuple(parcel_t0))
+    profiles = ProfileTrace(t=times, L=L, S=S, Psi=Psi,
+                            parcel_z=tuple(parcel_z), parcel_t0=tuple(parcel_t0),
+                            parcel_f=tuple(t0[None, :] for t0 in parcel_t0))
     boundary = BoundaryTrace(t=times, L=L,
                              sigma_a=np.full(times.size, 1e-3),
                              sigma_d=np.zeros(times.size),
@@ -307,6 +314,10 @@ class TestCharacteristicTrace:
             path = characteristic_trace(res, t0=t0)
             exact = L_of_t(t0) * np.exp(g * (path.t - t0))
             np.testing.assert_allclose(path.z, exact, rtol=1e-5)
+            # the fraction (here the label) interpolates to the launch time;
+            # the launch clamps to the top parcel of the record before it
+            np.testing.assert_allclose(path.f[:, 1:], t0, rtol=1e-14)
+            assert path.f[0, 0] == times[np.searchsorted(times, t0, "right") - 1]
 
     def test_requires_profiles(self):
         times = np.linspace(0.0, 1.0, 11)
@@ -360,6 +371,8 @@ class TestArrayLaunch:
             assert isinstance(single, CharPath)
             np.testing.assert_array_equal(path.t, single.t)
             np.testing.assert_array_equal(path.z, single.z)
+            np.testing.assert_array_equal(path.f, single.f)
+            assert path.f.shape == (res.profiles.parcel_f[0].shape[0], path.t.size)
             assert path.t[0] == t0
         return paths
 
@@ -371,7 +384,8 @@ class TestArrayLaunch:
         assert np.ptp(characteristic_trace(case1_recorded, 0.0).z) > 0.0
 
     def test_launch_on_a_record_time(self, case1_recorded):
-        # the path is the parcel labelled with that time, bitwise
+        # the path is the parcel labelled with that time, bitwise: its
+        # position after the launch, its fractions from the launch on
         profiles = case1_recorded.profiles
         pt = profiles.t
         ks = [0, 1, 7, pt.size - 2, pt.size - 1]
@@ -382,6 +396,7 @@ class TestArrayLaunch:
                 mine = profiles.parcel_t0[j] == pt[k]
                 assert mine.sum() == 1
                 assert path.z[j - k] == profiles.parcel_z[j][mine][0]
+                assert_bitwise_equal(path.f[:, j - k], profiles.parcel_f[j][:, mine][:, 0])
 
     def test_end_between_record_times(self, case1_recorded):
         profiles = case1_recorded.profiles
@@ -397,13 +412,20 @@ class TestArrayLaunch:
         z_next = profiles.parcel_z[pt.size - 2][mine][0]
         assert path.z[-1] == pytest.approx(0.5 * (path.z[-2] + z_next), rel=1e-12)
         assert path.z[-2] < path.z[-1] < z_next
+        f_next = profiles.parcel_f[pt.size - 2][:, mine][:, 0]
+        np.testing.assert_allclose(path.f[:, -1], 0.5 * (path.f[:, -2] + f_next),
+                                   rtol=1e-12, atol=1e-300)
 
     def test_launch_at_end_is_a_point(self, case1_recorded):
-        pt, pL = case1_recorded.profiles.t, case1_recorded.profiles.L
-        for t in (float(pt[-1]), 0.5 * (pt[4] + pt[5])):
+        profiles = case1_recorded.profiles
+        pt, pL = profiles.t, profiles.L
+        for t, k in ((float(pt[-1]), pt.size - 1), (0.5 * (pt[4] + pt[5]), 4)):
             path = characteristic_trace(case1_recorded, t, t)
             np.testing.assert_array_equal(path.t, [t])
             np.testing.assert_array_equal(path.z, [np.interp(t, pt, pL)])
+            # fractions of the last record at or before the launch, whose
+            # top parcel is the nearest label below it
+            np.testing.assert_array_equal(path.f, profiles.parcel_f[k][:, -1:])
             self.assert_matches_scalar_calls(case1_recorded, [t], t)
 
     def test_synthetic_runs(self):
@@ -445,39 +467,46 @@ class TestArrayLaunch:
 
 
 def per_point_map(run_output, times):
-    """Reference sampler: one trace lookup and one profile blend per (t0, t)."""
+    """Reference sampler, one (t0, t) at a time, read from the parcels: the
+    path nodes are the launch (``L(t0)`` and the fractions of the last record
+    at or before t0) and every record after t0, where the label t0 is
+    interpolated between its parcels; t is blended linearly in time between
+    the two nodes around it.  Assumes no parcel is shed."""
     profiles = run_output.profiles
+    pt = profiles.t
     rho = run_output.cfg.arrays["rho"]
-    n = rho.size
     G1 = times.size
-    zeta = np.linspace(0.0, 1.0, profiles.f.shape[2])
 
-    def f_at(z, t):
-        k = int(np.searchsorted(profiles.t, t, side="right") - 1)
-        k = max(0, min(k, profiles.t.size - 2))
-        span = profiles.t[k + 1] - profiles.t[k]
-        w = 0.0 if span == 0 else min(max((t - profiles.t[k]) / span, 0.0), 1.0)
-        fa = np.array([np.interp(z, zeta * profiles.L[k], profiles.f[k, i])
-                       for i in range(n)])
-        fb = np.array([np.interp(z, zeta * profiles.L[k + 1], profiles.f[k + 1, i])
-                       for i in range(n)])
-        return (1.0 - w) * fa + w * fb
+    def at(k, t0):
+        """(z, f_1, ..., f_n) of the label t0 at record k."""
+        labels = profiles.parcel_t0[k]
+        return [np.interp(t0, labels, profiles.parcel_z[k])] + [
+            np.interp(t0, labels, fi) for fi in profiles.parcel_f[k]]
 
-    x = np.zeros((n, G1, G1))
+    x = np.zeros((rho.size, G1, G1))
     c = np.zeros((G1, G1))
-    L = np.interp(times, profiles.t, profiles.L)
     for i, t0 in enumerate(times):
-        path = characteristic_trace(run_output, float(t0), float(times[-1]))
+        k0 = int(np.searchsorted(pt, t0, side="right")) - 1
+        launch = [np.interp(t0, pt, profiles.L)] + at(k0, t0)[1:]
+        after = np.flatnonzero(pt > t0)
+        node_t = np.concatenate(([t0], pt[after]))
         for j in range(i, G1):
-            zj = float(np.interp(times[j], path.t, path.z))
-            c[i, j] = zj
-            x[:, i, j] = rho * f_at(zj, float(times[j]))
-    return x, c, L
+            m = int(np.searchsorted(node_t, times[j], side="right")) - 1
+            lo = launch if m == 0 else at(after[m - 1], t0)
+            if node_t[m] == times[j] or m + 1 == node_t.size:
+                v = lo
+            else:
+                hi = at(after[m], t0)
+                v = [np.interp(times[j], node_t[m:m + 2], pair) for pair in zip(lo, hi)]
+            c[i, j] = v[0]
+            x[:, i, j] = rho * np.array(v[1:])
+    return x, c, np.interp(times, pt, profiles.L)
 
 
 class TestMapRunToCharGrid:
-    def test_bitwise_equal_to_per_point_sampling(self):
-        res = run(short_cfg(CASE1, 0.02, N=50), record_profiles=True)
+    def test_bitwise_equal_to_per_point_sampling(self, case1_recorded):
+        res = case1_recorded
+        assert res.boundary.attachment.all()
         times = np.linspace(0.0, 0.02, 26)
         x, c, L = map_run_to_char_grid(res, times)
         x_ref, c_ref, L_ref = per_point_map(res, times)
@@ -498,6 +527,16 @@ class TestMapRunToCharGrid:
                          profiles=None)
         with pytest.raises(OutOfDomain):
             map_run_to_char_grid(bare, times)
+
+    def test_third_species_absent_before_its_arrival(self):
+        # case1 past the arrival t1 of species 3: every parcel launched
+        # before t1 carries none of it, so its x3 row is exactly zero
+        res = run(short_cfg(CASE1, 0.3, N=50, dt_max=2e-3), record_profiles=True)
+        times = np.linspace(0.0, 0.3, 31)
+        x, _, _ = map_run_to_char_grid(res, times)
+        before = times < DEFAULT_T1
+        assert np.all(x[2][before] == 0.0)
+        assert np.max(x[2][~before]) > 0.0
 
 
 class TestContractionEstimate:

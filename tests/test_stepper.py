@@ -218,9 +218,10 @@ class TestLaunchLabels:
         cfg = dataclasses.replace(cfg, bulk=bulk, horizon=0.1, snapshot_times=())
         res = run(cfg, record_profiles=True)
         p, b = res.profiles, res.boundary
-        assert len(p.parcel_z) == len(p.parcel_t0) == p.t.size == b.t.size
-        for k, (z, t0) in enumerate(zip(p.parcel_z, p.parcel_t0)):
-            assert z.shape == t0.shape
+        assert len(p.parcel_z) == len(p.parcel_t0) == len(p.parcel_f) == p.t.size == b.t.size
+        for k, (z, t0, f) in enumerate(zip(p.parcel_z, p.parcel_t0, p.parcel_f)):
+            assert z.shape == t0.shape == f.shape[1:]
+            np.testing.assert_allclose(f.sum(axis=0), 1.0, atol=1e-12)
             assert z[0] == 0.0 and z[-1] == p.L[k]
             assert t0[0] == -cfg.numerics.dt_max
             assert np.all(np.diff(t0) > 0.0)
@@ -275,13 +276,13 @@ class TestStep:
         eng = _CharacteristicEngine(cfg)
         eng.advance(1e-4)
         t0, L0, dt = eng.t, eng.L, cfg.numerics.dt_max
-        sigma_a, sigma_d, u_L, z, u, f, S, Psi = eng.advance(dt)
+        sigma_a, sigma_d, u_L, z, u, S, Psi = eng.advance(dt)
         assert eng.t == t0 + dt
         assert u[0] == 0.0 and u_L == u[-1]
         assert eng.L == advance_boundary(L0, u_L, sigma_a, sigma_d, dt)
         # attachment: the old parcels ride u and one parcel is appended
         np.testing.assert_array_equal(eng.z[:-1], z + dt * u)
-        assert f.shape == S.shape == Psi.shape == (3, cfg.numerics.N + 1)
+        assert S.shape == Psi.shape == (3, cfg.numerics.N + 1)
         assert eng.drift <= 1e-8 and eng.clamped == 0
 
 
