@@ -57,5 +57,6 @@ print("with the colonization parameters the sink is k = k_col/Y_psi * monod "
 print(f"continuum attenuation over L = 1e-4 m: 1/cosh(L sqrt(k/D)) = "
       f"{2.0 * math.exp(-1e-4 * math.sqrt(k_hard / D)):.2e}")
 print("resolving that layer needs N >= L / (0.5 sqrt(D_psi Y_psi / k_col)) "
-      f"= {1e-4 / (0.5 * math.sqrt(1e-5 * 2e-7 / 2.5)):.0f}; the solver emits "
-      "BoundaryLayerResolutionWarning below that.")
+      f"= {1e-4 / (0.5 * math.sqrt(1e-5 * 2e-7 / 2.5)):.0f}; a run whose grid "
+      "falls short at its largest L emits one BoundaryLayerResolutionWarning "
+      "per species.")

@@ -121,13 +121,15 @@ def loads(text: str) -> ScenarioConfig:
     kind = entries.pop("stoichiometry.kind", "builtin3x3")
     if kind == "builtin3x3":
         stoich = Stoichiometry.builtin3x3()
-    else:
+    elif kind == "custom":
         sof = _pop(entries, "stoichiometry.substrate_of",
                    lambda raw: tuple(int(v) - 1 for v in raw.split(",")))
         rows = tuple(_pop(entries, f"stoichiometry.production.{j}",
                           lambda raw: tuple(float(v) for v in raw.split(",")))
                      for j in range(1, m + 1))
         stoich = Stoichiometry(substrate_of=sof, production=rows, kind="custom")
+    else:
+        raise ConfigError(f"stoichiometry.kind must be builtin3x3 or custom, not {kind!r}")
 
     nm_kwargs = {}
     for field in _NUMERICS_FIELDS:

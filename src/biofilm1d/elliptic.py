@@ -243,6 +243,20 @@ def resolution_limit(L, species) -> float:
     return L / (0.5 * math.sqrt(species.D_psi * species.Y_psi / species.k_col))
 
 
+def warn_under_resolved(L_max: float, cfg) -> None:
+    """One :class:`BoundaryLayerResolutionWarning` per species whose planktonic
+    layer the grid misses at ``L_max``, a run's largest and so worst L."""
+    N = cfg.numerics.N
+    for i, sp in enumerate(cfg.species):
+        need = resolution_limit(L_max, sp)
+        if need > N:
+            warnings.warn(
+                f"species {i + 1}: planktonic boundary layer needs N >= "
+                f"{math.ceil(need)} at L = {L_max:.3e} m (have N = {N}); "
+                "profile is under-resolved", BoundaryLayerResolutionWarning,
+                stacklevel=2)
+
+
 def solve_planktonic(t: float, L: float, S: np.ndarray, cfg) -> np.ndarray:
     """All planktonic fields (n, N+1) at time t on [0, L] at frozen
     substrates S (one homogeneous solve each)."""
@@ -254,13 +268,6 @@ def solve_planktonic(t: float, L: float, S: np.ndarray, cfg) -> np.ndarray:
     psi_bulk = cfg.psi_star(t)
     Psi = np.empty((cfg.n, N + 1))
     for i, sp in enumerate(cfg.species):
-        need = resolution_limit(L, sp)
-        if need > N:
-            warnings.warn(
-                f"species {i + 1}: planktonic boundary layer needs N >= "
-                f"{math.ceil(need)} at L = {L:.3e} m (have N = {N}); "
-                "profile is under-resolved", BoundaryLayerResolutionWarning,
-                stacklevel=2)
         dirichlet = float(psi_bulk[i])
         if sp.k_col == 0:
             # kappa = 0: every pivot ratio is 1 and the product is constant.

@@ -37,8 +37,10 @@ from typing import Optional
 import numpy as np
 
 from . import kinetics
-from .errors import DetachmentRegime, NoAttachment, NonConvergence, OutOfDomain
+from .errors import (ConfigError, DetachmentRegime, NoAttachment, NonConvergence,
+                     OutOfDomain)
 from .kinetics import attachment_flux, inflow_fractions
+from .model import validate_config
 from .stepper import RunResult
 
 
@@ -188,15 +190,18 @@ def picard_solve(cfg, T_o: float, grid_n: int, tol: Optional[float] = None,
     """Iterate the integral map on [0, T_o] until the iterates settle.
 
     Returns ``(CharField, history)`` where ``history`` lists successive
-    iterate distances.  Raises :class:`NonConvergence` when the distance
-    fails to decrease three times in a row (the horizon is too long for
-    contraction) and :class:`DetachmentRegime` when the configuration
-    leaves the attachment regime on the horizon.
+    iterate distances.  Raises :class:`ConfigError` on an invalid ``cfg``,
+    :class:`NonConvergence` when the distance fails to decrease three times
+    in a row (the horizon is too long for contraction) and
+    :class:`DetachmentRegime` when ``cfg`` leaves the attachment regime.
 
     ``zeroth`` optionally replaces the default starting iterate with a
     ``(x, s, psi, L, c, c_t0)`` tuple of matching shapes (used to witness
     uniqueness: admissible starts converge to the same fixed point).
     """
+    report = validate_config(cfg)
+    if not report.ok:
+        raise ConfigError(f"invalid configuration:\n{report}")
     if not (T_o > 0 and math.isfinite(T_o)):
         raise ValueError("oracle horizon must be positive and finite")
     if grid_n < 1:
@@ -250,7 +255,7 @@ def picard_solve(cfg, T_o: float, grid_n: int, tol: Optional[float] = None,
         raise NonConvergence("fixed-point iteration exceeded max_iter",
                              iterations=max_iter, residual=history[-1])
 
-    if np.any(sigma_a - cfg.delta * L ** 2 <= 0.0):
+    if np.any(sigma_a - kinetics.detachment_flux(L, cfg.delta) <= 0.0):
         raise DetachmentRegime(
             "detachment would dominate on this horizon; the characteristic "
             "formulation only covers the attachment regime")
@@ -558,8 +563,7 @@ def box_from_run(run_output: RunResult, margin: float = 2.0) -> ContractionBox:
     dev_s = np.max(np.abs(profiles.S - S_b.T[:, :, None]), axis=(0, 2))
     dev_psi = np.max(np.abs(profiles.Psi - psi_b.T[:, :, None]), axis=(0, 2))
 
-    Sigma = np.concatenate([[0.0], np.cumsum(
-        (bnd.sigma_a[1:] + bnd.sigma_a[:-1]) * 0.5 * np.diff(bnd.t))])
+    Sigma = _ctz(bnd.sigma_a, axis=0, delta=np.diff(bnd.t))
     dev_L = float(np.max(np.abs(bnd.L - Sigma)))
     u_max = float(np.max(np.abs(bnd.u_L)))
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -20,8 +20,10 @@ builds a ``BiofilmState``, and each emitted :class:`Snapshot` holds one.
 The substrate Newton of a step starts from the linear extrapolation in time
 of the last two substrate solutions, the standard starting value for the
 algebraic part of a differential-algebraic system.
-Steps are capped at ``dt_max`` and land exactly on snapshot times and
-bulk-trace breakpoints, so a run is deterministic for a fixed configuration.
+The engine only advances parcels; :func:`run` owns the clock, the
+snapshots, the step records and the grid-resolution warning.  Its steps are
+capped at ``dt_max`` and land exactly on snapshot times and bulk-trace
+breakpoints, so a run is deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .elliptic import solve_planktonic, solve_substrates
+from .elliptic import solve_planktonic, solve_substrates, warn_under_resolved
 from .errors import ConfigError, NumericalBlowup
 from .kinetics import (attachment_flux, detachment_flux, inflow_fractions,
                        rate_bundle)
@@ -133,38 +135,9 @@ def make_snapshot(t, L, zeta, f, S_guess, cfg: ScenarioConfig) -> Snapshot:
 
 
 def _forced_times(cfg: ScenarioConfig):
-    pts = set(float(s) for s in cfg.snapshot_times)
-    pts.update(b for b in cfg.bulk.breakpoints() if 0.0 < b < cfg.horizon)
-    pts.add(cfg.horizon)
+    pts = {float(s) for s in cfg.snapshot_times} | {cfg.horizon}
+    pts.update(cfg.bulk.breakpoints())
     return sorted(p for p in pts if 0.0 < p <= cfg.horizon)
-
-
-class _TraceRecorder:
-    def __init__(self, record_profiles, profile_t_max):
-        self.rows, self.profile_rows = [], []
-        self.record_profiles = record_profiles
-        self.profile_t_max = profile_t_max
-
-    def boundary_row(self, t, L, sa, sd, uL, attach, drift, clamped):
-        self.rows.append((t, L, sa, sd, uL, attach, drift, clamped))
-
-    def profile_row(self, t, L, S, Psi, z, t0, fz):
-        if self.record_profiles and t <= self.profile_t_max:
-            self.profile_rows.append(
-                (t, L) + tuple(np.array(a) for a in (S, Psi, z, t0, fz)))
-
-    def finish(self):
-        # one column per BoundaryTrace field, in declaration order
-        cols = list(zip(*self.rows)) if self.rows else [[]] * 8
-        dtypes = (float,) * 5 + (bool, float, int)
-        boundary = BoundaryTrace(*(np.array(c, dtype=d) for c, d in zip(cols, dtypes)))
-        profiles = None
-        if self.profile_rows:
-            t, L, S, Psi, z, t0, fz = zip(*self.profile_rows)
-            profiles = ProfileTrace(t=np.array(t), L=np.array(L), S=np.stack(S),
-                                    Psi=np.stack(Psi), parcel_z=z, parcel_t0=t0,
-                                    parcel_f=fz)
-        return boundary, profiles
 
 
 class _CharacteristicEngine:
@@ -204,24 +177,19 @@ class _CharacteristicEngine:
         (t2, S2), (t1, S1) = self._solved
         return S1 + (t - t1) / (t1 - t2) * (S1 - S2)
 
-    def land(self, t: float):
-        """Put the clock on the forced time ``t`` that the last step ended
-        within rounding of, relabelling the parcel attached over that step."""
-        if self.t0[-1] == self.t:
-            self.t0[-1] = t
-        self.t = t
-
     def snapshot(self) -> Snapshot:
         return make_snapshot(self.t, self.L, self.zeta, self.uniform_f(),
                              self.S_uniform, self.cfg)
 
-    def advance(self, dt: float):
-        """One explicit step of length ``dt``.
+    def advance(self, dt: float, t_new: Optional[float] = None):
+        """One explicit step of length ``dt``, ending the clock at ``t_new``
+        (default ``t + dt``); a parcel attached over the step takes that label.
 
         Returns ``(sigma_a, sigma_d, u_L, z, u, S, Psi)``: the interface
         fluxes and velocity, the parcel abscissae and velocities, and the
         uniform-grid dissolved fields, all at the start of the step.
         """
+        t_new = self.t + dt if t_new is None else t_new
         cfg = self.cfg
         S_u, Psi_u = _equilibrate(self.t, self.L, self.uniform_f(),
                                   self._predicted_S(self.t), cfg)
@@ -248,12 +216,11 @@ class _CharacteristicEngine:
         col = f_new.sum(axis=0)
         self.drift = float(np.max(np.abs(col - 1.0)))
         if np.min(col) <= 0.1:
-            raise NumericalBlowup("volume-fraction sum collapsed", t=self.t + dt)
+            raise NumericalBlowup("volume-fraction sum collapsed", t=t_new)
         f_new = f_new / col
 
         z = self.z
         z_new = z + dt * u
-        t_new = self.t + dt
 
         # Parcel gaps never shrink (G >= 0 stretches material), so only the
         # interface node needs care to keep the abscissae strictly increasing.
@@ -262,12 +229,9 @@ class _CharacteristicEngine:
                 and L_new > z_new[-1]:
             # composition of the parcel attached over [t, t+dt], sampled at
             # the step start where the attachment regime is guaranteed
-            f_in = inflow_fractions(cfg.psi_star(self.t), cfg)
+            f_top, t0_top = inflow_fractions(cfg.psi_star(self.t), cfg), t_new
             # a parcel attached within the margin of the top one replaces it
             keep = slice(None, -1 if L_new - z_new[-1] <= margin else None)
-            z_new = np.append(z_new[keep], L_new)
-            f_new = np.column_stack([f_new[:, keep], f_in])
-            t0_new = np.append(self.t0[keep], t_new)
         else:
             # Receding interface: sample the material profile at the new top,
             # then shed everything above it.
@@ -276,25 +240,21 @@ class _CharacteristicEngine:
             t0_top = np.interp(L_new, z_new, self.t0)
             keep = z_new < L_new - margin
             keep[0] = True
-            z_new = np.append(z_new[keep], L_new)
-            f_new = np.column_stack([f_new[:, keep], f_top])
-            t0_new = np.append(self.t0[keep], t0_top)
+        z_new = np.append(z_new[keep], L_new)
+        f_new = np.column_stack([f_new[:, keep], f_top])
+        t0_new = np.append(self.t0[keep], t0_top)
 
         self.t, self.L, self.z, self.fz, self.t0 = t_new, L_new, z_new, f_new, t0_new
         return sigma_a, sigma_d, u_L, z, u, S_u, Psi_u
-
-
-def _emit_due(snap_list, pending, t, engine):
-    while pending and abs(pending[0] - t) <= _TIME_SNAP * max(1.0, abs(t)):
-        snap_list.append(engine.snapshot())
-        pending.pop(0)
 
 
 def run(cfg: ScenarioConfig, record_profiles: bool = False,
         profile_t_max: float = math.inf) -> RunResult:
     """Integrate from t = 0 to the horizon, emitting scheduled snapshots.
 
-    Steps land exactly on snapshot times and on bulk-trace breakpoints.
+    Steps land exactly on snapshot times and on bulk-trace breakpoints.  A
+    species whose planktonic layer the grid misses at the run's largest
+    thickness gets one :class:`BoundaryLayerResolutionWarning`.
     ``record_profiles`` keeps a :class:`ProfileTrace` of every step that
     starts by ``profile_t_max``: the uniform-grid dissolved fields, and the
     labelled parcels with their fractions that
@@ -304,37 +264,43 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
     if not report.ok:
         raise ConfigError(f"invalid configuration:\n{report}")
     engine = _CharacteristicEngine(cfg)
-    pending = [float(s) for s in cfg.snapshot_times]
-    snaps: list = []
-    rec = _TraceRecorder(record_profiles, profile_t_max)
-
-    _emit_due(snaps, pending, 0.0, engine)
+    # seed snapshots now, every other one right after its forced time
+    snaps = [engine.snapshot() for s in cfg.snapshot_times if s == 0.0]
+    rows, profile_rows = [], []
     t = 0.0
     for target in _forced_times(cfg):
-        while t < target - _TIME_SNAP * max(1.0, target):
-            t_prev, L_prev, t0_prev, f_prev = engine.t, engine.L, engine.t0, engine.fz
-            sigma_a, sigma_d, u_L, z, _, S_u, Psi_u = engine.advance(
-                min(cfg.numerics.dt_max, target - t))
+        tol = _TIME_SNAP * max(1.0, target)
+        while t < target - tol:
+            dt = min(cfg.numerics.dt_max, target - t)
+            # a step that ends within rounding of the forced time lands on it
+            t_end = target if abs(t + dt - target) <= tol else t + dt
+            L, t0, fz = engine.L, engine.t0, engine.fz
+            sigma_a, sigma_d, u_L, z, _, S_u, Psi_u = engine.advance(dt, t_end)
             if not (np.isfinite(engine.L) and np.all(np.isfinite(engine.fz))):
-                raise NumericalBlowup("non-finite state after step", t=engine.t)
-            if abs(engine.t - target) <= _TIME_SNAP * max(1.0, target):
-                engine.land(target)
-            t = engine.t
-            rec.boundary_row(t_prev, L_prev, sigma_a, sigma_d, u_L,
-                             Regime.classify(sigma_a, sigma_d) is Regime.ATTACHMENT,
-                             engine.drift, engine.clamped)
-            rec.profile_row(t_prev, L_prev, S_u, Psi_u, z, t0_prev, f_prev)
-        _emit_due(snaps, pending, t, engine)
+                raise NumericalBlowup("non-finite state after step", t=t_end)
+            rows.append((t, L, sigma_a, sigma_d, u_L,
+                         Regime.classify(sigma_a, sigma_d) is Regime.ATTACHMENT,
+                         engine.drift, engine.clamped))
+            if record_profiles and t <= profile_t_max:
+                profile_rows.append((t, L, S_u, Psi_u, z, t0, fz))
+            t = t_end
+        snaps.extend(engine.snapshot() for s in cfg.snapshot_times if s == target)
 
-    # Final boundary row at the horizon (reuses the last snapshot if it is here).
-    t, L = engine.t, engine.L
-    if snaps and abs(snaps[-1].state.t - t) <= _TIME_SNAP * max(1.0, t):
-        last = snaps[-1]
-    else:
-        last = engine.snapshot()
-    rec.boundary_row(t, L, last.sigma_a, last.sigma_d, last.u_L,
-                     last.regime is Regime.ATTACHMENT, 0.0, 0)
-    rec.profile_row(t, L, last.state.S, last.state.Psi, engine.z, engine.t0,
-                    engine.fz)
-    boundary, profiles = rec.finish()
+    # Final row at the horizon (reuses the last snapshot if it is here).
+    last = snaps[-1] if snaps and snaps[-1].state.t == t else engine.snapshot()
+    rows.append((t, engine.L, last.sigma_a, last.sigma_d, last.u_L,
+                 last.regime is Regime.ATTACHMENT, 0.0, 0))
+    if record_profiles and t <= profile_t_max:
+        profile_rows.append((t, engine.L, last.state.S, last.state.Psi,
+                             engine.z, engine.t0, engine.fz))
+
+    # one column per BoundaryTrace field, in declaration order
+    dtypes = (float,) * 5 + (bool, float, int)
+    boundary = BoundaryTrace(*(np.array(c, dtype=d) for c, d in zip(zip(*rows), dtypes)))
+    warn_under_resolved(float(boundary.L.max()), cfg)
+    profiles = None
+    if profile_rows:
+        t, L, S, Psi, z, t0, fz = zip(*profile_rows)
+        profiles = ProfileTrace(np.array(t), np.array(L), np.stack(S),
+                                np.stack(Psi), z, t0, fz)
     return RunResult(cfg=cfg, snapshots=snaps, boundary=boundary, profiles=profiles)

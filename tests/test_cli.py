@@ -150,3 +150,12 @@ class TestAnalysisArguments:
     def test_bad_window_span_is_a_usage_error(self, capsys, value):
         assert cli(["window", "--preset", "case1", f"--span={value}"]) == EXIT_USAGE
         assert "argument --span" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t1", ["nan", "inf"])
+    def test_invalid_oracle_config_fails_before_iterating(self, capsys, t1):
+        code = cli(["oracle", "--preset", "case1", "--horizon", "0.02",
+                    "--grid", "10", "--t1", t1])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert "must be finite" in captured.err
+        assert "iterate distances" not in captured.out

@@ -93,6 +93,20 @@ class TestParsing:
         with pytest.raises(ConfigError, match=key):
             configio.loads("\n".join(lines))
 
+    @pytest.mark.parametrize("kind", ["builtin3X3", "Custom", "triangular"])
+    def test_unknown_stoichiometry_kind_rejected(self, kind):
+        # the custom keys are present, so only the kind itself can be at fault
+        stoich = Stoichiometry(substrate_of=(0, 1, 2),
+                               production=((-1.0, 0.0, 0.0), (0.5, -1.0, 0.0),
+                                           (1.0, 0.0, -1.0)))
+        cfg = dataclasses.replace(build_preset("case2").cfg, stoichiometry=stoich)
+        text = configio.dumps(cfg).replace("stoichiometry.kind = custom",
+                                           f"stoichiometry.kind = {kind}")
+        assert f"stoichiometry.kind = {kind}" in text
+        with pytest.raises(ConfigError, match=r"stoichiometry\.kind.*"
+                           r"builtin3x3 or custom"):
+            configio.loads(text)
+
 
 class TestRemovedKeys:
     def legacy_text(self, transport):

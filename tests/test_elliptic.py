@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import biofilm1d
 from biofilm1d.elliptic import (_homogeneous_solve, _residual, resolution_limit,
                                 solve_planktonic, solve_problem, solve_substrates,
-                                tridiagonal_solve)
+                                tridiagonal_solve, warn_under_resolved)
 from biofilm1d.errors import BoundaryLayerResolutionWarning, SingularJacobian
 from biofilm1d.model import initial_state
 from biofilm1d.presets import build_preset
@@ -286,7 +287,9 @@ class TestPlanktonicSolves:
         np.testing.assert_allclose(Psi[2], 0.0, atol=1e-12)
 
     def test_zero_bulk_gives_zero_field(self):
-        with pytest.warns(BoundaryLayerResolutionWarning):
+        # the solve itself never warns; the run warns once per species
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             Psi = planktonic(CASE2)
         np.testing.assert_array_equal(Psi[2], np.zeros(CASE2.numerics.N + 1))
 
@@ -295,12 +298,18 @@ class TestPlanktonicSolves:
         sp = CASE2.species[0]
         assert resolution_limit(1e-4, sp) == pytest.approx(
             1e-4 / (0.5 * math.sqrt(1e-5 * 2e-7 / 2.5)), rel=1e-12)
-        with pytest.warns(BoundaryLayerResolutionWarning):
-            planktonic(CASE2, L=1e-4)
+        with pytest.warns(BoundaryLayerResolutionWarning) as record:
+            warn_under_resolved(1e-4, CASE2)
+        assert [str(w.message).split(":")[0] for w in record] \
+            == ["species 1", "species 2", "species 3"]
+        assert "needs N >= 224 at L = 1.000e-04 m (have N = 200)" \
+            in str(record[0].message)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warn_under_resolved(0.99 * 200 / 224 * 1e-4, CASE2)
 
     def test_screened_profile_decays_monotonically(self):
-        with pytest.warns(BoundaryLayerResolutionWarning):
-            v = planktonic(CASE2, L=1e-4)[0]
+        v = planktonic(CASE2, L=1e-4)[0]
         assert v[-1] == 100.0
         assert np.all(np.diff(v) >= -1e-12)
         # the continuum attenuation 1/cosh(L sqrt(k/D)) is astronomically

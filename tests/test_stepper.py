@@ -171,15 +171,20 @@ class TestLaunchLabels:
     f = np.stack([np.full(17, 1.0), np.zeros(17)])
 
     def test_attached_parcel_takes_the_step_end(self):
-        eng = parcel_engine(two_species_cfg(v_a=(0.02, 0.0), psi=(50.0, 0.0)),
-                            self.z, self.f)
-        eng.t = 0.3
+        cfg = two_species_cfg(v_a=(0.02, 0.0), psi=(50.0, 0.0))
+        eng = parcel_engine(cfg, self.z, self.f)
+        landed = parcel_engine(cfg, self.z, self.f)
+        eng.t = landed.t = 0.3
         before = eng.t0
         eng.advance(1e-3)
         np.testing.assert_array_equal(eng.t0[:-1], before)
         assert eng.t0[-1] == eng.t == 0.3 + 1e-3
-        eng.land(0.301)
-        assert eng.t0[-1] == eng.t == 0.301
+        # a step landed on a forced time one ulp away labels its parcel with it
+        t_end = float(np.nextafter(0.3 + 1e-3, 1.0))
+        landed.advance(1e-3, t_end)
+        assert landed.t0[-1] == landed.t == t_end
+        np.testing.assert_array_equal(landed.t0[:-1], before)
+        np.testing.assert_array_equal(landed.z, eng.z)
 
     def test_receding_top_takes_an_interpolated_label(self):
         # no growth and strong erosion: the interface recedes through parcels
@@ -193,9 +198,11 @@ class TestLaunchLabels:
         np.testing.assert_array_equal(eng.t0[:-1], before[kept])
         assert eng.t0[-1] == np.interp(eng.L, self.z, before)
         assert np.all(np.diff(eng.t0) > 0.0)
-        top = eng.t0[-1]
-        eng.land(eng.t)   # a receding step attached no parcel to relabel
-        assert eng.t0[-1] == top
+        # a receding step attached no parcel: its end time labels nothing
+        landed = parcel_engine(eng.cfg, self.z, self.f)
+        landed.advance(1e-4, 0.5)
+        assert landed.t == 0.5
+        np.testing.assert_array_equal(landed.t0, eng.t0)
 
     def test_landing_relabels_the_attached_parcel(self):
         # 0.8999999999999999 + 0.1 rounds to 0.9999999999999999, within the
@@ -345,6 +352,37 @@ class TestRun:
         cfg = small_case1(horizon=0.3, snapshots=(0.3,))
         res = run(cfg)  # t1 = 0.2 is a trace breakpoint inside the horizon
         assert np.any(np.isclose(res.boundary.t, 0.2, atol=1e-12))
+
+    def test_snapshot_schedule(self):
+        # 0.2 is case1's ramp breakpoint t1 as well as a snapshot time; 0.0
+        # and 0.25 are scheduled twice
+        times = (0.0, 0.0, 0.1, 0.1234, 0.2, 0.25, 0.25, 0.3)
+        cfg = small_case1(horizon=0.3, snapshots=times)
+        assert 0.2 in cfg.bulk.breakpoints()
+        res = run(cfg)
+        assert [snap.state.t for snap in res.snapshots] == list(times)
+        seed = initial_state(cfg)
+        for snap in res.snapshots[:2]:
+            assert snap.state.L == seed.L
+            np.testing.assert_array_equal(snap.state.f, seed.f)
+        # every forced time is a step boundary, bitwise
+        b = res.boundary
+        assert set(times[1:]) | set(cfg.bulk.breakpoints()) <= set(b.t.tolist())
+        for snap in res.snapshots:
+            assert b.L[np.flatnonzero(b.t == snap.state.t)[0]] == snap.state.L
+
+    @pytest.mark.parametrize("case, warned", [("case1", []), ("case2", [1, 2, 3])])
+    def test_one_resolution_warning_per_species(self, case, warned):
+        cfg = dataclasses.replace(build_preset(case).cfg, horizon=0.1,
+                                  snapshot_times=(0.05, 0.1))
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            res = run(cfg)
+        messages = [str(w.message) for w in record
+                    if issubclass(w.category, BoundaryLayerResolutionWarning)]
+        assert [m.split(":")[0] for m in messages] == [f"species {i}" for i in warned]
+        # named at the run's largest thickness, where the need is worst
+        assert all(f"at L = {res.boundary.L.max():.3e} m" in m for m in messages)
 
     def test_traced_bindings_called_once_per_step(self, monkeypatch):
         # perfbench/tracing.py counts steps, parcels, Newton iterations and
