@@ -16,12 +16,11 @@ from .kinetics import (RateBundle, attachment_flux, detachment_flux,
                        inflow_fractions, monod, rate_bundle, substrate_rates)
 from .model import (CONSTRAINT_TOL, BiofilmState, NumericsConfig, Regime,
                     ScenarioConfig, Snapshot, SpeciesParams, Stoichiometry,
-                    SubstrateParams, ValidationReport, initial_state,
-                    validate_config)
+                    SubstrateParams, ValidationReport, validate_config)
 from .elliptic import (EllipticSolution, solve_planktonic, solve_substrates,
                        tridiagonal_solve)
-from .stepper import (BoundaryTrace, ProfileTrace, RunResult, advance_boundary,
-                      compute_velocity, make_snapshot, run)
+from .stepper import (BoundaryTrace, ProfileTrace, RunResult, compute_velocity,
+                      make_snapshot, run)
 from .oracle import (CharField, CharPath, ContractionBox, ContractionEstimate,
                      box_from_run, characteristic_trace, cross_check_errors,
                      estimate_contraction, map_run_to_char_grid, picard_solve,

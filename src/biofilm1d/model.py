@@ -13,8 +13,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NoAttachment
-from .kinetics import attachment_flux, inflow_fractions
 from .traces import BulkTraces
 
 #: Absolute tolerance on the nodewise volume-fraction sum constraint.  Tight
@@ -173,10 +171,9 @@ class BiofilmState:
     f: np.ndarray      # (n, N+1) volume fractions
     S: np.ndarray      # (m, N+1) substrate concentrations
     Psi: np.ndarray    # (n, N+1) planktonic concentrations
-    u: np.ndarray      # (N+1,) advective velocity samples, m/day
 
     def __post_init__(self):
-        for name in ("zeta", "f", "S", "Psi", "u"):
+        for name in ("zeta", "f", "S", "Psi"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
@@ -309,32 +306,3 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
 
     return ValidationReport(tuple(bad))
 
-
-def initial_state(cfg: ScenarioConfig) -> BiofilmState:
-    """Seed state at t = 0.
-
-    The vanishing initial thickness is replaced by the seed ``L_eps`` (one
-    attachment step at any practical dt dwarfs it), volume fractions are the
-    attachment inflow fractions at t = 0, and the dissolved fields start at
-    their bulk values.
-
-    Raises :class:`NoAttachment` when nothing attaches at t = 0, in which
-    case no biofilm can nucleate.
-    """
-    psi0 = cfg.psi_star(0.0)
-    if attachment_flux(psi0, cfg) <= 0.0:
-        raise NoAttachment("total attachment flux at t = 0 is zero")
-    f0 = inflow_fractions(psi0, cfg)
-
-    N = cfg.numerics.N
-    zeta = np.arange(N + 1, dtype=float) / N
-    ones = np.ones(N + 1)
-    return BiofilmState(
-        t=0.0,
-        L=cfg.numerics.L_eps,
-        zeta=zeta,
-        f=np.outer(f0, ones),
-        S=np.outer(cfg.s_star(0.0), ones),
-        Psi=np.outer(psi0, ones),
-        u=np.zeros(N + 1),
-    )

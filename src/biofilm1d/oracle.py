@@ -184,16 +184,16 @@ def _boundary_data(cfg, times):
     return psi_b, S_b, sigma_a, X0
 
 
-def picard_solve(cfg, T_o: float, grid_n: int, tol: Optional[float] = None,
-                 max_iter: Optional[int] = None,
-                 zeroth: Optional[tuple] = None):
-    """Iterate the integral map on [0, T_o] until the iterates settle.
+def picard_solve(cfg, T_o: float, grid_n: int, zeroth: Optional[tuple] = None):
+    """Iterate the integral map on [0, T_o] until the iterate distance falls
+    below ``cfg.numerics.picard_tol``.
 
     Returns ``(CharField, history)`` where ``history`` lists successive
     iterate distances.  Raises :class:`ConfigError` on an invalid ``cfg``,
     :class:`NonConvergence` when the distance fails to decrease three times
-    in a row (the horizon is too long for contraction) and
-    :class:`DetachmentRegime` when ``cfg`` leaves the attachment regime.
+    in a row (the horizon is too long for contraction) or after
+    ``picard_max_iter`` iterations, and :class:`DetachmentRegime` when
+    ``cfg`` leaves the attachment regime.
 
     ``zeroth`` optionally replaces the default starting iterate with a
     ``(x, s, psi, L, c, c_t0)`` tuple of matching shapes (used to witness
@@ -206,11 +206,6 @@ def picard_solve(cfg, T_o: float, grid_n: int, tol: Optional[float] = None,
         raise ValueError("oracle horizon must be positive and finite")
     if grid_n < 1:
         raise ValueError("grid_n must be at least 1")
-    nm = cfg.numerics
-    tol = nm.picard_tol if tol is None else tol
-    max_iter = nm.picard_max_iter if max_iter is None else max_iter
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
 
     G1 = grid_n + 1
     times = np.linspace(0.0, T_o, G1)
@@ -232,9 +227,10 @@ def picard_solve(cfg, T_o: float, grid_n: int, tol: Optional[float] = None,
     else:
         x, s, psi, L, c, ct0 = (np.array(a, dtype=float) for a in zeroth)
 
+    nm = cfg.numerics
     history = []
     stall = 0
-    for _ in range(max_iter):
+    for _ in range(nm.picard_max_iter):
         new = _iterate_map(cfg, times, mask, X0, S_b, psi_b, Sigma, sigma_a,
                            x, s, psi, L, c, ct0)
         d = _distance(mask, (x, s, psi, L, c, ct0), new)
@@ -249,11 +245,11 @@ def picard_solve(cfg, T_o: float, grid_n: int, tol: Optional[float] = None,
                     residual=d)
         else:
             stall = 0
-        if d < tol:
+        if d < nm.picard_tol:
             break
     else:
         raise NonConvergence("fixed-point iteration exceeded max_iter",
-                             iterations=max_iter, residual=history[-1])
+                             iterations=nm.picard_max_iter, residual=history[-1])
 
     if np.any(sigma_a - kinetics.detachment_flux(L, cfg.delta) <= 0.0):
         raise DetachmentRegime(
@@ -424,7 +420,6 @@ def window_root(a: float, b: float) -> float:
 
 
 def estimate_contraction(cfg, box: ContractionBox, t_max: Optional[float] = None,
-                         T1: Optional[float] = None,
                          seed: int = 0) -> ContractionEstimate:
     """Bound and Lipschitz estimates for the integral-map kernels over a box.
 
@@ -531,8 +526,6 @@ def estimate_contraction(cfg, box: ContractionBox, t_max: Optional[float] = None
     caps["c1"] = math.inf if M_geo == 0.0 else math.sqrt(box.h_c1 / (2.0 * M_geo))
     caps["c2"] = cap_div(box.h_c2, M_geo)
     caps["contraction"] = window_root(a_sum, b_sum)
-    if T1 is not None:
-        caps["T1"] = T1
 
     T_min = min(caps.values())
     T_star = T_min if math.isinf(T_min) else 0.99 * T_min
@@ -543,8 +536,8 @@ def estimate_contraction(cfg, box: ContractionBox, t_max: Optional[float] = None
         a=a_sum, b=b_sum, caps=caps, T_star=T_star, samples=pts.shape[0])
 
 
-def box_from_run(run_output: RunResult, margin: float = 2.0) -> ContractionBox:
-    """Deviation bounds observed in a recorded run, widened by ``margin``.
+def box_from_run(run_output: RunResult) -> ContractionBox:
+    """Deviation bounds observed in a recorded run, widened by a factor 2.
 
     A practical way to feed :func:`estimate_contraction`: the box then covers
     the region the solution actually inhabits on the run's horizon.
@@ -570,7 +563,7 @@ def box_from_run(run_output: RunResult, margin: float = 2.0) -> ContractionBox:
         G_max = float(np.nanmax(np.where(bnd.L > 0, bnd.u_L / bnd.L, 0.0)))
     sig_max = float(np.max(bnd.sigma_a))
 
-    floor = 1e-9
+    floor, margin = 1e-9, 2.0
     h_x = tuple(margin * max(v, 1e-3 * r) for v, r in zip(dev_x, a_["rho"]))
     h_s = tuple(margin * max(v, floor) for v in dev_s)
     h_psi = tuple(margin * max(v, floor) for v in dev_psi)

@@ -36,11 +36,11 @@ from typing import Optional
 import numpy as np
 
 from .elliptic import solve_planktonic, solve_substrates, warn_under_resolved
-from .errors import ConfigError, NumericalBlowup
+from .errors import ConfigError, NoAttachment, NumericalBlowup
 from .kinetics import (attachment_flux, detachment_flux, inflow_fractions,
                        rate_bundle)
 from .model import (BiofilmState, Regime, ScenarioConfig, Snapshot,
-                    initial_state, validate_config)
+                    validate_config)
 
 logger = logging.getLogger(__name__)
 
@@ -58,15 +58,6 @@ def compute_velocity(G, dz) -> np.ndarray:
     u[0] = 0.0
     u[1:] = np.cumsum((G[:-1] + G[1:]) * (0.5 * dz))
     return u
-
-
-def advance_boundary(L, u_L, sigma_a, sigma_d, dt) -> float:
-    """Explicit Euler update of the interface position, floored at zero."""
-    L_next = L + dt * (u_L + sigma_a - sigma_d)
-    if L_next < 0.0:
-        logger.info("interface hit the substratum (L floored at 0)")
-        return 0.0
-    return L_next
 
 
 def _interface_fluxes(t, L, cfg):
@@ -129,7 +120,7 @@ def make_snapshot(t, L, zeta, f, S_guess, cfg: ScenarioConfig) -> Snapshot:
     S, Psi = _equilibrate(t, L, f, S_guess, cfg)
     u = compute_velocity(rate_bundle(f, S, Psi, cfg).G, L / (zeta.size - 1))
     sigma_a, sigma_d = _interface_fluxes(t, L, cfg)
-    state = BiofilmState(t=t, L=L, zeta=zeta, f=f, S=S, Psi=Psi, u=u)
+    state = BiofilmState(t=t, L=L, zeta=zeta, f=f, S=S, Psi=Psi)
     return Snapshot(state=state, sigma_a=sigma_a, sigma_d=sigma_d,
                     u_L=float(u[-1]), regime=Regime.classify(sigma_a, sigma_d))
 
@@ -143,20 +134,25 @@ def _forced_times(cfg: ScenarioConfig):
 class _CharacteristicEngine:
     """Lagrangian parcel transport; fractions never cross parcel boundaries.
 
-    ``t0`` holds each parcel's launch time.  The seed film counts as attached
-    over the step before t = 0, so its substratum parcel takes ``-dt_max``.
+    ``t0`` holds each parcel's launch time.  In place of L(0) = 0 the film
+    starts as a seed of thickness ``L_eps``: two parcels with the inflow
+    fractions at t = 0 under bulk substrates, counted as attached over the
+    step before t = 0, so the substratum parcel takes ``-dt_max``.
     """
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        seed = initial_state(cfg)
+        nm = cfg.numerics
+        psi0 = cfg.psi_star(0.0)
+        if attachment_flux(psi0, cfg) <= 0.0:
+            raise NoAttachment("total attachment flux at t = 0 is zero")
         self.t = 0.0
-        self.L = float(seed.L)
+        self.L = float(nm.L_eps)
         self.z = np.array([0.0, self.L])
-        self.t0 = np.array([-cfg.numerics.dt_max, 0.0])
-        self.fz = np.column_stack([seed.f[:, 0], seed.f[:, 0]])
-        self.zeta = seed.zeta
-        self.S_uniform = np.array(seed.S)
+        self.t0 = np.array([-nm.dt_max, 0.0])
+        self.fz = np.column_stack([inflow_fractions(psi0, cfg)] * 2)
+        self.zeta = np.arange(nm.N + 1, dtype=float) / nm.N
+        self.S_uniform = np.outer(cfg.s_star(0.0), np.ones(nm.N + 1))
         # (t, S) of the last two substrate solves, oldest first
         self._solved = []
         self.drift = 0.0
@@ -204,7 +200,7 @@ class _CharacteristicEngine:
 
         sigma_a, sigma_d = _interface_fluxes(self.t, self.L, cfg)
         u_L = float(u[-1])
-        L_new = advance_boundary(self.L, u_L, sigma_a, sigma_d, dt)
+        L_new = self.L + dt * (u_L + sigma_a - sigma_d)
         if L_new < cfg.numerics.L_eps:
             logger.info("thickness fell below the seed value; re-seeding")
             L_new = cfg.numerics.L_eps
@@ -224,7 +220,7 @@ class _CharacteristicEngine:
 
         # Parcel gaps never shrink (G >= 0 stretches material), so only the
         # interface node needs care to keep the abscissae strictly increasing.
-        margin = 1e-9 * max(L_new, cfg.numerics.L_eps) / cfg.numerics.N
+        margin = 1e-9 * L_new / cfg.numerics.N
         if Regime.classify(sigma_a, sigma_d) is Regime.ATTACHMENT \
                 and L_new > z_new[-1]:
             # composition of the parcel attached over [t, t+dt], sampled at

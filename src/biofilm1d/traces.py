@@ -70,6 +70,13 @@ class RampTrace:
     t1: float
     variant: str = "printed"
 
+    def __post_init__(self):
+        # a non-finite t1 is left to validate_config, which names its field
+        if -math.inf < self.t1 <= 0:
+            raise ConfigError(f"ramp arrival time must be > 0, got {self.t1}")
+        if self.variant not in RAMP_VARIANTS:
+            raise ConfigError(f"unknown ramp variant {self.variant!r}")
+
     def __call__(self, t):
         return psi3_ramp(t, self.t1, self.psi30, self.variant)
 
@@ -123,12 +130,13 @@ def parse_descriptor(text):
     """Build a trace from its ``kind,args...`` descriptor string."""
     parts = [p.strip() for p in text.split(",")]
     kind = parts[0]
+    if len(parts) > {"constant": 2, "ramp": 4}.get(kind, math.inf):
+        raise ConfigError(f"bad trace descriptor {text!r}: too many fields")
     try:
         if kind == "constant":
             return ConstantTrace(float(parts[1]))
         if kind == "ramp":
-            variant = parts[3] if len(parts) > 3 else "printed"
-            return RampTrace(float(parts[1]), float(parts[2]), variant)
+            return RampTrace(float(parts[1]), float(parts[2]), *parts[3:])
         if kind == "table":
             times, values = [], []
             body = text.split(",", 1)[1]
@@ -137,7 +145,7 @@ def parse_descriptor(text):
                 times.append(float(a))
                 values.append(float(b))
             return TableTrace(tuple(times), tuple(values))
-    except (IndexError, ValueError) as exc:
+    except (IndexError, ValueError, ConfigError) as exc:
         raise ConfigError(f"bad trace descriptor {text!r}: {exc}") from exc
     raise ConfigError(f"unknown trace kind {kind!r}")
 

@@ -83,6 +83,16 @@ class TestValidateCommand:
         assert cli(["validate", "--config", str(path)]) == EXIT_VALIDATION
         assert "bulk.s.1: must be finite" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("ramp", ["ramp,100.0,0.0,printed", "ramp,100.0,-1.0,printed",
+                                      "ramp,100.0,0.2,sideways"])
+    def test_ramp_that_run_cannot_evaluate_rejected(self, tiny_config, capsys, ramp):
+        text = tiny_config.read_text()
+        assert "bulk.psi.3 = ramp,100.0,0.2,printed\n" in text
+        path = tiny_config.parent / "ramp.cfg"
+        path.write_text(text.replace("ramp,100.0,0.2,printed", ramp))
+        assert cli(["validate", "--config", str(path)]) == EXIT_VALIDATION
+        assert f"bad trace descriptor '{ramp}'" in capsys.readouterr().err
+
     def test_unparseable_config(self, tmp_path):
         path = tmp_path / "broken.cfg"
         path.write_text("scenario.delta == oops\n")

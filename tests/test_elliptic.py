@@ -14,7 +14,7 @@ from biofilm1d.elliptic import (_homogeneous_solve, _residual, resolution_limit,
                                 solve_planktonic, solve_problem, solve_substrates,
                                 tridiagonal_solve, warn_under_resolved)
 from biofilm1d.errors import BoundaryLayerResolutionWarning, SingularJacobian
-from biofilm1d.model import initial_state
+from biofilm1d.kinetics import inflow_fractions
 from biofilm1d.presets import build_preset
 
 
@@ -235,9 +235,11 @@ CASE2 = build_preset("case2").cfg
 
 
 def developed(cfg, L=1e-4):
-    """``(t, L, f, S)`` of the seed state at thickness L."""
-    st = initial_state(cfg)
-    return st.t, L, st.f, st.S
+    """``(t, L, f, S)`` of a film of thickness L at t = 0: the attachment
+    inflow fractions throughout, substrates at their bulk values."""
+    ones = np.ones(cfg.numerics.N + 1)
+    return (0.0, L, np.outer(inflow_fractions(cfg.psi_star(0.0), cfg), ones),
+            np.outer(cfg.s_star(0.0), ones))
 
 
 class TestSubstrateSolves:

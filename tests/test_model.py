@@ -10,12 +10,11 @@ import pytest
 
 import biofilm1d
 from biofilm1d.errors import NoAttachment
-from biofilm1d.kinetics import attachment_flux
 from biofilm1d.model import (CONSTRAINT_TOL, NumericsConfig, Regime,
                              ScenarioConfig, SpeciesParams, Stoichiometry,
-                             SubstrateParams, Violation, initial_state,
-                             validate_config)
+                             SubstrateParams, Violation, validate_config)
 from biofilm1d.presets import build_preset
+from biofilm1d.stepper import _CharacteristicEngine, run
 from biofilm1d.traces import BulkTraces, ConstantTrace, RampTrace, TableTrace
 
 
@@ -113,45 +112,59 @@ class TestValidateConfig:
         assert "delta" in str(report)
 
 
+def seed_snapshot(cfg):
+    """The snapshot of ``cfg`` at t = 0: the seed film under dissolved fields
+    equilibrated to it."""
+    return run(dataclasses.replace(cfg, horizon=0.0, snapshot_times=(0.0,))).snapshots[0]
+
+
 class TestInitialState:
+    """The film at t = 0: the stepper's seed of thickness L_eps, carrying the
+    attachment inflow fractions."""
+
     def test_equal_velocities_split_by_bulk_abundance(self):
-        st = initial_state(make_cfg(psi=(100.0, 100.0, 0.0)))
+        st = seed_snapshot(make_cfg(psi=(100.0, 100.0, 0.0))).state
         np.testing.assert_array_equal(st.f[:, 0], [0.5, 0.5, 0.0])
         assert st.sum_f_drift() == 0.0
 
     def test_single_attaching_species(self):
-        st = initial_state(make_cfg(psi=(100.0, 0.0, 0.0)))
+        st = seed_snapshot(make_cfg(psi=(100.0, 0.0, 0.0))).state
         np.testing.assert_array_equal(st.f[:, 0], [1.0, 0.0, 0.0])
 
     def test_three_way_split_and_flux(self):
-        cfg = make_cfg(psi=(100.0, 100.0, 100.0))
-        st = initial_state(cfg)
-        np.testing.assert_allclose(st.f[:, 0], [1 / 3, 1 / 3, 1 / 3], rtol=1e-15)
+        snap = seed_snapshot(make_cfg(psi=(100.0, 100.0, 100.0)))
+        np.testing.assert_allclose(snap.state.f[:, 0], [1 / 3, 1 / 3, 1 / 3], rtol=1e-15)
         # sigma_a = 3 * v_a * psi / rho = 3 * 0.025 * 100 / 5000
-        assert attachment_flux(cfg.psi_star(0.0), cfg) == pytest.approx(1.5e-3, rel=1e-14)
+        assert snap.sigma_a == pytest.approx(1.5e-3, rel=1e-14)
 
     def test_seed_geometry(self):
         cfg = make_cfg()
-        st = initial_state(cfg)
-        assert st.t == 0.0
-        assert st.L == cfg.numerics.L_eps
-        N = cfg.numerics.N
-        np.testing.assert_array_equal(st.zeta, np.arange(N + 1) / N)
-        np.testing.assert_array_equal(st.S, np.full((3, N + 1), 100.0))
-        np.testing.assert_array_equal(st.u, np.zeros(N + 1))
+        eng = _CharacteristicEngine(cfg)
+        nm = cfg.numerics
+        assert eng.t == 0.0
+        assert eng.L == nm.L_eps
+        np.testing.assert_array_equal(eng.z, [0.0, nm.L_eps])
+        # the seed counts as attached over the step before t = 0
+        np.testing.assert_array_equal(eng.t0, [-nm.dt_max, 0.0])
+        np.testing.assert_array_equal(eng.zeta, np.arange(nm.N + 1) / nm.N)
+        np.testing.assert_array_equal(eng.S_uniform, np.full((3, nm.N + 1), 100.0))
+        snap = seed_snapshot(cfg)
+        assert snap.state.t == 0.0 and snap.state.L == nm.L_eps
+        np.testing.assert_array_equal(snap.state.zeta, eng.zeta)
+        assert abs(snap.u_L) < 1e-8
 
     def test_deterministic(self):
-        a = initial_state(make_cfg())
-        b = initial_state(make_cfg())
-        for name in ("zeta", "f", "S", "Psi", "u"):
+        a = seed_snapshot(make_cfg()).state
+        b = seed_snapshot(make_cfg()).state
+        for name in ("zeta", "f", "S", "Psi"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_no_attachment_rejected(self):
         with pytest.raises(NoAttachment):
-            initial_state(make_cfg(psi=(0.0, 0.0, 0.0)))
+            run(make_cfg(psi=(0.0, 0.0, 0.0)))
 
     def test_state_arrays_frozen(self):
-        st = initial_state(make_cfg())
+        st = seed_snapshot(make_cfg()).state
         with pytest.raises(ValueError):
             st.f[0, 0] = 2.0
 
@@ -169,16 +182,18 @@ class TestRegime:
 def test_model_does_not_import_stepper():
     # The package __init__ imports every module, so the check loads
     # ``biofilm1d.model`` under a bare package object in a fresh interpreter.
+    # Building and validating a scenario needs neither the stepper nor the
+    # kinetics.
     pkg_dir = str(Path(biofilm1d.__file__).resolve().parent)
     src = str(Path(pkg_dir).parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, types; pkg = types.ModuleType('biofilm1d'); "
             f"pkg.__path__ = [{pkg_dir!r}]; sys.modules['biofilm1d'] = pkg; "
-            "from biofilm1d.model import initial_state; "
+            "from biofilm1d.model import validate_config; "
             "from biofilm1d.presets import build_preset; "
-            "initial_state(build_preset('case1').cfg); "
-            "print('biofilm1d.stepper' in sys.modules)")
+            "assert validate_config(build_preset('case1').cfg).ok; "
+            "print(sorted({'biofilm1d.stepper', 'biofilm1d.kinetics'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

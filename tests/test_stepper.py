@@ -11,10 +11,9 @@ from biofilm1d.errors import BoundaryLayerResolutionWarning, NoAttachment
 from biofilm1d.kinetics import (RateBundle, attachment_flux, detachment_flux,
                                 inflow_fractions)
 from biofilm1d.model import (NumericsConfig, Regime, ScenarioConfig, SpeciesParams,
-                             Stoichiometry, SubstrateParams, initial_state)
+                             Stoichiometry, SubstrateParams)
 from biofilm1d.presets import build_preset
-from biofilm1d.stepper import (_CharacteristicEngine, advance_boundary,
-                               compute_velocity, run)
+from biofilm1d.stepper import _CharacteristicEngine, compute_velocity, run
 from biofilm1d.traces import BulkTraces, ConstantTrace
 
 CASE1 = build_preset("case1").cfg
@@ -118,16 +117,35 @@ class TestVelocity:
 
 
 class TestBoundary:
+    """The interface update of one step, L + dt (u_L + sigma_a - sigma_d),
+    without growth (u_L = 0) and with sigma_a = 0.02 * 50 / 1000 = 1e-3."""
+
+    z = np.linspace(0.0, 1e-4, 17)
+    f = np.stack([np.full(17, 1.0), np.zeros(17)])
+
     def test_nucleation_step(self):
-        assert advance_boundary(0.0, 0.0, 1e-3, 0.0, 1e-3) \
-            == pytest.approx(1e-6, rel=1e-14)
+        eng = _CharacteristicEngine(two_species_cfg(v_a=(0.02, 0.0), psi=(50.0, 0.0)))
+        eng.advance(1e-3)
+        assert eng.L == pytest.approx(1e-9 + 1e-6, rel=1e-14)
 
     def test_equilibrium(self):
-        assert advance_boundary(3e-4, 0.0, 5e-4, 5e-4, 1e-2) == 3e-4
+        # delta L^2 = 1e5 * (1e-4)^2 balances the attachment flux
+        eng = parcel_engine(two_species_cfg(v_a=(0.02, 0.0), psi=(50.0, 0.0),
+                                            delta=1e5), self.z, self.f)
+        eng.advance(1e-2)
+        assert eng.L == pytest.approx(1e-4, rel=1e-12)
 
     def test_floor_at_zero(self, caplog):
-        with caplog.at_level(logging.INFO):
-            assert advance_boundary(1e-6, 0.0, 0.0, 1.0, 1.0) == 0.0
+        # erosion removes 1e-3 m in one step from a 1e-4 m film: the step
+        # lands on the seed thickness, not below the substratum
+        cfg = two_species_cfg(v_a=(0.02, 0.0), psi=(50.0, 0.0), delta=1e7)
+        eng = parcel_engine(cfg, self.z, self.f)
+        with caplog.at_level(logging.INFO, logger="biofilm1d.stepper"):
+            eng.advance(1e-2)
+        assert eng.L == cfg.numerics.L_eps
+        np.testing.assert_array_equal(eng.z, [0.0, cfg.numerics.L_eps])
+        np.testing.assert_array_equal(eng.fz, self.f[:, :2])
+        assert "re-seeding" in caplog.text
 
 
 class TestAdvanceBiomass:
@@ -286,7 +304,7 @@ class TestStep:
         sigma_a, sigma_d, u_L, z, u, S, Psi = eng.advance(dt)
         assert eng.t == t0 + dt
         assert u[0] == 0.0 and u_L == u[-1]
-        assert eng.L == advance_boundary(L0, u_L, sigma_a, sigma_d, dt)
+        assert eng.L == L0 + dt * (u_L + sigma_a - sigma_d)
         # attachment: the old parcels ride u and one parcel is appended
         np.testing.assert_array_equal(eng.z[:-1], z + dt * u)
         assert S.shape == Psi.shape == (3, cfg.numerics.N + 1)
@@ -299,12 +317,14 @@ class TestRun:
         res = run(cfg)
         assert len(res.snapshots) == 1
         snap = res.snapshots[0]
-        init = initial_state(cfg)
+        seed = _CharacteristicEngine(cfg)
+        ones = np.ones(cfg.numerics.N + 1)
         assert snap.state.t == 0.0
-        assert snap.state.L == init.L
-        np.testing.assert_array_equal(snap.state.f, init.f)
-        np.testing.assert_allclose(snap.state.S, init.S, atol=1e-9)
-        np.testing.assert_allclose(snap.state.Psi, init.Psi, atol=1e-9)
+        assert snap.state.L == seed.L == cfg.numerics.L_eps
+        np.testing.assert_array_equal(snap.state.f, np.outer([0.5, 0.5, 0.0], ones))
+        np.testing.assert_allclose(snap.state.S, seed.S_uniform, atol=1e-9)
+        np.testing.assert_allclose(snap.state.Psi, np.outer(cfg.psi_star(0.0), ones),
+                                   atol=1e-9)
         assert abs(snap.u_L) < 1e-8
 
     def test_snapshots_well_formed(self):
@@ -315,7 +335,6 @@ class TestRun:
             assert st.sum_f_drift() <= 1e-8
             assert np.all(st.f >= 0.0) and np.all(st.S >= 0.0) \
                 and np.all(st.Psi >= 0.0)
-            assert st.u[0] == 0.0
             assert snap.regime is Regime.classify(snap.sigma_a, snap.sigma_d)
 
     def test_deterministic(self):
@@ -361,10 +380,10 @@ class TestRun:
         assert 0.2 in cfg.bulk.breakpoints()
         res = run(cfg)
         assert [snap.state.t for snap in res.snapshots] == list(times)
-        seed = initial_state(cfg)
+        seed = _CharacteristicEngine(cfg)
         for snap in res.snapshots[:2]:
             assert snap.state.L == seed.L
-            np.testing.assert_array_equal(snap.state.f, seed.f)
+            np.testing.assert_array_equal(snap.state.f, seed.uniform_f())
         # every forced time is a step boundary, bitwise
         b = res.boundary
         assert set(times[1:]) | set(cfg.bulk.breakpoints()) <= set(b.t.tolist())

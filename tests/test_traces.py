@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -87,6 +89,29 @@ class TestDescriptors:
             parse_descriptor("sine,1,2")
         with pytest.raises(ConfigError):
             parse_descriptor("constant")
+
+    @pytest.mark.parametrize("text", ["constant,100,5", "ramp,100,0.2,printed,junk"])
+    def test_parse_rejects_trailing_fields(self, text):
+        with pytest.raises(ConfigError, match=f"bad trace descriptor '{text}'"):
+            parse_descriptor(text)
+
+    @pytest.mark.parametrize("t1", [0.0, -1.0])
+    def test_ramp_rejects_nonpositive_arrival(self, t1):
+        with pytest.raises(ConfigError, match="arrival time"):
+            RampTrace(100.0, t1)
+        with pytest.raises(ConfigError, match="bad trace descriptor"):
+            parse_descriptor(f"ramp,100.0,{t1},printed")
+
+    def test_ramp_rejects_unknown_variant(self):
+        with pytest.raises(ConfigError, match="unknown ramp variant 'sideways'"):
+            RampTrace(100.0, 0.2, "sideways")
+        with pytest.raises(ConfigError, match="bad trace descriptor"):
+            parse_descriptor("ramp,100.0,0.2,sideways")
+
+    def test_ramp_leaves_non_finite_arrival_to_validation(self):
+        # validate_config reports these as "must be finite" on their field
+        for t1 in (math.inf, -math.inf, math.nan):
+            assert RampTrace(100.0, t1).t1 is t1
 
     def test_bulk_breakpoints_merge(self):
         bulk = BulkTraces(
