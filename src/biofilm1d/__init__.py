@@ -27,7 +27,7 @@ from .oracle import (CharField, CharPath, ContractionBox, ContractionEstimate,
                      window_root)
 from .presets import DEFAULT_T1, PRESET_IDS, CasePreset, build_preset
 from .traces import (BulkTraces, ConstantTrace, RampTrace, TableTrace,
-                     parse_descriptor, psi3_ramp)
+                     parse_descriptor)
 from .output import OutputBundle, emit
 from . import configio
 

@@ -26,6 +26,7 @@ from .oracle import (box_from_run, cross_check_errors, estimate_contraction,
 from .output import emit
 from .presets import DEFAULT_T1, PRESET_IDS, build_preset
 from .stepper import run as run_scenario
+from .traces import RAMP_VARIANTS
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -61,8 +62,8 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--config", help="scenario file (overrides --preset)")
     p_run.add_argument("--t1", type=float, default=DEFAULT_T1,
                        help="arrival time of the third bulk species (presets)")
-    p_run.add_argument("--ramp", choices=("printed", "corrected"),
-                       default="printed", help="arrival-ramp denominator variant")
+    p_run.add_argument("--ramp", choices=RAMP_VARIANTS, default="printed",
+                       help="arrival-ramp denominator variant")
     p_run.add_argument("--out", required=True, help="output directory")
 
     p_or = sub.add_parser("oracle", help="fixed-point solve and cross-validation")
@@ -72,12 +73,12 @@ def _build_parser() -> _Parser:
     p_or.add_argument("--grid", type=_positive(int), required=True,
                       help="triangular grid intervals")
     p_or.add_argument("--t1", type=float, default=DEFAULT_T1)
-    p_or.add_argument("--ramp", choices=("printed", "corrected"), default="printed")
+    p_or.add_argument("--ramp", choices=RAMP_VARIANTS, default="printed")
 
     p_w = sub.add_parser("window", help="contraction-window estimate")
     p_w.add_argument("--preset", choices=PRESET_IDS, required=True)
     p_w.add_argument("--t1", type=float, default=DEFAULT_T1)
-    p_w.add_argument("--ramp", choices=("printed", "corrected"), default="printed")
+    p_w.add_argument("--ramp", choices=RAMP_VARIANTS, default="printed")
     p_w.add_argument("--span", type=_positive(float), default=0.05,
                      help="observation run horizon for the sampling box (day)")
 

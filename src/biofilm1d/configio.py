@@ -41,8 +41,9 @@ def dumps(cfg: ScenarioConfig) -> str:
     for j, tr in enumerate(cfg.bulk.s_star, start=1):
         lines.append(f"bulk.s.{j} = {tr.descriptor()}")
     st = cfg.stoichiometry
-    lines.append(f"stoichiometry.kind = {st.kind}")
-    if st.kind != "builtin3x3":
+    builtin = st == Stoichiometry.builtin3x3()
+    lines.append(f"stoichiometry.kind = {'builtin3x3' if builtin else 'custom'}")
+    if not builtin:
         lines.append("stoichiometry.substrate_of = "
                      + ", ".join(str(k + 1) for k in st.substrate_of))
         for j, row in enumerate(st.production, start=1):
@@ -127,7 +128,7 @@ def loads(text: str) -> ScenarioConfig:
         rows = tuple(_pop(entries, f"stoichiometry.production.{j}",
                           lambda raw: tuple(float(v) for v in raw.split(",")))
                      for j in range(1, m + 1))
-        stoich = Stoichiometry(substrate_of=sof, production=rows, kind="custom")
+        stoich = Stoichiometry(substrate_of=sof, production=rows)
     else:
         raise ConfigError(f"stoichiometry.kind must be builtin3x3 or custom, not {kind!r}")
 

@@ -65,7 +65,6 @@ class Stoichiometry:
 
     substrate_of: tuple
     production: tuple
-    kind: str = "custom"
 
     @staticmethod
     def builtin3x3() -> "Stoichiometry":
@@ -75,7 +74,6 @@ class Stoichiometry:
         return Stoichiometry(
             substrate_of=(0, 1, 2),
             production=((-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (1.0, 0.0, -1.0)),
-            kind="builtin3x3",
         )
 
 
@@ -276,11 +274,11 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
     check(len(cfg.bulk.s_star) == cfg.m, "bulk.s", "one trace per substrate required")
     for i, tr in enumerate(cfg.bulk.psi_star, start=1):
         finite(f"bulk.psi.{i}", *_trace_numbers(tr))
-        check(tr.lower_bound(cfg.horizon) >= 0, f"bulk.psi.{i}",
+        check(tr.lower_bound() >= 0, f"bulk.psi.{i}",
               "bulk trace must stay >= 0 over the horizon")
     for j, tr in enumerate(cfg.bulk.s_star, start=1):
         finite(f"bulk.s.{j}", *_trace_numbers(tr))
-        check(tr.lower_bound(cfg.horizon) >= 0, f"bulk.s.{j}",
+        check(tr.lower_bound() >= 0, f"bulk.s.{j}",
               "bulk trace must stay >= 0 over the horizon")
 
     st = cfg.stoichiometry

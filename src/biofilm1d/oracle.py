@@ -76,8 +76,9 @@ class CharField:
 
 
 def _iterate_map(cfg, times, mask, X0, S_star, psi_star, Sigma, sigma_a,
-                 x, s, psi, L, c, ct0):
-    """One application of the integral map; returns the new tuple of fields.
+                 x, s, psi, ct0):
+    """One application of the integral map to the old ``(x, s, psi, c_t0)``;
+    returns the new ``(x, s, psi, L, c, c_t0)``.
 
     Each (n, G+1, G+1) working array is built in place on a buffer the map
     owns and dropped once used, so a step holds the two iterates and a few
@@ -232,7 +233,7 @@ def picard_solve(cfg, T_o: float, grid_n: int, zeroth: Optional[tuple] = None):
     stall = 0
     for _ in range(nm.picard_max_iter):
         new = _iterate_map(cfg, times, mask, X0, S_b, psi_b, Sigma, sigma_a,
-                           x, s, psi, L, c, ct0)
+                           x, s, psi, ct0)
         d = _distance(mask, (x, s, psi, L, c, ct0), new)
         history.append(d)
         x, s, psi, L, c, ct0 = new
@@ -396,10 +397,6 @@ class ContractionEstimate:
     M_s: np.ndarray
     M_psi: np.ndarray
     M_L: float          # bounds the geometric kernel G c_t0 of L, c and c_t0
-    lam_x: np.ndarray
-    lam_s: np.ndarray
-    lam_psi: np.ndarray
-    lam_L: float
     a: float
     b: float
     caps: dict
@@ -419,7 +416,7 @@ def window_root(a: float, b: float) -> float:
     return math.inf
 
 
-def estimate_contraction(cfg, box: ContractionBox, t_max: Optional[float] = None,
+def estimate_contraction(cfg, box: ContractionBox, t_max: float,
                          seed: int = 0) -> ContractionEstimate:
     """Bound and Lipschitz estimates for the integral-map kernels over a box.
 
@@ -431,8 +428,7 @@ def estimate_contraction(cfg, box: ContractionBox, t_max: Optional[float] = None
     """
     a_ = cfg.arrays
     n, m = cfg.n, cfg.m
-    horizon = cfg.horizon if t_max is None else t_max
-    tgrid = np.linspace(0.0, max(horizon, 1e-12), 257)
+    tgrid = np.linspace(0.0, max(t_max, 1e-12), 257)
 
     psi_b, S_b, sig, X0 = _boundary_data(cfg, tgrid)
 
@@ -531,9 +527,7 @@ def estimate_contraction(cfg, box: ContractionBox, t_max: Optional[float] = None
     T_star = T_min if math.isinf(T_min) else 0.99 * T_min
 
     return ContractionEstimate(
-        M_x=M_x, M_s=M_s, M_psi=M_psi, M_L=M_geo,
-        lam_x=lam_x, lam_s=lam_s, lam_psi=lam_psi, lam_L=lam_geo,
-        a=a_sum, b=b_sum, caps=caps, T_star=T_star, samples=pts.shape[0])
+        M_x=M_x, M_s=M_s, M_psi=M_psi, M_L=M_geo, a=a_sum, b=b_sum, caps=caps, T_star=T_star, samples=pts.shape[0])
 
 
 def box_from_run(run_output: RunResult) -> ContractionBox:

@@ -76,7 +76,8 @@ def _write(path: Path, text: str) -> None:
 def emit(run: RunResult, out_dir, notes: Sequence[str] = ()) -> OutputBundle:
     """Write the boundary history, snapshot profiles and manifest.
 
-    The profiles file is only created when the run emitted snapshots.
+    The profiles file is only created when the run emitted snapshots;
+    otherwise one left in ``out_dir`` by an earlier emit is removed.
     Returns the bundle with the overall content hash.
     """
     out = Path(out_dir)
@@ -101,6 +102,12 @@ def emit(run: RunResult, out_dir, notes: Sequence[str] = ()) -> OutputBundle:
         digest = hashlib.sha256(profiles_text.encode()).hexdigest()
         file_hashes.append((PROFILE_NAME, digest))
         hasher.update(profiles_text.encode())
+    else:
+        try:
+            (out / PROFILE_NAME).unlink(missing_ok=True)
+        except OSError as exc:
+            raise IoFailure(f"could not remove {out / PROFILE_NAME}: {exc}",
+                            path=str(out / PROFILE_NAME)) from exc
 
     digest = hashlib.sha256(boundary_text.encode()).hexdigest()
     file_hashes.append((BOUNDARY_NAME, digest))

@@ -27,7 +27,6 @@ DEFAULT_T1 = 0.2
 
 @dataclass(frozen=True)
 class CasePreset:
-    id: str
     cfg: ScenarioConfig
     notes: tuple
 
@@ -76,4 +75,4 @@ def build_preset(preset_id: str, t1: float = DEFAULT_T1,
         f"psi3 ramp variant = {variant}: denominator constant "
         + ("t1**(10/t1)" if variant == "printed" else "t1**10"),
     )
-    return CasePreset(id=preset_id, cfg=cfg, notes=notes)
+    return CasePreset(cfg=cfg, notes=notes)

@@ -16,33 +16,6 @@ from .errors import ConfigError
 RAMP_VARIANTS = ("printed", "corrected")
 
 
-def psi3_ramp(t, t1, psi30, variant="printed"):
-    """Delayed sigmoidal arrival of a bulk species.
-
-    Zero up to ``t1``, then ``psi30 * d**10 / (q + d**10)`` with ``d = t - t1``.
-    The ``printed`` variant uses the denominator constant ``t1**(10/t1)``, the
-    ``corrected`` variant uses ``t1**10``.  Both are continuous at ``t1``,
-    strictly increasing past it, and approach ``psi30``.
-    """
-    if t1 <= 0:
-        raise ConfigError(f"ramp arrival time must be > 0, got {t1}")
-    if variant not in RAMP_VARIANTS:
-        raise ConfigError(f"unknown ramp variant {variant!r}")
-    d = t - t1
-    if d <= 0.0:
-        return 0.0
-    if variant == "printed":
-        # t1**(10/t1) can underflow for small t1; go through logs so the
-        # ratio stays monotone as long as the exponent is representable.
-        log_q = (10.0 / t1) * math.log(t1)
-    else:
-        log_q = 10.0 * math.log(t1)
-    expo = log_q - 10.0 * math.log(d)
-    if expo > 700.0:
-        return 0.0
-    return psi30 / (1.0 + math.exp(expo))
-
-
 @dataclass(frozen=True)
 class ConstantTrace:
     """Bulk concentration fixed in time."""
@@ -55,7 +28,7 @@ class ConstantTrace:
     def breakpoints(self):
         return ()
 
-    def lower_bound(self, horizon):
+    def lower_bound(self):
         return self.value
 
     def descriptor(self):
@@ -64,7 +37,13 @@ class ConstantTrace:
 
 @dataclass(frozen=True)
 class RampTrace:
-    """Delayed arrival ramp, see :func:`psi3_ramp`."""
+    """Delayed sigmoidal arrival of a bulk species.
+
+    Zero up to ``t1``, then ``psi30 * d**10 / (q + d**10)`` with ``d = t - t1``.
+    The ``printed`` variant uses the denominator constant ``q = t1**(10/t1)``,
+    the ``corrected`` variant ``q = t1**10``.  Both are continuous at ``t1``,
+    strictly increasing past it, and approach ``psi30``.
+    """
 
     psi30: float
     t1: float
@@ -78,12 +57,24 @@ class RampTrace:
             raise ConfigError(f"unknown ramp variant {self.variant!r}")
 
     def __call__(self, t):
-        return psi3_ramp(t, self.t1, self.psi30, self.variant)
+        d = t - self.t1
+        if d <= 0.0:
+            return 0.0
+        if self.variant == "printed":
+            # t1**(10/t1) can underflow for small t1; go through logs so the
+            # ratio stays monotone as long as the exponent is representable.
+            log_q = (10.0 / self.t1) * math.log(self.t1)
+        else:
+            log_q = 10.0 * math.log(self.t1)
+        expo = log_q - 10.0 * math.log(d)
+        if expo > 700.0:
+            return 0.0
+        return self.psi30 / (1.0 + math.exp(expo))
 
     def breakpoints(self):
         return (self.t1,)
 
-    def lower_bound(self, horizon):
+    def lower_bound(self):
         return 0.0 if self.psi30 >= 0.0 else self.psi30
 
     def descriptor(self):
@@ -118,7 +109,7 @@ class TableTrace:
     def breakpoints(self):
         return self.times
 
-    def lower_bound(self, horizon):
+    def lower_bound(self):
         return min(self.values)
 
     def descriptor(self):

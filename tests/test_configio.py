@@ -36,6 +36,22 @@ class TestRoundTrip:
         assert back == cfg
         assert validate_config(back).ok
 
+    def test_modified_builtin_network_round_trips(self):
+        builtin = Stoichiometry.builtin3x3()
+        stoich = dataclasses.replace(builtin, production=(
+            builtin.production[0], (0.5, -1.0, 0.0), builtin.production[2]))
+        cfg = dataclasses.replace(build_preset("case1").cfg, stoichiometry=stoich)
+        text = configio.dumps(cfg)
+        assert "stoichiometry.kind = custom" in text
+        assert "stoichiometry.production.2 = 0.5, -1.0, 0.0" in text
+        assert configio.loads(text) == cfg
+
+    def test_network_equal_to_builtin_is_echoed_compactly(self):
+        builtin = Stoichiometry.builtin3x3()
+        stoich = Stoichiometry(substrate_of=(0, 1, 2), production=builtin.production)
+        cfg = dataclasses.replace(build_preset("case1").cfg, stoichiometry=stoich)
+        assert configio.dumps(cfg) == configio.dumps(build_preset("case1").cfg)
+
     def test_file_round_trip(self, tmp_path):
         cfg = build_preset("case3").cfg
         path = tmp_path / "scenario.cfg"

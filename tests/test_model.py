@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 import os
@@ -197,3 +198,34 @@ def test_model_does_not_import_stepper():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def _unread_parameters(node, scope=()):
+    """``(qualified function name, parameter)`` for every parameter, ``self``
+    aside, that its function's body never reads; closures' reads count."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+            name = scope + (getattr(child, "name", "<lambda>"),)
+            args = child.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                      + [args.vararg, args.kwarg] if a is not None]
+            body = child.body if isinstance(child.body, list) else [child.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            yield from ((".".join(name), p) for p in params
+                        if p != "self" and p not in read)
+            yield from _unread_parameters(child, name)
+        elif isinstance(child, ast.ClassDef):
+            yield from _unread_parameters(child, scope + (child.name,))
+        else:
+            yield from _unread_parameters(child, scope)
+
+
+def test_every_parameter_is_read():
+    # An input the body ignores misleads the reader about what a function
+    # depends on.  A constant trace is called with t only because every
+    # bulk trace is.
+    pkg_dir = Path(biofilm1d.__file__).resolve().parent
+    unread = sorted((path.name, *hit) for path in pkg_dir.glob("*.py")
+                    for hit in _unread_parameters(ast.parse(path.read_text())))
+    assert unread == [("traces.py", "ConstantTrace.__call__", "t")]

@@ -154,7 +154,7 @@ class TestPicardSolve:
 
 
 def full_temporaries_map(cfg, times, mask, X0, S_star, psi_star, Sigma,
-                         sigma_a, x, s, psi, L, c, ct0):
+                         sigma_a, x, s, psi, ct0):
     """Reference integral map: one fresh full-size array per expression."""
     delta = times[1] - times[0]
     a = cfg.arrays

@@ -63,6 +63,22 @@ class TestEmit:
         assert lines[0] == "t,L,sigma_a,sigma_d,u_L,regime"
         assert len(lines) > 1
 
+    def test_snapshot_less_emit_removes_stale_profiles(self, tiny_run, tmp_path):
+        out = tmp_path / "out"
+        assert emit(tiny_run, out).profiles.exists()
+        bundle = emit(run(tiny_cfg(snapshots=())), out)
+        assert bundle.profiles is None
+        assert not (out / PROFILE_NAME).exists()
+        assert PROFILE_NAME not in bundle.manifest.read_text()
+
+    def test_stale_profiles_that_cannot_be_removed_raise(self, tmp_path):
+        # a directory in the profiles file's place cannot be unlinked
+        out = tmp_path / "out"
+        (out / PROFILE_NAME).mkdir(parents=True)
+        with pytest.raises(IoFailure, match="could not remove") as err:
+            emit(run(tiny_cfg(snapshots=())), out)
+        assert err.value.path == str(out / PROFILE_NAME)
+
     def test_re_emit_byte_identical(self, tiny_run, tmp_path):
         b1 = emit(tiny_run, tmp_path / "a")
         b2 = emit(tiny_run, tmp_path / "b")

@@ -4,55 +4,49 @@ import pytest
 from hypothesis import given, strategies as st
 
 from biofilm1d.errors import ConfigError
-from biofilm1d.traces import (BulkTraces, ConstantTrace, RampTrace, TableTrace,
-                              parse_descriptor, psi3_ramp)
+from biofilm1d.traces import (RAMP_VARIANTS, BulkTraces, ConstantTrace, RampTrace,
+                              TableTrace, parse_descriptor)
 
 
 class TestPsi3Ramp:
     def test_zero_up_to_arrival(self):
-        assert psi3_ramp(0.0, 0.2, 100.0) == 0.0
-        assert psi3_ramp(0.2, 0.2, 100.0) == 0.0
-        assert psi3_ramp(0.1999, 0.2, 100.0, "corrected") == 0.0
+        assert RampTrace(100.0, 0.2)(0.0) == 0.0
+        assert RampTrace(100.0, 0.2)(0.2) == 0.0
+        assert RampTrace(100.0, 0.2, "corrected")(0.1999) == 0.0
 
     def test_saturates_at_bulk_value(self):
         # far past arrival the ramp approaches its plateau
-        assert psi3_ramp(50.0, 0.2, 100.0, "printed") == pytest.approx(100.0, rel=1e-12)
-        assert psi3_ramp(50.0, 0.2, 100.0, "corrected") == pytest.approx(100.0, rel=1e-6)
+        assert RampTrace(100.0, 0.2, "printed")(50.0) == pytest.approx(100.0, rel=1e-12)
+        assert RampTrace(100.0, 0.2, "corrected")(50.0) == pytest.approx(100.0, rel=1e-6)
 
     def test_corrected_halfway_point(self):
         # numerator equals the denominator constant at t - t1 = t1
-        assert psi3_ramp(0.4, 0.2, 100.0, "corrected") == pytest.approx(50.0, rel=1e-12)
+        assert RampTrace(100.0, 0.2, "corrected")(0.4) == pytest.approx(50.0, rel=1e-12)
 
     def test_printed_denominator_constant(self):
         # one hand-evaluated interior point: d**10 / (t1**(10/t1) + d**10)
         t1, d = 0.5, 0.25
         expected = 100.0 * d**10 / (t1 ** (10.0 / t1) + d**10)
-        assert psi3_ramp(t1 + d, t1, 100.0, "printed") == pytest.approx(expected, rel=1e-12)
+        assert RampTrace(100.0, t1, "printed")(t1 + d) == pytest.approx(expected, rel=1e-12)
 
     @given(st.floats(0.05, 2.0), st.floats(1e-4, 3.0), st.floats(1e-4, 3.0))
     def test_nondecreasing(self, t1, d1, d2):
         lo, hi = sorted((d1, d2))
-        for variant in ("printed", "corrected"):
-            a = psi3_ramp(t1 + lo, t1, 100.0, variant)
-            b = psi3_ramp(t1 + hi, t1, 100.0, variant)
+        for variant in RAMP_VARIANTS:
+            a = RampTrace(100.0, t1, variant)(t1 + lo)
+            b = RampTrace(100.0, t1, variant)(t1 + hi)
             assert b >= a
             assert 0.0 <= a <= 100.0
 
     def test_strictly_increasing_where_representable(self):
         t1 = 0.2
-        for variant in ("printed", "corrected"):
-            prev = psi3_ramp(t1 + 1e-3, t1, 100.0, variant)
+        for variant in RAMP_VARIANTS:
+            prev = RampTrace(100.0, t1, variant)(t1 + 1e-3)
             for k in range(2, 40):
-                cur = psi3_ramp(t1 + k * 1e-3, t1, 100.0, variant)
+                cur = RampTrace(100.0, t1, variant)(t1 + k * 1e-3)
                 if 0.0 < prev < 100.0 * (1.0 - 1e-12):
                     assert cur > prev
                 prev = cur
-
-    def test_bad_inputs(self):
-        with pytest.raises(ConfigError):
-            psi3_ramp(1.0, 0.0, 100.0)
-        with pytest.raises(ConfigError):
-            psi3_ramp(1.0, 0.2, 100.0, variant="other")
 
 
 class TestDescriptors:
