@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .errors import ConfigError
+from .errors import ConfigError, IoFailure
 from .model import (NumericsConfig, ScenarioConfig, SpeciesParams, Stoichiometry,
                     SubstrateParams)
 from .traces import BulkTraces, parse_descriptor
@@ -161,8 +161,12 @@ def loads(text: str) -> ScenarioConfig:
 
 
 def save(cfg: ScenarioConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(cfg))
+    """Write ``cfg`` to ``path``; :class:`IoFailure` names the path on failure."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumps(cfg))
+    except OSError as exc:
+        raise IoFailure(f"could not write {path}: {exc}", path=str(path)) from exc
 
 
 def load(path) -> ScenarioConfig:

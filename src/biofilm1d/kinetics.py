@@ -150,6 +150,7 @@ def rate_bundle(f, S, Psi, cfg) -> RateBundle:
     limitation = _limitation(S, a, f.ndim)  # shared by both rates
     r_m = _growth(f, limitation, a)
     r_col = _colonization(Psi, limitation, a)
+    del limitation, f  # not held while r_S, r_Psi and G are built
     return RateBundle(r_M=r_m, r_col=r_col, r_S=_network_weighted(r_m, a),
                       r_Psi=-_column(a["rho"] / a["Y_psi"], r_col.ndim) * r_col,
                       G=_sum_G(r_m, r_col))

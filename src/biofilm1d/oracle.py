@@ -25,7 +25,7 @@ flux ``delta L^2`` enters only the check that raises
 erosion is not negligible (ROADMAP item 3).
 
 Memory: one Picard step holds the old and new iterates plus a few working
-arrays, about ``11 * n * (G+1)**2 * 8`` bytes at its peak.
+arrays, about ``9 * n * (G+1)**2 * 8`` bytes at its peak.
 """
 
 from __future__ import annotations
@@ -52,8 +52,13 @@ def _ctz(A, axis, delta):
     head[axis] = slice(None, -1)
     tail[axis] = slice(1, None)
     head, tail = tuple(head), tuple(tail)
-    out = np.zeros(A.shape)
-    np.cumsum((A[tail] + A[head]) * (0.5 * delta), axis=axis, out=out[tail])
+    # the trapezoids (A[tail] + A[head]) * (delta/2) are summed in place
+    out = np.empty(A.shape)
+    np.moveaxis(out, axis, 0)[0] = 0.0
+    body = out[tail]
+    np.add(A[tail], A[head], out=body)
+    body *= 0.5 * delta
+    np.cumsum(body, axis=axis, out=body)
     return out
 
 

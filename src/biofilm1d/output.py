@@ -4,6 +4,13 @@ Floats are written with 17 significant digits so files round-trip exactly
 and identical runs produce byte-identical bundles.  The manifest records the
 full configuration, the assumption notes and the content hashes, so every
 output directory is self-describing.
+
+``profiles.csv`` and ``boundary.csv`` are streamed: rows are formatted a
+fixed number at a time (``"%.17g" % x`` is ``format(x, ".17g")`` for every
+float), and each chunk is encoded once, written and fed to both the file's
+hash and the content hash.  So emit never holds a whole file, and its
+memory does not grow with the run.  The content hash covers the profiles,
+then the boundary history, then the configuration text.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import configio
 from .errors import IoFailure
@@ -22,9 +29,8 @@ PROFILE_NAME = "profiles.csv"
 BOUNDARY_NAME = "boundary.csv"
 MANIFEST_NAME = "manifest.txt"
 
-
-def _g17(x) -> str:
-    return format(float(x), ".17g")
+# Rows formatted, encoded and written at a time: emit never holds a whole file.
+_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -36,33 +42,55 @@ class OutputBundle:
     sha256: str
 
 
-def _profiles_csv(run: RunResult) -> str:
+def _profile_chunks(run: RunResult) -> Iterator[str]:
     cfg = run.cfg
-    head = (["t", "zeta", "z"]
-            + [f"f{i + 1}" for i in range(cfg.n)]
-            + [f"S{j + 1}" for j in range(cfg.m)]
-            + [f"Psi{i + 1}" for i in range(cfg.n)])
-    lines = [",".join(head)]
+    yield ",".join(["t", "zeta", "z"]
+                   + [f"f{i + 1}" for i in range(cfg.n)]
+                   + [f"S{j + 1}" for j in range(cfg.m)]
+                   + [f"Psi{i + 1}" for i in range(cfg.n)]) + "\n"
     for snap in run.snapshots:
         st = snap.state
-        for k in range(st.zeta.size):
-            row = [_g17(st.t), _g17(st.zeta[k]), _g17(st.zeta[k] * st.L)]
-            row += [_g17(v) for v in st.f[:, k]]
-            row += [_g17(v) for v in st.S[:, k]]
-            row += [_g17(v) for v in st.Psi[:, k]]
-            lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        # t is the same on every row of a snapshot: format it once
+        row = "%.17g" % float(st.t) + ",%.17g" * (2 + 2 * cfg.n + cfg.m) + "\n"
+        for k in range(0, st.zeta.size, _CHUNK_ROWS):
+            part = slice(k, k + _CHUNK_ROWS)
+            zeta = st.zeta[part]
+            columns = [zeta.tolist(), (zeta * st.L).tolist(),
+                       *st.f[:, part].tolist(), *st.S[:, part].tolist(),
+                       *st.Psi[:, part].tolist()]
+            yield "".join(map(row.__mod__, zip(*columns)))
 
 
-def _boundary_csv(run: RunResult) -> str:
-    lines = ["t,L,sigma_a,sigma_d,u_L,regime"]
+_BOUNDARY_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
+_REGIME_NAMES = (Regime.DETACHMENT.value, Regime.ATTACHMENT.value)
+
+
+def _boundary_chunks(run: RunResult) -> Iterator[str]:
+    yield "t,L,sigma_a,sigma_d,u_L,regime\n"
     b = run.boundary
-    for k in range(b.t.size):
-        regime = Regime.ATTACHMENT if b.attachment[k] else Regime.DETACHMENT
-        lines.append(",".join([
-            _g17(b.t[k]), _g17(b.L[k]), _g17(b.sigma_a[k]), _g17(b.sigma_d[k]),
-            _g17(b.u_L[k]), regime.value]))
-    return "\n".join(lines) + "\n"
+    for k in range(0, b.t.size, _CHUNK_ROWS):
+        part = slice(k, k + _CHUNK_ROWS)
+        regimes = [_REGIME_NAMES[a] for a in b.attachment[part].tolist()]
+        columns = [b.t[part].tolist(), b.L[part].tolist(),
+                   b.sigma_a[part].tolist(), b.sigma_d[part].tolist(),
+                   b.u_L[part].tolist(), regimes]
+        yield "".join(map(_BOUNDARY_ROW.__mod__, zip(*columns)))
+
+
+def _stream(path: Path, chunks: Iterable[str], content) -> str:
+    """Write ``chunks`` to ``path``, each encoded once and fed to the file's
+    own hash and to ``content``; returns the file's SHA-256."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "wb") as fh:
+            for text in chunks:
+                data = text.encode()
+                fh.write(data)
+                digest.update(data)
+                content.update(data)
+    except OSError as exc:
+        raise IoFailure(f"could not write {path}: {exc}", path=str(path)) from exc
+    return digest.hexdigest()
 
 
 def _write(path: Path, text: str) -> None:
@@ -86,22 +114,14 @@ def emit(run: RunResult, out_dir, notes: Sequence[str] = ()) -> OutputBundle:
     except OSError as exc:
         raise IoFailure(f"could not create {out}: {exc}", path=str(out)) from exc
 
-    cfg_text = configio.dumps(run.cfg)
-    boundary_text = _boundary_csv(run)
-    boundary_path = out / BOUNDARY_NAME
-    _write(boundary_path, boundary_text)
-
     hasher = hashlib.sha256()
     file_hashes = []
 
     profiles_path = None
     if run.snapshots:
-        profiles_text = _profiles_csv(run)
         profiles_path = out / PROFILE_NAME
-        _write(profiles_path, profiles_text)
-        digest = hashlib.sha256(profiles_text.encode()).hexdigest()
-        file_hashes.append((PROFILE_NAME, digest))
-        hasher.update(profiles_text.encode())
+        file_hashes.append((PROFILE_NAME, _stream(
+            profiles_path, _profile_chunks(run), hasher)))
     else:
         try:
             (out / PROFILE_NAME).unlink(missing_ok=True)
@@ -109,9 +129,10 @@ def emit(run: RunResult, out_dir, notes: Sequence[str] = ()) -> OutputBundle:
             raise IoFailure(f"could not remove {out / PROFILE_NAME}: {exc}",
                             path=str(out / PROFILE_NAME)) from exc
 
-    digest = hashlib.sha256(boundary_text.encode()).hexdigest()
-    file_hashes.append((BOUNDARY_NAME, digest))
-    hasher.update(boundary_text.encode())
+    boundary_path = out / BOUNDARY_NAME
+    file_hashes.append((BOUNDARY_NAME, _stream(
+        boundary_path, _boundary_chunks(run), hasher)))
+    cfg_text = configio.dumps(run.cfg)
     hasher.update(cfg_text.encode())
     content_hash = hasher.hexdigest()
 

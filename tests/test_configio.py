@@ -1,7 +1,7 @@
 import pytest
 
 from biofilm1d import configio
-from biofilm1d.errors import ConfigError
+from biofilm1d.errors import ConfigError, IoFailure
 from biofilm1d.model import Stoichiometry, validate_config
 from biofilm1d.presets import build_preset
 from biofilm1d.traces import TableTrace
@@ -57,6 +57,14 @@ class TestRoundTrip:
         path = tmp_path / "scenario.cfg"
         configio.save(cfg, path)
         assert configio.load(path) == cfg
+
+    def test_save_failure_carries_path(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("file, not a directory")
+        path = blocker / "scenario.cfg"
+        with pytest.raises(IoFailure, match="could not write") as err:
+            configio.save(build_preset("case1").cfg, path)
+        assert err.value.path == str(path)
 
 
 class TestParsing:

@@ -274,8 +274,9 @@ class TestBoundedTemporaries:
             if not was_tracing:
                 tracemalloc.stop()
         # bytes of one (n, G+1, G+1) array; the two iterates are about 7.3
+        # and one step measured 8.9
         array_bytes = CASE1.n * (grid_n + 1) ** 2 * 8
-        assert peak - base <= 14 * array_bytes
+        assert peak - base <= 9.5 * array_bytes
 
 
 def synthetic_run(times, L_of_t, c_of=None, N=40):

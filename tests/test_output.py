@@ -1,11 +1,17 @@
 import dataclasses
+import hashlib
+import tracemalloc
+import warnings
 
+import numpy as np
 import pytest
 
-from biofilm1d.errors import IoFailure
+from biofilm1d import configio
+from biofilm1d.errors import BoundaryLayerResolutionWarning, IoFailure
+from biofilm1d.model import BiofilmState, Regime, Snapshot
 from biofilm1d.output import BOUNDARY_NAME, MANIFEST_NAME, PROFILE_NAME, emit
 from biofilm1d.presets import build_preset
-from biofilm1d.stepper import run
+from biofilm1d.stepper import BoundaryTrace, RunResult, run
 
 CASE1 = build_preset("case1").cfg
 
@@ -93,3 +99,149 @@ class TestEmit:
         with pytest.raises(IoFailure) as err:
             emit(tiny_run, blocker / "sub")
         assert err.value.path is not None
+
+
+# --- whole-string builders with one format() per value, frozen as the byte
+# reference for the streamed writer ------------------------------------------
+
+
+def _g17(x) -> str:
+    return format(float(x), ".17g")
+
+
+def reference_profiles_csv(run):
+    cfg = run.cfg
+    head = (["t", "zeta", "z"]
+            + [f"f{i + 1}" for i in range(cfg.n)]
+            + [f"S{j + 1}" for j in range(cfg.m)]
+            + [f"Psi{i + 1}" for i in range(cfg.n)])
+    lines = [",".join(head)]
+    for snap in run.snapshots:
+        st = snap.state
+        for k in range(st.zeta.size):
+            row = [_g17(st.t), _g17(st.zeta[k]), _g17(st.zeta[k] * st.L)]
+            row += [_g17(v) for v in st.f[:, k]]
+            row += [_g17(v) for v in st.S[:, k]]
+            row += [_g17(v) for v in st.Psi[:, k]]
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_boundary_csv(run):
+    lines = ["t,L,sigma_a,sigma_d,u_L,regime"]
+    b = run.boundary
+    for k in range(b.t.size):
+        regime = Regime.ATTACHMENT if b.attachment[k] else Regime.DETACHMENT
+        lines.append(",".join([
+            _g17(b.t[k]), _g17(b.L[k]), _g17(b.sigma_a[k]), _g17(b.sigma_d[k]),
+            _g17(b.u_L[k]), regime.value]))
+    return "\n".join(lines) + "\n"
+
+
+def reference_bundle(run, notes=()):
+    """``{file name: bytes}`` and the content hash, built from whole strings."""
+    cfg_text = configio.dumps(run.cfg)
+    files = {}
+    if run.snapshots:
+        files[PROFILE_NAME] = reference_profiles_csv(run).encode()
+    files[BOUNDARY_NAME] = reference_boundary_csv(run).encode()
+    hasher = hashlib.sha256()
+    for data in files.values():
+        hasher.update(data)
+    hasher.update(cfg_text.encode())
+    content_hash = hasher.hexdigest()
+    manifest = ["# biofilm1d run manifest", f"content-sha256 = {content_hash}"]
+    for name, data in files.items():
+        manifest.append(f"file-sha256 {name} = {hashlib.sha256(data).hexdigest()}")
+    for note in notes:
+        manifest.append(f"note = {note}")
+    manifest += ["", "# configuration", cfg_text.rstrip("\n")]
+    files[MANIFEST_NAME] = ("\n".join(manifest) + "\n").encode()
+    return files, content_hash
+
+
+# Values whose 17-digit text is easy to get wrong: a signed zero, the least
+# subnormal, a huge exponent, one that needs all 17 digits, non-finite ones.
+AWKWARD = (-0.0, 5e-324, 1e300, 0.1 + 0.2, -1.0000000000000002e-300,
+           float("inf"), float("-inf"), float("nan"))
+
+
+def hand_built_run(N, snapshot_times, steps, seed=0):
+    """A RunResult of case1's shape filled with seeded random values, every
+    AWKWARD value planted in each field and both regimes in the history."""
+    rng = np.random.default_rng(seed)
+    cfg = dataclasses.replace(CASE1, snapshot_times=tuple(snapshot_times))
+
+    def field(*shape):
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+        a.flat[rng.choice(a.size, len(AWKWARD), replace=False)] = AWKWARD
+        return a
+
+    zeta = np.linspace(0.0, 1.0, N + 1)
+    snaps = [Snapshot(BiofilmState(t=t, L=0.1 + 0.2, zeta=zeta,
+                                   f=field(cfg.n, N + 1), S=field(cfg.m, N + 1),
+                                   Psi=field(cfg.n, N + 1)),
+                      sigma_a=1.0, sigma_d=0.0, u_L=0.0, regime=Regime.ATTACHMENT)
+             for t in snapshot_times]
+    boundary = BoundaryTrace(
+        t=np.cumsum(rng.random(steps)), L=field(steps), sigma_a=field(steps),
+        sigma_d=field(steps), u_L=field(steps),
+        attachment=rng.random(steps) < 0.5, sum_f_drift=np.zeros(steps),
+        clamped_nodes=np.zeros(steps, dtype=int))
+    return RunResult(cfg=cfg, snapshots=snaps, boundary=boundary)
+
+
+def short_case2_run():
+    cfg = build_preset("case2").cfg
+    cfg = dataclasses.replace(cfg, numerics=dataclasses.replace(cfg.numerics, N=300),
+                              horizon=0.3, snapshot_times=(0.1, 0.25, 0.3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryLayerResolutionWarning)
+        return run(cfg)
+
+
+class TestStreamedBytes:
+    """The streamed writer reproduces the whole-string builders' bytes."""
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: run(tiny_cfg(snapshots=(0.01, 0.01, 0.02))),
+                     id="case1-repeated-snapshot"),
+        pytest.param(lambda: run(tiny_cfg(snapshots=())), id="no-snapshots"),
+        pytest.param(short_case2_run, id="case2-0.3d"),
+        pytest.param(lambda: hand_built_run(600, (0.0, 1e-300, 0.5), 700),
+                     id="hand-built-awkward"),
+    ])
+    def test_byte_identical_to_whole_string_builders(self, make, tmp_path):
+        res = make()
+        expected, content_hash = reference_bundle(res, notes=("n1", "n2"))
+        bundle = emit(res, tmp_path / "out", notes=("n1", "n2"))
+        assert bundle.sha256 == content_hash
+        written = sorted(p.name for p in bundle.directory.iterdir())
+        assert written == sorted(expected)
+        for name, data in expected.items():
+            assert (bundle.directory / name).read_bytes() == data, name
+
+    def test_awkward_values_written_exactly(self, tmp_path):
+        bundle = emit(hand_built_run(10, (0.5,), 20), tmp_path / "out")
+        cells = set(bundle.profiles.read_text().replace("\n", ",").split(","))
+        cells |= set(bundle.boundary.read_text().replace("\n", ",").split(","))
+        assert {"-0", "4.9406564584124654e-324", "1.0000000000000001e+300",
+                "0.30000000000000004", "-1.0000000000000002e-300",
+                "inf", "-inf", "nan", "attachment", "detachment"} <= cells
+
+    def test_peak_memory_below_half_the_profiles_file(self, tmp_path):
+        res = hand_built_run(2400, (0.1, 0.2, 0.25, 0.3), 300)
+        emit(res, tmp_path / "warm")   # fill lazy caches first
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            bundle = emit(res, tmp_path / "out")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        # whole-string builders held about 3.3 times the file
+        assert peak - base < 0.5 * bundle.profiles.stat().st_size

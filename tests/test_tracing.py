@@ -17,15 +17,20 @@ import biofilm1d
 import biofilm1d.cli  # noqa: F401  (the tracer patches bindings on the CLI module)
 from biofilm1d.errors import BoundaryLayerResolutionWarning
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench("tracing")
 
 
 def bound(mod, attr):
@@ -70,3 +75,28 @@ def test_traced_cross_check_reaches_the_wrapped_layers(tracing):
                  "oracle.picard_solve.iters"):
         assert layers[name] > 0, name
     assert np.isfinite(layers["oracle.map_run_to_char_grid.self_s"])
+
+
+def test_traced_emit_counts_the_written_bytes(tracing, tmp_path):
+    cli = biofilm1d.cli
+    cfg = biofilm1d.build_preset("case1").cfg
+    cfg = dataclasses.replace(
+        cfg, numerics=dataclasses.replace(cfg.numerics, N=24, dt_max=5e-4),
+        horizon=0.02, snapshot_times=(0.01, 0.02))
+    result = cli.run_scenario(cfg)
+    out = tmp_path / "out"
+    tracer = tracing.Tracer()
+    tracer.install(biofilm1d)
+    try:
+        cli.emit(result, out, notes=("traced",))
+    finally:
+        tracer.close()
+    layers = tracer.metrics()
+    written = sum(p.stat().st_size for p in out.iterdir())
+    assert written > 0
+    assert layers["output.emit.bytes"] == written
+    assert layers["output.emit.self_s"] > 0.0
+    # the stepping workloads, which emit, must see the layer in every traced op
+    expected = load_perfbench("workload").EXPECTED_LAYERS
+    for workload in ("preset-case2", "refine-n2400"):
+        assert "output.emit.bytes" in expected[workload], workload
