@@ -191,7 +191,10 @@ class Snapshot:
     sigma_a: float
     sigma_d: float
     u_L: float
-    regime: Regime
+
+    @property
+    def regime(self) -> Regime:
+        return Regime.classify(self.sigma_a, self.sigma_d)
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,17 @@ solves and for emitted snapshots.  Labelled with their launch times t0,
 the parcels are the characteristics ``c(t0, t)``, and a recorded run keeps
 them with their fractions: the sessile unknowns ``x(t0, t)``.
 
-One step performs, in order: quasi-static substrate and planktonic solves
-on the uniform grid, rate evaluation on the parcels, velocity quadrature,
-interface-flux evaluation, the explicit interface update and the explicit
-parcel update.  The dissolved fields are constraints re-solved from the
-resampled fractions, so they pass between the solves as arrays: no step
-builds a ``BiofilmState``, and each emitted :class:`Snapshot` holds one.
+One step evaluates the right-hand side and then commits it.  The
+right-hand side (:func:`_rhs`) is pure: quasi-static substrate and
+planktonic solves on the uniform grid, rate evaluation on the parcels,
+velocity quadrature and the interface fluxes.  The commit is the explicit
+interface update and the explicit parcel update, with a parcel attached or
+parcels shed at the new top.  A snapshot evaluates the same right-hand side
+with the uniform grid as its nodes, so its ``u_L`` comes from the uniform
+spacing where a step's comes from the parcels.  The dissolved fields are
+constraints re-solved from the resampled fractions, so they pass between
+the solves as arrays: no step builds a ``BiofilmState``, and each emitted
+:class:`Snapshot` holds one.
 The substrate Newton of a step starts from the linear extrapolation in time
 of the last two substrate solutions, the standard starting value for the
 algebraic part of a differential-algebraic system.
@@ -37,8 +42,8 @@ import numpy as np
 
 from .elliptic import solve_planktonic, solve_substrates, warn_under_resolved
 from .errors import ConfigError, NoAttachment, NumericalBlowup
-from .kinetics import (attachment_flux, detachment_flux, inflow_fractions,
-                       rate_bundle)
+from .kinetics import (RateBundle, attachment_flux, detachment_flux,
+                       inflow_fractions, rate_bundle)
 from .model import (BiofilmState, Regime, ScenarioConfig, Snapshot,
                     validate_config)
 
@@ -60,17 +65,43 @@ def compute_velocity(G, dz) -> np.ndarray:
     return u
 
 
-def _interface_fluxes(t, L, cfg):
-    """``(sigma_a, sigma_d)``: attachment at the bulk supply of time t,
-    erosion at thickness L."""
-    return attachment_flux(cfg.psi_star(t), cfg), detachment_flux(L, cfg.delta)
+def _resample(x, xp, fp) -> np.ndarray:
+    """Each row of ``fp``, given at the nodes ``xp``, interpolated at ``x``."""
+    return np.stack([np.interp(x, xp, row) for row in fp])
 
 
-def _equilibrate(t, L, f, S_guess, cfg: ScenarioConfig):
-    """Quasi-static substrate, then planktonic, fields ``(S, Psi)`` on the
-    uniform grid at fractions ``f``; ``S_guess`` starts the substrate Newton."""
-    S = np.stack([sol.values for sol in solve_substrates(t, L, f, S_guess, cfg)])
-    return S, solve_planktonic(t, L, S, cfg)
+@dataclass(frozen=True, eq=False)
+class _Rhs:
+    """The right-hand side at one state: the dissolved fields on the uniform
+    grid, the rates and velocity on the nodes it was evaluated at, and the
+    interface fluxes."""
+
+    S: np.ndarray        # (m, N+1)
+    Psi: np.ndarray      # (n, N+1)
+    rates: RateBundle    # on the nodes
+    u: np.ndarray        # on the nodes, u(0) = 0
+    sigma_a: float
+    sigma_d: float
+
+    @property
+    def u_L(self) -> float:
+        return float(self.u[-1])
+
+
+def _rhs(t, L, z, fz, dz, S_guess, cfg: ScenarioConfig) -> _Rhs:
+    """Right-hand side at thickness L and fractions ``fz`` on the nodes ``z``
+    (spacing ``dz``), mutating no argument.  The dissolved fields are solved
+    on the uniform grid (Newton start ``S_guess``) and resampled onto the
+    nodes for the rates; on the uniform grid both resamples are exact."""
+    N = cfg.numerics.N
+    zu = np.arange(N + 1, dtype=float) / N * L
+    f_u = _resample(zu, z, fz)
+    S = np.stack([sol.values for sol in solve_substrates(t, L, f_u, S_guess, cfg)])
+    Psi = solve_planktonic(t, L, S, cfg)
+    rates = rate_bundle(fz, _resample(z, zu, S), _resample(z, zu, Psi), cfg)
+    return _Rhs(S=S, Psi=Psi, rates=rates, u=compute_velocity(rates.G, dz),
+                sigma_a=attachment_flux(cfg.psi_star(t), cfg),
+                sigma_d=detachment_flux(L, cfg.delta))
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +117,13 @@ class BoundaryTrace:
     sigma_a: np.ndarray
     sigma_d: np.ndarray
     u_L: np.ndarray
-    attachment: np.ndarray  # bool, regime per step
     sum_f_drift: np.ndarray
     clamped_nodes: np.ndarray
+
+    @property
+    def attachment(self) -> np.ndarray:
+        """Regime per step, True while attaching (see :meth:`Regime.classify`)."""
+        return self.sigma_a - self.sigma_d > 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,13 +151,12 @@ class RunResult:
 
 def make_snapshot(t, L, zeta, f, S_guess, cfg: ScenarioConfig) -> Snapshot:
     """Re-equilibrate the dissolved fields at fractions ``f`` on the uniform
-    grid ``zeta`` and package them with the interface diagnostics."""
-    S, Psi = _equilibrate(t, L, f, S_guess, cfg)
-    u = compute_velocity(rate_bundle(f, S, Psi, cfg).G, L / (zeta.size - 1))
-    sigma_a, sigma_d = _interface_fluxes(t, L, cfg)
-    state = BiofilmState(t=t, L=L, zeta=zeta, f=f, S=S, Psi=Psi)
-    return Snapshot(state=state, sigma_a=sigma_a, sigma_d=sigma_d,
-                    u_L=float(u[-1]), regime=Regime.classify(sigma_a, sigma_d))
+    grid ``zeta`` and package them with the interface diagnostics: the step's
+    right-hand side with the uniform grid as its nodes."""
+    rhs = _rhs(t, L, zeta * L, f, L / (zeta.size - 1), S_guess, cfg)
+    state = BiofilmState(t=t, L=L, zeta=zeta, f=f, S=rhs.S, Psi=rhs.Psi)
+    return Snapshot(state=state, sigma_a=rhs.sigma_a, sigma_d=rhs.sigma_d,
+                    u_L=rhs.u_L)
 
 
 def _forced_times(cfg: ScenarioConfig):
@@ -160,9 +194,7 @@ class _CharacteristicEngine:
 
     def uniform_f(self) -> np.ndarray:
         """Current fractions resampled onto the uniform normalized grid."""
-        zu = self.zeta * self.L
-        return np.stack([np.interp(zu, self.z, self.fz[i])
-                         for i in range(self.fz.shape[0])])
+        return _resample(self.zeta * self.L, self.z, self.fz)
 
     def _predicted_S(self, t: float) -> np.ndarray:
         """Newton start for the substrates at time t: the linear extrapolation
@@ -177,34 +209,27 @@ class _CharacteristicEngine:
         return make_snapshot(self.t, self.L, self.zeta, self.uniform_f(),
                              self.S_uniform, self.cfg)
 
-    def advance(self, dt: float, t_new: Optional[float] = None):
+    def advance(self, dt: float, t_new: Optional[float] = None) -> _Rhs:
         """One explicit step of length ``dt``, ending the clock at ``t_new``
-        (default ``t + dt``); a parcel attached over the step takes that label.
+        (default ``t + dt``); returns the right-hand side at the step start."""
+        rhs = _rhs(self.t, self.L, self.z, self.fz, np.diff(self.z),
+                   self._predicted_S(self.t), self.cfg)
+        self.S_uniform = rhs.S
+        self._solved = self._solved[-1:] + [(self.t, rhs.S)]
+        self._commit(dt, self.t + dt if t_new is None else t_new, rhs)
+        return rhs
 
-        Returns ``(sigma_a, sigma_d, u_L, z, u, S, Psi)``: the interface
-        fluxes and velocity, the parcel abscissae and velocities, and the
-        uniform-grid dissolved fields, all at the start of the step.
-        """
-        t_new = self.t + dt if t_new is None else t_new
+    def _commit(self, dt: float, t_new: float, rhs: _Rhs) -> None:
+        """Move the interface and the parcels by ``dt`` along ``rhs``, attach
+        or shed at the new top and set the clock to ``t_new``; a parcel
+        attached over the step takes that label."""
         cfg = self.cfg
-        S_u, Psi_u = _equilibrate(self.t, self.L, self.uniform_f(),
-                                  self._predicted_S(self.t), cfg)
-        self.S_uniform = S_u
-        self._solved = self._solved[-1:] + [(self.t, S_u)]
-
-        zu = self.zeta * self.L
-        S_lag = np.stack([np.interp(self.z, zu, S_u[j]) for j in range(cfg.m)])
-        Psi_lag = np.stack([np.interp(self.z, zu, Psi_u[i]) for i in range(cfg.n)])
-        rates = rate_bundle(self.fz, S_lag, Psi_lag, cfg)
-        u = compute_velocity(rates.G, np.diff(self.z))
-
-        sigma_a, sigma_d = _interface_fluxes(self.t, self.L, cfg)
-        u_L = float(u[-1])
-        L_new = self.L + dt * (u_L + sigma_a - sigma_d)
+        L_new = self.L + dt * (rhs.u_L + rhs.sigma_a - rhs.sigma_d)
         if L_new < cfg.numerics.L_eps:
             logger.info("thickness fell below the seed value; re-seeding")
             L_new = cfg.numerics.L_eps
 
+        rates = rhs.rates
         growth = rates.r_M + rates.r_col
         f_new = self.fz + dt * (growth - self.fz * rates.G)
         self.clamped = int(np.sum(np.any(f_new < 0.0, axis=0)))
@@ -215,13 +240,12 @@ class _CharacteristicEngine:
             raise NumericalBlowup("volume-fraction sum collapsed", t=t_new)
         f_new = f_new / col
 
-        z = self.z
-        z_new = z + dt * u
+        z_new = self.z + dt * rhs.u
 
         # Parcel gaps never shrink (G >= 0 stretches material), so only the
         # interface node needs care to keep the abscissae strictly increasing.
         margin = 1e-9 * L_new / cfg.numerics.N
-        if Regime.classify(sigma_a, sigma_d) is Regime.ATTACHMENT \
+        if Regime.classify(rhs.sigma_a, rhs.sigma_d) is Regime.ATTACHMENT \
                 and L_new > z_new[-1]:
             # composition of the parcel attached over [t, t+dt], sampled at
             # the step start where the attachment regime is guaranteed
@@ -231,8 +255,7 @@ class _CharacteristicEngine:
         else:
             # Receding interface: sample the material profile at the new top,
             # then shed everything above it.
-            f_top = np.array([np.interp(L_new, z_new, f_new[i])
-                              for i in range(f_new.shape[0])])
+            f_top = _resample(L_new, z_new, f_new)
             t0_top = np.interp(L_new, z_new, self.t0)
             keep = z_new < L_new - margin
             keep[0] = True
@@ -241,7 +264,6 @@ class _CharacteristicEngine:
         t0_new = np.append(self.t0[keep], t0_top)
 
         self.t, self.L, self.z, self.fz, self.t0 = t_new, L_new, z_new, f_new, t0_new
-        return sigma_a, sigma_d, u_L, z, u, S_u, Psi_u
 
 
 def run(cfg: ScenarioConfig, record_profiles: bool = False,
@@ -270,28 +292,26 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
             dt = min(cfg.numerics.dt_max, target - t)
             # a step that ends within rounding of the forced time lands on it
             t_end = target if abs(t + dt - target) <= tol else t + dt
-            L, t0, fz = engine.L, engine.t0, engine.fz
-            sigma_a, sigma_d, u_L, z, _, S_u, Psi_u = engine.advance(dt, t_end)
+            L, z, t0, fz = engine.L, engine.z, engine.t0, engine.fz
+            rhs = engine.advance(dt, t_end)
             if not (np.isfinite(engine.L) and np.all(np.isfinite(engine.fz))):
                 raise NumericalBlowup("non-finite state after step", t=t_end)
-            rows.append((t, L, sigma_a, sigma_d, u_L,
-                         Regime.classify(sigma_a, sigma_d) is Regime.ATTACHMENT,
+            rows.append((t, L, rhs.sigma_a, rhs.sigma_d, rhs.u_L,
                          engine.drift, engine.clamped))
             if record_profiles and t <= profile_t_max:
-                profile_rows.append((t, L, S_u, Psi_u, z, t0, fz))
+                profile_rows.append((t, L, rhs.S, rhs.Psi, z, t0, fz))
             t = t_end
         snaps.extend(engine.snapshot() for s in cfg.snapshot_times if s == target)
 
     # Final row at the horizon (reuses the last snapshot if it is here).
     last = snaps[-1] if snaps and snaps[-1].state.t == t else engine.snapshot()
-    rows.append((t, engine.L, last.sigma_a, last.sigma_d, last.u_L,
-                 last.regime is Regime.ATTACHMENT, 0.0, 0))
+    rows.append((t, engine.L, last.sigma_a, last.sigma_d, last.u_L, 0.0, 0))
     if record_profiles and t <= profile_t_max:
         profile_rows.append((t, engine.L, last.state.S, last.state.Psi,
                              engine.z, engine.t0, engine.fz))
 
     # one column per BoundaryTrace field, in declaration order
-    dtypes = (float,) * 5 + (bool, float, int)
+    dtypes = (float,) * 6 + (int,)
     boundary = BoundaryTrace(*(np.array(c, dtype=d) for c, d in zip(zip(*rows), dtypes)))
     warn_under_resolved(float(boundary.L.max()), cfg)
     profiles = None

@@ -1,4 +1,4 @@
-"""Byte-identity guard for the elliptic layer.
+"""Byte-identity guards for the elliptic layer and the stepper.
 
 Short case1 and case2 runs are repeated with frozen copies of the earlier
 general solver (the four-band Thomas kernel, ``solve_problem`` on its
@@ -6,6 +6,13 @@ general solver (the four-band Thomas kernel, ``solve_problem`` on its
 sweep with a fresh scratch copy per closure call, and the per-species
 Jacobian loop) patched in where the stepper and ``elliptic`` look them up.  Every snapshot field, the boundary
 trace and the recorded profiles must agree bitwise, signs of zeros included.
+
+A frozen copy of the earlier single-pass engine (``advance`` returning a
+7-tuple, with ``_equilibrate`` and ``_interface_fluxes``) and of its
+``make_snapshot`` is stepped in lockstep with the current engine, which
+evaluates a pure right-hand side and then commits it.  After every step the
+parcel state, the diagnostics and the step's right-hand side must agree bit
+for bit, and so must snapshots taken along the way.
 """
 
 import dataclasses
@@ -21,8 +28,14 @@ from biofilm1d import elliptic, kinetics, stepper
 from biofilm1d.elliptic import (EllipticSolution, _clamp_solution, _residual,
                                 resolution_limit)
 from biofilm1d.errors import (BoundaryLayerResolutionWarning, NonConvergence,
-                              SingularJacobian)
+                              NumericalBlowup, SingularJacobian)
+from biofilm1d.kinetics import (attachment_flux, detachment_flux,
+                                inflow_fractions)
+from biofilm1d.model import (BiofilmState, NumericsConfig, Regime,
+                             ScenarioConfig, Snapshot, SpeciesParams,
+                             Stoichiometry, SubstrateParams)
 from biofilm1d.presets import build_preset
+from biofilm1d.traces import BulkTraces, ConstantTrace, TableTrace
 
 # --- frozen copies of the general solver --------------------------------------
 
@@ -259,3 +272,195 @@ def test_runs_bitwise_equal_to_general_solver(monkeypatch, case, horizon):
                 assert_bitwise_equal(a, b, f"profiles {name} record {k}")
         else:
             assert_bitwise_equal(value, getattr(old.profiles, name), f"profiles {name}")
+
+
+# --- frozen copy of the single-pass stepper -----------------------------------
+
+
+def frozen_compute_velocity(G, dz):
+    G = np.asarray(G, dtype=float)
+    u = np.empty(G.size)
+    u[0] = 0.0
+    u[1:] = np.cumsum((G[:-1] + G[1:]) * (0.5 * dz))
+    return u
+
+
+def frozen_interface_fluxes(t, L, cfg):
+    return attachment_flux(cfg.psi_star(t), cfg), detachment_flux(L, cfg.delta)
+
+
+def frozen_equilibrate(t, L, f, S_guess, cfg):
+    S = np.stack([sol.values for sol in elliptic.solve_substrates(t, L, f, S_guess, cfg)])
+    return S, elliptic.solve_planktonic(t, L, S, cfg)
+
+
+def frozen_make_snapshot(t, L, zeta, f, S_guess, cfg):
+    S, Psi = frozen_equilibrate(t, L, f, S_guess, cfg)
+    u = frozen_compute_velocity(kinetics.rate_bundle(f, S, Psi, cfg).G,
+                                L / (zeta.size - 1))
+    sigma_a, sigma_d = frozen_interface_fluxes(t, L, cfg)
+    state = BiofilmState(t=t, L=L, zeta=zeta, f=f, S=S, Psi=Psi)
+    return Snapshot(state=state, sigma_a=sigma_a, sigma_d=sigma_d, u_L=float(u[-1]))
+
+
+class FrozenEngine:
+    def __init__(self, cfg):
+        self.cfg = cfg
+        nm = cfg.numerics
+        psi0 = cfg.psi_star(0.0)
+        self.t = 0.0
+        self.L = float(nm.L_eps)
+        self.z = np.array([0.0, self.L])
+        self.t0 = np.array([-nm.dt_max, 0.0])
+        self.fz = np.column_stack([inflow_fractions(psi0, cfg)] * 2)
+        self.zeta = np.arange(nm.N + 1, dtype=float) / nm.N
+        self.S_uniform = np.outer(cfg.s_star(0.0), np.ones(nm.N + 1))
+        self._solved = []
+        self.drift = 0.0
+        self.clamped = 0
+
+    def uniform_f(self):
+        zu = self.zeta * self.L
+        return np.stack([np.interp(zu, self.z, self.fz[i])
+                         for i in range(self.fz.shape[0])])
+
+    def _predicted_S(self, t):
+        if len(self._solved) < 2:
+            return self.S_uniform
+        (t2, S2), (t1, S1) = self._solved
+        return S1 + (t - t1) / (t1 - t2) * (S1 - S2)
+
+    def snapshot(self):
+        return frozen_make_snapshot(self.t, self.L, self.zeta, self.uniform_f(),
+                                    self.S_uniform, self.cfg)
+
+    def advance(self, dt, t_new=None):
+        t_new = self.t + dt if t_new is None else t_new
+        cfg = self.cfg
+        S_u, Psi_u = frozen_equilibrate(self.t, self.L, self.uniform_f(),
+                                        self._predicted_S(self.t), cfg)
+        self.S_uniform = S_u
+        self._solved = self._solved[-1:] + [(self.t, S_u)]
+
+        zu = self.zeta * self.L
+        S_lag = np.stack([np.interp(self.z, zu, S_u[j]) for j in range(cfg.m)])
+        Psi_lag = np.stack([np.interp(self.z, zu, Psi_u[i]) for i in range(cfg.n)])
+        rates = kinetics.rate_bundle(self.fz, S_lag, Psi_lag, cfg)
+        u = frozen_compute_velocity(rates.G, np.diff(self.z))
+
+        sigma_a, sigma_d = frozen_interface_fluxes(self.t, self.L, cfg)
+        u_L = float(u[-1])
+        L_new = self.L + dt * (u_L + sigma_a - sigma_d)
+        if L_new < cfg.numerics.L_eps:
+            L_new = cfg.numerics.L_eps
+
+        growth = rates.r_M + rates.r_col
+        f_new = self.fz + dt * (growth - self.fz * rates.G)
+        self.clamped = int(np.sum(np.any(f_new < 0.0, axis=0)))
+        f_new = np.maximum(f_new, 0.0)
+        col = f_new.sum(axis=0)
+        self.drift = float(np.max(np.abs(col - 1.0)))
+        if np.min(col) <= 0.1:
+            raise NumericalBlowup("volume-fraction sum collapsed", t=t_new)
+        f_new = f_new / col
+
+        z = self.z
+        z_new = z + dt * u
+        margin = 1e-9 * L_new / cfg.numerics.N
+        if Regime.classify(sigma_a, sigma_d) is Regime.ATTACHMENT \
+                and L_new > z_new[-1]:
+            f_top, t0_top = inflow_fractions(cfg.psi_star(self.t), cfg), t_new
+            keep = slice(None, -1 if L_new - z_new[-1] <= margin else None)
+        else:
+            f_top = np.array([np.interp(L_new, z_new, f_new[i])
+                              for i in range(f_new.shape[0])])
+            t0_top = np.interp(L_new, z_new, self.t0)
+            keep = z_new < L_new - margin
+            keep[0] = True
+        z_new = np.append(z_new[keep], L_new)
+        f_new = np.column_stack([f_new[:, keep], f_top])
+        t0_new = np.append(self.t0[keep], t0_top)
+
+        self.t, self.L, self.z, self.fz, self.t0 = t_new, L_new, z_new, f_new, t0_new
+        return sigma_a, sigma_d, u_L, z, u, S_u, Psi_u
+
+
+# --- the lockstep guard -------------------------------------------------------
+
+
+def case2_to(horizon):
+    return dataclasses.replace(build_preset("case2").cfg, horizon=horizon,
+                               snapshot_times=())
+
+
+def pulsed_supply():
+    """One attaching species whose supply stops for 0.03 d: the interface
+    recedes through its parcels and sheds them, then attaches again."""
+    species = tuple(SpeciesParams(mu_max=0.0, K=1.0, Y=0.5, rho=1000.0, v_a=v,
+                                  k_col=0.0, Y_psi=1.0, D_psi=1e-5)
+                    for v in (0.02, 0.0))
+    pulsed = TableTrace((0.0, 0.03, 0.031, 0.06, 0.061, 0.2),
+                        (50.0, 50.0, 0.0, 0.0, 50.0, 50.0))
+    return ScenarioConfig(
+        species=species, substrates=(SubstrateParams(1e-5),), delta=2e4,
+        bulk=BulkTraces(psi_star=(pulsed, ConstantTrace(0.0)),
+                        s_star=(ConstantTrace(100.0),)),
+        stoichiometry=Stoichiometry(substrate_of=(0, 0),
+                                    production=((-1.0, -1.0),)),
+        numerics=NumericsConfig(N=16), horizon=0.1, snapshot_times=())
+
+
+def step_schedule(cfg):
+    """``(dt, t_end)`` of every step :func:`stepper.run` takes for ``cfg``."""
+    t = 0.0
+    for target in stepper._forced_times(cfg):
+        tol = stepper._TIME_SNAP * max(1.0, target)
+        while t < target - tol:
+            dt = min(cfg.numerics.dt_max, target - t)
+            t_end = target if abs(t + dt - target) <= tol else t + dt
+            yield dt, t_end
+            t = t_end
+
+
+def assert_same_bits(actual, expected, what):
+    """Equal as float64 bit patterns: signs of zeros and NaN payloads count."""
+    actual = np.asarray(actual, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape, what
+    np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64),
+                                  err_msg=what)
+
+
+def assert_same_snapshot(new, old, what):
+    for name, value in fields(new.state):
+        assert_same_bits(value, getattr(old.state, name), f"{what} {name}")
+    for name in ("sigma_a", "sigma_d", "u_L"):
+        assert_same_bits(getattr(new, name), getattr(old, name), f"{what} {name}")
+
+
+@pytest.mark.parametrize("make_cfg, recedes", [
+    pytest.param(lambda: case2_to(0.3), False, id="case2-0.3d"),
+    pytest.param(pulsed_supply, True, id="pulsed-supply"),
+])
+def test_steps_bitwise_equal_to_frozen_stepper(make_cfg, recedes):
+    # case2 to 0.3 d covers the arrival at t1 = 0.2 d and colonization; the
+    # pulsed supply covers receding steps, which shed the parcels above L
+    cfg = make_cfg()
+    new, old = stepper._CharacteristicEngine(cfg), FrozenEngine(cfg)
+    attached = receded = 0
+    for k, (dt, t_end) in enumerate(step_schedule(cfg)):
+        if k % 40 == 0:  # the seed and states along the run
+            assert_same_snapshot(new.snapshot(), old.snapshot(), f"snapshot {k}")
+        count, L = new.z.size, new.L
+        rhs = new.advance(dt, t_end)
+        sigma_a, sigma_d, u_L, _, u, S, Psi = old.advance(dt, t_end)
+        for name in ("t", "L", "z", "t0", "fz", "S_uniform", "drift"):
+            assert_same_bits(getattr(new, name), getattr(old, name), f"step {k} {name}")
+        assert new.clamped == old.clamped
+        for name, value in (("sigma_a", sigma_a), ("sigma_d", sigma_d),
+                            ("u_L", u_L), ("u", u), ("S", S), ("Psi", Psi)):
+            assert_same_bits(getattr(rhs, name), value, f"step {k} returned {name}")
+        attached += new.z.size > count
+        receded += new.L < L
+    assert_same_snapshot(new.snapshot(), old.snapshot(), "snapshot at the horizon")
+    assert attached and bool(receded) == recedes

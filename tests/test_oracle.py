@@ -301,7 +301,6 @@ def synthetic_run(times, L_of_t, c_of=None, N=40):
                              sigma_a=np.full(times.size, 1e-3),
                              sigma_d=np.zeros(times.size),
                              u_L=np.zeros(times.size),
-                             attachment=np.ones(times.size, bool),
                              sum_f_drift=np.zeros(times.size),
                              clamped_nodes=np.zeros(times.size, int))
     return RunResult(cfg=CASE1, snapshots=[], boundary=boundary,

@@ -168,7 +168,8 @@ AWKWARD = (-0.0, 5e-324, 1e300, 0.1 + 0.2, -1.0000000000000002e-300,
 
 def hand_built_run(N, snapshot_times, steps, seed=0):
     """A RunResult of case1's shape filled with seeded random values, every
-    AWKWARD value planted in each field and both regimes in the history."""
+    AWKWARD value planted in each field and both regimes in the history
+    (the regime is the sign of the random sigma_a - sigma_d)."""
     rng = np.random.default_rng(seed)
     cfg = dataclasses.replace(CASE1, snapshot_times=tuple(snapshot_times))
 
@@ -181,13 +182,13 @@ def hand_built_run(N, snapshot_times, steps, seed=0):
     snaps = [Snapshot(BiofilmState(t=t, L=0.1 + 0.2, zeta=zeta,
                                    f=field(cfg.n, N + 1), S=field(cfg.m, N + 1),
                                    Psi=field(cfg.n, N + 1)),
-                      sigma_a=1.0, sigma_d=0.0, u_L=0.0, regime=Regime.ATTACHMENT)
+                      sigma_a=1.0, sigma_d=0.0, u_L=0.0)
              for t in snapshot_times]
     boundary = BoundaryTrace(
         t=np.cumsum(rng.random(steps)), L=field(steps), sigma_a=field(steps),
-        sigma_d=field(steps), u_L=field(steps),
-        attachment=rng.random(steps) < 0.5, sum_f_drift=np.zeros(steps),
+        sigma_d=field(steps), u_L=field(steps), sum_f_drift=np.zeros(steps),
         clamped_nodes=np.zeros(steps, dtype=int))
+    assert boundary.attachment.any() and not boundary.attachment.all()
     return RunResult(cfg=cfg, snapshots=snaps, boundary=boundary)
 
 

@@ -262,11 +262,11 @@ class TestLaunchLabels:
 class TestStep:
     def test_nucleation_arithmetic(self):
         eng = _CharacteristicEngine(small_case1())
-        sigma_a, sigma_d, *_ = eng.advance(1e-4)
+        rhs = eng.advance(1e-4)
         # L ~ sigma_a dt = 1e-7 (the 1e-9 seed and u_L are negligible)
         assert eng.L == pytest.approx(1e-7, rel=0.02)
-        assert Regime.classify(sigma_a, sigma_d) is Regime.ATTACHMENT
-        assert sigma_a == pytest.approx(1e-3, rel=1e-12)
+        assert Regime.classify(rhs.sigma_a, rhs.sigma_d) is Regime.ATTACHMENT
+        assert rhs.sigma_a == pytest.approx(1e-3, rel=1e-12)
         # the seed parcels stay uniform and near the inflow split to O(dt);
         # the parcel attached over the step carries the split exactly
         np.testing.assert_allclose(eng.fz[0], 0.5, atol=1e-4)
@@ -300,15 +300,41 @@ class TestStep:
         cfg = small_case1()
         eng = _CharacteristicEngine(cfg)
         eng.advance(1e-4)
-        t0, L0, dt = eng.t, eng.L, cfg.numerics.dt_max
-        sigma_a, sigma_d, u_L, z, u, S, Psi = eng.advance(dt)
+        t0, L0, z, dt = eng.t, eng.L, eng.z, cfg.numerics.dt_max
+        rhs = eng.advance(dt)
         assert eng.t == t0 + dt
-        assert u[0] == 0.0 and u_L == u[-1]
-        assert eng.L == L0 + dt * (u_L + sigma_a - sigma_d)
+        assert rhs.u[0] == 0.0 and rhs.u_L == rhs.u[-1]
+        assert rhs.u.shape == rhs.rates.G.shape == z.shape
+        assert eng.L == L0 + dt * (rhs.u_L + rhs.sigma_a - rhs.sigma_d)
         # attachment: the old parcels ride u and one parcel is appended
-        np.testing.assert_array_equal(eng.z[:-1], z + dt * u)
-        assert S.shape == Psi.shape == (3, cfg.numerics.N + 1)
+        np.testing.assert_array_equal(eng.z[:-1], z + dt * rhs.u)
+        assert rhs.S.shape == rhs.Psi.shape == (3, cfg.numerics.N + 1)
+        assert eng.S_uniform is rhs.S
         assert eng.drift <= 1e-8 and eng.clamped == 0
+
+
+class TestRightHandSide:
+    def test_pure(self):
+        # a second-order step evaluates the right-hand side twice at one
+        # parcel set: it must write to no input and repeat itself bit for bit
+        cfg = small_case1()
+        eng = _CharacteristicEngine(cfg)
+        for _ in range(20):
+            eng.advance(cfg.numerics.dt_max)
+        z, fz, S_guess = (np.array(a) for a in (eng.z, eng.fz, eng._predicted_S(eng.t)))
+        for a in (z, fz, S_guess):
+            a.flags.writeable = False
+        first, second = (stepper._rhs(eng.t, eng.L, z, fz, np.diff(z), S_guess, cfg)
+                         for _ in range(2))
+        assert z.size == 22  # the two seed parcels and one attached per step
+        assert first.u.shape == z.shape
+        pairs = [(getattr(first, name), getattr(second, name))
+                 for name in ("S", "Psi", "u", "sigma_a", "sigma_d")]
+        pairs += [(getattr(first.rates, f.name), getattr(second.rates, f.name))
+                  for f in dataclasses.fields(first.rates)]
+        for a, b in pairs:
+            np.testing.assert_array_equal(np.asarray(a, dtype=float).view(np.int64),
+                                          np.asarray(b, dtype=float).view(np.int64))
 
 
 class TestRun:
