@@ -57,28 +57,28 @@ def _build_parser() -> _Parser:
                      description="1D free-boundary multispecies biofilm simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="integrate a scenario and write CSV output")
+    preset_opts = argparse.ArgumentParser(add_help=False)  # run, oracle and window
+    preset_opts.add_argument("--t1", type=float, default=DEFAULT_T1,
+                             help="arrival time of the third bulk species (presets)")
+    preset_opts.add_argument("--ramp", choices=RAMP_VARIANTS, default="printed",
+                             help="arrival-ramp denominator variant")
+
+    p_run = sub.add_parser("run", parents=[preset_opts],
+                           help="integrate a scenario and write CSV output")
     p_run.add_argument("--preset", choices=PRESET_IDS)
     p_run.add_argument("--config", help="scenario file (overrides --preset)")
-    p_run.add_argument("--t1", type=float, default=DEFAULT_T1,
-                       help="arrival time of the third bulk species (presets)")
-    p_run.add_argument("--ramp", choices=RAMP_VARIANTS, default="printed",
-                       help="arrival-ramp denominator variant")
     p_run.add_argument("--out", required=True, help="output directory")
 
-    p_or = sub.add_parser("oracle", help="fixed-point solve and cross-validation")
+    p_or = sub.add_parser("oracle", parents=[preset_opts],
+                          help="fixed-point solve and cross-validation")
     p_or.add_argument("--preset", choices=PRESET_IDS, required=True)
     p_or.add_argument("--horizon", type=_positive(float), required=True,
                       help="oracle horizon (day)")
     p_or.add_argument("--grid", type=_positive(int), required=True,
                       help="triangular grid intervals")
-    p_or.add_argument("--t1", type=float, default=DEFAULT_T1)
-    p_or.add_argument("--ramp", choices=RAMP_VARIANTS, default="printed")
 
-    p_w = sub.add_parser("window", help="contraction-window estimate")
+    p_w = sub.add_parser("window", parents=[preset_opts], help="contraction-window estimate")
     p_w.add_argument("--preset", choices=PRESET_IDS, required=True)
-    p_w.add_argument("--t1", type=float, default=DEFAULT_T1)
-    p_w.add_argument("--ramp", choices=RAMP_VARIANTS, default="printed")
     p_w.add_argument("--span", type=_positive(float), default=0.05,
                      help="observation run horizon for the sampling box (day)")
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -297,13 +298,20 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
     nm = cfg.numerics
     for name in ("dt_max", "L_eps", "newton_tol", "picard_tol"):
         finite(f"numerics.{name}", getattr(nm, name))
-    check(nm.N >= 8, "numerics.N", "N must be >= 8")
+    # a count that is not an integer gets no range check, which could raise
+    integral = {name: isinstance(getattr(nm, name), numbers.Integral)
+                for name in ("N", "newton_max_iter", "picard_max_iter")}
+    for name, ok in integral.items():
+        check(ok, f"numerics.{name}", "must be an integer")
+    check(not integral["N"] or nm.N >= 8, "numerics.N", "N must be >= 8")
     check(nm.dt_max > 0, "numerics.dt_max", "dt_max must be > 0")
     check(nm.L_eps > 0, "numerics.L_eps", "L_eps must be > 0")
     check(nm.newton_tol > 0, "numerics.newton_tol", "newton_tol must be > 0")
-    check(nm.newton_max_iter > 0, "numerics.newton_max_iter", "newton_max_iter must be > 0")
+    check(not integral["newton_max_iter"] or nm.newton_max_iter > 0,
+          "numerics.newton_max_iter", "newton_max_iter must be > 0")
     check(nm.picard_tol > 0, "numerics.picard_tol", "picard_tol must be > 0")
-    check(nm.picard_max_iter > 0, "numerics.picard_max_iter", "picard_max_iter must be > 0")
+    check(not integral["picard_max_iter"] or nm.picard_max_iter > 0,
+          "numerics.picard_max_iter", "picard_max_iter must be > 0")
 
     return ValidationReport(tuple(bad))
 

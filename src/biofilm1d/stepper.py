@@ -25,10 +25,13 @@ the solves as arrays: no step builds a ``BiofilmState``, and each emitted
 The substrate Newton of a step starts from the linear extrapolation in time
 of the last two substrate solutions, the standard starting value for the
 algebraic part of a differential-algebraic system.
-The engine only advances parcels; :func:`run` owns the clock, the
-snapshots, the step records and the grid-resolution warning.  Its steps are
-capped at ``dt_max`` and land exactly on snapshot times and bulk-trace
-breakpoints, so a run is deterministic for a fixed configuration.
+Between steps the sessile state is a frozen :class:`_Parcels` value, and
+neither :func:`_rhs` nor :func:`_commit` writes an argument.  :func:`run`
+alone holds the stepping state: the current parcels (whose ``t`` is the one
+clock), the last two substrate solves, the snapshots and the step records;
+it also issues the grid-resolution warning.  Its steps are capped at
+``dt_max`` and land exactly on snapshot times and bulk-trace breakpoints, so
+a run is deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -165,105 +168,101 @@ def _forced_times(cfg: ScenarioConfig):
     return sorted(p for p in pts if 0.0 < p <= cfg.horizon)
 
 
-class _CharacteristicEngine:
-    """Lagrangian parcel transport; fractions never cross parcel boundaries.
+@dataclass(frozen=True, eq=False)
+class _Parcels:
+    """The sessile state at time ``t``: the thickness and the parcels'
+    abscissae, launch times and fractions ``(n, parcel count)``, bottom to
+    top.  Fractions never cross parcel boundaries."""
 
-    ``t0`` holds each parcel's launch time.  In place of L(0) = 0 the film
-    starts as a seed of thickness ``L_eps``: two parcels with the inflow
-    fractions at t = 0 under bulk substrates, counted as attached over the
-    step before t = 0, so the substratum parcel takes ``-dt_max``.
-    """
+    t: float
+    L: float
+    z: np.ndarray
+    t0: np.ndarray
+    fz: np.ndarray
 
-    def __init__(self, cfg: ScenarioConfig):
-        self.cfg = cfg
-        nm = cfg.numerics
-        psi0 = cfg.psi_star(0.0)
-        if attachment_flux(psi0, cfg) <= 0.0:
-            raise NoAttachment("total attachment flux at t = 0 is zero")
-        self.t = 0.0
-        self.L = float(nm.L_eps)
-        self.z = np.array([0.0, self.L])
-        self.t0 = np.array([-nm.dt_max, 0.0])
-        self.fz = np.column_stack([inflow_fractions(psi0, cfg)] * 2)
-        self.zeta = np.arange(nm.N + 1, dtype=float) / nm.N
-        self.S_uniform = np.outer(cfg.s_star(0.0), np.ones(nm.N + 1))
-        # (t, S) of the last two substrate solves, oldest first
-        self._solved = []
-        self.drift = 0.0
-        self.clamped = 0
 
-    def uniform_f(self) -> np.ndarray:
-        """Current fractions resampled onto the uniform normalized grid."""
-        return _resample(self.zeta * self.L, self.z, self.fz)
+def _seed(cfg: ScenarioConfig) -> _Parcels:
+    """The film at t = 0 in place of L(0) = 0: a seed of thickness ``L_eps``,
+    two parcels with the inflow fractions, counted as attached over the step
+    before t = 0, so the substratum parcel takes ``-dt_max``."""
+    nm = cfg.numerics
+    psi0 = cfg.psi_star(0.0)
+    if attachment_flux(psi0, cfg) <= 0.0:
+        raise NoAttachment("total attachment flux at t = 0 is zero")
+    L = float(nm.L_eps)
+    return _Parcels(t=0.0, L=L, z=np.array([0.0, L]), t0=np.array([-nm.dt_max, 0.0]),
+                    fz=np.column_stack([inflow_fractions(psi0, cfg)] * 2))
 
-    def _predicted_S(self, t: float) -> np.ndarray:
-        """Newton start for the substrates at time t: the linear extrapolation
-        in time of the last two solutions (steps may be uneven), or the last
-        solution while there are fewer than two."""
-        if len(self._solved) < 2:
-            return self.S_uniform
-        (t2, S2), (t1, S1) = self._solved
-        return S1 + (t - t1) / (t1 - t2) * (S1 - S2)
 
-    def snapshot(self) -> Snapshot:
-        return make_snapshot(self.t, self.L, self.zeta, self.uniform_f(),
-                             self.S_uniform, self.cfg)
+def _last_S(solved, cfg: ScenarioConfig) -> np.ndarray:
+    """The last substrate solution in ``solved``, or the bulk values before
+    the first solve."""
+    if solved:
+        return solved[-1][1]
+    return np.outer(cfg.s_star(0.0), np.ones(cfg.numerics.N + 1))
 
-    def advance(self, dt: float, t_new: Optional[float] = None) -> _Rhs:
-        """One explicit step of length ``dt``, ending the clock at ``t_new``
-        (default ``t + dt``); returns the right-hand side at the step start."""
-        rhs = _rhs(self.t, self.L, self.z, self.fz, np.diff(self.z),
-                   self._predicted_S(self.t), self.cfg)
-        self.S_uniform = rhs.S
-        self._solved = self._solved[-1:] + [(self.t, rhs.S)]
-        self._commit(dt, self.t + dt if t_new is None else t_new, rhs)
-        return rhs
 
-    def _commit(self, dt: float, t_new: float, rhs: _Rhs) -> None:
-        """Move the interface and the parcels by ``dt`` along ``rhs``, attach
-        or shed at the new top and set the clock to ``t_new``; a parcel
-        attached over the step takes that label."""
-        cfg = self.cfg
-        L_new = self.L + dt * (rhs.u_L + rhs.sigma_a - rhs.sigma_d)
-        if L_new < cfg.numerics.L_eps:
-            logger.info("thickness fell below the seed value; re-seeding")
-            L_new = cfg.numerics.L_eps
+def _predicted_S(solved, t: float, cfg: ScenarioConfig) -> np.ndarray:
+    """Newton start for the substrates at time t from the ``(t, S)`` of the
+    last two solves, oldest first: their linear extrapolation in time (steps
+    may be uneven), or the last solution while there are fewer than two."""
+    if len(solved) < 2:
+        return _last_S(solved, cfg)
+    (t2, S2), (t1, S1) = solved
+    return S1 + (t - t1) / (t1 - t2) * (S1 - S2)
 
-        rates = rhs.rates
-        growth = rates.r_M + rates.r_col
-        f_new = self.fz + dt * (growth - self.fz * rates.G)
-        self.clamped = int(np.sum(np.any(f_new < 0.0, axis=0)))
-        f_new = np.maximum(f_new, 0.0)
-        col = f_new.sum(axis=0)
-        self.drift = float(np.max(np.abs(col - 1.0)))
-        if np.min(col) <= 0.1:
-            raise NumericalBlowup("volume-fraction sum collapsed", t=t_new)
-        f_new = f_new / col
 
-        z_new = self.z + dt * rhs.u
+def _snapshot(p: _Parcels, solved, cfg: ScenarioConfig) -> Snapshot:
+    """Snapshot of ``p`` on the uniform grid, its substrate Newton started
+    from the last solve in ``solved``."""
+    zeta = np.arange(cfg.numerics.N + 1, dtype=float) / cfg.numerics.N
+    return make_snapshot(p.t, p.L, zeta, _resample(zeta * p.L, p.z, p.fz),
+                         _last_S(solved, cfg), cfg)
 
-        # Parcel gaps never shrink (G >= 0 stretches material), so only the
-        # interface node needs care to keep the abscissae strictly increasing.
-        margin = 1e-9 * L_new / cfg.numerics.N
-        if Regime.classify(rhs.sigma_a, rhs.sigma_d) is Regime.ATTACHMENT \
-                and L_new > z_new[-1]:
-            # composition of the parcel attached over [t, t+dt], sampled at
-            # the step start where the attachment regime is guaranteed
-            f_top, t0_top = inflow_fractions(cfg.psi_star(self.t), cfg), t_new
-            # a parcel attached within the margin of the top one replaces it
-            keep = slice(None, -1 if L_new - z_new[-1] <= margin else None)
-        else:
-            # Receding interface: sample the material profile at the new top,
-            # then shed everything above it.
-            f_top = _resample(L_new, z_new, f_new)
-            t0_top = np.interp(L_new, z_new, self.t0)
-            keep = z_new < L_new - margin
-            keep[0] = True
-        z_new = np.append(z_new[keep], L_new)
-        f_new = np.column_stack([f_new[:, keep], f_top])
-        t0_new = np.append(self.t0[keep], t0_top)
 
-        self.t, self.L, self.z, self.fz, self.t0 = t_new, L_new, z_new, f_new, t0_new
+def _commit(p: _Parcels, dt: float, t_new: float, rhs: _Rhs, cfg: ScenarioConfig):
+    """The parcels moved by ``dt`` along ``rhs`` with a parcel attached or
+    parcels shed at the new top, at time ``t_new``; a parcel attached over the
+    step takes that label.  Returns them with the step's fraction-sum drift
+    and clamped-parcel count, writing no argument."""
+    L_new = p.L + dt * (rhs.u_L + rhs.sigma_a - rhs.sigma_d)
+    if L_new < cfg.numerics.L_eps:
+        logger.info("thickness fell below the seed value; re-seeding")
+        L_new = cfg.numerics.L_eps
+
+    rates = rhs.rates
+    growth = rates.r_M + rates.r_col
+    f_new = p.fz + dt * (growth - p.fz * rates.G)
+    clamped = int(np.sum(np.any(f_new < 0.0, axis=0)))
+    f_new = np.maximum(f_new, 0.0)
+    col = f_new.sum(axis=0)
+    drift = float(np.max(np.abs(col - 1.0)))
+    if np.min(col) <= 0.1:
+        raise NumericalBlowup("volume-fraction sum collapsed", t=t_new)
+    f_new = f_new / col
+
+    z_new = p.z + dt * rhs.u
+
+    # Parcel gaps never shrink (G >= 0 stretches material), so only the
+    # interface node needs care to keep the abscissae strictly increasing.
+    margin = 1e-9 * L_new / cfg.numerics.N
+    if Regime.classify(rhs.sigma_a, rhs.sigma_d) is Regime.ATTACHMENT \
+            and L_new > z_new[-1]:
+        # composition of the parcel attached over [t, t+dt], sampled at
+        # the step start where the attachment regime is guaranteed
+        f_top, t0_top = inflow_fractions(cfg.psi_star(p.t), cfg), t_new
+        # a parcel attached within the margin of the top one replaces it
+        keep = slice(None, -1 if L_new - z_new[-1] <= margin else None)
+    else:
+        # Receding interface: sample the material profile at the new top,
+        # then shed everything above it.
+        f_top = _resample(L_new, z_new, f_new)
+        t0_top = np.interp(L_new, z_new, p.t0)
+        keep = z_new < L_new - margin
+        keep[0] = True
+    return _Parcels(t=t_new, L=L_new, z=np.append(z_new[keep], L_new),
+                    t0=np.append(p.t0[keep], t0_top),
+                    fz=np.column_stack([f_new[:, keep], f_top])), drift, clamped
 
 
 def run(cfg: ScenarioConfig, record_profiles: bool = False,
@@ -281,34 +280,34 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
     report = validate_config(cfg)
     if not report.ok:
         raise ConfigError(f"invalid configuration:\n{report}")
-    engine = _CharacteristicEngine(cfg)
+    p = _seed(cfg)
+    solved = []  # (t, S) of the last two step solves, oldest first
     # seed snapshots now, every other one right after its forced time
-    snaps = [engine.snapshot() for s in cfg.snapshot_times if s == 0.0]
+    snaps = [_snapshot(p, solved, cfg) for s in cfg.snapshot_times if s == 0.0]
     rows, profile_rows = [], []
-    t = 0.0
     for target in _forced_times(cfg):
         tol = _TIME_SNAP * max(1.0, target)
-        while t < target - tol:
-            dt = min(cfg.numerics.dt_max, target - t)
+        while p.t < target - tol:
+            dt = min(cfg.numerics.dt_max, target - p.t)
             # a step that ends within rounding of the forced time lands on it
-            t_end = target if abs(t + dt - target) <= tol else t + dt
-            L, z, t0, fz = engine.L, engine.z, engine.t0, engine.fz
-            rhs = engine.advance(dt, t_end)
-            if not (np.isfinite(engine.L) and np.all(np.isfinite(engine.fz))):
+            t_end = target if abs(p.t + dt - target) <= tol else p.t + dt
+            rhs = _rhs(p.t, p.L, p.z, p.fz, np.diff(p.z),
+                       _predicted_S(solved, p.t, cfg), cfg)
+            solved = solved[-1:] + [(p.t, rhs.S)]
+            nxt, drift, clamped = _commit(p, dt, t_end, rhs, cfg)
+            if not (np.isfinite(nxt.L) and np.all(np.isfinite(nxt.fz))):
                 raise NumericalBlowup("non-finite state after step", t=t_end)
-            rows.append((t, L, rhs.sigma_a, rhs.sigma_d, rhs.u_L,
-                         engine.drift, engine.clamped))
-            if record_profiles and t <= profile_t_max:
-                profile_rows.append((t, L, rhs.S, rhs.Psi, z, t0, fz))
-            t = t_end
-        snaps.extend(engine.snapshot() for s in cfg.snapshot_times if s == target)
+            rows.append((p.t, p.L, rhs.sigma_a, rhs.sigma_d, rhs.u_L, drift, clamped))
+            if record_profiles and p.t <= profile_t_max:
+                profile_rows.append((p.t, p.L, rhs.S, rhs.Psi, p.z, p.t0, p.fz))
+            p = nxt
+        snaps.extend(_snapshot(p, solved, cfg) for s in cfg.snapshot_times if s == target)
 
     # Final row at the horizon (reuses the last snapshot if it is here).
-    last = snaps[-1] if snaps and snaps[-1].state.t == t else engine.snapshot()
-    rows.append((t, engine.L, last.sigma_a, last.sigma_d, last.u_L, 0.0, 0))
-    if record_profiles and t <= profile_t_max:
-        profile_rows.append((t, engine.L, last.state.S, last.state.Psi,
-                             engine.z, engine.t0, engine.fz))
+    last = snaps[-1] if snaps and snaps[-1].state.t == p.t else _snapshot(p, solved, cfg)
+    rows.append((p.t, p.L, last.sigma_a, last.sigma_d, last.u_L, 0.0, 0))
+    if record_profiles and p.t <= profile_t_max:
+        profile_rows.append((p.t, p.L, last.state.S, last.state.Psi, p.z, p.t0, p.fz))
 
     # one column per BoundaryTrace field, in declaration order
     dtypes = (float,) * 6 + (int,)

@@ -9,10 +9,11 @@ trace and the recorded profiles must agree bitwise, signs of zeros included.
 
 A frozen copy of the earlier single-pass engine (``advance`` returning a
 7-tuple, with ``_equilibrate`` and ``_interface_fluxes``) and of its
-``make_snapshot`` is stepped in lockstep with the current engine, which
-evaluates a pure right-hand side and then commits it.  After every step the
-parcel state, the diagnostics and the step's right-hand side must agree bit
-for bit, and so must snapshots taken along the way.
+``make_snapshot``, driven by a copy of the earlier run loop, is the reference
+for :func:`stepper.run`, which evaluates a pure right-hand side and commits
+it to a frozen parcel state.  Every profile record (the step-start parcels
+and dissolved fields), every boundary row (fluxes, ``u_L``, drift and clamp
+count) and every snapshot must agree bit for bit.
 """
 
 import dataclasses
@@ -422,6 +423,24 @@ def step_schedule(cfg):
             t = t_end
 
 
+def frozen_run(cfg):
+    """:func:`stepper.run` with profiles recorded, over the frozen engine:
+    snapshots, boundary rows and profile records, each a list."""
+    eng = FrozenEngine(cfg)
+    snaps = [eng.snapshot() for s in cfg.snapshot_times if s == 0.0]
+    rows, records = [], []
+    for dt, t_end in step_schedule(cfg):
+        t, L, t0, fz = eng.t, eng.L, eng.t0, eng.fz
+        sigma_a, sigma_d, u_L, z, _, S, Psi = eng.advance(dt, t_end)
+        rows.append((t, L, sigma_a, sigma_d, u_L, eng.drift, eng.clamped))
+        records.append((t, L, S, Psi, z, t0, fz))
+        snaps.extend(eng.snapshot() for s in cfg.snapshot_times if s == t_end)
+    last = snaps[-1] if snaps and snaps[-1].state.t == eng.t else eng.snapshot()
+    rows.append((eng.t, eng.L, last.sigma_a, last.sigma_d, last.u_L, 0.0, 0))
+    records.append((eng.t, eng.L, last.state.S, last.state.Psi, eng.z, eng.t0, eng.fz))
+    return snaps, rows, records
+
+
 def assert_same_bits(actual, expected, what):
     """Equal as float64 bit patterns: signs of zeros and NaN payloads count."""
     actual = np.asarray(actual, dtype=float)
@@ -444,23 +463,31 @@ def assert_same_snapshot(new, old, what):
 ])
 def test_steps_bitwise_equal_to_frozen_stepper(make_cfg, recedes):
     # case2 to 0.3 d covers the arrival at t1 = 0.2 d and colonization; the
-    # pulsed supply covers receding steps, which shed the parcels above L
+    # pulsed supply covers receding steps, which shed the parcels above L.
+    # Nine snapshot times off the dt_max grid make uneven steps.
     cfg = make_cfg()
-    new, old = stepper._CharacteristicEngine(cfg), FrozenEngine(cfg)
-    attached = receded = 0
-    for k, (dt, t_end) in enumerate(step_schedule(cfg)):
-        if k % 40 == 0:  # the seed and states along the run
-            assert_same_snapshot(new.snapshot(), old.snapshot(), f"snapshot {k}")
-        count, L = new.z.size, new.L
-        rhs = new.advance(dt, t_end)
-        sigma_a, sigma_d, u_L, _, u, S, Psi = old.advance(dt, t_end)
-        for name in ("t", "L", "z", "t0", "fz", "S_uniform", "drift"):
-            assert_same_bits(getattr(new, name), getattr(old, name), f"step {k} {name}")
-        assert new.clamped == old.clamped
-        for name, value in (("sigma_a", sigma_a), ("sigma_d", sigma_d),
-                            ("u_L", u_L), ("u", u), ("S", S), ("Psi", Psi)):
-            assert_same_bits(getattr(rhs, name), value, f"step {k} returned {name}")
-        attached += new.z.size > count
-        receded += new.L < L
-    assert_same_snapshot(new.snapshot(), old.snapshot(), "snapshot at the horizon")
-    assert attached and bool(receded) == recedes
+    cfg = dataclasses.replace(cfg, snapshot_times=tuple(np.linspace(0.0, cfg.horizon, 9)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryLayerResolutionWarning)
+        new = stepper.run(cfg, record_profiles=True)
+    snaps, rows, records = frozen_run(cfg)
+
+    assert len(new.snapshots) == len(snaps) == 9
+    for k, (a, b) in enumerate(zip(new.snapshots, snaps)):
+        assert_same_snapshot(a, b, f"snapshot {k}")
+    # one boundary row and one profile record per step start and the horizon
+    b = new.boundary
+    assert b.t.size == len(rows) == len(records)
+    for name, column in zip([f.name for f in dataclasses.fields(b)], zip(*rows)):
+        assert_same_bits(getattr(b, name), column, f"boundary {name}")
+    p = new.profiles
+    for name, column in zip([f.name for f in dataclasses.fields(p)], zip(*records)):
+        value = getattr(p, name)
+        if name.startswith("parcel_"):
+            assert len(value) == len(column)
+            for k, (x, y) in enumerate(zip(value, column)):
+                assert_same_bits(x, y, f"profiles {name} record {k}")
+        else:
+            assert_same_bits(value, np.stack(column), f"profiles {name}")
+    assert np.diff([z.size for z in p.parcel_z]).max() > 0
+    assert bool((np.diff(b.L) < 0.0).any()) == recedes

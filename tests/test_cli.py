@@ -115,6 +115,13 @@ class TestUsageErrors:
     def test_missing_subcommand(self):
         assert cli([]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["run", "oracle", "window"])
+    def test_preset_options_documented(self, capsys, command):
+        assert cli([command, "--help"]) == EXIT_OK
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--t1 T1 arrival time of the third bulk species (presets)" in out
+        assert "arrival-ramp denominator variant" in out
+
 
 class TestAnalysisCommands:
     def test_window_reports_contractive_horizon(self, capsys):

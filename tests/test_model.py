@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 import biofilm1d
-from biofilm1d.errors import NoAttachment
+from biofilm1d.errors import ConfigError, NoAttachment
 from biofilm1d.model import (CONSTRAINT_TOL, NumericsConfig, Regime,
                              ScenarioConfig, SpeciesParams, Stoichiometry,
                              SubstrateParams, Violation, validate_config)
+from biofilm1d.oracle import picard_solve
 from biofilm1d.presets import build_preset
-from biofilm1d.stepper import _CharacteristicEngine, run
+from biofilm1d.stepper import _predicted_S, _seed, run
 from biofilm1d.traces import BulkTraces, ConstantTrace, RampTrace, TableTrace
 
 
@@ -106,6 +107,35 @@ class TestValidateConfig:
         report = validate_config(cfg)
         assert Violation("bulk.s.3", "must be finite") in report.violations
 
+    @pytest.mark.parametrize("name, bad, good", [
+        ("N", 40.0, np.int64(40)),
+        ("N", 40.5, np.int32(41)),
+        ("N", "200", np.int64(200)),
+        ("newton_max_iter", 50.0, np.int64(50)),
+        ("picard_max_iter", 2.5, np.int16(3)),
+    ])
+    def test_non_integer_count_reported(self, name, bad, good):
+        # a count that is not an integer is reported once, without a range
+        # check that could raise on it; numpy integers are integers
+        def with_count(value):
+            nm = dataclasses.replace(make_cfg().numerics, **{name: value})
+            return validate_config(make_cfg(numerics=nm))
+
+        report = with_count(bad)
+        assert report.violations == (Violation(f"numerics.{name}", "must be an integer"),)
+        assert with_count(good).ok
+
+    @pytest.mark.parametrize("name, value", [("N", 41.5), ("newton_max_iter", 50.0),
+                                             ("picard_max_iter", 2.5)])
+    def test_non_integer_count_rejected_before_use(self, name, value):
+        cfg = make_cfg(horizon=0.01, snapshot_times=())
+        cfg = dataclasses.replace(
+            cfg, numerics=dataclasses.replace(cfg.numerics, **{name: value}))
+        with pytest.raises(ConfigError, match=f"numerics.{name}: must be an integer"):
+            run(cfg)
+        with pytest.raises(ConfigError, match=f"numerics.{name}: must be an integer"):
+            picard_solve(cfg, 0.01, 10)
+
     def test_reports_do_not_raise(self):
         cfg = make_cfg(delta=-1.0)
         report = validate_config(cfg)
@@ -140,18 +170,19 @@ class TestInitialState:
 
     def test_seed_geometry(self):
         cfg = make_cfg()
-        eng = _CharacteristicEngine(cfg)
+        seed = _seed(cfg)
         nm = cfg.numerics
-        assert eng.t == 0.0
-        assert eng.L == nm.L_eps
-        np.testing.assert_array_equal(eng.z, [0.0, nm.L_eps])
+        assert seed.t == 0.0
+        assert seed.L == nm.L_eps
+        np.testing.assert_array_equal(seed.z, [0.0, nm.L_eps])
         # the seed counts as attached over the step before t = 0
-        np.testing.assert_array_equal(eng.t0, [-nm.dt_max, 0.0])
-        np.testing.assert_array_equal(eng.zeta, np.arange(nm.N + 1) / nm.N)
-        np.testing.assert_array_equal(eng.S_uniform, np.full((3, nm.N + 1), 100.0))
+        np.testing.assert_array_equal(seed.t0, [-nm.dt_max, 0.0])
+        # before the first solve the substrate Newton starts from the bulk
+        np.testing.assert_array_equal(_predicted_S([], 0.0, cfg),
+                                      np.full((3, nm.N + 1), 100.0))
         snap = seed_snapshot(cfg)
         assert snap.state.t == 0.0 and snap.state.L == nm.L_eps
-        np.testing.assert_array_equal(snap.state.zeta, eng.zeta)
+        np.testing.assert_array_equal(snap.state.zeta, np.arange(nm.N + 1) / nm.N)
         assert abs(snap.u_L) < 1e-8
 
     def test_deterministic(self):

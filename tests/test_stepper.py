@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import logging
 import warnings
@@ -13,7 +12,7 @@ from biofilm1d.kinetics import (RateBundle, attachment_flux, detachment_flux,
 from biofilm1d.model import (NumericsConfig, Regime, ScenarioConfig, SpeciesParams,
                              Stoichiometry, SubstrateParams)
 from biofilm1d.presets import build_preset
-from biofilm1d.stepper import _CharacteristicEngine, compute_velocity, run
+from biofilm1d.stepper import _Parcels, _seed, compute_velocity, run
 from biofilm1d.traces import BulkTraces, ConstantTrace
 
 CASE1 = build_preset("case1").cfg
@@ -39,13 +38,33 @@ def two_species_cfg(v_a=(0.0, 0.0), psi=(0.0, 0.0), delta=0.0):
         numerics=NumericsConfig(N=16), horizon=1.0, snapshot_times=())
 
 
-def parcel_engine(cfg, z, f):
-    """A characteristic engine whose parcels sit at ``z`` with fractions ``f``,
-    launched at evenly spaced times up to 0."""
-    eng = _CharacteristicEngine(cfg)
-    eng.L, eng.z, eng.fz = float(z[-1]), np.array(z), np.array(f)
-    eng.t0 = np.linspace(-1.0, 0.0, len(z))
-    return eng
+def parcels(z, f, t=0.0):
+    """Parcels at ``z`` with fractions ``f``, launched at evenly spaced times
+    up to 0."""
+    return _Parcels(t=t, L=float(z[-1]), z=np.array(z), t0=np.linspace(-1.0, 0.0, len(z)),
+                    fz=np.array(f))
+
+
+def step(cfg, p, dt, t_new=None):
+    """One step of ``run`` from ``p`` (Newton started from the bulk values),
+    ending at ``t_new`` (default ``p.t + dt``): the next parcels, the
+    right-hand side at ``p``, the fraction-sum drift and the clamp count."""
+    rhs = stepper._rhs(p.t, p.L, p.z, p.fz, np.diff(p.z),
+                       stepper._predicted_S([], p.t, cfg), cfg)
+    nxt, drift, clamped = stepper._commit(p, dt, p.t + dt if t_new is None else t_new,
+                                          rhs, cfg)
+    return nxt, rhs, drift, clamped
+
+
+def read_only(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+def assert_same_bits(a, b):
+    np.testing.assert_array_equal(np.asarray(a, dtype=float).view(np.int64),
+                                  np.asarray(b, dtype=float).view(np.int64))
 
 
 class TestInterfaceFluxes:
@@ -124,27 +143,25 @@ class TestBoundary:
     f = np.stack([np.full(17, 1.0), np.zeros(17)])
 
     def test_nucleation_step(self):
-        eng = _CharacteristicEngine(two_species_cfg(v_a=(0.02, 0.0), psi=(50.0, 0.0)))
-        eng.advance(1e-3)
-        assert eng.L == pytest.approx(1e-9 + 1e-6, rel=1e-14)
+        cfg = two_species_cfg(v_a=(0.02, 0.0), psi=(50.0, 0.0))
+        p = step(cfg, _seed(cfg), 1e-3)[0]
+        assert p.L == pytest.approx(1e-9 + 1e-6, rel=1e-14)
 
     def test_equilibrium(self):
         # delta L^2 = 1e5 * (1e-4)^2 balances the attachment flux
-        eng = parcel_engine(two_species_cfg(v_a=(0.02, 0.0), psi=(50.0, 0.0),
-                                            delta=1e5), self.z, self.f)
-        eng.advance(1e-2)
-        assert eng.L == pytest.approx(1e-4, rel=1e-12)
+        cfg = two_species_cfg(v_a=(0.02, 0.0), psi=(50.0, 0.0), delta=1e5)
+        p = step(cfg, parcels(self.z, self.f), 1e-2)[0]
+        assert p.L == pytest.approx(1e-4, rel=1e-12)
 
     def test_floor_at_zero(self, caplog):
         # erosion removes 1e-3 m in one step from a 1e-4 m film: the step
         # lands on the seed thickness, not below the substratum
         cfg = two_species_cfg(v_a=(0.02, 0.0), psi=(50.0, 0.0), delta=1e7)
-        eng = parcel_engine(cfg, self.z, self.f)
         with caplog.at_level(logging.INFO, logger="biofilm1d.stepper"):
-            eng.advance(1e-2)
-        assert eng.L == cfg.numerics.L_eps
-        np.testing.assert_array_equal(eng.z, [0.0, cfg.numerics.L_eps])
-        np.testing.assert_array_equal(eng.fz, self.f[:, :2])
+            p = step(cfg, parcels(self.z, self.f), 1e-2)[0]
+        assert p.L == cfg.numerics.L_eps
+        np.testing.assert_array_equal(p.z, [0.0, cfg.numerics.L_eps])
+        np.testing.assert_array_equal(p.fz, self.f[:, :2])
         assert "re-seeding" in caplog.text
 
 
@@ -157,12 +174,11 @@ class TestAdvanceBiomass:
 
     def test_identity_without_forcing(self):
         f = np.stack([np.linspace(0.2, 0.8, 17), np.linspace(0.8, 0.2, 17)])
-        eng = parcel_engine(self.cfg, self.z, f)
-        eng.advance(1e-3)
-        np.testing.assert_array_equal(eng.z[:-1], self.z)
-        np.testing.assert_array_equal(eng.fz[:, :-1], f)
-        np.testing.assert_array_equal(eng.fz[:, -1], [1.0, 0.0])
-        assert eng.drift == 0.0 and eng.clamped == 0
+        p, _, drift, clamped = step(self.cfg, parcels(self.z, f), 1e-3)
+        np.testing.assert_array_equal(p.z[:-1], self.z)
+        np.testing.assert_array_equal(p.fz[:, :-1], f)
+        np.testing.assert_array_equal(p.fz[:, -1], [1.0, 0.0])
+        assert drift == 0.0 and clamped == 0
 
     def test_uniform_reaction_reduces_to_ode(self, monkeypatch):
         # r = (0.2, 0.6) f with f = (0.5, 0.5), G = sum r = 0.4:
@@ -174,12 +190,11 @@ class TestAdvanceBiomass:
                               r_Psi=np.zeros_like(r), G=r.sum(axis=0))
 
         monkeypatch.setattr(stepper, "rate_bundle", fixed_rates)
-        eng = parcel_engine(self.cfg, self.z, np.full((2, 17), 0.5))
-        eng.advance(0.01)
-        np.testing.assert_allclose(eng.fz[0, :-1], 0.499, rtol=1e-12)
-        np.testing.assert_allclose(eng.fz[1, :-1], 0.501, rtol=1e-12)
+        p = step(self.cfg, parcels(self.z, np.full((2, 17), 0.5)), 0.01)[0]
+        np.testing.assert_allclose(p.fz[0, :-1], 0.499, rtol=1e-12)
+        np.testing.assert_allclose(p.fz[1, :-1], 0.501, rtol=1e-12)
         # the parcels ride u = G z
-        np.testing.assert_allclose(eng.z[:-1], 1.004 * self.z, rtol=1e-12)
+        np.testing.assert_allclose(p.z[:-1], 1.004 * self.z, rtol=1e-12)
 
 
 class TestLaunchLabels:
@@ -190,37 +205,32 @@ class TestLaunchLabels:
 
     def test_attached_parcel_takes_the_step_end(self):
         cfg = two_species_cfg(v_a=(0.02, 0.0), psi=(50.0, 0.0))
-        eng = parcel_engine(cfg, self.z, self.f)
-        landed = parcel_engine(cfg, self.z, self.f)
-        eng.t = landed.t = 0.3
-        before = eng.t0
-        eng.advance(1e-3)
-        np.testing.assert_array_equal(eng.t0[:-1], before)
-        assert eng.t0[-1] == eng.t == 0.3 + 1e-3
+        start = parcels(self.z, self.f, t=0.3)
+        p = step(cfg, start, 1e-3)[0]
+        np.testing.assert_array_equal(p.t0[:-1], start.t0)
+        assert p.t0[-1] == p.t == 0.3 + 1e-3
         # a step landed on a forced time one ulp away labels its parcel with it
         t_end = float(np.nextafter(0.3 + 1e-3, 1.0))
-        landed.advance(1e-3, t_end)
+        landed = step(cfg, start, 1e-3, t_end)[0]
         assert landed.t0[-1] == landed.t == t_end
-        np.testing.assert_array_equal(landed.t0[:-1], before)
-        np.testing.assert_array_equal(landed.z, eng.z)
+        np.testing.assert_array_equal(landed.t0[:-1], start.t0)
+        np.testing.assert_array_equal(landed.z, p.z)
 
     def test_receding_top_takes_an_interpolated_label(self):
         # no growth and strong erosion: the interface recedes through parcels
-        eng = parcel_engine(two_species_cfg(v_a=(0.02, 0.0), psi=(50.0, 0.0),
-                                            delta=1e7), self.z, self.f)
-        before = eng.t0
-        eng.advance(1e-4)
-        kept = self.z < eng.L
+        cfg = two_species_cfg(v_a=(0.02, 0.0), psi=(50.0, 0.0), delta=1e7)
+        start = parcels(self.z, self.f)
+        p = step(cfg, start, 1e-4)[0]
+        kept = self.z < p.L
         assert 2 <= np.sum(~kept) < self.z.size - 2
-        np.testing.assert_array_equal(eng.z[:-1], self.z[kept])
-        np.testing.assert_array_equal(eng.t0[:-1], before[kept])
-        assert eng.t0[-1] == np.interp(eng.L, self.z, before)
-        assert np.all(np.diff(eng.t0) > 0.0)
+        np.testing.assert_array_equal(p.z[:-1], self.z[kept])
+        np.testing.assert_array_equal(p.t0[:-1], start.t0[kept])
+        assert p.t0[-1] == np.interp(p.L, self.z, start.t0)
+        assert np.all(np.diff(p.t0) > 0.0)
         # a receding step attached no parcel: its end time labels nothing
-        landed = parcel_engine(eng.cfg, self.z, self.f)
-        landed.advance(1e-4, 0.5)
+        landed = step(cfg, start, 1e-4, 0.5)[0]
         assert landed.t == 0.5
-        np.testing.assert_array_equal(landed.t0, eng.t0)
+        np.testing.assert_array_equal(landed.t0, p.t0)
 
     def test_landing_relabels_the_attached_parcel(self):
         # 0.8999999999999999 + 0.1 rounds to 0.9999999999999999, within the
@@ -261,30 +271,30 @@ class TestLaunchLabels:
 
 class TestStep:
     def test_nucleation_arithmetic(self):
-        eng = _CharacteristicEngine(small_case1())
-        rhs = eng.advance(1e-4)
+        cfg = small_case1()
+        p, rhs, _, _ = step(cfg, _seed(cfg), 1e-4)
         # L ~ sigma_a dt = 1e-7 (the 1e-9 seed and u_L are negligible)
-        assert eng.L == pytest.approx(1e-7, rel=0.02)
+        assert p.L == pytest.approx(1e-7, rel=0.02)
         assert Regime.classify(rhs.sigma_a, rhs.sigma_d) is Regime.ATTACHMENT
         assert rhs.sigma_a == pytest.approx(1e-3, rel=1e-12)
         # the seed parcels stay uniform and near the inflow split to O(dt);
         # the parcel attached over the step carries the split exactly
-        np.testing.assert_allclose(eng.fz[0], 0.5, atol=1e-4)
-        assert np.ptp(eng.fz[0][:-1]) <= 1e-14
-        np.testing.assert_array_equal(eng.fz[:, -1], [0.5, 0.5, 0.0])
-        np.testing.assert_array_equal(eng.fz[2], np.zeros(eng.fz.shape[1]))
+        np.testing.assert_allclose(p.fz[0], 0.5, atol=1e-4)
+        assert np.ptp(p.fz[0][:-1]) <= 1e-14
+        np.testing.assert_array_equal(p.fz[:, -1], [0.5, 0.5, 0.0])
+        np.testing.assert_array_equal(p.fz[2], np.zeros(p.fz.shape[1]))
 
     def test_euler_consistency_in_thickness(self):
         cfg = small_case1()
-        base = _CharacteristicEngine(cfg)
+        base = _seed(cfg)
         while base.L < 2.5e-5:  # grow past nucleation
-            base.advance(cfg.numerics.dt_max)
+            base = step(cfg, base, cfg.numerics.dt_max)[0]
 
         def thickness_after(dt, substeps):
-            eng = copy.copy(base)
+            p = base  # a value: every branch starts from the same parcels
             for _ in range(substeps):
-                eng.advance(dt)
-            return eng.L
+                p = step(cfg, p, dt)[0]
+            return p.L
 
         diffs = []
         for dt in (1e-4, 5e-5):
@@ -298,19 +308,18 @@ class TestStep:
     def test_diagnostics_consistency(self):
         # what a step reports is what its update used
         cfg = small_case1()
-        eng = _CharacteristicEngine(cfg)
-        eng.advance(1e-4)
-        t0, L0, z, dt = eng.t, eng.L, eng.z, cfg.numerics.dt_max
-        rhs = eng.advance(dt)
-        assert eng.t == t0 + dt
+        start = step(cfg, _seed(cfg), 1e-4)[0]
+        dt = cfg.numerics.dt_max
+        p, rhs, drift, clamped = step(cfg, start, dt)
+        assert p.t == start.t + dt
         assert rhs.u[0] == 0.0 and rhs.u_L == rhs.u[-1]
-        assert rhs.u.shape == rhs.rates.G.shape == z.shape
-        assert eng.L == L0 + dt * (rhs.u_L + rhs.sigma_a - rhs.sigma_d)
+        assert rhs.u.shape == rhs.rates.G.shape == start.z.shape
+        assert p.L == start.L + dt * (rhs.u_L + rhs.sigma_a - rhs.sigma_d)
         # attachment: the old parcels ride u and one parcel is appended
-        np.testing.assert_array_equal(eng.z[:-1], z + dt * rhs.u)
+        np.testing.assert_array_equal(p.z[:-1], start.z + dt * rhs.u)
+        np.testing.assert_array_equal(p.t0[:-1], start.t0)
         assert rhs.S.shape == rhs.Psi.shape == (3, cfg.numerics.N + 1)
-        assert eng.S_uniform is rhs.S
-        assert eng.drift <= 1e-8 and eng.clamped == 0
+        assert drift <= 1e-8 and clamped == 0
 
 
 class TestRightHandSide:
@@ -318,13 +327,11 @@ class TestRightHandSide:
         # a second-order step evaluates the right-hand side twice at one
         # parcel set: it must write to no input and repeat itself bit for bit
         cfg = small_case1()
-        eng = _CharacteristicEngine(cfg)
+        p = _seed(cfg)
         for _ in range(20):
-            eng.advance(cfg.numerics.dt_max)
-        z, fz, S_guess = (np.array(a) for a in (eng.z, eng.fz, eng._predicted_S(eng.t)))
-        for a in (z, fz, S_guess):
-            a.flags.writeable = False
-        first, second = (stepper._rhs(eng.t, eng.L, z, fz, np.diff(z), S_guess, cfg)
+            p = step(cfg, p, cfg.numerics.dt_max)[0]
+        z, fz, S_guess = (read_only(a) for a in (p.z, p.fz, stepper._predicted_S([], p.t, cfg)))
+        first, second = (stepper._rhs(p.t, p.L, z, fz, np.diff(z), S_guess, cfg)
                          for _ in range(2))
         assert z.size == 22  # the two seed parcels and one attached per step
         assert first.u.shape == z.shape
@@ -333,8 +340,76 @@ class TestRightHandSide:
         pairs += [(getattr(first.rates, f.name), getattr(second.rates, f.name))
                   for f in dataclasses.fields(first.rates)]
         for a, b in pairs:
-            np.testing.assert_array_equal(np.asarray(a, dtype=float).view(np.int64),
-                                          np.asarray(b, dtype=float).view(np.int64))
+            assert_same_bits(a, b)
+
+
+class TestCommit:
+    """A step's transition is pure: a rejected or repeated step reuses its
+    input parcels and right-hand side unchanged."""
+
+    z = np.linspace(0.0, 1e-4, 17)
+    f = np.stack([np.full(17, 1.0), np.zeros(17)])
+
+    @staticmethod
+    def frozen(cfg, p):
+        """``p`` and its right-hand side with every array read-only."""
+        rhs = stepper._rhs(p.t, p.L, p.z, p.fz, np.diff(p.z),
+                           stepper._predicted_S([], p.t, cfg), cfg)
+        rates = dataclasses.replace(rhs.rates, **{
+            f.name: read_only(getattr(rhs.rates, f.name))
+            for f in dataclasses.fields(rhs.rates)})
+        rhs = dataclasses.replace(rhs, S=read_only(rhs.S), Psi=read_only(rhs.Psi),
+                                  u=read_only(rhs.u), rates=rates)
+        return dataclasses.replace(p, z=read_only(p.z), t0=read_only(p.t0),
+                                   fz=read_only(p.fz)), rhs
+
+    def grown(self):
+        cfg = small_case1()
+        p = _seed(cfg)
+        for _ in range(20):
+            p = step(cfg, p, cfg.numerics.dt_max)[0]
+        return cfg, p, cfg.numerics.dt_max
+
+    def attached_within_margin(self):
+        # no growth, so the top parcel stays at L; the step moves L by
+        # sigma_a dt = 1e-15 m, below the margin 1e-9 L / N = 6.25e-15 m
+        cfg = two_species_cfg(v_a=(0.02, 0.0), psi=(50.0, 0.0))
+        return cfg, parcels(self.z, self.f), 1e-12
+
+    def receding(self):
+        cfg = two_species_cfg(v_a=(0.02, 0.0), psi=(50.0, 0.0), delta=1e7)
+        return cfg, parcels(self.z, self.f), 1e-4
+
+    def reseeded(self):
+        cfg = two_species_cfg(v_a=(0.02, 0.0), psi=(50.0, 0.0), delta=1e7)
+        return cfg, parcels(self.z, self.f), 1e-2
+
+    @pytest.mark.parametrize("case, count", [("grown", 23), ("attached_within_margin", 17),
+                                             ("receding", None), ("reseeded", 2)])
+    def test_pure(self, case, count):
+        cfg, p, dt = getattr(self, case)()
+        p, rhs = self.frozen(cfg, p)
+        kept = [np.array(getattr(p, name)) for name in ("z", "t0", "fz")]
+        t_new = p.t + dt
+        first, second = (stepper._commit(p, dt, t_new, rhs, cfg) for _ in range(2))
+        (a, drift_a, clamped_a), (b, drift_b, clamped_b) = first, second
+        for name in ("t", "L", "z", "t0", "fz"):
+            assert_same_bits(getattr(a, name), getattr(b, name))
+        assert_same_bits(drift_a, drift_b)
+        assert clamped_a == clamped_b
+        for name, before in zip(("z", "t0", "fz"), kept):
+            assert_same_bits(getattr(p, name), before)
+        # the branch taken
+        assert a.t == t_new
+        if case == "receding":
+            assert p.L > a.L > cfg.numerics.L_eps and 2 < a.z.size < p.z.size
+            assert a.t0[-1] < 0.0
+        else:
+            assert a.z.size == count
+            if case == "reseeded":
+                assert a.L == cfg.numerics.L_eps
+            else:
+                assert a.t0[-1] == t_new
 
 
 class TestRun:
@@ -343,12 +418,12 @@ class TestRun:
         res = run(cfg)
         assert len(res.snapshots) == 1
         snap = res.snapshots[0]
-        seed = _CharacteristicEngine(cfg)
+        seed = _seed(cfg)
         ones = np.ones(cfg.numerics.N + 1)
         assert snap.state.t == 0.0
         assert snap.state.L == seed.L == cfg.numerics.L_eps
         np.testing.assert_array_equal(snap.state.f, np.outer([0.5, 0.5, 0.0], ones))
-        np.testing.assert_allclose(snap.state.S, seed.S_uniform, atol=1e-9)
+        np.testing.assert_allclose(snap.state.S, np.outer(cfg.s_star(0.0), ones), atol=1e-9)
         np.testing.assert_allclose(snap.state.Psi, np.outer(cfg.psi_star(0.0), ones),
                                    atol=1e-9)
         assert abs(snap.u_L) < 1e-8
@@ -406,10 +481,10 @@ class TestRun:
         assert 0.2 in cfg.bulk.breakpoints()
         res = run(cfg)
         assert [snap.state.t for snap in res.snapshots] == list(times)
-        seed = _CharacteristicEngine(cfg)
+        seed = _seed(cfg)
         for snap in res.snapshots[:2]:
             assert snap.state.L == seed.L
-            np.testing.assert_array_equal(snap.state.f, seed.uniform_f())
+            np.testing.assert_array_equal(snap.state.f, seed.fz[:, :1] * np.ones(snap.state.N + 1))
         # every forced time is a step boundary, bitwise
         b = res.boundary
         assert set(times[1:]) | set(cfg.bulk.breakpoints()) <= set(b.t.tolist())
@@ -551,8 +626,8 @@ class TestPredictedNewtonStart:
                                                               case, horizon):
         new, new_iterations = self.short_run(monkeypatch, case, horizon)
         with monkeypatch.context() as m:
-            m.setattr(_CharacteristicEngine, "_predicted_S",
-                      lambda engine, t: engine.S_uniform)
+            m.setattr(stepper, "_predicted_S",
+                      lambda solved, t, cfg: stepper._last_S(solved, cfg))
             old, old_iterations = self.short_run(monkeypatch, case, horizon)
 
         assert new_iterations < old_iterations

@@ -100,3 +100,26 @@ def test_traced_emit_counts_the_written_bytes(tracing, tmp_path):
     expected = load_perfbench("workload").EXPECTED_LAYERS
     for workload in ("preset-case2", "refine-n2400"):
         assert "output.emit.bytes" in expected[workload], workload
+
+
+def test_traced_run_counts_steps_snapshots_and_parcels(tracing):
+    # the counters read what the run records: a snapshot solve outside
+    # make_snapshot would count as a step, and a rate evaluation off the
+    # parcels would misreport their count
+    cli = biofilm1d.cli
+    cfg = biofilm1d.build_preset("case1").cfg
+    cfg = dataclasses.replace(
+        cfg, numerics=dataclasses.replace(cfg.numerics, N=24, dt_max=5e-4),
+        horizon=0.02, snapshot_times=(0.01, 0.02))
+    tracer = tracing.Tracer()
+    tracer.install(biofilm1d)
+    try:
+        result = cli.run_scenario(cfg, record_profiles=True)
+    finally:
+        tracer.close()
+    layers = tracer.metrics()
+    assert len(result.snapshots) == 2
+    assert layers["stepper.steps"] == result.boundary.t.size - 1 == 40
+    assert layers["stepper.make_snapshot.calls"] == len(result.snapshots)
+    # every record but the horizon's is a step start
+    assert layers["stepper.parcels.max"] == max(z.size for z in result.profiles.parcel_z[:-1])
