@@ -13,7 +13,7 @@ Runtime: ~15 s.  Output CSVs land in ./demo_output/case1/.
 
 import numpy as np
 
-from biofilm1d import (Regime, build_preset, characteristic_trace, emit, run)
+from biofilm1d import build_preset, characteristic_trace, emit, run
 
 preset = build_preset("case1")
 print(__doc__)
@@ -38,17 +38,16 @@ print(f"plateau check: |L(10) - L(9)| / L(10) = "
 print("\nexclusion of the late species (f3) below the characteristic c(t1, t):")
 t1 = 0.2
 for snap in result.snapshots:
-    t = snap.state.t
-    if t < t1 or snap.regime is not Regime.ATTACHMENT:
+    t = snap.t
+    if t < t1 or not snap.attachment:
         continue
     c_t = characteristic_trace(result, t1, t).z[-1]
-    st = snap.state
-    below = st.zeta * st.L < c_t
-    print(f"  t = {t:4.2f} d: c(t1,t)/L = {c_t / st.L:.3f}, "
-          f"max f3 below the line = {st.f[2][below].max():.3e}, "
-          f"max f3 above = {st.f[2][~below].max():.3e}")
+    below = snap.zeta * snap.L < c_t
+    print(f"  t = {t:4.2f} d: c(t1,t)/L = {c_t / snap.L:.3f}, "
+          f"max f3 below the line = {snap.f[2][below].max():.3e}, "
+          f"max f3 above = {snap.f[2][~below].max():.3e}")
 
-final = result.snapshots[-1].state
+final = result.snapshots[-1]
 print(f"\nat t = 10 d the mature film carries max f3 = {final.f[2].max():.3e}: "
       "material attached after t1 has been eroded away (washout).")
 

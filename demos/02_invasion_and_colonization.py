@@ -35,24 +35,24 @@ print(f"grid spacing at L = 5e-4 m with N = 200: {5e-4 / 200:.2e} m "
 results = {}
 for pid in ("case1", "case2", "case3"):
     results[pid] = run(build_preset(pid).cfg)
-    print(f"{pid} done: L(10 d) = {results[pid].snapshots[-1].state.L:.4e} m")
+    print(f"{pid} done: L(10 d) = {results[pid].snapshots[-1].L:.4e} m")
 
 print("\nfilm thickness at the snapshot times (colonization-only stays thinnest):")
-times = [s.state.t for s in results["case1"].snapshots]
+times = [s.t for s in results["case1"].snapshots]
 print("  t [d]      " + "  ".join(f"{t:>9.2f}" for t in times))
 for pid in ("case1", "case2", "case3"):
-    Ls = [s.state.L for s in results[pid].snapshots]
+    Ls = [s.L for s in results[pid].snapshots]
     print(f"  {pid}   " + "  ".join(f"{L:9.3e}" for L in Ls))
 
 print("\nfate of the late species f3 (min / max over depth):")
 for pid in ("case2", "case3"):
     for snap in results[pid].snapshots:
-        f3 = snap.state.f[2]
-        print(f"  {pid} t = {snap.state.t:5.2f} d: "
+        f3 = snap.f[2]
+        print(f"  {pid} t = {snap.t:5.2f} d: "
               f"min = {f3.min():.2e}, max = {f3.max():.2e}")
 
-s3_1 = results["case1"].snapshots[-1].state.S[2]
-s3_2 = results["case2"].snapshots[-1].state.S[2]
+s3_1 = results["case1"].snapshots[-1].S[2]
+s3_2 = results["case2"].snapshots[-1].S[2]
 print("\nsubstrate 3 at t = 10 d (produced inside, vented at the interface):")
 print(f"  attachment-only max = {s3_1.max():.3f} g/m^3, "
       f"with colonization max = {s3_2.max():.3f} g/m^3")

@@ -14,13 +14,13 @@ from .errors import (Biofilm1dError, BoundaryLayerResolutionWarning, ConfigError
                      NumericalBlowup, OutOfDomain, SingularJacobian, UnknownPreset)
 from .kinetics import (RateBundle, attachment_flux, detachment_flux,
                        inflow_fractions, monod, rate_bundle, substrate_rates)
-from .model import (CONSTRAINT_TOL, BiofilmState, NumericsConfig, Regime,
-                    ScenarioConfig, Snapshot, SpeciesParams, Stoichiometry,
-                    SubstrateParams, ValidationReport, validate_config)
+from .model import (CONSTRAINT_TOL, BoundaryTrace, NumericsConfig, ProfileTrace,
+                    RunResult, ScenarioConfig, Snapshot, SpeciesParams,
+                    Stoichiometry, SubstrateParams, ValidationReport, attaching,
+                    validate_config)
 from .elliptic import (EllipticSolution, solve_planktonic, solve_substrates,
                        tridiagonal_solve)
-from .stepper import (BoundaryTrace, ProfileTrace, RunResult, compute_velocity,
-                      make_snapshot, run)
+from .stepper import compute_velocity, make_snapshot, run
 from .oracle import (CharField, CharPath, ContractionBox, ContractionEstimate,
                      box_from_run, characteristic_trace, cross_check_errors,
                      estimate_contraction, map_run_to_char_grid, picard_solve,

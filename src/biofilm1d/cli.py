@@ -90,10 +90,12 @@ def _build_parser() -> _Parser:
 
 def _load_cfg(args):
     if args.config:
-        cfg = configio.load(args.config)
         # the file name only, so the manifest does not depend on where it lives
-        notes = (f"configuration loaded from file {Path(args.config).name}",)
-        return cfg, notes
+        name = Path(args.config).name
+        if "\n" in name or "\r" in name:
+            raise ConfigError(f"configuration file name has a line break: {name!r}")
+        cfg = configio.load(args.config)
+        return cfg, (f"configuration loaded from file {name}",)
     if not args.preset:
         raise ConfigError("either --preset or --config is required")
     preset = build_preset(args.preset, t1=args.t1, variant=args.ramp)

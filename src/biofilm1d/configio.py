@@ -138,12 +138,6 @@ def loads(text: str) -> ScenarioConfig:
         if key in entries:
             nm_kwargs[field.name] = _pop(entries, key, type(field.default))
     numerics = NumericsConfig(**nm_kwargs)
-    # Keys of the removed upwind engine, still present in older files.
-    entries.pop("numerics.cfl", None)
-    transport = entries.pop("numerics.transport", "characteristics")
-    if transport != "characteristics":
-        raise ConfigError(f"numerics.transport = {transport}: the upwind engine "
-                          "was removed; characteristics is the only transport")
 
     delta = _pop(entries, "scenario.delta")
     horizon = _pop(entries, "scenario.horizon")

@@ -1,16 +1,16 @@
-"""Domain types: scenario parameters, moving-grid state, snapshots.
+"""Domain types: scenario parameters, snapshots and run results.
 
-All types are immutable value objects; ndarray fields are frozen after
-construction so states can be shared between threads or cached safely.
+All types are frozen dataclasses.  A :class:`Snapshot` also freezes its
+arrays; the traces of a :class:`RunResult` hold arrays nothing writes.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -22,15 +22,10 @@ from .traces import BulkTraces
 CONSTRAINT_TOL = 1e-8
 
 
-class Regime(enum.Enum):
-    """Interface regime by sign of the net interface flux (ties detach)."""
-
-    ATTACHMENT = "attachment"
-    DETACHMENT = "detachment"
-
-    @staticmethod
-    def classify(sigma_a: float, sigma_d: float) -> "Regime":
-        return Regime.ATTACHMENT if sigma_a - sigma_d > 0.0 else Regime.DETACHMENT
+def attaching(sigma_a, sigma_d):
+    """True while the net interface flux ``sigma_a - sigma_d`` is positive
+    (attachment), False in detachment; ties detach.  Elementwise on arrays."""
+    return sigma_a - sigma_d > 0.0
 
 
 @dataclass(frozen=True)
@@ -161,23 +156,34 @@ def _frozen(a) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class BiofilmState:
-    """Instantaneous solution on the normalized moving grid zeta = z/L."""
+class Snapshot:
+    """The solution at a scheduled output time on the normalized moving grid
+    zeta = z/L, with the interface fluxes and velocity."""
 
     t: float
     L: float
-    zeta: np.ndarray   # (N+1,) uniform, zeta_k = k/N
     f: np.ndarray      # (n, N+1) volume fractions
     S: np.ndarray      # (m, N+1) substrate concentrations
     Psi: np.ndarray    # (n, N+1) planktonic concentrations
+    sigma_a: float
+    sigma_d: float
+    u_L: float
 
     def __post_init__(self):
-        for name in ("zeta", "f", "S", "Psi"):
+        for name in ("f", "S", "Psi"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
     def N(self) -> int:
-        return self.zeta.size - 1
+        return self.f.shape[1] - 1
+
+    @property
+    def zeta(self) -> np.ndarray:  # the uniform nodes, zeta_k = k/N
+        return np.arange(self.N + 1, dtype=float) / self.N
+
+    @property
+    def attachment(self) -> bool:
+        return bool(attaching(self.sigma_a, self.sigma_d))
 
     def sum_f_drift(self) -> float:
         """Max nodewise deviation of the volume-fraction sum from one."""
@@ -185,17 +191,44 @@ class BiofilmState:
 
 
 @dataclass(frozen=True, eq=False)
-class Snapshot:
-    """State at a scheduled output time plus interface diagnostics."""
+class BoundaryTrace:
+    """Per-step interface history."""
 
-    state: BiofilmState
-    sigma_a: float
-    sigma_d: float
-    u_L: float
+    t: np.ndarray
+    L: np.ndarray
+    sigma_a: np.ndarray
+    sigma_d: np.ndarray
+    u_L: np.ndarray
+    sum_f_drift: np.ndarray
+    clamped_nodes: np.ndarray
 
     @property
-    def regime(self) -> Regime:
-        return Regime.classify(self.sigma_a, self.sigma_d)
+    def attachment(self) -> np.ndarray:
+        """Regime per step, True while attaching (see :func:`attaching`)."""
+        return attaching(self.sigma_a, self.sigma_d)
+
+
+@dataclass(frozen=True, eq=False)
+class ProfileTrace:
+    """Records at each step start and at the horizon: the dissolved fields on
+    the uniform grid they are solved on, and the parcels' abscissae, launch
+    times and fractions, bottom to top."""
+
+    t: np.ndarray        # (steps,)
+    L: np.ndarray        # (steps,)
+    S: np.ndarray        # (steps, m, N+1)
+    Psi: np.ndarray      # (steps, n, N+1)
+    parcel_z: tuple      # (steps,) arrays of the parcel count at each record
+    parcel_t0: tuple     # (steps,) arrays of launch times, strictly increasing
+    parcel_f: tuple      # (steps,) arrays of shape (n, parcel count)
+
+
+@dataclass(frozen=True, eq=False)
+class RunResult:
+    cfg: ScenarioConfig
+    snapshots: list
+    boundary: BoundaryTrace
+    profiles: Optional[ProfileTrace] = None
 
 
 @dataclass(frozen=True)
@@ -223,13 +256,14 @@ class ValidationReport:
 
 def _trace_numbers(trace) -> list:
     """Every number a bulk-trace descriptor holds (its ``value``, ``psi30``
-    and ``t1``, or its table ``times`` and ``values``)."""
+    and ``t1``, or its table ``times`` and ``values``): each field but the
+    ones declared ``str``, whatever type its value has."""
     numbers = []
     for param in fields(trace):
         v = getattr(trace, param.name)
         if isinstance(v, tuple):
             numbers.extend(v)
-        elif not isinstance(v, str):
+        elif param.type != "str":
             numbers.append(v)
     return numbers
 
@@ -243,47 +277,54 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
             bad.append(Violation(field_name, constraint))
 
     def finite(field_name, *values):
-        check(all(math.isfinite(v) for v in values), field_name, "must be finite")
+        """Report values that are not real numbers, or else not finite; True
+        when all are real, so the field's range checks cannot raise."""
+        real = all(isinstance(v, numbers.Real) for v in values)
+        check(real, field_name, "must be a real number")
+        check(not real or all(math.isfinite(v) for v in values), field_name,
+              "must be finite")
+        return real
 
     check(cfg.n >= 1, "species", "at least one species required")
     check(cfg.m >= 1, "substrates", "at least one substrate required")
     for i, sp in enumerate(cfg.species, start=1):
         tag = f"species.{i}"
-        for param in fields(sp):
-            finite(f"{tag}.{param.name}", getattr(sp, param.name))
-        check(sp.mu_max >= 0, f"{tag}.mu_max", "mu_max must be >= 0")
-        check(sp.K > 0, f"{tag}.K", "K must be > 0")
-        check(sp.Y > 0, f"{tag}.Y", "Y must be > 0")
-        check(sp.rho > 0, f"{tag}.rho", "rho must be > 0")
-        check(sp.v_a >= 0, f"{tag}.v_a", "v_a must be >= 0")
-        check(sp.k_col >= 0, f"{tag}.k_col", "k_col must be >= 0")
-        check(sp.Y_psi > 0, f"{tag}.Y_psi", "Y_psi must be > 0")
-        check(sp.D_psi > 0, f"{tag}.D_psi", "D_psi must be > 0")
+        real = {f.name: finite(f"{tag}.{f.name}", getattr(sp, f.name))
+                for f in fields(sp)}
+        check(not real["mu_max"] or sp.mu_max >= 0, f"{tag}.mu_max",
+              "mu_max must be >= 0")
+        check(not real["K"] or sp.K > 0, f"{tag}.K", "K must be > 0")
+        check(not real["Y"] or sp.Y > 0, f"{tag}.Y", "Y must be > 0")
+        check(not real["rho"] or sp.rho > 0, f"{tag}.rho", "rho must be > 0")
+        check(not real["v_a"] or sp.v_a >= 0, f"{tag}.v_a", "v_a must be >= 0")
+        check(not real["k_col"] or sp.k_col >= 0, f"{tag}.k_col", "k_col must be >= 0")
+        check(not real["Y_psi"] or sp.Y_psi > 0, f"{tag}.Y_psi", "Y_psi must be > 0")
+        check(not real["D_psi"] or sp.D_psi > 0, f"{tag}.D_psi", "D_psi must be > 0")
     for j, sb in enumerate(cfg.substrates, start=1):
-        finite(f"substrate.{j}.D", sb.D)
-        check(sb.D > 0, f"substrate.{j}.D", "D must be > 0")
-    finite("scenario.delta", cfg.delta)
-    finite("scenario.horizon", cfg.horizon)
-    finite("scenario.snapshot_times", *cfg.snapshot_times)
-    check(cfg.delta >= 0, "scenario.delta", "delta must be >= 0")
-    check(cfg.horizon >= 0, "scenario.horizon", "horizon must be >= 0")
-
+        check(not finite(f"substrate.{j}.D", sb.D) or sb.D > 0, f"substrate.{j}.D",
+              "D must be > 0")
+    real_delta = finite("scenario.delta", cfg.delta)
+    real_horizon = finite("scenario.horizon", cfg.horizon)
     snaps = cfg.snapshot_times
-    check(all(b >= a for a, b in zip(snaps, snaps[1:])),
+    real_snaps = finite("scenario.snapshot_times", *snaps)
+    check(not real_delta or cfg.delta >= 0, "scenario.delta", "delta must be >= 0")
+    check(not real_horizon or cfg.horizon >= 0, "scenario.horizon",
+          "horizon must be >= 0")
+
+    check(not real_snaps or all(b >= a for a, b in zip(snaps, snaps[1:])),
           "scenario.snapshot_times", "snapshot times must be sorted ascending")
-    check(all(0.0 <= s <= cfg.horizon for s in snaps),
+    check(not (real_snaps and real_horizon)
+          or all(0.0 <= s <= cfg.horizon for s in snaps),
           "scenario.snapshot_times", "snapshot outside horizon")
 
     check(len(cfg.bulk.psi_star) == cfg.n, "bulk.psi", "one trace per species required")
     check(len(cfg.bulk.s_star) == cfg.m, "bulk.s", "one trace per substrate required")
     for i, tr in enumerate(cfg.bulk.psi_star, start=1):
-        finite(f"bulk.psi.{i}", *_trace_numbers(tr))
-        check(tr.lower_bound() >= 0, f"bulk.psi.{i}",
-              "bulk trace must stay >= 0 over the horizon")
+        check(not finite(f"bulk.psi.{i}", *_trace_numbers(tr)) or tr.lower_bound() >= 0,
+              f"bulk.psi.{i}", "bulk trace must stay >= 0 over the horizon")
     for j, tr in enumerate(cfg.bulk.s_star, start=1):
-        finite(f"bulk.s.{j}", *_trace_numbers(tr))
-        check(tr.lower_bound() >= 0, f"bulk.s.{j}",
-              "bulk trace must stay >= 0 over the horizon")
+        check(not finite(f"bulk.s.{j}", *_trace_numbers(tr)) or tr.lower_bound() >= 0,
+              f"bulk.s.{j}", "bulk trace must stay >= 0 over the horizon")
 
     st = cfg.stoichiometry
     check(len(st.substrate_of) == cfg.n, "stoichiometry.substrate_of",
@@ -296,20 +337,21 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
           "each row needs one coefficient per species")
 
     nm = cfg.numerics
-    for name in ("dt_max", "L_eps", "newton_tol", "picard_tol"):
-        finite(f"numerics.{name}", getattr(nm, name))
-    # a count that is not an integer gets no range check, which could raise
+    # a value of the wrong type gets no range check, which could raise
+    real = {name: finite(f"numerics.{name}", getattr(nm, name))
+            for name in ("dt_max", "L_eps", "newton_tol", "picard_tol")}
     integral = {name: isinstance(getattr(nm, name), numbers.Integral)
                 for name in ("N", "newton_max_iter", "picard_max_iter")}
     for name, ok in integral.items():
         check(ok, f"numerics.{name}", "must be an integer")
     check(not integral["N"] or nm.N >= 8, "numerics.N", "N must be >= 8")
-    check(nm.dt_max > 0, "numerics.dt_max", "dt_max must be > 0")
-    check(nm.L_eps > 0, "numerics.L_eps", "L_eps must be > 0")
-    check(nm.newton_tol > 0, "numerics.newton_tol", "newton_tol must be > 0")
+    for name in ("dt_max", "L_eps", "newton_tol"):
+        check(not real[name] or getattr(nm, name) > 0, f"numerics.{name}",
+              f"{name} must be > 0")
     check(not integral["newton_max_iter"] or nm.newton_max_iter > 0,
           "numerics.newton_max_iter", "newton_max_iter must be > 0")
-    check(nm.picard_tol > 0, "numerics.picard_tol", "picard_tol must be > 0")
+    check(not real["picard_tol"] or nm.picard_tol > 0, "numerics.picard_tol",
+          "picard_tol must be > 0")
     check(not integral["picard_max_iter"] or nm.picard_max_iter > 0,
           "numerics.picard_max_iter", "picard_max_iter must be > 0")
 

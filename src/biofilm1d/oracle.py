@@ -11,9 +11,10 @@ this module iterates that map on a triangular grid (trapezoidal quadrature)
 and estimates the horizon on which contraction is guaranteed by sampling the
 integrand bounds and Lipschitz constants over a stated box.
 
-This solver shares only the kinetics with the time stepper, so it serves as
-an independent cross-check of the finite-difference path.  It reads
-``c(t0, t)`` and ``x(t0, t)`` from a run's labelled parcels, which are
+This solver shares only the kinetics with the time stepper, and imports no
+stepper code, so it serves as an independent cross-check of the
+finite-difference path.  It reads ``c(t0, t)`` and ``x(t0, t)`` from the
+labelled parcels of a run's :class:`~biofilm1d.model.RunResult`, which are
 interpolated in launch time and in time but never in space.
 
 Interface law: the oracle solves ``L = Sigma + int u_L`` with
@@ -40,8 +41,7 @@ from . import kinetics
 from .errors import (ConfigError, DetachmentRegime, NoAttachment, NonConvergence,
                      OutOfDomain)
 from .kinetics import attachment_flux, inflow_fractions
-from .model import validate_config
-from .stepper import RunResult
+from .model import RunResult, attaching, validate_config
 
 
 def _ctz(A, axis, delta):
@@ -257,7 +257,7 @@ def picard_solve(cfg, T_o: float, grid_n: int, zeroth: Optional[tuple] = None):
         raise NonConvergence("fixed-point iteration exceeded max_iter",
                              iterations=nm.picard_max_iter, residual=history[-1])
 
-    if np.any(sigma_a - kinetics.detachment_flux(L, cfg.delta) <= 0.0):
+    if not np.all(attaching(sigma_a, kinetics.detachment_flux(L, cfg.delta))):
         raise DetachmentRegime(
             "detachment would dominate on this horizon; the characteristic "
             "formulation only covers the attachment regime")

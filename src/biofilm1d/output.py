@@ -22,8 +22,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from . import configio
 from .errors import IoFailure
-from .model import Regime
-from .stepper import RunResult
+from .model import RunResult
 
 PROFILE_NAME = "profiles.csv"
 BOUNDARY_NAME = "boundary.csv"
@@ -49,20 +48,20 @@ def _profile_chunks(run: RunResult) -> Iterator[str]:
                    + [f"S{j + 1}" for j in range(cfg.m)]
                    + [f"Psi{i + 1}" for i in range(cfg.n)]) + "\n"
     for snap in run.snapshots:
-        st = snap.state
         # t is the same on every row of a snapshot: format it once
-        row = "%.17g" % float(st.t) + ",%.17g" * (2 + 2 * cfg.n + cfg.m) + "\n"
-        for k in range(0, st.zeta.size, _CHUNK_ROWS):
+        row = "%.17g" % float(snap.t) + ",%.17g" * (2 + 2 * cfg.n + cfg.m) + "\n"
+        zeta_all = snap.zeta
+        for k in range(0, zeta_all.size, _CHUNK_ROWS):
             part = slice(k, k + _CHUNK_ROWS)
-            zeta = st.zeta[part]
-            columns = [zeta.tolist(), (zeta * st.L).tolist(),
-                       *st.f[:, part].tolist(), *st.S[:, part].tolist(),
-                       *st.Psi[:, part].tolist()]
+            zeta = zeta_all[part]
+            columns = [zeta.tolist(), (zeta * snap.L).tolist(),
+                       *snap.f[:, part].tolist(), *snap.S[:, part].tolist(),
+                       *snap.Psi[:, part].tolist()]
             yield "".join(map(row.__mod__, zip(*columns)))
 
 
 _BOUNDARY_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
-_REGIME_NAMES = (Regime.DETACHMENT.value, Regime.ATTACHMENT.value)
+_REGIME_NAMES = ("detachment", "attachment")  # by BoundaryTrace.attachment
 
 
 def _boundary_chunks(run: RunResult) -> Iterator[str]:
@@ -106,8 +105,11 @@ def emit(run: RunResult, out_dir, notes: Sequence[str] = ()) -> OutputBundle:
 
     The profiles file is only created when the run emitted snapshots;
     otherwise one left in ``out_dir`` by an earlier emit is removed.
-    Returns the bundle with the overall content hash.
+    Returns the bundle with the overall content hash.  A note is one
+    manifest line, so one that holds a line break is a ``ValueError``.
     """
+    if any("\n" in note or "\r" in note for note in notes):
+        raise ValueError(f"a manifest note must be one line: {notes!r}")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

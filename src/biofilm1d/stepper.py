@@ -20,8 +20,8 @@ parcels shed at the new top.  A snapshot evaluates the same right-hand side
 with the uniform grid as its nodes, so its ``u_L`` comes from the uniform
 spacing where a step's comes from the parcels.  The dissolved fields are
 constraints re-solved from the resampled fractions, so they pass between
-the solves as arrays: no step builds a ``BiofilmState``, and each emitted
-:class:`Snapshot` holds one.
+the solves as arrays; only :func:`make_snapshot` packages them, with the
+resampled fractions, into a :class:`~biofilm1d.model.Snapshot`.
 The substrate Newton of a step starts from the linear extrapolation in time
 of the last two substrate solutions, the standard starting value for the
 algebraic part of a differential-algebraic system.
@@ -39,7 +39,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -47,8 +46,8 @@ from .elliptic import solve_planktonic, solve_substrates, warn_under_resolved
 from .errors import ConfigError, NoAttachment, NumericalBlowup
 from .kinetics import (RateBundle, attachment_flux, detachment_flux,
                        inflow_fractions, rate_bundle)
-from .model import (BiofilmState, Regime, ScenarioConfig, Snapshot,
-                    validate_config)
+from .model import (BoundaryTrace, ProfileTrace, RunResult, ScenarioConfig,
+                    Snapshot, attaching, validate_config)
 
 logger = logging.getLogger(__name__)
 
@@ -108,59 +107,8 @@ def _rhs(t, L, z, fz, dz, S_guess, cfg: ScenarioConfig) -> _Rhs:
 
 
 # ---------------------------------------------------------------------------
-# Run orchestration and output containers
+# Run orchestration
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class BoundaryTrace:
-    """Per-step interface history."""
-
-    t: np.ndarray
-    L: np.ndarray
-    sigma_a: np.ndarray
-    sigma_d: np.ndarray
-    u_L: np.ndarray
-    sum_f_drift: np.ndarray
-    clamped_nodes: np.ndarray
-
-    @property
-    def attachment(self) -> np.ndarray:
-        """Regime per step, True while attaching (see :meth:`Regime.classify`)."""
-        return self.sigma_a - self.sigma_d > 0.0
-
-
-@dataclass(frozen=True, eq=False)
-class ProfileTrace:
-    """Records at each step start and at the horizon: the dissolved fields on
-    the uniform grid they are solved on, and the parcels' abscissae, launch
-    times and fractions, bottom to top."""
-
-    t: np.ndarray        # (steps,)
-    L: np.ndarray        # (steps,)
-    S: np.ndarray        # (steps, m, N+1)
-    Psi: np.ndarray      # (steps, n, N+1)
-    parcel_z: tuple      # (steps,) arrays of the parcel count at each record
-    parcel_t0: tuple     # (steps,) arrays of launch times, strictly increasing
-    parcel_f: tuple      # (steps,) arrays of shape (n, parcel count)
-
-
-@dataclass(frozen=True, eq=False)
-class RunResult:
-    cfg: ScenarioConfig
-    snapshots: list
-    boundary: BoundaryTrace
-    profiles: Optional[ProfileTrace] = None
-
-
-def make_snapshot(t, L, zeta, f, S_guess, cfg: ScenarioConfig) -> Snapshot:
-    """Re-equilibrate the dissolved fields at fractions ``f`` on the uniform
-    grid ``zeta`` and package them with the interface diagnostics: the step's
-    right-hand side with the uniform grid as its nodes."""
-    rhs = _rhs(t, L, zeta * L, f, L / (zeta.size - 1), S_guess, cfg)
-    state = BiofilmState(t=t, L=L, zeta=zeta, f=f, S=rhs.S, Psi=rhs.Psi)
-    return Snapshot(state=state, sigma_a=rhs.sigma_a, sigma_d=rhs.sigma_d,
-                    u_L=rhs.u_L)
-
 
 def _forced_times(cfg: ScenarioConfig):
     pts = {float(s) for s in cfg.snapshot_times} | {cfg.horizon}
@@ -212,12 +160,16 @@ def _predicted_S(solved, t: float, cfg: ScenarioConfig) -> np.ndarray:
     return S1 + (t - t1) / (t1 - t2) * (S1 - S2)
 
 
-def _snapshot(p: _Parcels, solved, cfg: ScenarioConfig) -> Snapshot:
-    """Snapshot of ``p`` on the uniform grid, its substrate Newton started
-    from the last solve in ``solved``."""
-    zeta = np.arange(cfg.numerics.N + 1, dtype=float) / cfg.numerics.N
-    return make_snapshot(p.t, p.L, zeta, _resample(zeta * p.L, p.z, p.fz),
-                         _last_S(solved, cfg), cfg)
+def make_snapshot(p: _Parcels, S_guess, cfg: ScenarioConfig) -> Snapshot:
+    """The parcels ``p`` resampled onto the uniform grid, with the dissolved
+    fields (Newton start ``S_guess``) and interface diagnostics of the step's
+    right-hand side evaluated with the uniform grid as its nodes."""
+    N = cfg.numerics.N
+    zu = np.arange(N + 1, dtype=float) / N * p.L
+    f = _resample(zu, p.z, p.fz)
+    rhs = _rhs(p.t, p.L, zu, f, p.L / N, S_guess, cfg)
+    return Snapshot(t=p.t, L=p.L, f=f, S=rhs.S, Psi=rhs.Psi, sigma_a=rhs.sigma_a,
+                    sigma_d=rhs.sigma_d, u_L=rhs.u_L)
 
 
 def _commit(p: _Parcels, dt: float, t_new: float, rhs: _Rhs, cfg: ScenarioConfig):
@@ -246,8 +198,7 @@ def _commit(p: _Parcels, dt: float, t_new: float, rhs: _Rhs, cfg: ScenarioConfig
     # Parcel gaps never shrink (G >= 0 stretches material), so only the
     # interface node needs care to keep the abscissae strictly increasing.
     margin = 1e-9 * L_new / cfg.numerics.N
-    if Regime.classify(rhs.sigma_a, rhs.sigma_d) is Regime.ATTACHMENT \
-            and L_new > z_new[-1]:
+    if attaching(rhs.sigma_a, rhs.sigma_d) and L_new > z_new[-1]:
         # composition of the parcel attached over [t, t+dt], sampled at
         # the step start where the attachment regime is guaranteed
         f_top, t0_top = inflow_fractions(cfg.psi_star(p.t), cfg), t_new
@@ -282,10 +233,9 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
         raise ConfigError(f"invalid configuration:\n{report}")
     p = _seed(cfg)
     solved = []  # (t, S) of the last two step solves, oldest first
-    # seed snapshots now, every other one right after its forced time
-    snaps = [_snapshot(p, solved, cfg) for s in cfg.snapshot_times if s == 0.0]
-    rows, profile_rows = [], []
-    for target in _forced_times(cfg):
+    snaps, rows, profile_rows = [], [], []
+    # each snapshot right after its forced time; at t = 0 the seed's
+    for target in [0.0] + _forced_times(cfg):
         tol = _TIME_SNAP * max(1.0, target)
         while p.t < target - tol:
             dt = min(cfg.numerics.dt_max, target - p.t)
@@ -301,13 +251,15 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
             if record_profiles and p.t <= profile_t_max:
                 profile_rows.append((p.t, p.L, rhs.S, rhs.Psi, p.z, p.t0, p.fz))
             p = nxt
-        snaps.extend(_snapshot(p, solved, cfg) for s in cfg.snapshot_times if s == target)
+        snaps.extend(make_snapshot(p, _last_S(solved, cfg), cfg)
+                     for s in cfg.snapshot_times if s == target)
 
     # Final row at the horizon (reuses the last snapshot if it is here).
-    last = snaps[-1] if snaps and snaps[-1].state.t == p.t else _snapshot(p, solved, cfg)
+    last = (snaps[-1] if snaps and snaps[-1].t == p.t
+            else make_snapshot(p, _last_S(solved, cfg), cfg))
     rows.append((p.t, p.L, last.sigma_a, last.sigma_d, last.u_L, 0.0, 0))
     if record_profiles and p.t <= profile_t_max:
-        profile_rows.append((p.t, p.L, last.state.S, last.state.Psi, p.z, p.t0, p.fz))
+        profile_rows.append((p.t, p.L, last.S, last.Psi, p.z, p.t0, p.fz))
 
     # one column per BoundaryTrace field, in declaration order
     dtypes = (float,) * 6 + (int,)

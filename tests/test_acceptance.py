@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from biofilm1d.elliptic import _homogeneous_solve, solve_problem
-from biofilm1d.model import CONSTRAINT_TOL, Regime
+from biofilm1d.model import CONSTRAINT_TOL
 from biofilm1d.oracle import (box_from_run, characteristic_trace,
                               cross_check_errors, estimate_contraction,
                               map_run_to_char_grid, picard_solve)
@@ -49,7 +49,7 @@ def case3_run():
 
 def snapshot_at(result, t):
     for snap in result.snapshots:
-        if abs(snap.state.t - t) < 1e-9:
+        if abs(snap.t - t) < 1e-9:
             return snap
     raise AssertionError(f"no snapshot at t = {t}")
 
@@ -59,12 +59,12 @@ class TestCriterion1Exclusion:
         checked = 0
         worst = 0.0
         for snap in case1_run.snapshots:
-            t = snap.state.t
-            if t < T1 or snap.regime is not Regime.ATTACHMENT:
+            t = snap.t
+            if t < T1 or not snap.attachment:
                 continue
             checked += 1
             c_t = characteristic_trace(case1_run, T1, t).z[-1]
-            st = snap.state
+            st = snap
             h = st.L / st.N
             mask = st.zeta * st.L < c_t - 3.0 * h
             assert mask.any()
@@ -76,7 +76,7 @@ class TestCriterion1Exclusion:
         assert ok
 
     def test_washout_at_final_time(self, case1_run):
-        f3_max = float(snapshot_at(case1_run, 10.0).state.f[2].max())
+        f3_max = float(snapshot_at(case1_run, 10.0).f[2].max())
         ok = f3_max <= 1e-3
         report("1b", ok, f"max f3 at t=10 d = {f3_max:.3e}, tol 1e-3")
         assert ok
@@ -85,7 +85,7 @@ class TestCriterion1Exclusion:
 class TestCriterion2Invasion:
     def test_colonized_everywhere_at_half_day(self, case2_run):
         snap = snapshot_at(case2_run, 0.5)
-        st = snap.state
+        st = snap
         c_t = characteristic_trace(case2_run, T1, 0.5).z[-1]
         inner = st.zeta * st.L < c_t
         assert inner.any()
@@ -97,14 +97,14 @@ class TestCriterion2Invasion:
         assert ok
 
     def test_no_washout_at_final_time(self, case2_run):
-        f3_min = float(snapshot_at(case2_run, 10.0).state.f[2].min())
+        f3_min = float(snapshot_at(case2_run, 10.0).f[2].min())
         ok = f3_min > 1e-3
         report("2b", ok, f"min f3 at t=10 d = {f3_min:.3e}, required > 1e-3")
         assert ok
 
     def test_substrate_three_depressed_by_invasion(self, case1_run, case2_run):
-        s3_case2 = float(snapshot_at(case2_run, 10.0).state.S[2].max())
-        s3_case1 = float(snapshot_at(case1_run, 10.0).state.S[2].max())
+        s3_case2 = float(snapshot_at(case2_run, 10.0).S[2].max())
+        s3_case1 = float(snapshot_at(case1_run, 10.0).S[2].max())
         ok = s3_case2 < s3_case1
         report("2c", ok, f"max S3 at t=10 d: colonizing {s3_case2:.6f} vs "
                          f"attachment-only {s3_case1:.6f}; required strictly lower")
@@ -115,15 +115,15 @@ class TestCriterion3PureColonization:
     def test_thinner_than_attaching_case(self, case2_run, case3_run):
         pairs = []
         for s2, s3 in zip(case2_run.snapshots, case3_run.snapshots):
-            assert s2.state.t == s3.state.t
-            pairs.append((s3.state.L, s2.state.L))
+            assert s2.t == s3.t
+            pairs.append((s3.L, s2.L))
         ok = all(L3 < L2 for L3, L2 in pairs)
         detail = ", ".join(f"{L3:.3e}<{L2:.3e}" for L3, L2 in pairs)
         report("3a", ok, f"L(case3) vs L(case2) at snapshots: {detail}")
         assert ok
 
     def test_growth_concentrates_in_inner_layers(self, case3_run):
-        st = snapshot_at(case3_run, 10.0).state
+        st = snapshot_at(case3_run, 10.0)
         k = int(np.argmax(st.f[2]))
         ok = st.zeta[k] < 0.5
         report("3b", ok, f"argmax f3 at t=10 d sits at z/L = {st.zeta[k]:.3f}, "
@@ -163,7 +163,7 @@ class TestCriterion5ConstraintPositivity:
         count = 0
         for res in (case1_run, case2_run, case3_run):
             for snap in res.snapshots:
-                st = snap.state
+                st = snap
                 count += 1
                 worst_drift = max(worst_drift, st.sum_f_drift())
                 worst_min = min(worst_min, float(st.f.min()),

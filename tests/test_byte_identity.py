@@ -32,9 +32,8 @@ from biofilm1d.errors import (BoundaryLayerResolutionWarning, NonConvergence,
                               NumericalBlowup, SingularJacobian)
 from biofilm1d.kinetics import (attachment_flux, detachment_flux,
                                 inflow_fractions)
-from biofilm1d.model import (BiofilmState, NumericsConfig, Regime,
-                             ScenarioConfig, Snapshot, SpeciesParams,
-                             Stoichiometry, SubstrateParams)
+from biofilm1d.model import (NumericsConfig, ScenarioConfig, Snapshot,
+                             SpeciesParams, Stoichiometry, SubstrateParams)
 from biofilm1d.presets import build_preset
 from biofilm1d.traces import BulkTraces, ConstantTrace, TableTrace
 
@@ -257,11 +256,9 @@ def test_runs_bitwise_equal_to_general_solver(monkeypatch, case, horizon):
 
     assert len(new.snapshots) == len(old.snapshots) >= 2
     for a, b in zip(new.snapshots, old.snapshots):
-        for name, value in fields(a.state):
-            assert_bitwise_equal(value, getattr(b.state, name), f"snapshot {a.state.t} {name}")
-        for name in ("sigma_a", "sigma_d", "u_L"):
-            assert_bitwise_equal(getattr(a, name), getattr(b, name), f"snapshot {name}")
-        assert a.regime == b.regime
+        for name, value in fields(a):
+            assert_bitwise_equal(value, getattr(b, name), f"snapshot {a.t} {name}")
+        assert a.attachment == b.attachment
     for name, value in fields(new.boundary):
         assert_bitwise_equal(value, getattr(old.boundary, name), f"boundary {name}")
     assert new.profiles is not None and old.profiles is not None
@@ -300,8 +297,8 @@ def frozen_make_snapshot(t, L, zeta, f, S_guess, cfg):
     u = frozen_compute_velocity(kinetics.rate_bundle(f, S, Psi, cfg).G,
                                 L / (zeta.size - 1))
     sigma_a, sigma_d = frozen_interface_fluxes(t, L, cfg)
-    state = BiofilmState(t=t, L=L, zeta=zeta, f=f, S=S, Psi=Psi)
-    return Snapshot(state=state, sigma_a=sigma_a, sigma_d=sigma_d, u_L=float(u[-1]))
+    return Snapshot(t=t, L=L, f=f, S=S, Psi=Psi, sigma_a=sigma_a, sigma_d=sigma_d,
+                    u_L=float(u[-1]))
 
 
 class FrozenEngine:
@@ -368,8 +365,7 @@ class FrozenEngine:
         z = self.z
         z_new = z + dt * u
         margin = 1e-9 * L_new / cfg.numerics.N
-        if Regime.classify(sigma_a, sigma_d) is Regime.ATTACHMENT \
-                and L_new > z_new[-1]:
+        if sigma_a - sigma_d > 0.0 and L_new > z_new[-1]:
             f_top, t0_top = inflow_fractions(cfg.psi_star(self.t), cfg), t_new
             keep = slice(None, -1 if L_new - z_new[-1] <= margin else None)
         else:
@@ -435,9 +431,9 @@ def frozen_run(cfg):
         rows.append((t, L, sigma_a, sigma_d, u_L, eng.drift, eng.clamped))
         records.append((t, L, S, Psi, z, t0, fz))
         snaps.extend(eng.snapshot() for s in cfg.snapshot_times if s == t_end)
-    last = snaps[-1] if snaps and snaps[-1].state.t == eng.t else eng.snapshot()
+    last = snaps[-1] if snaps and snaps[-1].t == eng.t else eng.snapshot()
     rows.append((eng.t, eng.L, last.sigma_a, last.sigma_d, last.u_L, 0.0, 0))
-    records.append((eng.t, eng.L, last.state.S, last.state.Psi, eng.z, eng.t0, eng.fz))
+    records.append((eng.t, eng.L, last.S, last.Psi, eng.z, eng.t0, eng.fz))
     return snaps, rows, records
 
 
@@ -451,10 +447,8 @@ def assert_same_bits(actual, expected, what):
 
 
 def assert_same_snapshot(new, old, what):
-    for name, value in fields(new.state):
-        assert_same_bits(value, getattr(old.state, name), f"{what} {name}")
-    for name in ("sigma_a", "sigma_d", "u_L"):
-        assert_same_bits(getattr(new, name), getattr(old, name), f"{what} {name}")
+    for name, value in fields(new):
+        assert_same_bits(value, getattr(old, name), f"{what} {name}")
 
 
 @pytest.mark.parametrize("make_cfg, recedes", [

@@ -53,6 +53,16 @@ class TestRunCommand:
         assert code == EXIT_VALIDATION
 
 
+    def test_run_rejects_file_name_with_line_break(self, tiny_config, tmp_path, capsys):
+        # the file name becomes a manifest note, which must stay one line
+        path = tmp_path / "x\ncontent-sha256 = forged.cfg"
+        path.write_bytes(tiny_config.read_bytes())
+        out = tmp_path / "o"
+        assert cli(["run", "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
+        assert "line break" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestValidateCommand:
     def test_ok_config(self, tiny_config, capsys):
         assert cli(["validate", "--config", str(tiny_config)]) == EXIT_OK

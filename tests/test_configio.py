@@ -138,13 +138,10 @@ class TestRemovedKeys:
         return (configio.dumps(build_preset("case1").cfg)
                 + f"numerics.cfl = 0.5\nnumerics.transport = {transport}\n")
 
-    def test_legacy_keys_load_as_no_ops(self):
-        cfg = build_preset("case1").cfg
-        assert configio.loads(self.legacy_text("characteristics")) == cfg
-
     @pytest.mark.parametrize("transport", ["upwind", "lax-wendroff"])
     def test_other_transport_rejected(self, transport):
-        with pytest.raises(ConfigError, match="upwind engine was removed"):
+        with pytest.raises(ConfigError,
+                           match="unknown keys: numerics.cfl, numerics.transport$"):
             configio.loads(self.legacy_text(transport))
 
     def test_bad_numerics_value_rejected(self):

@@ -1,5 +1,7 @@
 """Smoke test: the quick demos run to completion against the current API."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", ["03_dissolved_field_profiles.py",
@@ -18,3 +21,17 @@ def test_demo_exits_cleanly(name, tmp_path):
     out = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=tmp_path,
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_imports_exist(path):
+    # Demos 01 and 02 take tens of seconds, too long to run here; this at
+    # least catches a name a demo imports that the package no longer has.
+    imports = [node for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[0] == "biofilm1d"]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(node.module)
+        missing = [a.name for a in node.names if not hasattr(module, a.name)]
+        assert not missing, f"{node.module} has no {missing}"

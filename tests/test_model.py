@@ -11,9 +11,9 @@ import pytest
 
 import biofilm1d
 from biofilm1d.errors import ConfigError, NoAttachment
-from biofilm1d.model import (CONSTRAINT_TOL, NumericsConfig, Regime,
-                             ScenarioConfig, SpeciesParams, Stoichiometry,
-                             SubstrateParams, Violation, validate_config)
+from biofilm1d.model import (CONSTRAINT_TOL, NumericsConfig, ScenarioConfig,
+                             SpeciesParams, Stoichiometry, SubstrateParams,
+                             Violation, attaching, validate_config)
 from biofilm1d.oracle import picard_solve
 from biofilm1d.presets import build_preset
 from biofilm1d.stepper import _predicted_S, _seed, run
@@ -125,6 +125,22 @@ class TestValidateConfig:
         assert report.violations == (Violation(f"numerics.{name}", "must be an integer"),)
         assert with_count(good).ok
 
+    @pytest.mark.parametrize("field_name, build", [
+        ("numerics.dt_max", lambda cfg: dataclasses.replace(
+            cfg, numerics=dataclasses.replace(cfg.numerics, dt_max="1e-3"))),
+        ("numerics.newton_tol", lambda cfg: dataclasses.replace(
+            cfg, numerics=dataclasses.replace(cfg.numerics, newton_tol=None))),
+        ("scenario.delta", lambda cfg: dataclasses.replace(cfg, delta="2000")),
+        ("species.1.K", lambda cfg: dataclasses.replace(cfg, species=(
+            dataclasses.replace(cfg.species[0], K="1"),) + cfg.species[1:])),
+        ("bulk.psi.3", lambda cfg: with_trace(cfg, "psi_star", 2, RampTrace("50", 0.2))),
+    ])
+    def test_non_real_value_reported(self, field_name, build):
+        # a float field that is not a real number is reported once, without
+        # the finiteness and range checks that would raise on it
+        report = validate_config(build(make_cfg()))
+        assert report.violations == (Violation(field_name, "must be a real number"),)
+
     @pytest.mark.parametrize("name, value", [("N", 41.5), ("newton_max_iter", 50.0),
                                              ("picard_max_iter", 2.5)])
     def test_non_integer_count_rejected_before_use(self, name, value):
@@ -154,17 +170,17 @@ class TestInitialState:
     attachment inflow fractions."""
 
     def test_equal_velocities_split_by_bulk_abundance(self):
-        st = seed_snapshot(make_cfg(psi=(100.0, 100.0, 0.0))).state
+        st = seed_snapshot(make_cfg(psi=(100.0, 100.0, 0.0)))
         np.testing.assert_array_equal(st.f[:, 0], [0.5, 0.5, 0.0])
         assert st.sum_f_drift() == 0.0
 
     def test_single_attaching_species(self):
-        st = seed_snapshot(make_cfg(psi=(100.0, 0.0, 0.0))).state
+        st = seed_snapshot(make_cfg(psi=(100.0, 0.0, 0.0)))
         np.testing.assert_array_equal(st.f[:, 0], [1.0, 0.0, 0.0])
 
     def test_three_way_split_and_flux(self):
         snap = seed_snapshot(make_cfg(psi=(100.0, 100.0, 100.0)))
-        np.testing.assert_allclose(snap.state.f[:, 0], [1 / 3, 1 / 3, 1 / 3], rtol=1e-15)
+        np.testing.assert_allclose(snap.f[:, 0], [1 / 3, 1 / 3, 1 / 3], rtol=1e-15)
         # sigma_a = 3 * v_a * psi / rho = 3 * 0.025 * 100 / 5000
         assert snap.sigma_a == pytest.approx(1.5e-3, rel=1e-14)
 
@@ -181,13 +197,13 @@ class TestInitialState:
         np.testing.assert_array_equal(_predicted_S([], 0.0, cfg),
                                       np.full((3, nm.N + 1), 100.0))
         snap = seed_snapshot(cfg)
-        assert snap.state.t == 0.0 and snap.state.L == nm.L_eps
-        np.testing.assert_array_equal(snap.state.zeta, np.arange(nm.N + 1) / nm.N)
+        assert snap.t == 0.0 and snap.L == nm.L_eps
+        np.testing.assert_array_equal(snap.zeta, np.arange(nm.N + 1) / nm.N)
         assert abs(snap.u_L) < 1e-8
 
     def test_deterministic(self):
-        a = seed_snapshot(make_cfg()).state
-        b = seed_snapshot(make_cfg()).state
+        a = seed_snapshot(make_cfg())
+        b = seed_snapshot(make_cfg())
         for name in ("zeta", "f", "S", "Psi"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
@@ -196,7 +212,7 @@ class TestInitialState:
             run(make_cfg(psi=(0.0, 0.0, 0.0)))
 
     def test_state_arrays_frozen(self):
-        st = seed_snapshot(make_cfg()).state
+        st = seed_snapshot(make_cfg())
         with pytest.raises(ValueError):
             st.f[0, 0] = 2.0
 
@@ -206,16 +222,21 @@ class TestInitialState:
 
 class TestRegime:
     def test_classification_and_tie(self):
-        assert Regime.classify(2.0, 1.0) is Regime.ATTACHMENT
-        assert Regime.classify(1.0, 2.0) is Regime.DETACHMENT
-        assert Regime.classify(1.0, 1.0) is Regime.DETACHMENT
+        assert attaching(2.0, 1.0) is True
+        assert attaching(1.0, 2.0) is False
+        assert attaching(1.0, 1.0) is False
+        # elementwise on arrays, with the same tie rule
+        np.testing.assert_array_equal(
+            attaching(np.array([2.0, 1.0, 1.0]), np.array([1.0, 2.0, 1.0])),
+            [True, False, False])
 
 
 def test_model_does_not_import_stepper():
     # The package __init__ imports every module, so the check loads
     # ``biofilm1d.model`` under a bare package object in a fresh interpreter.
     # Building and validating a scenario needs neither the stepper nor the
-    # kinetics.
+    # kinetics, and the oracle and the CSV writer read a run's results from
+    # ``model`` without the stepper.
     pkg_dir = str(Path(biofilm1d.__file__).resolve().parent)
     src = str(Path(pkg_dir).parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -225,10 +246,13 @@ def test_model_does_not_import_stepper():
             "from biofilm1d.model import validate_config; "
             "from biofilm1d.presets import build_preset; "
             "assert validate_config(build_preset('case1').cfg).ok; "
-            "print(sorted({'biofilm1d.stepper', 'biofilm1d.kinetics'} & set(sys.modules)))")
+            "print(sorted({'biofilm1d.stepper', 'biofilm1d.kinetics'}"
+            " & set(sys.modules))); "
+            "import biofilm1d.oracle, biofilm1d.output; "
+            "print('biofilm1d.stepper' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "False"]
 
 
 def _unread_parameters(node, scope=()):

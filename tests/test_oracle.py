@@ -8,12 +8,13 @@ import pytest
 from biofilm1d import kinetics, oracle
 from biofilm1d.errors import (ConfigError, DetachmentRegime, NonConvergence,
                               OutOfDomain)
+from biofilm1d.model import BoundaryTrace, ProfileTrace, RunResult
 from biofilm1d.oracle import (CharPath, ContractionBox, _ctz,
                               box_from_run, characteristic_trace,
                               estimate_contraction, map_run_to_char_grid,
                               picard_solve, window_root)
 from biofilm1d.presets import DEFAULT_T1, build_preset
-from biofilm1d.stepper import BoundaryTrace, ProfileTrace, RunResult, run
+from biofilm1d.stepper import run
 
 CASE1 = build_preset("case1").cfg
 CASE2 = build_preset("case2").cfg

@@ -8,10 +8,10 @@ import pytest
 
 from biofilm1d import configio
 from biofilm1d.errors import BoundaryLayerResolutionWarning, IoFailure
-from biofilm1d.model import BiofilmState, Regime, Snapshot
+from biofilm1d.model import BoundaryTrace, RunResult, Snapshot
 from biofilm1d.output import BOUNDARY_NAME, MANIFEST_NAME, PROFILE_NAME, emit
 from biofilm1d.presets import build_preset
-from biofilm1d.stepper import BoundaryTrace, RunResult, run
+from biofilm1d.stepper import run
 
 CASE1 = build_preset("case1").cfg
 
@@ -57,8 +57,8 @@ class TestEmit:
         bundle = emit(tiny_run, tmp_path / "out")
         row = bundle.profiles.read_text().splitlines()[1].split(",")
         # zeta = 0 and f values round-trip exactly through the text
-        assert float(row[1]) == tiny_run.snapshots[0].state.zeta[0]
-        assert float(row[3]) == tiny_run.snapshots[0].state.f[0, 0]
+        assert float(row[1]) == tiny_run.snapshots[0].zeta[0]
+        assert float(row[3]) == tiny_run.snapshots[0].f[0, 0]
 
     def test_no_snapshots_boundary_only(self, tmp_path):
         res = run(tiny_cfg(snapshots=()))
@@ -93,6 +93,14 @@ class TestEmit:
         assert b1.boundary.read_bytes() == b2.boundary.read_bytes()
         assert b1.manifest.read_bytes() == b2.manifest.read_bytes()
 
+    @pytest.mark.parametrize("note", ["x\ncontent-sha256 = forged", "x\rforged"])
+    def test_note_with_line_break_rejected_before_writing(self, tiny_run, tmp_path, note):
+        # a note is one manifest line: a line break in it could forge another
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="one line"):
+            emit(tiny_run, out, notes=("fine", note))
+        assert not out.exists()
+
     def test_io_failure_carries_path(self, tiny_run, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")
@@ -117,12 +125,12 @@ def reference_profiles_csv(run):
             + [f"Psi{i + 1}" for i in range(cfg.n)])
     lines = [",".join(head)]
     for snap in run.snapshots:
-        st = snap.state
-        for k in range(st.zeta.size):
-            row = [_g17(st.t), _g17(st.zeta[k]), _g17(st.zeta[k] * st.L)]
-            row += [_g17(v) for v in st.f[:, k]]
-            row += [_g17(v) for v in st.S[:, k]]
-            row += [_g17(v) for v in st.Psi[:, k]]
+        zeta = snap.zeta
+        for k in range(zeta.size):
+            row = [_g17(snap.t), _g17(zeta[k]), _g17(zeta[k] * snap.L)]
+            row += [_g17(v) for v in snap.f[:, k]]
+            row += [_g17(v) for v in snap.S[:, k]]
+            row += [_g17(v) for v in snap.Psi[:, k]]
             lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -131,10 +139,10 @@ def reference_boundary_csv(run):
     lines = ["t,L,sigma_a,sigma_d,u_L,regime"]
     b = run.boundary
     for k in range(b.t.size):
-        regime = Regime.ATTACHMENT if b.attachment[k] else Regime.DETACHMENT
+        regime = "attachment" if b.sigma_a[k] - b.sigma_d[k] > 0.0 else "detachment"
         lines.append(",".join([
             _g17(b.t[k]), _g17(b.L[k]), _g17(b.sigma_a[k]), _g17(b.sigma_d[k]),
-            _g17(b.u_L[k]), regime.value]))
+            _g17(b.u_L[k]), regime]))
     return "\n".join(lines) + "\n"
 
 
@@ -178,11 +186,8 @@ def hand_built_run(N, snapshot_times, steps, seed=0):
         a.flat[rng.choice(a.size, len(AWKWARD), replace=False)] = AWKWARD
         return a
 
-    zeta = np.linspace(0.0, 1.0, N + 1)
-    snaps = [Snapshot(BiofilmState(t=t, L=0.1 + 0.2, zeta=zeta,
-                                   f=field(cfg.n, N + 1), S=field(cfg.m, N + 1),
-                                   Psi=field(cfg.n, N + 1)),
-                      sigma_a=1.0, sigma_d=0.0, u_L=0.0)
+    snaps = [Snapshot(t=t, L=0.1 + 0.2, f=field(cfg.n, N + 1), S=field(cfg.m, N + 1),
+                      Psi=field(cfg.n, N + 1), sigma_a=1.0, sigma_d=0.0, u_L=0.0)
              for t in snapshot_times]
     boundary = BoundaryTrace(
         t=np.cumsum(rng.random(steps)), L=field(steps), sigma_a=field(steps),

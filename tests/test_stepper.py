@@ -9,8 +9,8 @@ from biofilm1d import elliptic, kinetics, stepper
 from biofilm1d.errors import BoundaryLayerResolutionWarning, NoAttachment
 from biofilm1d.kinetics import (RateBundle, attachment_flux, detachment_flux,
                                 inflow_fractions)
-from biofilm1d.model import (NumericsConfig, Regime, ScenarioConfig, SpeciesParams,
-                             Stoichiometry, SubstrateParams)
+from biofilm1d.model import (NumericsConfig, ScenarioConfig, SpeciesParams,
+                             Stoichiometry, SubstrateParams, attaching)
 from biofilm1d.presets import build_preset
 from biofilm1d.stepper import _Parcels, _seed, compute_velocity, run
 from biofilm1d.traces import BulkTraces, ConstantTrace
@@ -275,7 +275,7 @@ class TestStep:
         p, rhs, _, _ = step(cfg, _seed(cfg), 1e-4)
         # L ~ sigma_a dt = 1e-7 (the 1e-9 seed and u_L are negligible)
         assert p.L == pytest.approx(1e-7, rel=0.02)
-        assert Regime.classify(rhs.sigma_a, rhs.sigma_d) is Regime.ATTACHMENT
+        assert attaching(rhs.sigma_a, rhs.sigma_d)
         assert rhs.sigma_a == pytest.approx(1e-3, rel=1e-12)
         # the seed parcels stay uniform and near the inflow split to O(dt);
         # the parcel attached over the step carries the split exactly
@@ -420,32 +420,31 @@ class TestRun:
         snap = res.snapshots[0]
         seed = _seed(cfg)
         ones = np.ones(cfg.numerics.N + 1)
-        assert snap.state.t == 0.0
-        assert snap.state.L == seed.L == cfg.numerics.L_eps
-        np.testing.assert_array_equal(snap.state.f, np.outer([0.5, 0.5, 0.0], ones))
-        np.testing.assert_allclose(snap.state.S, np.outer(cfg.s_star(0.0), ones), atol=1e-9)
-        np.testing.assert_allclose(snap.state.Psi, np.outer(cfg.psi_star(0.0), ones),
+        assert snap.t == 0.0
+        assert snap.L == seed.L == cfg.numerics.L_eps
+        np.testing.assert_array_equal(snap.f, np.outer([0.5, 0.5, 0.0], ones))
+        np.testing.assert_allclose(snap.S, np.outer(cfg.s_star(0.0), ones), atol=1e-9)
+        np.testing.assert_allclose(snap.Psi, np.outer(cfg.psi_star(0.0), ones),
                                    atol=1e-9)
         assert abs(snap.u_L) < 1e-8
 
     def test_snapshots_well_formed(self):
         res = run(small_case1())
-        assert [s.state.t for s in res.snapshots] == [0.025, 0.05]
+        assert [s.t for s in res.snapshots] == [0.025, 0.05]
         for snap in res.snapshots:
-            st = snap.state
-            assert st.sum_f_drift() <= 1e-8
-            assert np.all(st.f >= 0.0) and np.all(st.S >= 0.0) \
-                and np.all(st.Psi >= 0.0)
-            assert snap.regime is Regime.classify(snap.sigma_a, snap.sigma_d)
+            assert snap.sum_f_drift() <= 1e-8
+            assert np.all(snap.f >= 0.0) and np.all(snap.S >= 0.0) \
+                and np.all(snap.Psi >= 0.0)
+            assert snap.attachment is bool(snap.sigma_a - snap.sigma_d > 0.0)
 
     def test_deterministic(self):
         cfg = small_case1()
         a = run(cfg)
         c = run(cfg)
         for sa, sc in zip(a.snapshots, c.snapshots):
-            np.testing.assert_array_equal(sa.state.f, sc.state.f)
-            np.testing.assert_array_equal(sa.state.S, sc.state.S)
-            assert sa.state.L == sc.state.L
+            np.testing.assert_array_equal(sa.f, sc.f)
+            np.testing.assert_array_equal(sa.S, sc.S)
+            assert sa.L == sc.L
         np.testing.assert_array_equal(a.boundary.L, c.boundary.L)
 
     def test_mass_balance_first_order(self):
@@ -480,16 +479,16 @@ class TestRun:
         cfg = small_case1(horizon=0.3, snapshots=times)
         assert 0.2 in cfg.bulk.breakpoints()
         res = run(cfg)
-        assert [snap.state.t for snap in res.snapshots] == list(times)
+        assert [snap.t for snap in res.snapshots] == list(times)
         seed = _seed(cfg)
         for snap in res.snapshots[:2]:
-            assert snap.state.L == seed.L
-            np.testing.assert_array_equal(snap.state.f, seed.fz[:, :1] * np.ones(snap.state.N + 1))
+            assert snap.L == seed.L
+            np.testing.assert_array_equal(snap.f, seed.fz[:, :1] * np.ones(snap.N + 1))
         # every forced time is a step boundary, bitwise
         b = res.boundary
         assert set(times[1:]) | set(cfg.bulk.breakpoints()) <= set(b.t.tolist())
         for snap in res.snapshots:
-            assert b.L[np.flatnonzero(b.t == snap.state.t)[0]] == snap.state.L
+            assert b.L[np.flatnonzero(b.t == snap.t)[0]] == snap.L
 
     @pytest.mark.parametrize("case, warned", [("case1", []), ("case2", [1, 2, 3])])
     def test_one_resolution_warning_per_species(self, case, warned):
@@ -594,8 +593,8 @@ class TestRun:
         # attachment resumes after the supply gap
         assert b.attachment[np.searchsorted(b.t, 0.08)]
         snap = res.snapshots[-1]
-        assert snap.state.L > 0.0
-        assert snap.state.sum_f_drift() <= 1e-8
+        assert snap.L > 0.0
+        assert snap.sum_f_drift() <= 1e-8
 
 
 class TestPredictedNewtonStart:
@@ -635,7 +634,7 @@ class TestPredictedNewtonStart:
         np.testing.assert_allclose(new.boundary.L, old.boundary.L, rtol=1e-6, atol=0)
         assert len(new.snapshots) == len(old.snapshots) >= 3
         for a, b in zip(new.snapshots, old.snapshots):
-            assert a.state.L == pytest.approx(b.state.L, rel=1e-6, abs=0)
+            assert a.L == pytest.approx(b.L, rel=1e-6, abs=0)
             for name in ("S", "f", "Psi"):
-                np.testing.assert_allclose(getattr(a.state, name),
-                                           getattr(b.state, name), rtol=0, atol=1e-4)
+                np.testing.assert_allclose(getattr(a, name),
+                                           getattr(b, name), rtol=0, atol=1e-4)
