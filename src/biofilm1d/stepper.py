@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,6 +217,12 @@ def _commit(p: _Parcels, dt: float, t_new: float, rhs: _Rhs, cfg: ScenarioConfig
                     fz=np.column_stack([f_new[:, keep], f_top])), drift, clamped
 
 
+def _append(columns, *values) -> None:
+    """Append each value to its column buffer."""
+    for column, value in zip(columns, values):
+        column.append(value)
+
+
 def run(cfg: ScenarioConfig, record_profiles: bool = False,
         profile_t_max: float = math.inf) -> RunResult:
     """Integrate from t = 0 to the horizon, emitting scheduled snapshots.
@@ -233,7 +240,11 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
         raise ConfigError(f"invalid configuration:\n{report}")
     p = _seed(cfg)
     solved = []  # (t, S) of the last two step solves, oldest first
-    snaps, rows, profile_rows = [], [], []
+    snaps = []
+    # one column per BoundaryTrace and per ProfileTrace field, in declaration
+    # order; a scalar field takes one 8-byte value per step
+    columns = [array("d") for _ in range(6)] + [array("q")]
+    profile_columns = [array("d"), array("d"), [], [], [], [], []]
     # each snapshot right after its forced time; at t = 0 the seed's
     for target in [0.0] + _forced_times(cfg):
         tol = _TIME_SNAP * max(1.0, target)
@@ -247,9 +258,9 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
             nxt, drift, clamped = _commit(p, dt, t_end, rhs, cfg)
             if not (np.isfinite(nxt.L) and np.all(np.isfinite(nxt.fz))):
                 raise NumericalBlowup("non-finite state after step", t=t_end)
-            rows.append((p.t, p.L, rhs.sigma_a, rhs.sigma_d, rhs.u_L, drift, clamped))
+            _append(columns, p.t, p.L, rhs.sigma_a, rhs.sigma_d, rhs.u_L, drift, clamped)
             if record_profiles and p.t <= profile_t_max:
-                profile_rows.append((p.t, p.L, rhs.S, rhs.Psi, p.z, p.t0, p.fz))
+                _append(profile_columns, p.t, p.L, rhs.S, rhs.Psi, p.z, p.t0, p.fz)
             p = nxt
         snaps.extend(make_snapshot(p, _last_S(solved, cfg), cfg)
                      for s in cfg.snapshot_times if s == target)
@@ -257,17 +268,18 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
     # Final row at the horizon (reuses the last snapshot if it is here).
     last = (snaps[-1] if snaps and snaps[-1].t == p.t
             else make_snapshot(p, _last_S(solved, cfg), cfg))
-    rows.append((p.t, p.L, last.sigma_a, last.sigma_d, last.u_L, 0.0, 0))
+    _append(columns, p.t, p.L, last.sigma_a, last.sigma_d, last.u_L, 0.0, 0)
     if record_profiles and p.t <= profile_t_max:
-        profile_rows.append((p.t, p.L, last.S, last.Psi, p.z, p.t0, p.fz))
+        _append(profile_columns, p.t, p.L, last.S, last.Psi, p.z, p.t0, p.fz)
 
-    # one column per BoundaryTrace field, in declaration order
-    dtypes = (float,) * 6 + (int,)
-    boundary = BoundaryTrace(*(np.array(c, dtype=d) for c, d in zip(zip(*rows), dtypes)))
+    # the traces view the buffers without a copy: "d" is float64, "q" int64
+    boundary = BoundaryTrace(*(np.frombuffer(c, dtype=np.dtype(c.typecode))
+                               for c in columns))
     warn_under_resolved(float(boundary.L.max()), cfg)
     profiles = None
-    if profile_rows:
-        t, L, S, Psi, z, t0, fz = zip(*profile_rows)
-        profiles = ProfileTrace(np.array(t), np.array(L), np.stack(S),
-                                np.stack(Psi), z, t0, fz)
+    t, L, S, Psi, z, t0, fz = profile_columns
+    if t:
+        profiles = ProfileTrace(np.frombuffer(t, dtype=np.float64),
+                                np.frombuffer(L, dtype=np.float64),
+                                np.stack(S), np.stack(Psi), tuple(z), tuple(t0), tuple(fz))
     return RunResult(cfg=cfg, snapshots=snaps, boundary=boundary, profiles=profiles)

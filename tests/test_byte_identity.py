@@ -1,7 +1,7 @@
 """Byte-identity guards for the elliptic layer and the stepper.
 
-Short case1 and case2 runs are repeated with frozen copies of the earlier
-general solver (the four-band Thomas kernel, ``solve_problem`` on its
+Short case1, case2 and case3 runs are repeated with frozen copies of the
+earlier general solver (the four-band Thomas kernel, ``solve_problem`` on its
 ``EllipticProblem`` wrapper with the planktonic linear branch, the substrate
 sweep with a fresh scratch copy per closure call, and the per-species
 Jacobian loop) patched in where the stepper and ``elliptic`` look them up.  Every snapshot field, the boundary
@@ -243,7 +243,9 @@ def fields(obj):
     return [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
 
 
-@pytest.mark.parametrize("case, horizon", [("case2", 0.3), ("case1", 0.05)])
+# case3's species 3 colonizes after its arrival at t1 = 0.2 d but cannot attach
+@pytest.mark.parametrize("case, horizon", [("case2", 0.3), ("case1", 0.05),
+                                           ("case3", 0.3)])
 def test_runs_bitwise_equal_to_general_solver(monkeypatch, case, horizon):
     new = short_run(case, horizon)
     with monkeypatch.context() as m:

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -564,6 +565,12 @@ class TestRun:
         steps = res.boundary.t.size - 1
         assert steps == 100 and len(res.snapshots) == 2
         assert calls == {"solve_substrates": steps, "rate_bundle": steps}
+        # one entry per step start plus the horizon in every boundary column
+        for field in dataclasses.fields(res.boundary):
+            column = getattr(res.boundary, field.name)
+            assert column.shape == (steps + 1,)
+            assert column.dtype == (np.int64 if field.name == "clamped_nodes"
+                                    else np.float64)
         # perfbench fails a traced op in which either kinetics count is zero.
         # The coupled check evaluates every rate once per step.  The first
         # step needs no Newton iteration: at the seed thickness the bulk
@@ -577,6 +584,35 @@ class TestRun:
         assert len(iterations) == cfg.m * (steps + len(res.snapshots))
         assert field_solves[0] == len(iterations)
         assert all(isinstance(it, int) for it in iterations)
+
+    def test_step_records_cost_a_few_bytes_per_step(self):
+        """The traced peak of ``run`` grows by less than 150 B per extra step.
+
+        The boundary trace's seven columns need 56 B per step (one 8-byte
+        value per field) plus the slack of their growing buffers; on this
+        config the peak is set by a step's temporaries and grows by -10 to
+        +12 B per step.  Records kept as a tuple of boxed floats per step and
+        transposed at the end cost about 310 B per step here.  A coarse grid
+        and a long step keep a step's temporaries small and the test short.
+        """
+        case2 = build_preset("case2").cfg
+        nm = dataclasses.replace(case2.numerics, N=20, dt_max=0.025)
+        steps, peaks = [], []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryLayerResolutionWarning)
+            for horizon in (1.0, 6.0):
+                cfg = dataclasses.replace(case2, numerics=nm, horizon=horizon,
+                                          snapshot_times=())
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.get_traced_memory()[0]
+                    res = run(cfg)
+                    peaks.append(tracemalloc.get_traced_memory()[1] - before)
+                finally:
+                    tracemalloc.stop()
+                steps.append(res.boundary.t.size - 1)
+        assert steps == [40, 240]
+        assert (peaks[1] - peaks[0]) / (steps[1] - steps[0]) < 150
 
     def test_pulsed_supply_flips_regimes_and_recovers(self):
         from biofilm1d.traces import TableTrace

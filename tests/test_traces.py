@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from biofilm1d.errors import ConfigError
+from biofilm1d.model import Violation, validate_config
+from biofilm1d.presets import build_preset
 from biofilm1d.traces import (RAMP_VARIANTS, BulkTraces, ConstantTrace, RampTrace,
                               TableTrace, parse_descriptor)
 
@@ -106,6 +109,19 @@ class TestDescriptors:
         # validate_config reports these as "must be finite" on their field
         for t1 in (math.inf, -math.inf, math.nan):
             assert RampTrace(100.0, t1).t1 is t1
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: RampTrace(50.0, "0.2"), id="ramp-t1-str"),
+        pytest.param(lambda: RampTrace(50.0, None), id="ramp-t1-none"),
+        pytest.param(lambda: TableTrace((0.0, "1"), (1.0, 2.0)), id="table-time-str"),
+    ])
+    def test_constructors_leave_non_real_fields_to_validation(self, build):
+        # the constructor makes no comparison that raises on a non-real
+        # field, so validate_config gets to report that field
+        cfg = build_preset("case1").cfg
+        bulk = dataclasses.replace(cfg.bulk, psi_star=cfg.bulk.psi_star[:2] + (build(),))
+        report = validate_config(dataclasses.replace(cfg, bulk=bulk))
+        assert report.violations == (Violation("bulk.psi.3", "must be a real number"),)
 
     def test_bulk_breakpoints_merge(self):
         bulk = BulkTraces(
