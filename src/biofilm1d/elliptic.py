@@ -29,7 +29,8 @@ residual of all fields, evaluated in one vectorised pass, meets tolerance
 (the built-in network is triangular, so one sweep already lands on the
 coupled solution).  Planktonic fields are linear in themselves at frozen
 substrates, so each is one homogeneous solve, and a species without
-colonization (``k_col = 0``) is its Dirichlet value everywhere.
+colonization (``k_col = 0``) or with a zero bulk value is its Dirichlet value
+everywhere.
 """
 
 from __future__ import annotations
@@ -57,30 +58,53 @@ def tridiagonal_solve(diag, rhs) -> np.ndarray:
     ``diag`` and ``rhs`` have length K.  Raises :class:`SingularJacobian`
     when an elimination pivot falls below 1e-30.
     """
-    b = np.asarray(diag, dtype=float).tolist()
-    r = np.asarray(rhs, dtype=float).tolist()
-    if not b or len(r) != len(b):
+    diag = np.asarray(diag, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    if not len(diag) or len(rhs) != len(diag):
         raise ValueError("diagonal and right-hand side lengths differ")
+    # A leading run of rows 0..p-1 with diagonal exactly 2 (a substrate no
+    # species there consumes) has pivots 2, 1, 1, ... and gamma = -1, so its
+    # forward values are the running sum y_k = r_k + y_{k-1} from r_0/2 and
+    # its back substitution the running sum x_k = y_k + x_{k+1}.  A cumulative
+    # sum makes the same IEEE-754 additions, so only rows p..K-1 are swept
+    # below.
+    p = 0
+    if diag[0] == 2.0:
+        other = np.flatnonzero(diag[:-1] != 2.0)
+        p = int(other[0]) if other.size else len(diag) - 1
     # The sweeps run on Python floats, which are several times cheaper to
     # index and combine than numpy scalars.  With the off-diagonals fixed,
     # ``b - (-1)*g`` is ``b + g`` and ``d - (-1)*y`` is ``d + y``, the same
     # IEEE-754 operations, so every value is bitwise that of the general
     # four-band sweep.  The last row keeps its zero-subdiagonal products,
     # which decide the sign of a zero result.
-    piv = b[0]
-    if abs(piv) < _PIVOT_FLOOR:
-        raise SingularJacobian(f"pivot magnitude below {_PIVOT_FLOOR:g} at row 0")
-    g = -2.0 / piv
-    yk = r[0] / piv
-    if len(b) == 1:
-        return np.array([yk])
-    gamma, y = [g], [yk]
+    b = diag[p:].tolist()
+    r = rhs[p:].tolist()
+    if p:
+        out = np.empty(len(diag))
+        run = out[:p]
+        run[:] = rhs[:p]
+        run[0] /= 2.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.accumulate(run, out=run)
+        g, yk = -1.0, float(run[-1])
+        gamma, y = [], []
+    else:
+        piv = b[0]
+        if abs(piv) < _PIVOT_FLOOR:
+            raise SingularJacobian(f"pivot magnitude below {_PIVOT_FLOOR:g} at row 0")
+        g = -2.0 / piv
+        yk = r[0] / piv
+        if len(b) == 1:
+            return np.array([yk])
+        gamma, y = [g], [yk]
     gamma_append, y_append = gamma.append, y.append
-    for bk, dk in zip(b[1:-1], r[1:-1]):
+    start = 0 if p else 1
+    for bk, dk in zip(b[start:-1], r[start:-1]):
         piv = bk + g
         if abs(piv) < _PIVOT_FLOOR:
             raise SingularJacobian(
-                f"pivot magnitude below {_PIVOT_FLOOR:g} at row {len(y)}")
+                f"pivot magnitude below {_PIVOT_FLOOR:g} at row {p + len(y)}")
         g = -1.0 / piv
         yk = (dk + yk) / piv
         gamma_append(g)
@@ -88,14 +112,20 @@ def tridiagonal_solve(diag, rhs) -> np.ndarray:
     piv = b[-1] - 0.0 * g
     if abs(piv) < _PIVOT_FLOOR:
         raise SingularJacobian(
-            f"pivot magnitude below {_PIVOT_FLOOR:g} at row {len(y)}")
+            f"pivot magnitude below {_PIVOT_FLOOR:g} at row {p + len(y)}")
     xk = (r[-1] - 0.0 * yk) / piv
     x = [xk]
     for g, yk in zip(reversed(gamma), reversed(y)):
         xk = yk - g * xk
         x.append(xk)
     x.reverse()
-    return np.array(x)
+    if not p:
+        return np.array(x)
+    out[p:] = x
+    back = out[p::-1]  # x_p, then y_{p-1} .. y_0
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.accumulate(back, out=back)
+    return out
 
 
 def _homogeneous_solve(sk: np.ndarray, dirichlet: float) -> np.ndarray:
@@ -269,8 +299,10 @@ def solve_planktonic(t: float, L: float, S: np.ndarray, cfg) -> np.ndarray:
     Psi = np.empty((cfg.n, N + 1))
     for i, sp in enumerate(cfg.species):
         dirichlet = float(psi_bulk[i])
-        if sp.k_col == 0:
-            # kappa = 0: every pivot ratio is 1 and the product is constant.
+        if sp.k_col == 0 or dirichlet == 0.0:
+            # kappa = 0: every pivot ratio is 1 and the product is constant;
+            # a zero bulk value (never negative, by validate_config) times
+            # the positive, finite pivot ratios is +0.0 throughout.
             v = np.full(N + 1, dirichlet + 0.0)
         else:
             v = _homogeneous_solve(h * h / sp.D_psi * kappa[i], dirichlet)

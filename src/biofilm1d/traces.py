@@ -91,6 +91,13 @@ class TableTrace:
     values: tuple
 
     def __post_init__(self):
+        for name in ("times", "values"):
+            knots = getattr(self, name)
+            if not isinstance(knots, (tuple, list)):
+                raise ConfigError(f"table trace {name} must be a tuple or list, "
+                                  f"got {type(knots).__name__}")
+            # stored as a tuple, as parse_descriptor and configio build it
+            object.__setattr__(self, name, tuple(knots))
         if len(self.times) != len(self.values) or not self.times:
             raise ConfigError("table trace needs matching, nonempty times/values")
         # times that are not all real are left to validate_config

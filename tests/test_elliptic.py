@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 import biofilm1d
-from biofilm1d.elliptic import (_homogeneous_solve, _residual, resolution_limit,
-                                solve_planktonic, solve_problem, solve_substrates,
-                                tridiagonal_solve, warn_under_resolved)
+from biofilm1d import elliptic, stepper
+from biofilm1d.elliptic import (_clamp_solution, _homogeneous_solve, _residual,
+                                resolution_limit, solve_planktonic, solve_problem,
+                                solve_substrates, tridiagonal_solve, warn_under_resolved)
 from biofilm1d.errors import BoundaryLayerResolutionWarning, SingularJacobian
-from biofilm1d.kinetics import inflow_fractions
+from biofilm1d.kinetics import inflow_fractions, planktonic_sink_coefficients
 from biofilm1d.presets import build_preset
+from biofilm1d.traces import ConstantTrace
 
 
 def stencil_bands(n):
@@ -124,6 +126,74 @@ class TestTridiagonal:
             tridiagonal_solve(np.ones(3), np.ones(2))
         with pytest.raises(ValueError):
             tridiagonal_solve(np.empty(0), np.empty(0))
+
+
+def leading_run_system(rng, K, p, last=1.0):
+    """A dominant system of size K whose rows 0..p-1 have diagonal exactly 2
+    (a substrate no species there consumes), then rows that are not."""
+    diag, rhs = dominant_system(rng, K)
+    diag[:p] = 2.0
+    if p < K - 1:
+        diag[-1] = last
+    return diag, rhs
+
+
+def reference_solve(diag, rhs):
+    if diag.size == 1:
+        return rhs / diag
+    with np.errstate(all="ignore"):
+        return stencil_reference(diag, rhs)
+
+
+def solve_without_warnings(diag, rhs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return tridiagonal_solve(diag, rhs)
+
+
+def run_lengths(K, rng):
+    return sorted({p for p in (0, 1, K - 2, K - 1, int(rng.integers(0, K)))
+                   if 0 <= p <= K - 1})
+
+
+class TestLeadingTwoRows:
+    """Rows 0..p-1 with diagonal exactly 2 are swept as running sums; the
+    result stays bitwise that of the full sweep."""
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 201, 2401])
+    def test_bitwise_equal_to_sweep(self, K):
+        rng = np.random.default_rng(K)
+        for p in run_lengths(K, rng):
+            for last in (1.0, 2.0):
+                diag, rhs = leading_run_system(rng, K, p, last)
+                assert_bitwise_equal(solve_without_warnings(diag, rhs),
+                                     reference_solve(diag, rhs))
+
+    @pytest.mark.parametrize("K", [2, 3, 201, 2401])
+    def test_special_values_in_rhs(self, K):
+        rng = np.random.default_rng(K + 1)
+        specials = (0.0, -0.0, math.inf, -math.inf, math.nan)
+        for p in run_lengths(K, rng):
+            for value in specials:
+                for at in {0, max(p - 1, 0), p, K - 1}:
+                    diag, rhs = leading_run_system(rng, K, p)
+                    rhs[at] = value
+                    assert_bitwise_equal(solve_without_warnings(diag, rhs),
+                                         reference_solve(diag, rhs))
+            diag, _ = leading_run_system(rng, K, p)
+            for zeros in (np.zeros(K), -np.zeros(K)):
+                assert_bitwise_equal(solve_without_warnings(diag, zeros),
+                                     reference_solve(diag, zeros))
+
+    @pytest.mark.parametrize("K", [2, 3, 201, 2401])
+    def test_zero_pivot_after_run_names_row(self, K):
+        for p in sorted({1, K // 2, K - 2, K - 1} - {0}):
+            # the pivot after the run is 1 - 1 = 0, or 0 - 0 * gamma on the
+            # Dirichlet row
+            diag, rhs = leading_run_system(np.random.default_rng(p), K, p)
+            diag[p] = 1.0 if p < K - 1 else 0.0
+            with pytest.raises(SingularJacobian, match=f"at row {p}$"):
+                tridiagonal_solve(diag, rhs)
 
 
 class TestHomogeneousSolve:
@@ -323,6 +393,45 @@ class TestPlanktonicSolves:
     def test_empty_domain_rejected(self):
         with pytest.raises(ValueError, match="domain length"):
             planktonic(CASE1, L=0.0)
+
+    @pytest.mark.parametrize("bulk", [0.0, -0.0])
+    def test_zero_bulk_colonizer_equals_sweep(self, bulk):
+        # species 1 colonizes (k_col > 0), so only its zero bulk value lets
+        # the solve skip the sweep
+        assert CASE2.species[0].k_col > 0
+        cfg = dataclasses.replace(CASE2, bulk=dataclasses.replace(
+            CASE2.bulk, psi_star=(ConstantTrace(bulk),) + CASE2.bulk.psi_star[1:]))
+        t, L, _, S = developed(cfg)
+        kappa = planktonic_sink_coefficients(S, cfg)[0]
+        assert kappa.min() > 0.0
+        N = cfg.numerics.N
+        swept = TestHomogeneousSolve.swept(kappa, (L / N) ** 2 / cfg.species[0].D_psi,
+                                           bulk)
+        assert_bitwise_equal(solve_planktonic(t, L, S, cfg)[0],
+                             _clamp_solution(swept, bulk))
+
+    def test_zero_bulk_species_skip_the_sweep(self, monkeypatch):
+        # case2's third species is absent from the bulk until t1 = 0.2 d, so
+        # up to 0.05 d only the first two are swept
+        assert CASE2.psi_star(0.05)[2] == 0.0
+        calls = {"solve_planktonic": 0, "_homogeneous_solve": 0}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(elliptic, "_homogeneous_solve")
+        counted(stepper, "solve_planktonic")
+        cfg = dataclasses.replace(CASE2, horizon=0.05, snapshot_times=(0.0, 0.05))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryLayerResolutionWarning)
+            stepper.run(cfg)
+        assert calls["solve_planktonic"] > 0
+        assert calls["_homogeneous_solve"] == 2 * calls["solve_planktonic"]
 
 
 def test_import_loads_neither_scipy_nor_numba():

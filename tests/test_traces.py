@@ -72,6 +72,25 @@ class TestDescriptors:
         with pytest.raises(ConfigError):
             TableTrace((0.0,), (1.0, 2.0))
 
+    @pytest.mark.parametrize("times, values, name", [
+        (None, None, "times"),
+        (1.0, 2.0, "times"),
+        ((0.0, 1.0), 2.0, "values"),
+    ])
+    def test_table_rejects_knots_that_are_not_sequences(self, times, values, name):
+        with pytest.raises(ConfigError, match=f"table trace {name} must be a tuple or list"):
+            TableTrace(times, values)
+
+    def test_list_knots_validate_like_tuples(self):
+        assert TableTrace([0.0, 1.0], [100.0, -1.0]) == TableTrace((0.0, 1.0), (100.0, -1.0))
+        cfg = build_preset("case1").cfg
+        for knots in ([0.0, 1.0], (0.0, 1.0)):
+            table = TableTrace(knots, [100.0, -1.0])
+            bulk = dataclasses.replace(cfg.bulk, s_star=(table,) + cfg.bulk.s_star[1:])
+            report = validate_config(dataclasses.replace(cfg, bulk=bulk))
+            assert report.violations == (Violation(
+                "bulk.s.1", "bulk trace must stay >= 0 over the horizon"),)
+
     @pytest.mark.parametrize("tr", [
         ConstantTrace(7.5),
         RampTrace(100.0, 0.2, "printed"),
