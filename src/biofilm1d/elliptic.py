@@ -80,6 +80,9 @@ def tridiagonal_solve(diag, rhs) -> np.ndarray:
     # which decide the sign of a zero result.
     b = diag[p:].tolist()
     r = rhs[p:].tolist()
+    # ``-floor < piv < floor`` is ``abs(piv) < floor`` for every float,
+    # NaN (false), +-inf and +-0 included, without a call per row.
+    floor = _PIVOT_FLOOR
     if p:
         out = np.empty(len(diag))
         run = out[:p]
@@ -91,8 +94,8 @@ def tridiagonal_solve(diag, rhs) -> np.ndarray:
         gamma, y = [], []
     else:
         piv = b[0]
-        if abs(piv) < _PIVOT_FLOOR:
-            raise SingularJacobian(f"pivot magnitude below {_PIVOT_FLOOR:g} at row 0")
+        if -floor < piv < floor:
+            raise SingularJacobian(f"pivot magnitude below {floor:g} at row 0")
         g = -2.0 / piv
         yk = r[0] / piv
         if len(b) == 1:
@@ -102,17 +105,17 @@ def tridiagonal_solve(diag, rhs) -> np.ndarray:
     start = 0 if p else 1
     for bk, dk in zip(b[start:-1], r[start:-1]):
         piv = bk + g
-        if abs(piv) < _PIVOT_FLOOR:
+        if -floor < piv < floor:
             raise SingularJacobian(
-                f"pivot magnitude below {_PIVOT_FLOOR:g} at row {p + len(y)}")
+                f"pivot magnitude below {floor:g} at row {p + len(y)}")
         g = -1.0 / piv
         yk = (dk + yk) / piv
         gamma_append(g)
         y_append(yk)
     piv = b[-1] - 0.0 * g
-    if abs(piv) < _PIVOT_FLOOR:
+    if -floor < piv < floor:
         raise SingularJacobian(
-            f"pivot magnitude below {_PIVOT_FLOOR:g} at row {p + len(y)}")
+            f"pivot magnitude below {floor:g} at row {p + len(y)}")
     xk = (r[-1] - 0.0 * yk) / piv
     x = [xk]
     for g, yk in zip(reversed(gamma), reversed(y)):
@@ -120,7 +123,7 @@ def tridiagonal_solve(diag, rhs) -> np.ndarray:
         x.append(xk)
     x.reverse()
     if not p:
-        return np.array(x)
+        return np.array(x, dtype=float)
     out[p:] = x
     back = out[p::-1]  # x_p, then y_{p-1} .. y_0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -141,13 +144,9 @@ def _homogeneous_solve(sk: np.ndarray, dirichlet: float) -> np.ndarray:
     """
     b = (2.0 + sk[:-1]).tolist()
     h = 2.0 / b[0]  # -gamma_0
-    minus_gamma = [h]
-    append = minus_gamma.append
-    for bk in b[1:]:
-        h = 1.0 / (bk - h)
-        append(h)
+    minus_gamma = [h] + [h := 1.0 / (bk - h) for bk in b[1:]]
     minus_gamma.append(dirichlet + 0.0)
-    return np.cumprod(np.array(minus_gamma)[::-1])[::-1]
+    return np.cumprod(np.array(minus_gamma, dtype=float)[::-1])[::-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,11 +171,17 @@ def _residual(v: np.ndarray, rate: np.ndarray, dirichlet, scale) -> np.ndarray:
 
 
 def _clamp_solution(values: np.ndarray, dirichlet: float) -> np.ndarray:
+    """``np.maximum(values, 0.0)`` with the Dirichlet node set.
+
+    When every value is above zero that maximum is ``values`` itself, so
+    ``values`` is set and returned.  Otherwise (a negative value, a zero of
+    either sign or a NaN, whose bits the maximum may rewrite) it is copied.
+    """
     floor = -1e-12 * max(1.0, abs(dirichlet))
     low = float(values.min())
     if low < floor:
         logger.warning("elliptic solution undershoots zero by %.3e; clamping", -low)
-    out = np.maximum(values, 0.0)
+    out = values if low > 0.0 else np.maximum(values, 0.0)
     out[-1] = dirichlet
     return out
 
@@ -237,6 +242,12 @@ def solve_substrates(t: float, L: float, f: np.ndarray, S: np.ndarray,
     iters = [0] * cfg.m
     worst = math.inf
     # The other rows stay at their latest values while field j is solved.
+    # The Newton's last reaction call is at the field it accepts, so the
+    # fields after it see that field's load without a further call.  The
+    # clamp changes that field only where the Monod factor clamps the same
+    # way, and at the Dirichlet node, whose rate no residual reads (no
+    # Newton iterate holds -0.0: its start is clamped, and a sum is -0.0
+    # only of two).
     row_rate = kinetics.substrate_row_rates(f, S_work, cfg)
 
     def closures(j):
@@ -253,7 +264,6 @@ def solve_substrates(t: float, L: float, f: np.ndarray, S: np.ndarray,
             sol = solve_problem(*closures(j), S_work[j], float(dirichlet[j]),
                                 scales[j], nm.newton_tol, nm.newton_max_iter)
             S_work[j] = sol.values
-            row_rate(j, S_work[j])  # the next fields see the accepted field
             iters[j] += sol.iterations
         # Coupled convergence check with every field at its latest value.
         rates = kinetics.substrate_rates(f, S_work, cfg)

@@ -196,6 +196,93 @@ class TestLeadingTwoRows:
                 tridiagonal_solve(diag, rhs)
 
 
+class TestPivotGuard:
+    """A pivot of magnitude below 1e-30 raises, naming its row; NaN, +-inf
+    and a pivot at the floor itself pass through."""
+
+    @staticmethod
+    def system(p, K=6):
+        # rows 0..p-1 have diagonal exactly 2 (p = 0: a plain sweep), row p
+        # has an infinite pivot, so gamma_p = -0.0 and the pivot of row p + 1
+        # is exactly its diagonal entry
+        diag = np.full(K, 4.0)
+        diag[:p] = 2.0
+        diag[p] = math.inf
+        diag[-1] = 1.0
+        return diag, np.linspace(1.0, 2.0, K)
+
+    @pytest.mark.parametrize("p", [0, 3])
+    @pytest.mark.parametrize("pivot", [0.0, -0.0, 1e-31, -1e-31])
+    def test_tiny_pivot_raises_with_row(self, p, pivot):
+        diag, rhs = self.system(p)
+        diag[p + 1] = pivot
+        with pytest.raises(SingularJacobian,
+                           match=rf"^pivot magnitude below 1e-30 at row {p + 1}$"):
+            tridiagonal_solve(diag, rhs)
+
+    @pytest.mark.parametrize("p", [0, 3])
+    @pytest.mark.parametrize("pivot", [1e-30, -1e-30, math.inf, -math.inf, math.nan])
+    def test_other_pivots_pass_through(self, p, pivot):
+        diag, rhs = self.system(p)
+        diag[p + 1] = pivot
+        assert_bitwise_equal(tridiagonal_solve(diag, rhs), reference_solve(diag, rhs))
+
+    @pytest.mark.parametrize("p", [0, 3])
+    def test_nan_dirichlet_pivot_passes_through(self, p):
+        diag, rhs = leading_run_system(np.random.default_rng(p), 6, p, last=math.nan)
+        x = tridiagonal_solve(diag, rhs)
+        assert np.isnan(x).all()
+        assert_bitwise_equal(x, reference_solve(diag, rhs))
+
+
+def clamp_inputs(K):
+    """Length-K fields for :func:`_clamp_solution`, as ``(values, kept)``:
+    ``kept`` says that every value is above zero."""
+    rng = np.random.default_rng(K)
+    positive = rng.uniform(0.5, 2.0, K)
+    tiny = positive.copy()
+    tiny[::3] = 5e-324
+    zeros = np.zeros(K)
+    signed_zeros = positive.copy()
+    signed_zeros[::3] = -0.0
+    signed_zeros[1::7] = 0.0
+    with_nan = positive.copy()
+    with_nan[::5] = math.nan
+    negative_nan = positive.copy()
+    negative_nan[K // 2] = math.copysign(math.nan, -1.0)
+    negative = positive.copy()
+    negative[::4] = -rng.uniform(0.0, 1.0, len(negative[::4]))
+    negative[1::9] = -0.0
+    nan_then_negative = negative.copy()
+    nan_then_negative[0] = math.nan
+    return [(positive, True), (tiny, True), (zeros, False), (signed_zeros, False),
+            (with_nan, False), (negative_nan, False), (negative, False),
+            (nan_then_negative, False)]
+
+
+class TestClampSolution:
+    """``_clamp_solution`` is bitwise ``np.maximum(values, 0.0)`` with the
+    Dirichlet node set, and copies unless every value is above zero."""
+
+    @staticmethod
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("K", [4, 201, 2401])
+    @pytest.mark.parametrize("case", range(8))
+    def test_bitwise_clamp_at_zero(self, K, case):
+        values, kept = clamp_inputs(K)[case]
+        before = self.bits(values)
+        expected = np.maximum(values, 0.0)
+        expected[-1] = 7.0
+        given = values.copy()
+        out = _clamp_solution(given, 7.0)
+        assert self.bits(out) == self.bits(expected)
+        assert (out is given) == kept
+        if not kept:
+            assert self.bits(given) == before
+
+
 class TestHomogeneousSolve:
     """The planktonic solve against the full sweep over its linear system:
     the sink ``-kappa * v`` assembled at ``v = 0``, so the right-hand side is
@@ -344,6 +431,86 @@ class TestSubstrateSolves:
         t, _, f, S = developed(CASE1)
         with pytest.raises(ValueError, match="domain length"):
             solve_substrates(t, 0.0, f, S, CASE1)
+
+
+def clamping_case():
+    """``(t, L, f, S)`` and a config whose second substrate field is clamped.
+
+    Species 1 also consumes substrate 2, at a rate that substrate does not
+    limit, and substrate 2 is absent from the bulk, so the Newton solution of
+    field 2 dips below zero throughout.  The sink is weak enough that the
+    clamped field still meets the coupled tolerance, and species 2, growing
+    on substrate 2, produces substrate 3, so field 3 reads the clamped one.
+    """
+    N = 8
+    st = dataclasses.replace(CASE1.stoichiometry, production=(
+        (-1.0, 0.0, 0.0), (-1e-9, -1.0, 0.0), (0.0, 0.5, -1.0)))
+    bulk = dataclasses.replace(CASE1.bulk, s_star=(
+        CASE1.bulk.s_star[0], ConstantTrace(0.0), ConstantTrace(1.0)))
+    cfg = dataclasses.replace(CASE1, stoichiometry=st, bulk=bulk,
+                              numerics=dataclasses.replace(CASE1.numerics, N=N))
+    t, L, f, S = developed(cfg)
+    S[1], S[2] = 1.0, 0.0
+    return (t, L, f, S), cfg
+
+
+class TestRowEvaluations:
+    """The Newton's last reaction call is at the field it accepts, so no row
+    is evaluated again; the rates clamp a negative substrate value as the
+    solution's clamp does, so a clamped field needs no evaluation either."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Substrate rows evaluated, and whether each clamp changed a value."""
+        calls = {"rows": [], "clamped": []}
+        row_rates, clamp = elliptic.kinetics.substrate_row_rates, elliptic._clamp_solution
+
+        def counting_row_rates(*args):
+            rate = row_rates(*args)
+
+            def counted(j, s):
+                calls["rows"].append(j)
+                return rate(j, s)
+            return counted
+
+        def recording_clamp(values, dirichlet):
+            calls["clamped"].append(bool((values < 0.0).any()))
+            return clamp(values, dirichlet)
+
+        monkeypatch.setattr(elliptic.kinetics, "substrate_row_rates", counting_row_rates)
+        monkeypatch.setattr(elliptic, "_clamp_solution", recording_clamp)
+        return calls
+
+    def test_one_evaluation_per_newton_residual(self, calls):
+        sols = solve_substrates(*developed(CASE1), CASE1)
+        assert calls["clamped"] == [False] * CASE1.m
+        iterations = [sol.iterations for sol in sols]
+        assert sum(iterations) > 0
+        # the starting residual and one per accepted step: no line search
+        # halved, and the accepted field is not evaluated again
+        assert len(calls["rows"]) == CASE1.m + sum(iterations)
+        for j, its in enumerate(iterations):
+            assert calls["rows"].count(j) == 1 + its
+
+    def test_clamped_field_matches_reevaluation(self, calls, monkeypatch):
+        args, cfg = clamping_case()
+        sols = solve_substrates(*args, cfg)
+        assert calls["clamped"] == [False, True, False]
+        # Reference: every accepted field evaluated again before the next
+        # field is solved.
+        solve = elliptic.solve_problem
+
+        def reevaluated(reaction, *a):
+            sol = solve(reaction, *a)
+            reaction(sol.values)
+            return sol
+
+        monkeypatch.setattr(elliptic, "solve_problem", reevaluated)
+        reference = solve_substrates(*args, cfg)
+        assert calls["clamped"] == [False, True, False] * 2
+        for sol, ref in zip(sols, reference):
+            assert sol.iterations == ref.iterations
+            assert_bitwise_equal(sol.values, ref.values)
 
 
 def planktonic(cfg, L=1e-4):
