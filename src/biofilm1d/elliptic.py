@@ -22,7 +22,7 @@ every instant, so both solves take arrays and return arrays:
 cfg)``.  Substrate reactions are Monod-nonlinear, solved by damped Newton
 (:func:`solve_problem`, one call per field) with an analytic diagonal
 Jacobian.  The Newton for field j evaluates row j only: the growth load of
-the species on substrate j and row j of the network product
+the species on substrate j and the species-order sum of row j
 (:func:`kinetics.substrate_row_rates`), and the Jacobian of that row.
 Cross-substrate coupling is relaxed by Gauss-Seidel sweeps until the coupled
 residual of all fields, evaluated in one vectorised pass, meets tolerance

@@ -6,6 +6,9 @@ they can be evaluated for a single point ``(n,)`` or a whole grid ``(n, K)``
 alike.
 Negative concentrations (transient numerical undershoot) are clamped to zero
 on the rate side only; state arrays are never mutated.
+Every substrate-network row (rates, single Newton rows, their Jacobian) is
+one species-order sum of elementwise products, so a row computed alone is
+bitwise that row of all and no CPU-chosen BLAS kernel decides a bit.
 """
 
 from __future__ import annotations
@@ -62,13 +65,19 @@ def _colonization(Psi, limitation, a):
         * limitation * Psi
 
 
+def _row_sum(terms, load):
+    """One substrate-network row: from +0.0, add ``w * load[i]`` for each
+    ``(i, w)`` of ``terms``, the row's nonzero coefficients in species order."""
+    out = np.zeros(load.shape[1:])
+    for i, w in terms:
+        out += w * load[i]
+    return out
+
+
 def _network_weighted(r_m, a):
-    """r_S from the growth rates; ``np.dot`` on the flattened load is what
-    ``np.tensordot(W, load, axes=(1, 0))`` runs, without its set-up cost."""
+    """r_S from the growth rates, one :func:`_row_sum` per substrate."""
     load = r_m * _column(a["rho_Y"], r_m.ndim)
-    W = a["W"]
-    return np.dot(W, load.reshape(W.shape[1], -1)).reshape(
-        W.shape[:1] + load.shape[1:])
+    return np.array([_row_sum(terms, load) for *_, terms in a["substrate_rows"]])
 
 
 def substrate_rates(f, S, cfg):
@@ -84,35 +93,31 @@ def substrate_row_rates(f, S, cfg):
     Returns ``rate(j, s)``, the conversion rate of substrate j with S[j]
     replaced by ``s`` and every other row at its value in S or at the last
     ``s`` passed for it.  A call refreshes only the load rows ``rho/Y * r_M``
-    of the species growing on substrate j and returns row j of the same
-    ``np.dot(W, load)`` as :func:`substrate_rates`, so it is bitwise that
-    function's row j; a dot with row j of W alone rounds differently.
+    of the species growing on substrate j and sums row j alone, by the same
+    rule as :func:`substrate_rates`, so it is bitwise that function's row j.
     """
     a = cfg.arrays
     f = _clamped(f, "fraction")
     load = _growth(f, _limitation(S, a, f.ndim), a) * _column(a["rho_Y"], 2)
-    W = a["W"]
-    rows = [(sp, mu, K, f[sp], rho_Y)
-            for sp, _, mu, K, rho_Y in a["substrate_rows"]]
+    rows = [(sp, mu, K, f[sp], rho_Y, terms)
+            for sp, _, mu, K, rho_Y, terms in a["substrate_rows"]]
 
     def rate(j, s):
-        sp, mu, K, f_sp, rho_Y = rows[j]
+        sp, mu, K, f_sp, rho_Y, terms = rows[j]
         load[sp] = mu * monod(s, K) * f_sp * rho_Y
-        return np.dot(W, load)[j]
+        return _row_sum(terms, load)
 
     return rate
 
 
 def substrate_rate_jacobian_diag(f, s, j, cfg):
-    """d r_S[j] / d S[j] at each node, at S[j] = ``s``; used by the elliptic
-    Newton solver.  Row j depends on no other substrate: only the species
-    growing on substrate j contribute, added in species order."""
-    sp, weights, mu, K, rho_Y = cfg.arrays["substrate_rows"][j]
+    """d r_S[j] / d S[j] at each node of a grid, ``f`` (n, K), at S[j] = ``s``
+    (K,); used by the elliptic Newton solver.  Row j depends on no other
+    substrate: only the species growing on substrate j contribute, summed as
+    in :func:`_row_sum`."""
+    sp, own, mu, K, rho_Y, _ = cfg.arrays["substrate_rows"][j]
     dload = mu * dmonod(s, K) * _clamped(np.asarray(f)[sp], "fraction") * rho_Y
-    out = np.zeros(np.shape(s))
-    for w, d in zip(weights, dload):
-        out += w * d
-    return out
+    return _row_sum(own, dload)
 
 
 def planktonic_sink_coefficients(S, cfg):

@@ -122,23 +122,23 @@ class ScenarioConfig:
         mu, K = col("mu_max"), col("K")
         rows = []
         for j in range(self.m):
-            # the species growing on substrate j, in species order (a slice
-            # when they are adjacent), with their coefficients W[j, i] and
-            # (k, 1) parameter columns
+            # the species on substrate j in order (a slice when adjacent), their
+            # nonzero (k, W[j, i]) and (k, 1) columns, the row's nonzero (i, W[j, i])
             sp = np.flatnonzero(sigma == j)
+            own = tuple((k, float(W[j, i])) for k, i in enumerate(sp) if W[j, i])
             if sp.size == 0:
                 sp = slice(0, 0)
             elif sp[-1] - sp[0] == sp.size - 1:
                 sp = slice(int(sp[0]), int(sp[-1]) + 1)
-            rows.append((sp, tuple(float(w) for w in W[j, sp]),
-                         mu[sp, None], K[sp, None], rho_Y[sp, None]))
-        for a in (D, W, sigma, rho_Y) + tuple(a for row in rows for a in row[2:]):
+            rows.append((sp, own, mu[sp, None], K[sp, None], rho_Y[sp, None],
+                         tuple((i, float(w)) for i, w in enumerate(W[j]) if w)))
+        for a in (D, sigma, rho_Y) + tuple(a for row in rows for a in row[2:5]):
             a.flags.writeable = False
         return {
             "mu_max": mu, "K": K, "Y": col("Y"),
             "rho": col("rho"), "v_a": col("v_a"), "k_col": col("k_col"),
             "Y_psi": col("Y_psi"), "D_psi": col("D_psi"),
-            "D": D, "W": W, "substrate_of": sigma, "rho_Y": rho_Y,
+            "D": D, "substrate_of": sigma, "rho_Y": rho_Y,
             "substrate_rows": tuple(rows),
         }
 
@@ -329,12 +329,16 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
     st = cfg.stoichiometry
     check(len(st.substrate_of) == cfg.n, "stoichiometry.substrate_of",
           "needs one substrate index per species")
-    check(all(0 <= k < cfg.m for k in st.substrate_of), "stoichiometry.substrate_of",
-          "substrate index out of range")
+    indices = all(isinstance(k, numbers.Integral) for k in st.substrate_of)
+    check(indices, "stoichiometry.substrate_of", "must be an integer")
+    check(not indices or all(0 <= k < cfg.m for k in st.substrate_of),
+          "stoichiometry.substrate_of", "substrate index out of range")
     check(len(st.production) == cfg.m, "stoichiometry.production",
           "needs one row per substrate")
     check(all(len(row) == cfg.n for row in st.production), "stoichiometry.production",
           "each row needs one coefficient per species")
+    for j, row in enumerate(st.production, start=1):
+        finite(f"stoichiometry.production.{j}", *row)
 
     nm = cfg.numerics
     # a value of the wrong type gets no range check, which could raise

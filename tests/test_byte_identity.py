@@ -150,9 +150,10 @@ def species_loop_jacobian_diag(f, S, cfg):
     K = a["K"].reshape(mu.shape)
     s_sel = S[a["substrate_of"]]
     dload = mu * kinetics.dmonod(s_sel, K) * f * (a["rho"] / a["Y"]).reshape(mu.shape)
+    W = np.array(cfg.stoichiometry.production, dtype=float)
     out = np.zeros_like(S)
     for i, j in enumerate(a["substrate_of"]):
-        out[j] += a["W"][j, i] * dload[i]
+        out[j] += W[j, i] * dload[i]
     return out
 
 

@@ -93,6 +93,20 @@ class TestValidateCommand:
         assert cli(["validate", "--config", str(path)]) == EXIT_VALIDATION
         assert "bulk.s.1: must be finite" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_production_rejected(self, tiny_config, capsys, value):
+        text = tiny_config.read_text()
+        assert "stoichiometry.kind = builtin3x3\n" in text
+        path = tiny_config.parent / "network.cfg"
+        path.write_text(text.replace("stoichiometry.kind = builtin3x3\n", (
+            "stoichiometry.kind = custom\n"
+            "stoichiometry.substrate_of = 1, 2, 3\n"
+            "stoichiometry.production.1 = -1, 0, 0\n"
+            "stoichiometry.production.2 = 0, -1, 0\n"
+            f"stoichiometry.production.3 = {value}, 0.3, -0.9\n")))
+        assert cli(["validate", "--config", str(path)]) == EXIT_VALIDATION
+        assert "stoichiometry.production.3: must be finite" in capsys.readouterr().out
+
     @pytest.mark.parametrize("ramp", ["ramp,100.0,0.0,printed", "ramp,100.0,-1.0,printed",
                                       "ramp,100.0,0.2,sideways"])
     def test_ramp_that_run_cannot_evaluate_rejected(self, tiny_config, capsys, ramp):

@@ -2,7 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from biofilm1d import kinetics
 from biofilm1d.model import Stoichiometry, validate_config
@@ -120,9 +121,10 @@ def all_rows_jacobian_diag(f, S, cfg):
     K = a["K"].reshape(mu.shape)
     dload = mu * kinetics.dmonod(S[a["substrate_of"]], K) * f \
         * a["rho_Y"].reshape(mu.shape)
+    W = cfg.stoichiometry.production
     out = np.zeros_like(S)
     for i, j in enumerate(a["substrate_of"]):
-        out[j] += float(a["W"][j, i]) * dload[i]
+        out[j] += float(W[j][i]) * dload[i]
     return out
 
 
@@ -261,19 +263,102 @@ class TestSourceG:
         np.testing.assert_array_equal(below.r_S, at_zero.r_S)
 
 
+def network_load(f, S, cfg):
+    """The per-species load rho_i * r_M[i] / Y_i that the network weighs."""
+    r_m = kinetics.rate_bundle(f, S, np.zeros_like(f), cfg).r_M
+    return r_m * cfg.arrays["rho_Y"].reshape((-1,) + (1,) * (r_m.ndim - 1))
+
+
+def species_order_rates(f, S, cfg):
+    """r_S written in Python floats: each row starts from +0.0 and adds
+    w * load[i] for its nonzero coefficients w, in species order."""
+    load = network_load(f, S, cfg)
+    production = cfg.stoichiometry.production
+    out = np.empty((len(production),) + load.shape[1:])
+    for node in np.ndindex(load.shape[1:]):
+        for j, row in enumerate(production):
+            acc = 0.0
+            for i, w in enumerate(row):
+                if w != 0.0:
+                    acc += float(w) * float(load[(i,) + node])
+            out[(j,) + node] = acc
+    return out
+
+
+# Zeros of either sign, drawn now and then among generic values: production
+# coefficients other than +-1, whose products round, fractions and substrates,
+# which may be negative (the rates clamp them).
+ZERO = st.sampled_from([0.0, -0.0])
+NON_UNIT = st.floats(-4.0, 4.0).filter(lambda w: abs(w) >= 0.05 and abs(w) != 1.0)
+COEFFICIENT = st.one_of(ZERO, NON_UNIT, NON_UNIT, NON_UNIT)
+FRACTION = st.one_of(ZERO, st.floats(0.01, 1.0), st.floats(0.01, 1.0))
+SUBSTRATE = st.one_of(ZERO, st.floats(-50.0, 150.0), st.floats(-50.0, 150.0))
+
+
+def grid(shape, elements):
+    return hnp.arrays(float, shape, elements=elements, fill=st.nothing())
+
+
+@st.composite
+def networks(draw):
+    """Case2 cut to 1-3 species and 1-3 substrates with any ``substrate_of``
+    and signed non-unit coefficients, one production row all zero; a grid of
+    fractions and substrates (signed zeros, negative S); and a sequence of
+    substrate-row replacements."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    production = [draw(st.lists(COEFFICIENT, min_size=n, max_size=n))
+                  for _ in range(m)]
+    production[draw(st.integers(0, m - 1))] = [0.0] * n
+    cfg = dataclasses.replace(
+        CASE2, species=CASE2.species[:n], substrates=CASE2.substrates[:m],
+        bulk=dataclasses.replace(CASE2.bulk, psi_star=CASE2.bulk.psi_star[:n],
+                                 s_star=CASE2.bulk.s_star[:m]),
+        stoichiometry=Stoichiometry(
+            substrate_of=tuple(draw(st.lists(st.integers(0, m - 1),
+                                             min_size=n, max_size=n))),
+            production=tuple(map(tuple, production))))
+    K = draw(st.integers(1, 6))
+    f, S = draw(grid((n, K), FRACTION)), draw(grid((m, K), SUBSTRATE))
+    replacements = draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                           grid(K, SUBSTRATE)), max_size=4))
+    return cfg, f, S, replacements
+
+
 class TestGeneralStoichiometry:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(networks())
+    def test_every_row_is_the_species_order_sum(self, case):
+        cfg, f, S, replacements = case
+        assert validate_config(cfg).ok
+        expect = species_order_rates(f, S, cfg)
+        assert_bitwise(kinetics.substrate_rates(f, S, cfg), expect)
+        assert_bitwise(kinetics.rate_bundle(f, S, np.zeros_like(f), cfg).r_S, expect)
+        rate = kinetics.substrate_row_rates(f, S, cfg)
+        for j in range(cfg.m):
+            assert_bitwise(rate(j, S[j]), expect[j])
+        for j, s in replacements:
+            S[j] = s
+            assert_bitwise(rate(j, s), kinetics.substrate_rates(f, S, cfg)[j])
+        full = all_rows_jacobian_diag(f, S, cfg)
+        for j in range(cfg.m):
+            assert_bitwise(kinetics.substrate_rate_jacobian_diag(f, S[j], j, cfg),
+                           full[j])
+
     @pytest.mark.parametrize("trail", TRAILING)
     def test_substrate_rates_equal_tensordot(self, trail):
+        # bitwise the species-order sum, and within a few ulp of the BLAS
+        # product, which may add the terms in another order
         rng = np.random.default_rng(3)
-        a = SHARED.arrays
+        W = np.array(SHARED.stoichiometry.production)
         for _ in range(20):
             f, S, _ = random_state(rng, trail)
-            r_m = kinetics.rate_bundle(f, S, np.zeros_like(f), SHARED).r_M
-            load = r_m * (a["rho"] / a["Y"]).reshape((-1,) + (1,) * len(trail))
-            expect = np.tensordot(a["W"], load, axes=(1, 0))
             got = kinetics.substrate_rates(f, S, SHARED)
             assert got.shape == (3,) + trail
-            np.testing.assert_array_equal(got, expect)
+            assert_bitwise(got, species_order_rates(f, S, SHARED))
+            load = network_load(f, S, SHARED)
+            ulp_scale = np.tensordot(np.abs(W), np.abs(load), axes=(1, 0))
+            assert np.all(np.abs(got - np.tensordot(W, load, axes=(1, 0)))
+                          <= 4 * np.finfo(float).eps * ulp_scale)
 
     def test_shared_substrate_sums_both_consumers(self):
         assert validate_config(SHARED).ok

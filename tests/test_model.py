@@ -48,6 +48,13 @@ def with_trace(cfg, kind, k, trace):
         cfg, bulk=dataclasses.replace(cfg.bulk, **{kind: tuple(traces)}))
 
 
+def with_production_row_3(cfg, x):
+    """``cfg`` with production row 3 set to (x, 0.3, -0.9)."""
+    st = cfg.stoichiometry
+    return dataclasses.replace(cfg, stoichiometry=dataclasses.replace(
+        st, production=st.production[:2] + ((x, 0.3, -0.9),)))
+
+
 class TestValidateConfig:
     def test_presets_are_valid(self):
         for pid in ("case1", "case2", "case3"):
@@ -96,6 +103,7 @@ class TestValidateConfig:
         ("bulk.psi.3", lambda cfg, x: with_trace(cfg, "psi_star", 2, RampTrace(50.0, x))),
         ("bulk.s.2", lambda cfg, x: with_trace(
             cfg, "s_star", 1, TableTrace((0.0, 1.0), (100.0, x)))),
+        ("stoichiometry.production.3", with_production_row_3),
     ])
     def test_non_finite_value_flagged(self, field_name, build, value):
         report = validate_config(build(make_cfg(), value))
@@ -134,12 +142,22 @@ class TestValidateConfig:
         ("species.1.K", lambda cfg: dataclasses.replace(cfg, species=(
             dataclasses.replace(cfg.species[0], K="1"),) + cfg.species[1:])),
         ("bulk.psi.3", lambda cfg: with_trace(cfg, "psi_star", 2, RampTrace("50", 0.2))),
+        ("stoichiometry.production.3", lambda cfg: with_production_row_3(cfg, "0.7")),
+        ("stoichiometry.production.3", lambda cfg: with_production_row_3(cfg, None)),
     ])
     def test_non_real_value_reported(self, field_name, build):
         # a float field that is not a real number is reported once, without
         # the finiteness and range checks that would raise on it
         report = validate_config(build(make_cfg()))
         assert report.violations == (Violation(field_name, "must be a real number"),)
+
+    @pytest.mark.parametrize("index", ["2", None, 2.0])
+    def test_non_integer_substrate_index_reported(self, index):
+        # reported once, without the range check that would raise on it
+        st = Stoichiometry((0, 1, index), Stoichiometry.builtin3x3().production)
+        report = validate_config(make_cfg(stoichiometry=st))
+        assert report.violations == (
+            Violation("stoichiometry.substrate_of", "must be an integer"),)
 
     @pytest.mark.parametrize("name, value", [("N", 41.5), ("newton_max_iter", 50.0),
                                              ("picard_max_iter", 2.5)])
@@ -274,6 +292,41 @@ def _unread_parameters(node, scope=()):
             yield from _unread_parameters(child, scope + (child.name,))
         else:
             yield from _unread_parameters(child, scope)
+
+
+_BLAS = {"dot", "tensordot", "matmul", "inner", "vdot", "einsum"}
+
+
+def _blas_uses(tree):
+    """``(line, name)`` for each call of a numpy routine that may run a BLAS
+    kernel, each ``@`` and each use or import of ``linalg`` in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in _BLAS:
+                yield node.lineno, name
+        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+            yield node.lineno, "linalg"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            if any("linalg" in n.split(".") or n in _BLAS for n in names):
+                yield node.lineno, "import"
+
+
+def test_package_calls_no_blas_routine():
+    # A BLAS kernel is picked by CPU and may round differently from another
+    # (FMA or not), so a product through one would make the output bytes
+    # depend on the machine; the package keeps to elementwise arithmetic.
+    assert [hit for _, hit in sorted(_blas_uses(ast.parse(
+        "np.dot(a, b)\na.dot(b)\nx @ y\nx @= y\nnp.linalg.solve(a, b)\n"
+        "import numpy.linalg\nfrom numpy import einsum\neinsum('i,i', a, b)\n")))] \
+        == ["dot", "dot", "@", "@", "linalg", "import", "import", "einsum"]
+    pkg_dir = Path(biofilm1d.__file__).resolve().parent
+    uses = sorted((path.name, *hit) for path in pkg_dir.glob("*.py")
+                  for hit in _blas_uses(ast.parse(path.read_text())))
+    assert uses == []
 
 
 def test_every_parameter_is_read():
