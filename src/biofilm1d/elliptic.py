@@ -228,9 +228,12 @@ def solve_substrates(t: float, L: float, f: np.ndarray, S: np.ndarray,
                      cfg) -> list[EllipticSolution]:
     """Solve all substrate fields at time t on [0, L] at frozen fractions f.
 
-    ``S`` (m, N+1) is the Newton starting guess.  Substrates are swept in
-    order with the latest companion fields until the fully coupled residual
-    of every field meets tolerance.
+    ``S`` (m, N+1) is the Newton starting guess, and it must be a close one,
+    as the stepper's extrapolation from its last two solves is: started from
+    the bulk values on a depleted film (case1's inflow fractions at 0.5 d,
+    N = 200, L = 2e-3 m) the Newton raises :class:`NonConvergence`.
+    Substrates are swept in order with the latest companion fields until the
+    fully coupled residual of every field meets tolerance.
     """
     if L <= 0:
         raise ValueError("domain length must be positive")

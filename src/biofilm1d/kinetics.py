@@ -3,7 +3,7 @@ and the interface attachment and detachment fluxes.
 
 All functions are pure.  The rates broadcast over a trailing node axis, so
 they can be evaluated for a single point ``(n,)`` or a whole grid ``(n, K)``
-alike.
+alike; the Newton row kernels take grids only.
 Negative concentrations (transient numerical undershoot) are clamped to zero
 on the rate side only; state arrays are never mutated.
 Every substrate-network row (rates, single Newton rows, their Jacobian) is
@@ -114,9 +114,14 @@ def substrate_rate_jacobian_diag(f, s, j, cfg):
     """d r_S[j] / d S[j] at each node of a grid, ``f`` (n, K), at S[j] = ``s``
     (K,); used by the elliptic Newton solver.  Row j depends on no other
     substrate: only the species growing on substrate j contribute, summed as
-    in :func:`_row_sum`."""
+    in :func:`_row_sum`.  Any other shapes raise ``ValueError``: the
+    species' parameter columns would broadcast a point across species."""
+    f = np.asarray(f)
+    if f.ndim != 2 or f.shape[0] != cfg.n or np.shape(s) != f.shape[1:]:
+        raise ValueError(f"need f (n, K) with n = {cfg.n} and s (K,), "
+                         f"got {f.shape} and {np.shape(s)}")
     sp, own, mu, K, rho_Y, _ = cfg.arrays["substrate_rows"][j]
-    dload = mu * dmonod(s, K) * _clamped(np.asarray(f)[sp], "fraction") * rho_Y
+    dload = mu * dmonod(s, K) * _clamped(f[sp], "fraction") * rho_Y
     return _row_sum(own, dload)
 
 

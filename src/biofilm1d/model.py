@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional
@@ -158,7 +159,8 @@ def _frozen(a) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Snapshot:
     """The solution at a scheduled output time on the normalized moving grid
-    zeta = z/L, with the interface fluxes and velocity."""
+    zeta = z/L, with the interface fluxes and the interface velocity ``u_L``,
+    the parcel quadrature of G that a step from there moves the interface by."""
 
     t: float
     L: float
@@ -285,6 +287,13 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
               "must be finite")
         return real
 
+    def sequence(field_name, value):
+        """Report a value that is not a sequence; True when it is one, so
+        the checks on its length and entries cannot raise."""
+        ok = isinstance(value, (Sequence, np.ndarray))
+        check(ok, field_name, "must be a sequence")
+        return ok
+
     check(cfg.n >= 1, "species", "at least one species required")
     check(cfg.m >= 1, "substrates", "at least one substrate required")
     for i, sp in enumerate(cfg.species, start=1):
@@ -306,7 +315,8 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
     real_delta = finite("scenario.delta", cfg.delta)
     real_horizon = finite("scenario.horizon", cfg.horizon)
     snaps = cfg.snapshot_times
-    real_snaps = finite("scenario.snapshot_times", *snaps)
+    real_snaps = (sequence("scenario.snapshot_times", snaps)
+                  and finite("scenario.snapshot_times", *snaps))
     check(not real_delta or cfg.delta >= 0, "scenario.delta", "delta must be >= 0")
     check(not real_horizon or cfg.horizon >= 0, "scenario.horizon",
           "horizon must be >= 0")
@@ -317,28 +327,34 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
           or all(0.0 <= s <= cfg.horizon for s in snaps),
           "scenario.snapshot_times", "snapshot outside horizon")
 
-    check(len(cfg.bulk.psi_star) == cfg.n, "bulk.psi", "one trace per species required")
-    check(len(cfg.bulk.s_star) == cfg.m, "bulk.s", "one trace per substrate required")
-    for i, tr in enumerate(cfg.bulk.psi_star, start=1):
+    psi_star, s_star = cfg.bulk.psi_star, cfg.bulk.s_star
+    psi_ok, s_ok = sequence("bulk.psi", psi_star), sequence("bulk.s", s_star)
+    check(not psi_ok or len(psi_star) == cfg.n, "bulk.psi", "one trace per species required")
+    check(not s_ok or len(s_star) == cfg.m, "bulk.s", "one trace per substrate required")
+    for i, tr in enumerate(psi_star if psi_ok else (), start=1):
         check(not finite(f"bulk.psi.{i}", *_trace_numbers(tr)) or tr.lower_bound() >= 0,
               f"bulk.psi.{i}", "bulk trace must stay >= 0 over the horizon")
-    for j, tr in enumerate(cfg.bulk.s_star, start=1):
+    for j, tr in enumerate(s_star if s_ok else (), start=1):
         check(not finite(f"bulk.s.{j}", *_trace_numbers(tr)) or tr.lower_bound() >= 0,
               f"bulk.s.{j}", "bulk trace must stay >= 0 over the horizon")
 
     st = cfg.stoichiometry
-    check(len(st.substrate_of) == cfg.n, "stoichiometry.substrate_of",
-          "needs one substrate index per species")
-    indices = all(isinstance(k, numbers.Integral) for k in st.substrate_of)
-    check(indices, "stoichiometry.substrate_of", "must be an integer")
-    check(not indices or all(0 <= k < cfg.m for k in st.substrate_of),
-          "stoichiometry.substrate_of", "substrate index out of range")
-    check(len(st.production) == cfg.m, "stoichiometry.production",
-          "needs one row per substrate")
-    check(all(len(row) == cfg.n for row in st.production), "stoichiometry.production",
-          "each row needs one coefficient per species")
-    for j, row in enumerate(st.production, start=1):
-        finite(f"stoichiometry.production.{j}", *row)
+    if sequence("stoichiometry.substrate_of", st.substrate_of):
+        check(len(st.substrate_of) == cfg.n, "stoichiometry.substrate_of",
+              "needs one substrate index per species")
+        indices = all(isinstance(k, numbers.Integral) for k in st.substrate_of)
+        check(indices, "stoichiometry.substrate_of", "must be an integer")
+        check(not indices or all(0 <= k < cfg.m for k in st.substrate_of),
+              "stoichiometry.substrate_of", "substrate index out of range")
+    if sequence("stoichiometry.production", st.production):
+        check(len(st.production) == cfg.m, "stoichiometry.production",
+              "needs one row per substrate")
+        rows = [(j, row) for j, row in enumerate(st.production, start=1)
+                if sequence(f"stoichiometry.production.{j}", row)]
+        check(all(len(row) == cfg.n for _, row in rows), "stoichiometry.production",
+              "each row needs one coefficient per species")
+        for j, row in rows:
+            finite(f"stoichiometry.production.{j}", *row)
 
     nm = cfg.numerics
     # a value of the wrong type gets no range check, which could raise

@@ -14,14 +14,14 @@ them with their fractions: the sessile unknowns ``x(t0, t)``.
 One step evaluates the right-hand side and then commits it.  The
 right-hand side (:func:`_rhs`) is pure: quasi-static substrate and
 planktonic solves on the uniform grid, rate evaluation on the parcels,
-velocity quadrature and the interface fluxes.  The commit is the explicit
-interface update and the explicit parcel update, with a parcel attached or
-parcels shed at the new top.  A snapshot evaluates the same right-hand side
-with the uniform grid as its nodes, so its ``u_L`` comes from the uniform
-spacing where a step's comes from the parcels.  The dissolved fields are
-constraints re-solved from the resampled fractions, so they pass between
-the solves as arrays; only :func:`make_snapshot` packages them, with the
-resampled fractions, into a :class:`~biofilm1d.model.Snapshot`.
+velocity quadrature over the parcel spacing and the interface fluxes.  The
+commit is the explicit interface update and the explicit parcel update, with
+a parcel attached or parcels shed at the new top.  A snapshot evaluates the
+same right-hand side on the same parcels, so its ``u_L`` is the one a step
+from there would move the interface by (up to the Newton start).  The
+dissolved fields are constraints re-solved from the resampled fractions, so
+they pass between the solves as arrays; only :func:`make_snapshot` packages
+them, with the resampled fractions, into a :class:`~biofilm1d.model.Snapshot`.
 The substrate Newton of a step starts from the linear extrapolation in time
 of the last two substrate solutions, the standard starting value for the
 algebraic part of a differential-algebraic system.
@@ -58,8 +58,8 @@ _TIME_SNAP = 1e-12
 def compute_velocity(G, dz) -> np.ndarray:
     """Velocity profile from the source G by trapezoidal quadrature, u(0) = 0.
 
-    ``dz`` is the node spacing: the scalar ``L/N`` on the uniform grid or
-    ``np.diff(z)`` on the parcels.
+    ``dz`` is the node spacing, ``np.diff(z)`` (a scalar for even spacing);
+    the stepper passes the parcels' spacing.
     """
     G = np.asarray(G, dtype=float)
     u = np.empty(G.size)
@@ -75,14 +75,15 @@ def _resample(x, xp, fp) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Rhs:
-    """The right-hand side at one state: the dissolved fields on the uniform
-    grid, the rates and velocity on the nodes it was evaluated at, and the
-    interface fluxes."""
+    """The right-hand side at one parcel state: the fractions and dissolved
+    fields on the uniform grid, the rates and velocity on the parcels, and
+    the interface fluxes."""
 
+    f: np.ndarray        # (n, N+1)
     S: np.ndarray        # (m, N+1)
     Psi: np.ndarray      # (n, N+1)
-    rates: RateBundle    # on the nodes
-    u: np.ndarray        # on the nodes, u(0) = 0
+    rates: RateBundle    # on the parcels
+    u: np.ndarray        # on the parcels, u(0) = 0
     sigma_a: float
     sigma_d: float
 
@@ -91,18 +92,19 @@ class _Rhs:
         return float(self.u[-1])
 
 
-def _rhs(t, L, z, fz, dz, S_guess, cfg: ScenarioConfig) -> _Rhs:
-    """Right-hand side at thickness L and fractions ``fz`` on the nodes ``z``
-    (spacing ``dz``), mutating no argument.  The dissolved fields are solved
-    on the uniform grid (Newton start ``S_guess``) and resampled onto the
-    nodes for the rates; on the uniform grid both resamples are exact."""
+def _rhs(t, L, z, fz, S_guess, cfg: ScenarioConfig) -> _Rhs:
+    """Right-hand side at thickness L and fractions ``fz`` on the parcels
+    ``z``, mutating no argument.  The fractions are resampled onto the
+    uniform grid for the dissolved-field solves (Newton start ``S_guess``),
+    whose results are resampled back onto the parcels for the rates; the
+    velocity is the trapezoid over the parcel spacing."""
     N = cfg.numerics.N
     zu = np.arange(N + 1, dtype=float) / N * L
-    f_u = _resample(zu, z, fz)
-    S = np.stack([sol.values for sol in solve_substrates(t, L, f_u, S_guess, cfg)])
+    f = _resample(zu, z, fz)
+    S = np.stack([sol.values for sol in solve_substrates(t, L, f, S_guess, cfg)])
     Psi = solve_planktonic(t, L, S, cfg)
     rates = rate_bundle(fz, _resample(z, zu, S), _resample(z, zu, Psi), cfg)
-    return _Rhs(S=S, Psi=Psi, rates=rates, u=compute_velocity(rates.G, dz),
+    return _Rhs(f=f, S=S, Psi=Psi, rates=rates, u=compute_velocity(rates.G, np.diff(z)),
                 sigma_a=attachment_flux(cfg.psi_star(t), cfg),
                 sigma_d=detachment_flux(L, cfg.delta))
 
@@ -162,14 +164,11 @@ def _predicted_S(solved, t: float, cfg: ScenarioConfig) -> np.ndarray:
 
 
 def make_snapshot(p: _Parcels, S_guess, cfg: ScenarioConfig) -> Snapshot:
-    """The parcels ``p`` resampled onto the uniform grid, with the dissolved
-    fields (Newton start ``S_guess``) and interface diagnostics of the step's
-    right-hand side evaluated with the uniform grid as its nodes."""
-    N = cfg.numerics.N
-    zu = np.arange(N + 1, dtype=float) / N * p.L
-    f = _resample(zu, p.z, p.fz)
-    rhs = _rhs(p.t, p.L, zu, f, p.L / N, S_guess, cfg)
-    return Snapshot(t=p.t, L=p.L, f=f, S=rhs.S, Psi=rhs.Psi, sigma_a=rhs.sigma_a,
+    """The step right-hand side at the parcels ``p`` (Newton start
+    ``S_guess``) packaged as a snapshot: the fractions and dissolved fields
+    on the uniform grid, the interface fluxes and ``u_L``."""
+    rhs = _rhs(p.t, p.L, p.z, p.fz, S_guess, cfg)
+    return Snapshot(t=p.t, L=p.L, f=rhs.f, S=rhs.S, Psi=rhs.Psi, sigma_a=rhs.sigma_a,
                     sigma_d=rhs.sigma_d, u_L=rhs.u_L)
 
 
@@ -252,8 +251,7 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
             dt = min(cfg.numerics.dt_max, target - p.t)
             # a step that ends within rounding of the forced time lands on it
             t_end = target if abs(p.t + dt - target) <= tol else p.t + dt
-            rhs = _rhs(p.t, p.L, p.z, p.fz, np.diff(p.z),
-                       _predicted_S(solved, p.t, cfg), cfg)
+            rhs = _rhs(p.t, p.L, p.z, p.fz, _predicted_S(solved, p.t, cfg), cfg)
             solved = solved[-1:] + [(p.t, rhs.S)]
             nxt, drift, clamped = _commit(p, dt, t_end, rhs, cfg)
             if not (np.isfinite(nxt.L) and np.all(np.isfinite(nxt.fz))):

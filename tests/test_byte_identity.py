@@ -9,9 +9,10 @@ trace and the recorded profiles must agree bitwise, signs of zeros included.
 
 A frozen copy of the earlier single-pass engine (``advance`` returning a
 7-tuple, with ``_equilibrate`` and ``_interface_fluxes``) and of its
-``make_snapshot``, driven by a copy of the earlier run loop, is the reference
-for :func:`stepper.run`, which evaluates a pure right-hand side and commits
-it to a frozen parcel state.  Every profile record (the step-start parcels
+``make_snapshot`` (with ``u_L`` taken on the parcels, as ``advance`` takes
+it), driven by a copy of the earlier run loop, is the reference for
+:func:`stepper.run`, which evaluates a pure right-hand side and commits it
+to a frozen parcel state.  Every profile record (the step-start parcels
 and dissolved fields), every boundary row (fluxes, ``u_L``, drift and clamp
 count) and every snapshot must agree bit for bit.
 """
@@ -308,10 +309,18 @@ def frozen_equilibrate(t, L, f, S_guess, cfg):
     return S, elliptic.solve_planktonic(t, L, S, cfg)
 
 
-def frozen_make_snapshot(t, L, zeta, f, S_guess, cfg):
+def frozen_parcel_rates(L, zeta, z, fz, S_u, Psi_u, cfg):
+    zu = zeta * L
+    S_lag = np.stack([np.interp(z, zu, S_u[j]) for j in range(cfg.m)])
+    Psi_lag = np.stack([np.interp(z, zu, Psi_u[i]) for i in range(cfg.n)])
+    rates = kinetics.rate_bundle(fz, S_lag, Psi_lag, cfg)
+    return rates, frozen_compute_velocity(rates.G, np.diff(z))
+
+
+def frozen_make_snapshot(t, L, zeta, f, S_guess, cfg, z, fz):
+    # u_L is the parcel quadrature a step from here would use
     S, Psi = frozen_equilibrate(t, L, f, S_guess, cfg)
-    u = frozen_compute_velocity(kinetics.rate_bundle(f, S, Psi, cfg).G,
-                                L / (zeta.size - 1))
+    _, u = frozen_parcel_rates(L, zeta, z, fz, S, Psi, cfg)
     sigma_a, sigma_d = frozen_interface_fluxes(t, L, cfg)
     return Snapshot(t=t, L=L, f=f, S=S, Psi=Psi, sigma_a=sigma_a, sigma_d=sigma_d,
                     u_L=float(u[-1]))
@@ -346,7 +355,7 @@ class FrozenEngine:
 
     def snapshot(self):
         return frozen_make_snapshot(self.t, self.L, self.zeta, self.uniform_f(),
-                                    self.S_uniform, self.cfg)
+                                    self.S_uniform, self.cfg, self.z, self.fz)
 
     def advance(self, dt, t_new=None):
         t_new = self.t + dt if t_new is None else t_new
@@ -356,11 +365,7 @@ class FrozenEngine:
         self.S_uniform = S_u
         self._solved = self._solved[-1:] + [(self.t, S_u)]
 
-        zu = self.zeta * self.L
-        S_lag = np.stack([np.interp(self.z, zu, S_u[j]) for j in range(cfg.m)])
-        Psi_lag = np.stack([np.interp(self.z, zu, Psi_u[i]) for i in range(cfg.n)])
-        rates = kinetics.rate_bundle(self.fz, S_lag, Psi_lag, cfg)
-        u = frozen_compute_velocity(rates.G, np.diff(self.z))
+        rates, u = frozen_parcel_rates(self.L, self.zeta, self.z, self.fz, S_u, Psi_u, cfg)
 
         sigma_a, sigma_d = frozen_interface_fluxes(self.t, self.L, cfg)
         u_L = float(u[-1])
@@ -501,3 +506,8 @@ def test_steps_bitwise_equal_to_frozen_stepper(make_cfg, recedes):
             assert_same_bits(value, np.stack(column), f"profiles {name}")
     assert np.diff([z.size for z in p.parcel_z]).max() > 0
     assert bool((np.diff(b.L) < 0.0).any()) == recedes
+    # one velocity: an interior snapshot's u_L is the one the step starting
+    # there moves the interface by, up to that step's extrapolated Newton start
+    inner = new.snapshots[1:-1]
+    starts = [np.flatnonzero(b.t == s.t)[0] for s in inner]
+    np.testing.assert_allclose([s.u_L for s in inner], b.u_L[starts], rtol=1e-5, atol=0)

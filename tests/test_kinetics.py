@@ -161,6 +161,19 @@ class TestRowKernels:
                 S[j] = random_grid(rng)[1][j]
                 assert_bitwise(rate(j, S[j]), kinetics.substrate_rates(f, S, cfg)[j])
 
+    @pytest.mark.parametrize("f, s", [
+        (np.full(3, 0.2), 20.0),
+        (np.full((3, 1), 0.2), 20.0),
+        (np.full((3, 5), 0.2), np.full(4, 20.0)),
+        (np.full((2, 5), 0.2), np.full(5, 20.0)),
+    ], ids=["point", "scalar-s", "s-off-grid", "species-short"])
+    @pytest.mark.parametrize("j", [0, 2])
+    def test_row_jacobian_rejects_points(self, f, s, j):
+        # with two consumers of substrate 1 a point would broadcast into one
+        # value per consumer, with one into a (1,) array
+        with pytest.raises(ValueError, match="need f"):
+            kinetics.substrate_rate_jacobian_diag(f, s, j, SHARED)
+
     @pytest.mark.parametrize("cfg", [CASE1, SHARED, SPLIT],
                              ids=["case1", "shared", "split"])
     def test_row_jacobian_bitwise_equal_to_all_rows_loop(self, cfg):

@@ -175,6 +175,22 @@ class TestValidateConfig:
         report = validate_config(cfg)
         assert not report.ok
         assert "delta" in str(report)
+        # a field that is not a sequence is reported once, without the
+        # length and entry checks that would raise on it
+        cfg = make_cfg()
+        st = cfg.stoichiometry
+        for field_name, bad in [
+            ("stoichiometry.substrate_of", dataclasses.replace(
+                cfg, stoichiometry=Stoichiometry(None, st.production))),
+            ("stoichiometry.production", dataclasses.replace(
+                cfg, stoichiometry=Stoichiometry(st.substrate_of, None))),
+            ("stoichiometry.production.3", dataclasses.replace(
+                cfg, stoichiometry=Stoichiometry(st.substrate_of, st.production[:2] + (None,)))),
+            ("scenario.snapshot_times", make_cfg(snapshot_times=None)),
+            ("bulk.psi", make_cfg(bulk=BulkTraces(None, cfg.bulk.s_star))),
+        ]:
+            report = validate_config(bad)
+            assert report.violations == (Violation(field_name, "must be a sequence"),)
 
 
 def seed_snapshot(cfg):

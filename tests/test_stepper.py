@@ -50,8 +50,7 @@ def step(cfg, p, dt, t_new=None):
     """One step of ``run`` from ``p`` (Newton started from the bulk values),
     ending at ``t_new`` (default ``p.t + dt``): the next parcels, the
     right-hand side at ``p``, the fraction-sum drift and the clamp count."""
-    rhs = stepper._rhs(p.t, p.L, p.z, p.fz, np.diff(p.z),
-                       stepper._predicted_S([], p.t, cfg), cfg)
+    rhs = stepper._rhs(p.t, p.L, p.z, p.fz, stepper._predicted_S([], p.t, cfg), cfg)
     nxt, drift, clamped = stepper._commit(p, dt, p.t + dt if t_new is None else t_new,
                                           rhs, cfg)
     return nxt, rhs, drift, clamped
@@ -332,12 +331,12 @@ class TestRightHandSide:
         for _ in range(20):
             p = step(cfg, p, cfg.numerics.dt_max)[0]
         z, fz, S_guess = (read_only(a) for a in (p.z, p.fz, stepper._predicted_S([], p.t, cfg)))
-        first, second = (stepper._rhs(p.t, p.L, z, fz, np.diff(z), S_guess, cfg)
+        first, second = (stepper._rhs(p.t, p.L, z, fz, S_guess, cfg)
                          for _ in range(2))
         assert z.size == 22  # the two seed parcels and one attached per step
         assert first.u.shape == z.shape
         pairs = [(getattr(first, name), getattr(second, name))
-                 for name in ("S", "Psi", "u", "sigma_a", "sigma_d")]
+                 for name in ("f", "S", "Psi", "u", "sigma_a", "sigma_d")]
         pairs += [(getattr(first.rates, f.name), getattr(second.rates, f.name))
                   for f in dataclasses.fields(first.rates)]
         for a, b in pairs:
@@ -354,8 +353,7 @@ class TestCommit:
     @staticmethod
     def frozen(cfg, p):
         """``p`` and its right-hand side with every array read-only."""
-        rhs = stepper._rhs(p.t, p.L, p.z, p.fz, np.diff(p.z),
-                           stepper._predicted_S([], p.t, cfg), cfg)
+        rhs = stepper._rhs(p.t, p.L, p.z, p.fz, stepper._predicted_S([], p.t, cfg), cfg)
         rates = dataclasses.replace(rhs.rates, **{
             f.name: read_only(getattr(rhs.rates, f.name))
             for f in dataclasses.fields(rhs.rates)})
