@@ -16,21 +16,22 @@ are two solves for it:
   zero except on the Dirichlet row: the pivots, then one cumulative product.
 
 The fields are constraints re-solved from the current sessile fractions at
-every instant, so both solves take arrays and return arrays:
-``solve_substrates(t, L, f, S, cfg)``, where S is the Newton starting guess
-(the stepper extrapolates it in time), and ``solve_planktonic(t, L, S,
-cfg)``.  Substrate reactions are Monod-nonlinear, solved by damped Newton
-(:func:`solve_problem`, one call per field) with an analytic diagonal
-Jacobian.  The Newton for field j evaluates row j only: the growth load of
-the species on substrate j and the species-order sum of row j
-(:func:`kinetics.substrate_row_rates`), and the Jacobian of that row.
-Cross-substrate coupling is relaxed by Gauss-Seidel sweeps until the coupled
-residual of all fields, evaluated in one vectorised pass, meets tolerance
-(the built-in network is triangular, so one sweep already lands on the
-coupled solution).  Planktonic fields are linear in themselves at frozen
-substrates, so each is one homogeneous solve, and a species without
-colonization (``k_col = 0``) or with a zero bulk value is its Dirichlet value
-everywhere.
+every instant, so both solves take arrays: ``solve_substrates(t, L, f, S,
+cfg)``, where S is the Newton starting guess (the stepper extrapolates it in
+time), returns one :class:`EllipticSolution` per field (perfbench's tracer
+reads its Newton ``iterations``), and ``solve_planktonic(t, L, S, cfg)``
+returns the (n, N+1) array of planktonic fields.  Substrate reactions are
+Monod-nonlinear, solved by damped Newton (:func:`solve_problem`, one call
+per field) with an analytic diagonal Jacobian.  The Newton for field j
+evaluates row j only: the growth load of the species on substrate j and the
+species-order sum of row j (:func:`kinetics.substrate_row_rates`), and the
+Jacobian of that row.  Cross-substrate coupling is relaxed by Gauss-Seidel
+sweeps until the coupled residual of all fields, evaluated in one vectorised
+pass, meets tolerance (the built-in network is triangular, so one sweep
+already lands on the coupled solution).  Planktonic fields are linear in
+themselves at frozen substrates, so each is one homogeneous solve, and a
+species without colonization (``k_col = 0``) or with a zero bulk value is its
+Dirichlet value everywhere.
 """
 
 from __future__ import annotations

@@ -294,9 +294,19 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
         check(ok, field_name, "must be a sequence")
         return ok
 
-    check(cfg.n >= 1, "species", "at least one species required")
-    check(cfg.m >= 1, "substrates", "at least one substrate required")
-    for i, sp in enumerate(cfg.species, start=1):
+    def section(name, value, kind):
+        """Report a section that is not a ``kind``; True when it is one, so
+        the checks on its fields cannot raise."""
+        ok = isinstance(value, kind)
+        check(ok, name, f"must be a {kind.__name__}")
+        return ok
+
+    # a count against a section that is not a sequence is skipped
+    species_ok = sequence("species", cfg.species)
+    substrates_ok = sequence("substrates", cfg.substrates)
+    check(not species_ok or cfg.n >= 1, "species", "at least one species required")
+    check(not substrates_ok or cfg.m >= 1, "substrates", "at least one substrate required")
+    for i, sp in enumerate(cfg.species if species_ok else (), start=1):
         tag = f"species.{i}"
         real = {f.name: finite(f"{tag}.{f.name}", getattr(sp, f.name))
                 for f in fields(sp)}
@@ -309,7 +319,7 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
         check(not real["k_col"] or sp.k_col >= 0, f"{tag}.k_col", "k_col must be >= 0")
         check(not real["Y_psi"] or sp.Y_psi > 0, f"{tag}.Y_psi", "Y_psi must be > 0")
         check(not real["D_psi"] or sp.D_psi > 0, f"{tag}.D_psi", "D_psi must be > 0")
-    for j, sb in enumerate(cfg.substrates, start=1):
+    for j, sb in enumerate(cfg.substrates if substrates_ok else (), start=1):
         check(not finite(f"substrate.{j}.D", sb.D) or sb.D > 0, f"substrate.{j}.D",
               "D must be > 0")
     real_delta = finite("scenario.delta", cfg.delta)
@@ -327,53 +337,59 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
           or all(0.0 <= s <= cfg.horizon for s in snaps),
           "scenario.snapshot_times", "snapshot outside horizon")
 
-    psi_star, s_star = cfg.bulk.psi_star, cfg.bulk.s_star
-    psi_ok, s_ok = sequence("bulk.psi", psi_star), sequence("bulk.s", s_star)
-    check(not psi_ok or len(psi_star) == cfg.n, "bulk.psi", "one trace per species required")
-    check(not s_ok or len(s_star) == cfg.m, "bulk.s", "one trace per substrate required")
-    for i, tr in enumerate(psi_star if psi_ok else (), start=1):
-        check(not finite(f"bulk.psi.{i}", *_trace_numbers(tr)) or tr.lower_bound() >= 0,
-              f"bulk.psi.{i}", "bulk trace must stay >= 0 over the horizon")
-    for j, tr in enumerate(s_star if s_ok else (), start=1):
-        check(not finite(f"bulk.s.{j}", *_trace_numbers(tr)) or tr.lower_bound() >= 0,
-              f"bulk.s.{j}", "bulk trace must stay >= 0 over the horizon")
+    if section("bulk", cfg.bulk, BulkTraces):
+        psi_star, s_star = cfg.bulk.psi_star, cfg.bulk.s_star
+        psi_ok, s_ok = sequence("bulk.psi", psi_star), sequence("bulk.s", s_star)
+        check(not (psi_ok and species_ok) or len(psi_star) == cfg.n, "bulk.psi",
+              "one trace per species required")
+        check(not (s_ok and substrates_ok) or len(s_star) == cfg.m, "bulk.s",
+              "one trace per substrate required")
+        for i, tr in enumerate(psi_star if psi_ok else (), start=1):
+            check(not finite(f"bulk.psi.{i}", *_trace_numbers(tr)) or tr.lower_bound() >= 0,
+                  f"bulk.psi.{i}", "bulk trace must stay >= 0 over the horizon")
+        for j, tr in enumerate(s_star if s_ok else (), start=1):
+            check(not finite(f"bulk.s.{j}", *_trace_numbers(tr)) or tr.lower_bound() >= 0,
+                  f"bulk.s.{j}", "bulk trace must stay >= 0 over the horizon")
 
     st = cfg.stoichiometry
-    if sequence("stoichiometry.substrate_of", st.substrate_of):
-        check(len(st.substrate_of) == cfg.n, "stoichiometry.substrate_of",
-              "needs one substrate index per species")
+    st_ok = section("stoichiometry", st, Stoichiometry)
+    if st_ok and sequence("stoichiometry.substrate_of", st.substrate_of):
+        check(not species_ok or len(st.substrate_of) == cfg.n,
+              "stoichiometry.substrate_of", "needs one substrate index per species")
         indices = all(isinstance(k, numbers.Integral) for k in st.substrate_of)
         check(indices, "stoichiometry.substrate_of", "must be an integer")
-        check(not indices or all(0 <= k < cfg.m for k in st.substrate_of),
+        check(not (indices and substrates_ok)
+              or all(0 <= k < cfg.m for k in st.substrate_of),
               "stoichiometry.substrate_of", "substrate index out of range")
-    if sequence("stoichiometry.production", st.production):
-        check(len(st.production) == cfg.m, "stoichiometry.production",
+    if st_ok and sequence("stoichiometry.production", st.production):
+        check(not substrates_ok or len(st.production) == cfg.m, "stoichiometry.production",
               "needs one row per substrate")
         rows = [(j, row) for j, row in enumerate(st.production, start=1)
                 if sequence(f"stoichiometry.production.{j}", row)]
-        check(all(len(row) == cfg.n for _, row in rows), "stoichiometry.production",
-              "each row needs one coefficient per species")
+        check(not species_ok or all(len(row) == cfg.n for _, row in rows),
+              "stoichiometry.production", "each row needs one coefficient per species")
         for j, row in rows:
             finite(f"stoichiometry.production.{j}", *row)
 
     nm = cfg.numerics
-    # a value of the wrong type gets no range check, which could raise
-    real = {name: finite(f"numerics.{name}", getattr(nm, name))
-            for name in ("dt_max", "L_eps", "newton_tol", "picard_tol")}
-    integral = {name: isinstance(getattr(nm, name), numbers.Integral)
-                for name in ("N", "newton_max_iter", "picard_max_iter")}
-    for name, ok in integral.items():
-        check(ok, f"numerics.{name}", "must be an integer")
-    check(not integral["N"] or nm.N >= 8, "numerics.N", "N must be >= 8")
-    for name in ("dt_max", "L_eps", "newton_tol"):
-        check(not real[name] or getattr(nm, name) > 0, f"numerics.{name}",
-              f"{name} must be > 0")
-    check(not integral["newton_max_iter"] or nm.newton_max_iter > 0,
-          "numerics.newton_max_iter", "newton_max_iter must be > 0")
-    check(not real["picard_tol"] or nm.picard_tol > 0, "numerics.picard_tol",
-          "picard_tol must be > 0")
-    check(not integral["picard_max_iter"] or nm.picard_max_iter > 0,
-          "numerics.picard_max_iter", "picard_max_iter must be > 0")
+    if section("numerics", nm, NumericsConfig):
+        # a value of the wrong type gets no range check, which could raise
+        real = {name: finite(f"numerics.{name}", getattr(nm, name))
+                for name in ("dt_max", "L_eps", "newton_tol", "picard_tol")}
+        integral = {name: isinstance(getattr(nm, name), numbers.Integral)
+                    for name in ("N", "newton_max_iter", "picard_max_iter")}
+        for name, ok in integral.items():
+            check(ok, f"numerics.{name}", "must be an integer")
+        check(not integral["N"] or nm.N >= 8, "numerics.N", "N must be >= 8")
+        for name in ("dt_max", "L_eps", "newton_tol"):
+            check(not real[name] or getattr(nm, name) > 0, f"numerics.{name}",
+                  f"{name} must be > 0")
+        check(not integral["newton_max_iter"] or nm.newton_max_iter > 0,
+              "numerics.newton_max_iter", "newton_max_iter must be > 0")
+        check(not real["picard_tol"] or nm.picard_tol > 0, "numerics.picard_tol",
+              "picard_tol must be > 0")
+        check(not integral["picard_max_iter"] or nm.picard_max_iter > 0,
+              "numerics.picard_max_iter", "picard_max_iter must be > 0")
 
     return ValidationReport(tuple(bad))
 

@@ -8,9 +8,11 @@ into the reactor at a delay, and a tabulated trace with linear interpolation.
 
 from __future__ import annotations
 
+import decimal
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConfigError
 
@@ -38,12 +40,12 @@ class ConstantTrace:
 
 @dataclass(frozen=True)
 class RampTrace:
-    """Delayed sigmoidal arrival of a bulk species.
-
-    Zero up to ``t1``, then ``psi30 * d**10 / (q + d**10)`` with ``d = t - t1``.
-    The ``printed`` variant uses the denominator constant ``q = t1**(10/t1)``,
-    the ``corrected`` variant ``q = t1**10``.  Both are continuous at ``t1``,
-    strictly increasing past it, and approach ``psi30``.
+    """Delayed sigmoidal arrival of a bulk species: zero up to ``t1``, then
+    ``psi30 * d**10 / (q + d**10)`` with ``d = t - t1`` and ``q = t1**(10/t1)``
+    (``printed``) or ``t1**10`` (``corrected``), increasing strictly toward
+    ``psi30``.  Evaluated as ``psi30 / (1 + r**10)``, ``r = a/d``, with ``r**10``
+    by repeated squaring and ``a = q**(1/10)`` rounded once from ``decimal``
+    under a fixed context: IEEE-754 arithmetic only, no libm.
     """
 
     psi30: float
@@ -58,20 +60,18 @@ class RampTrace:
         if self.variant not in RAMP_VARIANTS:
             raise ConfigError(f"unknown ramp variant {self.variant!r}")
 
+    @cached_property
+    def _a(self):
+        ctx, t1 = decimal.Context(40, decimal.ROUND_HALF_EVEN), decimal.Decimal(self.t1)
+        return (self.t1 if self.variant == "corrected"
+                else float(ctx.power(t1, ctx.divide(1, t1))))
+
     def __call__(self, t):
         d = t - self.t1
         if d <= 0.0:
             return 0.0
-        if self.variant == "printed":
-            # t1**(10/t1) can underflow for small t1; go through logs so the
-            # ratio stays monotone as long as the exponent is representable.
-            log_q = (10.0 / self.t1) * math.log(self.t1)
-        else:
-            log_q = 10.0 * math.log(self.t1)
-        expo = log_q - 10.0 * math.log(d)
-        if expo > 700.0:
-            return 0.0
-        return self.psi30 / (1.0 + math.exp(expo))
+        r2 = (self._a / d) * (self._a / d)
+        return self.psi30 / (1.0 + (r2 * r2) * (r2 * r2) * r2)
 
     def breakpoints(self):
         return (self.t1,)

@@ -15,6 +15,10 @@ it), driven by a copy of the earlier run loop, is the reference for
 to a frozen parcel state.  Every profile record (the step-start parcels
 and dissolved fields), every boundary row (fluxes, ``u_L``, drift and clamp
 count) and every snapshot must agree bit for bit.
+
+Short runs of the three presets, and of case2 with the corrected ramp, must
+reproduce committed content hashes with libm's exp, log and pow patched to
+raise.
 """
 
 import dataclasses
@@ -35,6 +39,7 @@ from biofilm1d.kinetics import (attachment_flux, detachment_flux,
                                 inflow_fractions)
 from biofilm1d.model import (NumericsConfig, ScenarioConfig, Snapshot,
                              SpeciesParams, Stoichiometry, SubstrateParams)
+from biofilm1d.output import emit
 from biofilm1d.presets import build_preset
 from biofilm1d.traces import BulkTraces, ConstantTrace, TableTrace
 
@@ -511,3 +516,36 @@ def test_steps_bitwise_equal_to_frozen_stepper(make_cfg, recedes):
     inner = new.snapshots[1:-1]
     starts = [np.flatnonzero(b.t == s.t)[0] for s in inner]
     np.testing.assert_allclose([s.u_L for s in inner], b.u_L[starts], rtol=1e-5, atol=0)
+
+
+# --- committed content hashes -------------------------------------------------
+
+
+# content-sha256 of emit for each preset to 0.3 d at N = 50, snapshots at 0.1,
+# 0.25 and 0.3 d; a change that moves them names the regeneration in CHANGES.md
+COMMITTED_SHA256 = {
+    ("case1", "printed"): "aa1e411fbe8d362a1b296a94331d619b1ec7dae2f34d12ecad5c2d1b9c03621b",
+    ("case2", "printed"): "ebb9349b619d278823adfe44c780be16a54620a5dfaf1dbf5772898d528bc791",
+    ("case3", "printed"): "6bca602a90393f933f3b596e3fe5cfd618eb045d36502d86e1bc85e9eee39aac",
+    ("case2", "corrected"): "63bae4806ca3d076d3de223da95559cdb81e37c0168a1d8f6e1e576ff6db8555",
+}
+
+
+def _no_libm(*args):
+    raise AssertionError("a run called libm")
+
+
+@pytest.mark.parametrize("case, variant", list(COMMITTED_SHA256),
+                         ids=[f"{c}-{v}" for c, v in COMMITTED_SHA256])
+def test_content_hash_matches_committed(monkeypatch, tmp_path, case, variant):
+    # with libm patched out the bytes rest on IEEE-754 arithmetic and
+    # decimal alone, not on the C library
+    for name in ("exp", "log", "pow"):
+        monkeypatch.setattr(math, name, _no_libm)
+    cfg = build_preset(case, variant=variant).cfg
+    cfg = dataclasses.replace(cfg, numerics=dataclasses.replace(cfg.numerics, N=50),
+                              horizon=0.3, snapshot_times=(0.1, 0.25, 0.3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryLayerResolutionWarning)
+        sha = emit(stepper.run(cfg), tmp_path).sha256
+    assert sha == COMMITTED_SHA256[case, variant], f"{case}-{variant} now hashes to {sha}"

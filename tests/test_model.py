@@ -191,6 +191,17 @@ class TestValidateConfig:
         ]:
             report = validate_config(bad)
             assert report.violations == (Violation(field_name, "must be a sequence"),)
+        # so is a whole section that is None, without the checks on its
+        # fields and the counts against it
+        for field_name, constraint in [
+            ("species", "must be a sequence"),
+            ("substrates", "must be a sequence"),
+            ("numerics", "must be a NumericsConfig"),
+            ("bulk", "must be a BulkTraces"),
+            ("stoichiometry", "must be a Stoichiometry"),
+        ]:
+            report = validate_config(make_cfg(**{field_name: None}))
+            assert report.violations == (Violation(field_name, constraint),)
 
 
 def seed_snapshot(cfg):
@@ -342,6 +353,54 @@ def test_package_calls_no_blas_routine():
     pkg_dir = Path(biofilm1d.__file__).resolve().parent
     uses = sorted((path.name, *hit) for path in pkg_dir.glob("*.py")
                   for hit in _blas_uses(ast.parse(path.read_text())))
+    assert uses == []
+
+
+_LIBM = {"exp", "expm1", "exp2", "log", "log1p", "log2", "log10", "logaddexp",
+         "logaddexp2", "pow", "power", "float_power", "sinh", "cosh", "tanh",
+         "arcsinh", "arccosh", "arctanh", "asinh", "acosh", "atanh", "sin", "cos",
+         "tan", "arcsin", "arccos", "arctan", "arctan2", "asin", "acos", "atan", "atan2"}
+
+
+def _libm_uses(tree):
+    """``(line, name)`` for each call of a transcendental routine of ``math``
+    or numpy, each import of one, and each ``**`` whose exponent is not the
+    literal 2, in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+            exponent = node.right if isinstance(node, ast.BinOp) else node.value
+            if not (isinstance(exponent, ast.Constant) and exponent.value == 2):
+                yield node.lineno, "**"
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in _LIBM:
+                yield node.lineno, func.id
+            elif (isinstance(func, ast.Attribute) and func.attr in _LIBM
+                  and getattr(func.value, "id", None) in ("math", "np", "numpy")):
+                yield node.lineno, func.attr
+        elif isinstance(node, ast.ImportFrom) and node.module in ("math", "numpy"):
+            if any(a.name in _LIBM for a in node.names):
+                yield node.lineno, "import"
+
+
+def test_run_path_calls_no_libm_routine():
+    # libm's exp, log and pow, and numpy's transcendental loops (picked by
+    # the CPU's SIMD level), may round differently on another machine; a
+    # run keeps to IEEE-754 arithmetic, whose +, -, *, / and sqrt are
+    # correctly rounded, so its bytes do not depend on either.  numpy's
+    # ``a ** 2`` is an exact square.  oracle.py is out of scope:
+    # box_from_run's math.exp feeds only the text that ``window`` prints.
+    assert [hit for _, hit in sorted(_libm_uses(ast.parse(
+        "math.exp(x)\nmath.log(x)\nnp.log1p(x)\nnp.expm1(x)\nnp.power(a, b)\n"
+        "numpy.cosh(x)\nmath.pow(x, y)\npow(x, y)\nx ** 10\nx ** 0.5\nx **= 3\n"
+        "from math import log\nexp(x)\n(K + s) ** 2\nx **= 2\nmath.sqrt(x)\n"
+        "np.logical_and(a, b)\nlogger.log(x)\n")))] \
+        == ["exp", "log", "log1p", "expm1", "power", "cosh", "pow", "pow", "**", "**",
+            "**", "import", "exp"]
+    pkg_dir = Path(biofilm1d.__file__).resolve().parent
+    uses = sorted((name, *hit) for name in ("stepper.py", "elliptic.py", "kinetics.py",
+                                             "traces.py", "model.py", "output.py")
+                  for hit in _libm_uses(ast.parse((pkg_dir / name).read_text())))
     assert uses == []
 
 

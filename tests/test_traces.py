@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 
 import pytest
@@ -23,8 +24,30 @@ class TestPsi3Ramp:
         assert RampTrace(100.0, 0.2, "corrected")(50.0) == pytest.approx(100.0, rel=1e-6)
 
     def test_corrected_halfway_point(self):
-        # numerator equals the denominator constant at t - t1 = t1
-        assert RampTrace(100.0, 0.2, "corrected")(0.4) == pytest.approx(50.0, rel=1e-12)
+        # numerator equals the denominator constant at t - t1 = t1: r = 1
+        assert RampTrace(100.0, 0.2, "corrected")(0.4) == 50.0
+
+    def test_printed_constant_ignores_the_decimal_context(self):
+        # t1**(1/t1) is rounded under the ramp's own context, so a caller's
+        # decimal precision cannot move a bit of the value
+        with decimal.localcontext(decimal.Context(prec=3)):
+            inside = RampTrace(100.0, 0.2)(0.2003)
+        outside = RampTrace(100.0, 0.2)(0.2003)
+        assert 0.0 < outside < 100.0
+        assert inside.hex() == outside.hex()
+
+    @pytest.mark.parametrize("variant", RAMP_VARIANTS)
+    def test_smallest_steps_past_arrival(self, variant):
+        # t1 + 1e-300 rounds to t1; the first float past t1 gives the largest
+        # r**10 a float t reaches on this ramp, still finite, and no
+        # OverflowError
+        ramp = RampTrace(100.0, 0.2, variant)
+        assert ramp(0.2 + 1e-300) == 0.0
+        assert 0.0 < ramp(math.nextafter(0.2, 1.0)) < 1e-100
+
+    def test_printed_constant_that_underflows(self):
+        # t1**(10/t1) = 1e-30000 is 0 in floats: full value right after t1
+        assert RampTrace(100.0, 1e-3)(2e-3) == 100.0
 
     def test_printed_denominator_constant(self):
         # one hand-evaluated interior point: d**10 / (t1**(10/t1) + d**10)
