@@ -27,8 +27,9 @@ def _clamped(a, label):
     a = np.asarray(a, dtype=float)
     # any(a < 0), NaN ignored, without the boolean temporary
     if np.fmin.reduce(a, axis=None, initial=0.0) < 0.0:
-        logger.debug("clamped %d negative %s value(s) during rate evaluation",
-                     int(np.sum(a < 0.0)), label)
+        if logger.isEnabledFor(logging.DEBUG):  # the count costs a pass
+            logger.debug("clamped %d negative %s value(s) during rate evaluation",
+                         int(np.sum(a < 0.0)), label)
         a = np.maximum(a, 0.0)
     return a
 

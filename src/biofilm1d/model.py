@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .traces import BulkTraces
+from .traces import BulkTraces, ConstantTrace, RampTrace, TableTrace
 
 #: Absolute tolerance on the nodewise volume-fraction sum constraint.  Tight
 #: enough to catch scheme bugs, loose enough for accumulated round-off over
@@ -294,12 +294,20 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
         check(ok, field_name, "must be a sequence")
         return ok
 
-    def section(name, value, kind):
-        """Report a section that is not a ``kind``; True when it is one, so
-        the checks on its fields cannot raise."""
+    def section(name, value, kind, noun=None):
+        """Report a section, or one entry of a section, that is not a
+        ``kind`` (named ``noun``, by default the kind's name); True when it
+        is one, so the checks on its fields cannot raise."""
         ok = isinstance(value, kind)
-        check(ok, name, f"must be a {kind.__name__}")
+        check(ok, name, f"must be a {noun or kind.__name__}")
         return ok
+
+    def trace_ok(name, trace):
+        """Report a bulk trace that is not a descriptor or holds a number
+        that is not finite; True when its lower bound can be checked."""
+        kinds = (ConstantTrace, RampTrace, TableTrace)
+        return (section(name, trace, kinds, "bulk trace")
+                and finite(name, *_trace_numbers(trace)))
 
     # a count against a section that is not a sequence is skipped
     species_ok = sequence("species", cfg.species)
@@ -308,6 +316,8 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
     check(not substrates_ok or cfg.m >= 1, "substrates", "at least one substrate required")
     for i, sp in enumerate(cfg.species if species_ok else (), start=1):
         tag = f"species.{i}"
+        if not section(tag, sp, SpeciesParams):
+            continue
         real = {f.name: finite(f"{tag}.{f.name}", getattr(sp, f.name))
                 for f in fields(sp)}
         check(not real["mu_max"] or sp.mu_max >= 0, f"{tag}.mu_max",
@@ -320,7 +330,8 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
         check(not real["Y_psi"] or sp.Y_psi > 0, f"{tag}.Y_psi", "Y_psi must be > 0")
         check(not real["D_psi"] or sp.D_psi > 0, f"{tag}.D_psi", "D_psi must be > 0")
     for j, sb in enumerate(cfg.substrates if substrates_ok else (), start=1):
-        check(not finite(f"substrate.{j}.D", sb.D) or sb.D > 0, f"substrate.{j}.D",
+        check(not section(f"substrate.{j}", sb, SubstrateParams)
+              or not finite(f"substrate.{j}.D", sb.D) or sb.D > 0, f"substrate.{j}.D",
               "D must be > 0")
     real_delta = finite("scenario.delta", cfg.delta)
     real_horizon = finite("scenario.horizon", cfg.horizon)
@@ -345,10 +356,10 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
         check(not (s_ok and substrates_ok) or len(s_star) == cfg.m, "bulk.s",
               "one trace per substrate required")
         for i, tr in enumerate(psi_star if psi_ok else (), start=1):
-            check(not finite(f"bulk.psi.{i}", *_trace_numbers(tr)) or tr.lower_bound() >= 0,
+            check(not trace_ok(f"bulk.psi.{i}", tr) or tr.lower_bound() >= 0,
                   f"bulk.psi.{i}", "bulk trace must stay >= 0 over the horizon")
         for j, tr in enumerate(s_star if s_ok else (), start=1):
-            check(not finite(f"bulk.s.{j}", *_trace_numbers(tr)) or tr.lower_bound() >= 0,
+            check(not trace_ok(f"bulk.s.{j}", tr) or tr.lower_bound() >= 0,
                   f"bulk.s.{j}", "bulk trace must stay >= 0 over the horizon")
 
     st = cfg.stoichiometry

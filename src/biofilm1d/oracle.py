@@ -27,6 +27,14 @@ erosion is not negligible (ROADMAP item 3).
 
 Memory: one Picard step holds the old and new iterates plus a few working
 arrays, about ``9 * n * (G+1)**2 * 8`` bytes at its peak.
+
+Known results are not computed, and the bits are those of computing them.
+A species that does not colonize (``k_col = 0``) has planktonic rate -0.0,
+so while ``c_t0 > 0`` its double integral is +0.0: the map gives it its
+bulk value plus 0.0 without computing it, as
+:func:`~biofilm1d.elliptic.solve_planktonic` does.  The attachment flux
+and inflow fractions are evaluated once per distinct bulk state ``psi*`` on
+the time grid.
 """
 
 from __future__ import annotations
@@ -116,7 +124,8 @@ def _iterate_map(cfg, times, mask, X0, S_star, psi_star, Sigma, sigma_a,
     np.add(X0[:, :, None], x_new, out=x_new)
     x_new -= diag
 
-    # Dissolved fields: double integrals across the slice at fixed t.
+    # Dissolved fields: double integrals across the slice at fixed t,
+    # written over the rate buffer.
     def dissolved(rate, Dcoef, bulk_t):
         # W = rate * mask * ct0, V = ct0 * I1, C2 = ctz(V),
         # result = bulk + (diag(C2) - C2) / D
@@ -129,12 +138,19 @@ def _iterate_map(cfg, times, mask, X0, S_star, psi_star, Sigma, sigma_a,
         diag = C2[:, idx, idx]
         np.subtract(diag[:, None, :], C2, out=C2)
         C2 /= Dcoef[:, None, None]
-        return np.add(bulk_t[:, None, :], C2, out=C2)
+        return np.add(bulk_t[:, None, :], C2, out=rate)
 
     s_new = dissolved(r_S, a["D"], S_star)
     del r_S
-    psi_new = dissolved(r_Psi, a["D_psi"], psi_star)
-    del r_Psi
+    # A species that does not colonize has rate -0.0, so with c_t0 > 0 its
+    # double integral is +0.0 everywhere and it keeps its bulk value plus
+    # 0.0 (a -0.0 bulk becomes +0.0), the rule of solve_planktonic.
+    for i, colonizes in enumerate(a["k_col"] != 0):
+        if colonizes:
+            dissolved(r_Psi[i:i + 1], a["D_psi"][i:i + 1], psi_star[i:i + 1])
+        else:
+            np.add(psi_star[i], 0.0, out=r_Psi[i])
+    psi_new = r_Psi
 
     # Shared geometric integrand g = G * mask * ct0.
     g *= mask
@@ -182,11 +198,17 @@ def _boundary_data(cfg, times):
     ``X0`` (n, T).  Raises :class:`NoAttachment` where ``sigma_a`` vanishes."""
     psi_b = np.stack([cfg.psi_star(t) for t in times], axis=1)
     S_b = np.stack([cfg.s_star(t) for t in times], axis=1)
-    sigma_a = np.array([attachment_flux(psi_b[:, k], cfg) for k in range(len(times))])
+    # The kinetics run once per distinct bulk state, keyed on its bytes so
+    # that -0.0 and +0.0 stay apart and NaN still finds itself.
+    keys = [column.tobytes() for column in psi_b.T]
+    states = dict(zip(keys, psi_b.T))
+    flux = {key: attachment_flux(column, cfg) for key, column in states.items()}
+    sigma_a = np.array([flux[key] for key in keys])
     if np.any(sigma_a <= 0.0):
         raise NoAttachment("attachment flux must stay positive on the horizon")
-    X0 = np.stack([cfg.arrays["rho"] * inflow_fractions(psi_b[:, k], cfg)
-                   for k in range(len(times))], axis=1)
+    inflow = {key: cfg.arrays["rho"] * inflow_fractions(column, cfg)
+              for key, column in states.items()}
+    X0 = np.stack([inflow[key] for key in keys], axis=1)
     return psi_b, S_b, sigma_a, X0
 
 

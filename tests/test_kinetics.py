@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -47,6 +48,18 @@ class TestMonod:
 
     def test_negative_clamped(self):
         assert kinetics.monod(-3.0, 1.0) == 0.0
+
+    def test_clamp_count_logged_at_debug_only(self, caplog):
+        s = np.array([-3.0, 2.0, -0.5, np.nan, -1e-300])
+        with caplog.at_level(logging.DEBUG, logger=kinetics.__name__):
+            kinetics.monod(s, 1.0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "clamped 3 negative substrate value(s) during rate evaluation"]
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger=kinetics.__name__):
+            np.testing.assert_array_equal(kinetics.monod(s, 1.0),
+                                          [0.0, 2.0 / 3.0, 0.0, np.nan, 0.0])
+        assert caplog.records == []
 
     @given(st.floats(0.0, 1e6), st.floats(1e-6, 1e4), st.floats(0.0, 1e3))
     def test_monotone_and_bounded(self, s, K, ds):

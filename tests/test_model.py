@@ -202,6 +202,17 @@ class TestValidateConfig:
         ]:
             report = validate_config(make_cfg(**{field_name: None}))
             assert report.violations == (Violation(field_name, constraint),)
+        # and each entry of a section that is not of its type, without the
+        # checks on that entry's fields
+        for overrides, tag, constraint in [
+            (dict(species=(None,) * 3), "species", "must be a SpeciesParams"),
+            (dict(substrates=(None,) * 3), "substrate", "must be a SubstrateParams"),
+            (dict(bulk=BulkTraces((None,) * 3, cfg.bulk.s_star)), "bulk.psi",
+             "must be a bulk trace"),
+        ]:
+            report = validate_config(make_cfg(**overrides))
+            assert report.violations == tuple(
+                Violation(f"{tag}.{i}", constraint) for i in (1, 2, 3))
 
 
 def seed_snapshot(cfg):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import tracemalloc
@@ -15,6 +16,7 @@ from biofilm1d.oracle import (CharPath, ContractionBox, _ctz,
                               picard_solve, window_root)
 from biofilm1d.presets import DEFAULT_T1, build_preset
 from biofilm1d.stepper import run
+from biofilm1d.traces import ConstantTrace, TableTrace
 
 CASE1 = build_preset("case1").cfg
 CASE2 = build_preset("case2").cfg
@@ -26,6 +28,21 @@ def dead_cfg():
     species = tuple(dataclasses.replace(sp, mu_max=0.0, k_col=0.0)
                     for sp in CASE1.species)
     return dataclasses.replace(CASE1, species=species)
+
+
+def with_species(cfg, i, **params):
+    """``cfg`` with species ``i`` (0-based) given ``params``."""
+    species = list(cfg.species)
+    species[i] = dataclasses.replace(species[i], **params)
+    return dataclasses.replace(cfg, species=tuple(species))
+
+
+def with_psi_bulk(cfg, i, trace):
+    """``cfg`` with the planktonic bulk trace of species ``i`` replaced."""
+    psi_star = list(cfg.bulk.psi_star)
+    psi_star[i] = trace
+    return dataclasses.replace(
+        cfg, bulk=dataclasses.replace(cfg.bulk, psi_star=tuple(psi_star)))
 
 
 def with_picard(cfg, **numerics):
@@ -237,15 +254,22 @@ def assert_same_solve(got, ref):
 class TestBoundedTemporaries:
     @pytest.mark.parametrize("cfg, T_o, grid_n", [
         (CASE1, 0.02, 50), (CASE2, 5e-4, 60), (CASE3, 5e-4, 60),
-    ], ids=["case1", "case2", "case3"])
+        (with_species(CASE2, 1, k_col=0.0), 5e-4, 60),
+        (with_psi_bulk(CASE1, 2, ConstantTrace(-0.0)), 0.02, 50),
+    ], ids=["case1", "case2", "case3", "case2-species2-no-colonization",
+            "case1-psi3-minus-zero"])
     def test_bitwise_equal_to_reference_map(self, monkeypatch, cfg, T_o, grid_n):
         got = picard_solve(cfg, T_o=T_o, grid_n=grid_n)
         ref = solve_with_reference_map(monkeypatch, cfg, T_o=T_o, grid_n=grid_n)
         assert_same_solve(got, ref)
         assert len(got[1]) > 2
-        # colonization is on: the planktonic fields leave their bulk values
-        if cfg is not CASE1:
-            assert np.ptp(got[0].psi[:, got[0].wedge]) > 0.0
+        # a planktonic field leaves its bulk value exactly where its species
+        # colonizes from a nonzero bulk
+        fields, w = got[0], got[0].wedge
+        bulk = np.stack([cfg.psi_star(t) for t in fields.times], axis=1)
+        for psi, b, k_col in zip(fields.psi, bulk, cfg.arrays["k_col"]):
+            kept = np.array_equal(psi[w], np.broadcast_to(b, psi.shape)[w])
+            assert kept == (k_col == 0.0 or not b.any())
 
     def test_zeroth_start_bitwise_equal_and_untouched(self, monkeypatch):
         a, _ = picard_solve(CASE1, T_o=0.01, grid_n=40)
@@ -278,6 +302,69 @@ class TestBoundedTemporaries:
         # and one step measured 8.9
         array_bytes = CASE1.n * (grid_n + 1) ** 2 * 8
         assert peak - base <= 9.5 * array_bytes
+
+
+def per_point_boundary_data(cfg, times):
+    """Reference boundary data: the kinetics called at every time point."""
+    psi_b = np.stack([cfg.psi_star(t) for t in times], axis=1)
+    S_b = np.stack([cfg.s_star(t) for t in times], axis=1)
+    sigma_a = np.array([kinetics.attachment_flux(psi_b[:, k], cfg)
+                        for k in range(len(times))])
+    X0 = np.stack([cfg.arrays["rho"] * kinetics.inflow_fractions(psi_b[:, k], cfg)
+                   for k in range(len(times))], axis=1)
+    return psi_b, S_b, sigma_a, X0
+
+
+# Across the printed ramp's arrival at t1, with species 1 at -0.0 up to
+# t = 0.17 and +0.0 from 0.23 and species 2 rising: every bulk state differs.
+ARRIVAL = with_psi_bulk(with_psi_bulk(
+    CASE1, 0, TableTrace((0.17, 0.23), (-0.0, 0.0))),
+    1, TableTrace((0.0, 1.0), (50.0, 150.0)))
+ARRIVAL_TIMES = DEFAULT_T1 + np.linspace(-0.05, 0.05, 101)
+
+
+def count_calls(monkeypatch, module, *names):
+    """Count the calls of ``module``'s functions ``names`` from now on."""
+    calls = collections.Counter()
+
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
+class TestKnownWorkSkipped:
+    @pytest.mark.parametrize("cfg, times, states", [
+        (CASE1, np.linspace(0.0, 0.02, 301), 1),
+        (ARRIVAL, ARRIVAL_TIMES, ARRIVAL_TIMES.size),
+    ], ids=["case1-one-state", "arrival-every-state"])
+    def test_boundary_data_bitwise_equal_to_per_point(self, monkeypatch, cfg,
+                                                      times, states):
+        ref = per_point_boundary_data(cfg, times)
+        calls = count_calls(monkeypatch, oracle, "attachment_flux", "inflow_fractions")
+        got = oracle._boundary_data(cfg, times)
+        for a, b in zip(got, ref):
+            assert_bitwise_equal(a, b)
+        # once per distinct bulk state
+        assert calls == {"attachment_flux": states, "inflow_fractions": states}
+        if cfg is ARRIVAL:
+            assert np.signbit(got[0][0, times <= 0.17]).all()
+            assert not np.signbit(got[0][0, times >= 0.23]).any()
+
+    def test_case1_picard_call_counts(self, monkeypatch):
+        calls = count_calls(monkeypatch, oracle, "_ctz", "attachment_flux",
+                            "inflow_fractions")
+        _, history = picard_solve(CASE1, T_o=0.02, grid_n=50)
+        # Sigma once, then per iteration x, the substrates' double integral,
+        # u_L, L, c and c_t0; no species colonizes, so the planktonic double
+        # integral never runs
+        assert calls["_ctz"] == 1 + 7 * len(history)
+        assert calls["attachment_flux"] == calls["inflow_fractions"] == 1
 
 
 def synthetic_run(times, L_of_t, c_of=None, N=40):
