@@ -256,14 +256,25 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
+#: Lower bound of each numeric parameter field, by name: (bound, strict).
+#: Every ``int`` and ``float`` field of the parameter dataclasses has one.
+_LOWER_BOUNDS = {
+    "mu_max": (0, False), "K": (0, True), "Y": (0, True), "rho": (0, True),
+    "v_a": (0, False), "k_col": (0, False), "Y_psi": (0, True), "D_psi": (0, True),
+    "D": (0, True), "delta": (0, False), "horizon": (0, False),
+    "N": (8, False), "dt_max": (0, True), "L_eps": (0, True), "newton_tol": (0, True),
+    "newton_max_iter": (0, True), "picard_tol": (0, True), "picard_max_iter": (0, True),
+}
+
+
 def _trace_numbers(trace) -> list:
-    """Every number a bulk-trace descriptor holds (its ``value``, ``psi30``
-    and ``t1``, or its table ``times`` and ``values``): each field but the
-    ones declared ``str``, whatever type its value has."""
+    """Every number a bulk-trace descriptor holds, by its fields' declared
+    types: a ``tuple`` field's entries (table ``times`` and ``values``), no
+    ``str`` field, and any other field's value (``value``, ``psi30``, ``t1``)."""
     numbers = []
     for param in fields(trace):
         v = getattr(trace, param.name)
-        if isinstance(v, tuple):
+        if param.type == "tuple":
             numbers.extend(v)
         elif param.type != "str":
             numbers.append(v)
@@ -286,6 +297,22 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
         check(not real or all(math.isfinite(v) for v in values), field_name,
               "must be finite")
         return real
+
+    def params(tag, entry):
+        """Check each ``int`` or ``float`` field of ``entry`` by that declared
+        type (an integer, or else a finite real) and, when it is of its type,
+        against its lower bound in ``_LOWER_BOUNDS``."""
+        for param in fields(entry):
+            name, v = param.name, getattr(entry, param.name)
+            if param.type == "int":
+                typed = isinstance(v, numbers.Integral)
+                check(typed, f"{tag}.{name}", "must be an integer")
+            else:
+                typed = param.type == "float" and finite(f"{tag}.{name}", v)
+            if typed:
+                bound, strict = _LOWER_BOUNDS[name]
+                check(v > bound if strict else v >= bound, f"{tag}.{name}",
+                      f"{name} must be {'>' if strict else '>='} {bound}")
 
     def sequence(field_name, value):
         """Report a value that is not a sequence; True when it is one, so
@@ -315,33 +342,16 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
     check(not species_ok or cfg.n >= 1, "species", "at least one species required")
     check(not substrates_ok or cfg.m >= 1, "substrates", "at least one substrate required")
     for i, sp in enumerate(cfg.species if species_ok else (), start=1):
-        tag = f"species.{i}"
-        if not section(tag, sp, SpeciesParams):
-            continue
-        real = {f.name: finite(f"{tag}.{f.name}", getattr(sp, f.name))
-                for f in fields(sp)}
-        check(not real["mu_max"] or sp.mu_max >= 0, f"{tag}.mu_max",
-              "mu_max must be >= 0")
-        check(not real["K"] or sp.K > 0, f"{tag}.K", "K must be > 0")
-        check(not real["Y"] or sp.Y > 0, f"{tag}.Y", "Y must be > 0")
-        check(not real["rho"] or sp.rho > 0, f"{tag}.rho", "rho must be > 0")
-        check(not real["v_a"] or sp.v_a >= 0, f"{tag}.v_a", "v_a must be >= 0")
-        check(not real["k_col"] or sp.k_col >= 0, f"{tag}.k_col", "k_col must be >= 0")
-        check(not real["Y_psi"] or sp.Y_psi > 0, f"{tag}.Y_psi", "Y_psi must be > 0")
-        check(not real["D_psi"] or sp.D_psi > 0, f"{tag}.D_psi", "D_psi must be > 0")
+        if section(f"species.{i}", sp, SpeciesParams):
+            params(f"species.{i}", sp)
     for j, sb in enumerate(cfg.substrates if substrates_ok else (), start=1):
-        check(not section(f"substrate.{j}", sb, SubstrateParams)
-              or not finite(f"substrate.{j}.D", sb.D) or sb.D > 0, f"substrate.{j}.D",
-              "D must be > 0")
-    real_delta = finite("scenario.delta", cfg.delta)
-    real_horizon = finite("scenario.horizon", cfg.horizon)
+        if section(f"substrate.{j}", sb, SubstrateParams):
+            params(f"substrate.{j}", sb)
+    params("scenario", cfg)
+    real_horizon = isinstance(cfg.horizon, numbers.Real)
     snaps = cfg.snapshot_times
     real_snaps = (sequence("scenario.snapshot_times", snaps)
                   and finite("scenario.snapshot_times", *snaps))
-    check(not real_delta or cfg.delta >= 0, "scenario.delta", "delta must be >= 0")
-    check(not real_horizon or cfg.horizon >= 0, "scenario.horizon",
-          "horizon must be >= 0")
-
     check(not real_snaps or all(b >= a for a, b in zip(snaps, snaps[1:])),
           "scenario.snapshot_times", "snapshot times must be sorted ascending")
     check(not (real_snaps and real_horizon)
@@ -382,25 +392,8 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
         for j, row in rows:
             finite(f"stoichiometry.production.{j}", *row)
 
-    nm = cfg.numerics
-    if section("numerics", nm, NumericsConfig):
-        # a value of the wrong type gets no range check, which could raise
-        real = {name: finite(f"numerics.{name}", getattr(nm, name))
-                for name in ("dt_max", "L_eps", "newton_tol", "picard_tol")}
-        integral = {name: isinstance(getattr(nm, name), numbers.Integral)
-                    for name in ("N", "newton_max_iter", "picard_max_iter")}
-        for name, ok in integral.items():
-            check(ok, f"numerics.{name}", "must be an integer")
-        check(not integral["N"] or nm.N >= 8, "numerics.N", "N must be >= 8")
-        for name in ("dt_max", "L_eps", "newton_tol"):
-            check(not real[name] or getattr(nm, name) > 0, f"numerics.{name}",
-                  f"{name} must be > 0")
-        check(not integral["newton_max_iter"] or nm.newton_max_iter > 0,
-              "numerics.newton_max_iter", "newton_max_iter must be > 0")
-        check(not real["picard_tol"] or nm.picard_tol > 0, "numerics.picard_tol",
-              "picard_tol must be > 0")
-        check(not integral["picard_max_iter"] or nm.picard_max_iter > 0,
-              "numerics.picard_max_iter", "picard_max_iter must be > 0")
+    if section("numerics", cfg.numerics, NumericsConfig):
+        params("numerics", cfg.numerics)
 
     return ValidationReport(tuple(bad))
 

@@ -435,12 +435,13 @@ class ContractionEstimate:
 
 
 def window_root(a: float, b: float) -> float:
-    """Largest T with a T^2 + b T < 1 (open bound; inf when a = b = 0)."""
-    if a > 0.0:
-        return (-b + math.sqrt(b * b + 4.0 * a)) / (2.0 * a)
-    if b > 0.0:
-        return 1.0 / b
-    return math.inf
+    """Largest T with a T^2 + b T < 1 (open bound; inf when a = b = 0).
+
+    Computed as 2 / (b + sqrt(b^2 + 4a)), which does not cancel when
+    b^2 >> 4a and is 1/b at a = 0."""
+    if a == b == 0.0:
+        return math.inf
+    return 2.0 / (b + math.sqrt(b * b + 4.0 * a))
 
 
 def estimate_contraction(cfg, box: ContractionBox, t_max: float,

@@ -1,15 +1,19 @@
 import ast
 import dataclasses
 import math
+import numbers
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import biofilm1d
+from biofilm1d import model
 from biofilm1d.errors import ConfigError, NoAttachment
 from biofilm1d.model import (CONSTRAINT_TOL, NumericsConfig, ScenarioConfig,
                              SpeciesParams, Stoichiometry, SubstrateParams,
@@ -53,6 +57,72 @@ def with_production_row_3(cfg, x):
     st = cfg.stoichiometry
     return dataclasses.replace(cfg, stoichiometry=dataclasses.replace(
         st, production=st.production[:2] + ((x, 0.3, -0.9),)))
+
+
+# Values a scenario may hold where a number, a sequence or a section belongs.
+# Some are valid in some places: 0 as a rate, True as a count, (1.0,) as the
+# snapshot times.
+POOL = (None, "1", math.nan, math.inf, -math.inf, -1, 0, (1.0,), [], True,
+        np.int64(3))
+# invalid wherever a number belongs; the others depend on the field's range
+NOT_A_NUMBER = (None, "1", math.nan, math.inf, -math.inf, (1.0,), [])
+
+# case2 with a table for the third substrate's bulk, so tuple fields are drawn
+FUZZ_BASE = with_trace(build_preset("case2").cfg, "s_star", 2,
+                       TableTrace((0.0, 1.0), (0.0, 5.0)))
+
+
+def _paths(obj, path=()):
+    """Every field, section and entry path of a configuration below ``obj``."""
+    if isinstance(obj, (tuple, list)):
+        children = enumerate(obj)
+    elif dataclasses.is_dataclass(obj):
+        children = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)
+                    if f.type != "str")
+    else:
+        return []
+    return [p for key, child in children
+            for p in [path + (key,)] + _paths(child, path + (key,))]
+
+
+TARGETS = tuple(_paths(FUZZ_BASE))
+
+
+def replaced(obj, path, value):
+    """``obj`` with the entry at ``path`` replaced by ``value``, rebuilt
+    through the constructors."""
+    if not path:
+        return value
+    key, rest = path[0], path[1:]
+    if isinstance(key, int):
+        return obj[:key] + (replaced(obj[key], rest, value),) + obj[key + 1:]
+    return dataclasses.replace(obj, **{key: replaced(getattr(obj, key), rest, value)})
+
+
+def reported_name(path):
+    """The field name a violation at ``path`` is reported under: a trace's
+    numbers on the trace, a sequence's entries on the sequence."""
+    heads = {"substrates": "substrate", "delta": "scenario.delta",
+             "horizon": "scenario.horizon", "snapshot_times": "scenario.snapshot_times",
+             "psi_star": "psi", "s_star": "s"}
+    name = ".".join(str(key + 1) if isinstance(key, int) else heads.get(key, key)
+                    for key in path)
+    return re.match(r"bulk\.(psi|s)\.\d+|stoichiometry\.(substrate_of|production\.\d+)"
+                    r"|scenario\.snapshot_times|.*", name).group()
+
+
+def invalid(path, value):
+    """True when ``value`` at ``path`` of FUZZ_BASE breaks a declared rule
+    by itself: any pool value as a section, an entry or a sequence, and a
+    value that is no finite real as a number."""
+    leaf = FUZZ_BASE
+    for key in path:
+        leaf = leaf[key] if isinstance(key, int) else getattr(leaf, key)
+    if path == ("snapshot_times",):
+        return not isinstance(value, (tuple, list))
+    if isinstance(leaf, numbers.Number):
+        return any(value is bad for bad in NOT_A_NUMBER)
+    return True
 
 
 class TestValidateConfig:
@@ -213,6 +283,37 @@ class TestValidateConfig:
             report = validate_config(make_cfg(**overrides))
             assert report.violations == tuple(
                 Violation(f"{tag}.{i}", constraint) for i in (1, 2, 3))
+
+    def test_every_numeric_parameter_has_one_lower_bound(self):
+        # validate_config checks each int and float field by its declared
+        # type and its bound in one table, so a field added later cannot
+        # skip its check; parameter entries hold numbers only
+        entries = (SpeciesParams, SubstrateParams, NumericsConfig)
+        assert all(f.type in ("int", "float") for cls in entries
+                   for f in dataclasses.fields(cls))
+        names = [f.name for cls in entries + (ScenarioConfig,)
+                 for f in dataclasses.fields(cls) if f.type in ("int", "float")]
+        assert len(names) == len(set(names)) == 18
+        assert set(names) == set(model._LOWER_BOUNDS)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(TARGETS), st.sampled_from(POOL)),
+                    min_size=1, max_size=3, unique_by=lambda r: r[0]))
+    def test_replaced_values_are_reported_without_raising(self, replacements):
+        cfg = FUZZ_BASE
+        try:
+            # deepest first, so a replaced section is not walked into
+            for path, value in sorted(replacements, key=lambda r: -len(r[0])):
+                cfg = replaced(cfg, path, value)
+        except ConfigError:
+            # a trace constructor rejects some values itself
+            assert any(p[0] == "bulk" for p, _ in replacements)
+            return
+        report = validate_config(cfg)
+        if len(replacements) == 1 and invalid(*replacements[0]):
+            name = reported_name(replacements[0][0])
+            assert any(v.field.startswith(name) or name.startswith(v.field)
+                       for v in report.violations), (replacements, report)
 
 
 def seed_snapshot(cfg):

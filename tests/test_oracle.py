@@ -660,6 +660,11 @@ class TestContractionEstimate:
         # full quadratic root satisfies its own equation
         r = window_root(3.0, 0.5)
         assert 3.0 * r * r + 0.5 * r == pytest.approx(1.0, rel=1e-12)
+        # b^2 >> 4a: the root keeps its digits, where -b + sqrt(b^2 + 4a)
+        # cancelled to 1.137e-3 and to 0.0
+        r = window_root(1e-10, 1e3)
+        assert 1e-10 * r * r + 1e3 * r == pytest.approx(1.0, rel=1e-12)
+        assert window_root(1e-300, 1.0) == 1.0
 
     def test_zero_rates_unbounded_by_contraction(self):
         box = ContractionBox(h_x=(10.0,) * 3, h_s=(1.0,) * 3, h_psi=(1.0,) * 3,

@@ -5,16 +5,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from biofilm1d import elliptic, kinetics, stepper
-from biofilm1d.errors import BoundaryLayerResolutionWarning, NoAttachment
+from biofilm1d import configio, elliptic, kinetics, stepper
+from biofilm1d.errors import Biofilm1dError, BoundaryLayerResolutionWarning, NoAttachment
 from biofilm1d.kinetics import (RateBundle, attachment_flux, detachment_flux,
                                 inflow_fractions)
-from biofilm1d.model import (NumericsConfig, ScenarioConfig, SpeciesParams,
-                             Stoichiometry, SubstrateParams, attaching)
+from biofilm1d.model import (CONSTRAINT_TOL, NumericsConfig, ScenarioConfig,
+                             SpeciesParams, Stoichiometry, SubstrateParams, attaching,
+                             validate_config)
 from biofilm1d.presets import build_preset
 from biofilm1d.stepper import _Parcels, _seed, compute_velocity, run
-from biofilm1d.traces import BulkTraces, ConstantTrace
+from biofilm1d.traces import (RAMP_VARIANTS, BulkTraces, ConstantTrace, RampTrace,
+                              TableTrace)
 
 CASE1 = build_preset("case1").cfg
 
@@ -629,6 +632,75 @@ class TestRun:
         snap = res.snapshots[-1]
         assert snap.L > 0.0
         assert snap.sum_f_drift() <= 1e-8
+
+
+# Signed production coefficients other than +-1, zeros of either sign among them.
+NON_UNIT = st.floats(-4.0, 4.0).filter(lambda w: abs(w) >= 0.05 and abs(w) != 1.0)
+COEFFICIENT = st.one_of(st.sampled_from([0.0, -0.0]), NON_UNIT, NON_UNIT)
+LEVEL = st.floats(0.0, 200.0)
+
+
+@st.composite
+def bulk_traces(draw, horizon):
+    """A constant, an arrival ramp, or a table whose knots lie in [0, horizon]."""
+    kind = draw(st.sampled_from(("constant", "ramp", "table")))
+    if kind == "constant":
+        return ConstantTrace(draw(LEVEL))
+    if kind == "ramp":
+        return RampTrace(draw(LEVEL), draw(st.floats(1e-3, horizon)),
+                         draw(st.sampled_from(RAMP_VARIANTS)))
+    times = draw(st.lists(st.floats(0.0, horizon), min_size=1, max_size=4, unique=True))
+    return TableTrace(tuple(sorted(times)),
+                      tuple(draw(st.lists(LEVEL, min_size=len(times),
+                                          max_size=len(times)))))
+
+
+@st.composite
+def scenarios(draw):
+    """Valid scenarios off the presets' kinetics: 1-3 species and substrates,
+    any wiring with signed non-unit coefficients, constant, ramp and table
+    bulk traces, N <= 40 and horizons <= 0.05 d."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    horizon = draw(st.floats(1e-3, 0.05))
+    # species 1 attaches from the start, so a run has a film to grow
+    species = tuple(
+        dataclasses.replace(sp, v_a=draw(st.sampled_from((0.0, 0.025))) if i else 0.025,
+                            k_col=draw(st.sampled_from((0.0, 2.5))))
+        for i, sp in enumerate(build_preset("case2").cfg.species[:n]))
+    stoich = Stoichiometry(
+        substrate_of=tuple(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))),
+        production=tuple(tuple(draw(st.lists(COEFFICIENT, min_size=n, max_size=n)))
+                         for _ in range(m)))
+    times = draw(st.lists(st.floats(0.0, horizon), max_size=3))
+    return dataclasses.replace(
+        CASE1, species=species, substrates=CASE1.substrates[:m],
+        delta=draw(st.floats(0.0, 4000.0)),
+        bulk=BulkTraces((ConstantTrace(draw(st.floats(1.0, 200.0))),)
+                        + tuple(draw(bulk_traces(horizon)) for _ in range(n - 1)),
+                        tuple(draw(bulk_traces(horizon)) for _ in range(m))),
+        stoichiometry=stoich,
+        numerics=NumericsConfig(N=draw(st.integers(8, 40)),
+                                dt_max=draw(st.sampled_from((1e-3, 1e-2)))),
+        horizon=horizon, snapshot_times=tuple(sorted(times)) + (horizon,))
+
+
+class TestRunProperties:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(scenarios())
+    def test_valid_scenarios_run_within_their_invariants(self, cfg):
+        assert validate_config(cfg).ok
+        assert configio.loads(configio.dumps(cfg)) == cfg
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryLayerResolutionWarning)
+            try:
+                res = run(cfg)
+            except Biofilm1dError:
+                return
+        assert len(res.snapshots) == len(cfg.snapshot_times)
+        for snap in res.snapshots:
+            assert snap.sum_f_drift() <= CONSTRAINT_TOL
+            assert np.all(snap.S >= 0.0) and np.all(snap.Psi >= 0.0)
+            assert snap.L >= cfg.numerics.L_eps
 
 
 class TestPredictedNewtonStart:

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from biofilm1d.errors import ConfigError
 from biofilm1d.model import Violation, validate_config
 from biofilm1d.presets import build_preset
+from biofilm1d.stepper import run
 from biofilm1d.traces import (RAMP_VARIANTS, BulkTraces, ConstantTrace, RampTrace,
                               TableTrace, parse_descriptor)
 
@@ -156,14 +157,22 @@ class TestDescriptors:
         pytest.param(lambda: RampTrace(50.0, "0.2"), id="ramp-t1-str"),
         pytest.param(lambda: RampTrace(50.0, None), id="ramp-t1-none"),
         pytest.param(lambda: TableTrace((0.0, "1"), (1.0, 2.0)), id="table-time-str"),
+        # a tuple in a field declared a number is not flattened into numbers
+        pytest.param(lambda: RampTrace(50.0, (0.2,)), id="ramp-t1-tuple"),
+        pytest.param(lambda: RampTrace((50.0,), 0.2), id="ramp-psi30-tuple"),
+        pytest.param(lambda: ConstantTrace((50.0,)), id="constant-tuple"),
     ])
     def test_constructors_leave_non_real_fields_to_validation(self, build):
         # the constructor makes no comparison that raises on a non-real
-        # field, so validate_config gets to report that field
+        # field, so validate_config gets to report that field, and a run
+        # stops there
         cfg = build_preset("case1").cfg
         bulk = dataclasses.replace(cfg.bulk, psi_star=cfg.bulk.psi_star[:2] + (build(),))
-        report = validate_config(dataclasses.replace(cfg, bulk=bulk))
-        assert report.violations == (Violation("bulk.psi.3", "must be a real number"),)
+        cfg = dataclasses.replace(cfg, bulk=bulk)
+        assert validate_config(cfg).violations == (
+            Violation("bulk.psi.3", "must be a real number"),)
+        with pytest.raises(ConfigError, match="bulk.psi.3: must be a real number"):
+            run(cfg)
 
     def test_bulk_breakpoints_merge(self):
         bulk = BulkTraces(
