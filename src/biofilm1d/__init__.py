@@ -5,8 +5,9 @@ moving domain, quasi-static diffusion of substrates and planktonic cells,
 Monod growth and colonization kinetics, and an ODE for the biofilm
 thickness driven by attachment, detachment and internal expansion.  A
 fixed-point solver in characteristic coordinates cross-validates the time
-stepper on short horizons and quantifies the contraction window on which
-the integral formulation is provably well posed.
+stepper on short horizons and estimates the contraction window on which
+the integral formulation is well posed, from sampled kernel bounds (a
+bound once ROADMAP item 11 lands).
 """
 
 from .errors import (Biofilm1dError, BoundaryLayerResolutionWarning, ConfigError,

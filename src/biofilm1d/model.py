@@ -374,6 +374,7 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
 
     st = cfg.stoichiometry
     st_ok = section("stoichiometry", st, Stoichiometry)
+    limits = {}  # species index -> the substrate that limits it, where valid
     if st_ok and sequence("stoichiometry.substrate_of", st.substrate_of):
         check(not species_ok or len(st.substrate_of) == cfg.n,
               "stoichiometry.substrate_of", "needs one substrate index per species")
@@ -382,6 +383,8 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
         check(not (indices and substrates_ok)
               or all(0 <= k < cfg.m for k in st.substrate_of),
               "stoichiometry.substrate_of", "substrate index out of range")
+        limits = {i: k for i, k in enumerate(st.substrate_of)
+                  if isinstance(k, numbers.Integral) and substrates_ok and 0 <= k < cfg.m}
     if st_ok and sequence("stoichiometry.production", st.production):
         check(not substrates_ok or len(st.production) == cfg.m, "stoichiometry.production",
               "needs one row per substrate")
@@ -391,6 +394,13 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
               "stoichiometry.production", "each row needs one coefficient per species")
         for j, row in rows:
             finite(f"stoichiometry.production.{j}", *row)
+            # a consumption the consumed substrate does not limit has no
+            # non-negative quasi-static solution once the bulk runs short
+            for i, w in enumerate(row):
+                consumes = isinstance(w, numbers.Real) and math.isfinite(w) and w < 0
+                check(not (consumes and i in limits and limits[i] != j - 1),
+                      f"stoichiometry.production.{j}",
+                      f"species {i + 1} may consume only the substrate that limits it")
 
     if section("numerics", cfg.numerics, NumericsConfig):
         params("numerics", cfg.numerics)

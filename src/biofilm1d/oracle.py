@@ -8,8 +8,10 @@ fields s(t0, t) and psi(t0, t) sampled along characteristics, the interface
 position L(t0), the characteristic position c(t0, t) and its t0-derivative.
 Successive substitution of the integral map contracts for short horizons;
 this module iterates that map on a triangular grid (trapezoidal quadrature)
-and estimates the horizon on which contraction is guaranteed by sampling the
-integrand bounds and Lipschitz constants over a stated box.
+and estimates the horizon on which it contracts from integrand bounds and
+Lipschitz constants sampled over a stated box.  Sampled maxima can understate
+the suprema, so the horizon is estimated from sampled kernel bounds; it
+becomes a bound once ROADMAP item 11 lands.
 
 This solver shares only the kinetics with the time stepper, and imports no
 stepper code, so it serves as an independent cross-check of the
@@ -448,30 +450,28 @@ def estimate_contraction(cfg, box: ContractionBox, t_max: float,
                          seed: int = 0) -> ContractionEstimate:
     """Bound and Lipschitz estimates for the integral-map kernels over a box.
 
-    Bounds ``M`` come from dense random sampling of the kernels over the box
-    (4096 points plus its corners); Lipschitz constants come from symmetric
-    difference quotients along each argument, taking the worst sample.  The
-    window ``T_star`` is the least of the per-component caps and the positive
-    root of the contraction condition, shrunk by a 1 percent safety margin.
+    Bounds ``M`` are maxima over 4096 random points of the box and its
+    corners, slopes ``lam`` the worst symmetric difference quotients; both
+    are sampled, so the window is an estimate, not a bound (ROADMAP item 11).
+    Each ``table`` row is a component with its kernel, radii, integral order
+    ``q`` and kernel count ``w``: x and c_t0 (cap ``c2``) integrate once;
+    s, psi, L and c (cap ``c1``, counting the kernel twice) integrate twice.
+    A row caps T at ``(h / (w M))**(1/q)`` and adds ``w * sum(lam)`` to ``a``
+    (q = 2) or ``b`` (q = 1) of ``Lambda(T) = a T^2 + b T``; ``T_star`` is
+    0.99 times the least cap, the root of ``Lambda(T) = 1`` included.
     """
     a_ = cfg.arrays
-    n, m = cfg.n, cfg.m
+    rho = a_["rho"][:, None]
     tgrid = np.linspace(0.0, max(t_max, 1e-12), 257)
-
     psi_b, S_b, sig, X0 = _boundary_data(cfg, tgrid)
 
-    lo = np.concatenate([
-        np.maximum(X0.min(axis=1) - np.asarray(box.h_x), 0.0),
-        np.maximum(S_b.min(axis=1) - np.asarray(box.h_s), 0.0),
-        np.maximum(psi_b.min(axis=1) - np.asarray(box.h_psi), 0.0),
-        [max(sig.min() - box.h_c2, 0.0)],
-    ])
-    hi = np.concatenate([
-        X0.max(axis=1) + np.asarray(box.h_x),
-        S_b.max(axis=1) + np.asarray(box.h_s),
-        psi_b.max(axis=1) + np.asarray(box.h_psi),
-        [sig.max() + box.h_c2],
-    ])
+    # The sampled arguments x, s, psi and c_t0: boundary data and box radii.
+    args = [(X0, box.h_x), (S_b, box.h_s), (psi_b, box.h_psi),
+            (sig[None, :], (box.h_c2,))]
+    lo = np.concatenate([np.maximum(d.min(axis=1) - np.asarray(h), 0.0)
+                         for d, h in args])
+    hi = np.concatenate([d.max(axis=1) + np.asarray(h) for d, h in args])
+    splits = np.cumsum([len(h) for _, h in args])[:-1]
     dim = lo.size
     rng = np.random.default_rng(seed)
     pts = lo + (hi - lo) * rng.random((4096, dim))
@@ -481,34 +481,17 @@ def estimate_contraction(cfg, box: ContractionBox, t_max: float,
                                        indexing="ij")).reshape(dim, -1).T
         pts = np.vstack([pts, corners])
 
-    sl_x = slice(0, n)
-    sl_s = slice(n, n + m)
-    sl_psi = slice(n + m, n + m + n)
-    i_c = n + m + n
-
     def kernels(P):
-        x = P[:, sl_x].T
-        s = P[:, sl_s].T
-        psi = P[:, sl_psi].T
-        ct0 = P[:, i_c]
-        f = x / a_["rho"][:, None]
-        bundle = kinetics.rate_bundle(f, s, psi, cfg)
-        F_x = a_["rho"][:, None] * (bundle.r_M + bundle.r_col) - x * bundle.G
-        F_s = bundle.r_S * ct0[None, :] ** 2 / a_["D"][:, None]
-        F_psi = bundle.r_Psi * ct0[None, :] ** 2 / a_["D_psi"][:, None]
-        F_geo = bundle.G * ct0
-        return F_x, F_s, F_psi, F_geo
+        # F_x, F_s, F_psi, and the geometric kernel G c_t0 as one row
+        x, s, psi, ct0 = np.split(P.T, splits)
+        bundle = kinetics.rate_bundle(x / rho, s, psi, cfg)
+        return (rho * (bundle.r_M + bundle.r_col) - x * bundle.G,
+                bundle.r_S * ct0 ** 2 / a_["D"][:, None],
+                bundle.r_Psi * ct0 ** 2 / a_["D_psi"][:, None],
+                bundle.G * ct0)
 
-    F_x, F_s, F_psi, F_geo = kernels(pts)
-    M_x = np.max(np.abs(F_x), axis=1)
-    M_s = np.max(np.abs(F_s), axis=1)
-    M_psi = np.max(np.abs(F_psi), axis=1)
-    M_geo = float(np.max(np.abs(F_geo)))
-
-    lam_x = np.zeros(n)
-    lam_s = np.zeros(m)
-    lam_psi = np.zeros(n)
-    lam_geo = 0.0
+    M = [np.max(np.abs(F), axis=1) for F in kernels(pts)]
+    lam = [np.zeros(bound.size) for bound in M]
     width = hi - lo
     for d in range(dim):
         if width[d] == 0.0:
@@ -520,42 +503,35 @@ def estimate_contraction(cfg, box: ContractionBox, t_max: float,
         plus[:, d] += step
         minus = inner.copy()
         minus[:, d] -= step
-        Fxp, Fsp, Fpp, Fgp = kernels(plus)
-        Fxm, Fsm, Fpm, Fgm = kernels(minus)
         scale = 1.0 / (2.0 * step)
-        # The x-kernel ignores ct0; the dissolved kernels ignore the
-        # arguments outside their signature, so slopes there are zero anyway.
-        lam_x = np.maximum(lam_x, np.max(np.abs(Fxp - Fxm), axis=1) * scale)
-        lam_s = np.maximum(lam_s, np.max(np.abs(Fsp - Fsm), axis=1) * scale)
-        lam_psi = np.maximum(lam_psi, np.max(np.abs(Fpp - Fpm), axis=1) * scale)
-        lam_geo = max(lam_geo, float(np.max(np.abs(Fgp - Fgm))) * scale)
+        # slopes along arguments outside a kernel's signature are zero
+        Fp = kernels(plus)
+        Fm = kernels(minus)
+        for k in range(len(lam)):
+            lam[k] = np.maximum(lam[k], np.max(np.abs(Fp[k] - Fm[k]), axis=1) * scale)
 
-    a_sum = float(np.sum(lam_s) + np.sum(lam_psi) + lam_geo + 2.0 * lam_geo)
-    b_sum = float(np.sum(lam_x) + lam_geo)
-
-    def cap_div(h, M):
-        return math.inf if M == 0.0 else h / M
-
-    def cap_sqrt(h, M):
-        return math.inf if M == 0.0 else math.sqrt(h / M)
-
-    caps = {}
-    for i in range(n):
-        caps[f"x{i + 1}"] = cap_div(box.h_x[i], M_x[i])
-    for j in range(m):
-        caps[f"s{j + 1}"] = cap_sqrt(box.h_s[j], M_s[j])
-    for i in range(n):
-        caps[f"psi{i + 1}"] = cap_sqrt(box.h_psi[i], M_psi[i])
-    caps["L"] = cap_sqrt(box.h_L, M_geo)
-    caps["c1"] = math.inf if M_geo == 0.0 else math.sqrt(box.h_c1 / (2.0 * M_geo))
-    caps["c2"] = cap_div(box.h_c2, M_geo)
-    caps["contraction"] = window_root(a_sum, b_sum)
+    geo = 3
+    table = (("x", 0, box.h_x, 1, 1), ("s", 1, box.h_s, 2, 1),
+             ("psi", 2, box.h_psi, 2, 1), ("L", geo, (box.h_L,), 2, 1),
+             ("c1", geo, (box.h_c1,), 2, 2), ("c2", geo, (box.h_c2,), 1, 1))
+    caps, coef = {}, {1: 0.0, 2: 0.0}
+    for name, k, radii, q, w in table:
+        for i, h in enumerate(radii):
+            wM = w * float(M[k][i])
+            ratio = math.inf if wM == 0.0 else h / wM
+            # per-species rows number their caps; geometric rows have one
+            caps[name if k == geo else f"{name}{i + 1}"] = (
+                ratio if q == 1 else math.sqrt(ratio))
+        coef[q] += w * np.sum(lam[k])
+    a, b = float(coef[2]), float(coef[1])
+    caps["contraction"] = window_root(a, b)
 
     T_min = min(caps.values())
     T_star = T_min if math.isinf(T_min) else 0.99 * T_min
 
     return ContractionEstimate(
-        M_x=M_x, M_s=M_s, M_psi=M_psi, M_L=M_geo, a=a_sum, b=b_sum, caps=caps, T_star=T_star, samples=pts.shape[0])
+        M_x=M[0], M_s=M[1], M_psi=M[2], M_L=float(M[geo][0]), a=a, b=b,
+        caps=caps, T_star=T_star, samples=pts.shape[0])
 
 
 def box_from_run(run_output: RunResult) -> ContractionBox:

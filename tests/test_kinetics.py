@@ -317,6 +317,8 @@ def species_order_rates(f, S, cfg):
 ZERO = st.sampled_from([0.0, -0.0])
 NON_UNIT = st.floats(-4.0, 4.0).filter(lambda w: abs(w) >= 0.05 and abs(w) != 1.0)
 COEFFICIENT = st.one_of(ZERO, NON_UNIT, NON_UNIT, NON_UNIT)
+# A species consumes only its limiting substrate: other coefficients are >= 0.
+OFF_OWN = COEFFICIENT.filter(lambda w: not w < 0.0)
 FRACTION = st.one_of(ZERO, st.floats(0.01, 1.0), st.floats(0.01, 1.0))
 SUBSTRATE = st.one_of(ZERO, st.floats(-50.0, 150.0), st.floats(-50.0, 150.0))
 
@@ -328,21 +330,21 @@ def grid(shape, elements):
 @st.composite
 def networks(draw):
     """Case2 cut to 1-3 species and 1-3 substrates with any ``substrate_of``
-    and signed non-unit coefficients, one production row all zero; a grid of
-    fractions and substrates (signed zeros, negative S); and a sequence of
-    substrate-row replacements."""
+    and non-unit coefficients (negative only on a species' limiting
+    substrate), one production row all zero; a grid of fractions and
+    substrates (signed zeros, negative S); and a sequence of substrate-row
+    replacements."""
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    production = [draw(st.lists(COEFFICIENT, min_size=n, max_size=n))
-                  for _ in range(m)]
+    substrate_of = tuple(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+    production = [[draw(COEFFICIENT if k == j else OFF_OWN) for k in substrate_of]
+                  for j in range(m)]
     production[draw(st.integers(0, m - 1))] = [0.0] * n
     cfg = dataclasses.replace(
         CASE2, species=CASE2.species[:n], substrates=CASE2.substrates[:m],
         bulk=dataclasses.replace(CASE2.bulk, psi_star=CASE2.bulk.psi_star[:n],
                                  s_star=CASE2.bulk.s_star[:m]),
-        stoichiometry=Stoichiometry(
-            substrate_of=tuple(draw(st.lists(st.integers(0, m - 1),
-                                             min_size=n, max_size=n))),
-            production=tuple(map(tuple, production))))
+        stoichiometry=Stoichiometry(substrate_of=substrate_of,
+                                    production=tuple(map(tuple, production))))
     K = draw(st.integers(1, 6))
     f, S = draw(grid((n, K), FRACTION)), draw(grid((m, K), SUBSTRATE))
     replacements = draw(st.lists(st.tuples(st.integers(0, m - 1),

@@ -221,6 +221,34 @@ class TestValidateConfig:
         report = validate_config(build(make_cfg()))
         assert report.violations == (Violation(field_name, "must be a real number"),)
 
+    @staticmethod
+    def consumer_of_substrate_2(w):
+        """Species 1 of case1, limited by substrate 1, with coefficient ``w``
+        on substrate 2, whose bulk supplies none; N = 40 to 0.05 d."""
+        case1 = build_preset("case1").cfg
+        return dataclasses.replace(
+            case1, species=case1.species[:1], substrates=case1.substrates[:2],
+            bulk=BulkTraces(case1.bulk.psi_star[:1],
+                            (case1.bulk.s_star[0], ConstantTrace(0.0))),
+            stoichiometry=Stoichiometry((0,), ((-1.0,), (w,))),
+            numerics=dataclasses.replace(case1.numerics, N=40),
+            horizon=0.05, snapshot_times=())
+
+    def test_consumption_of_a_substrate_that_does_not_limit_reported(self):
+        # a consumption that vanishes with neither substrate has no
+        # non-negative quasi-static solution once substrate 2 runs out; the
+        # run failed in the substrate sweeps instead of being refused
+        cfg = self.consumer_of_substrate_2(-2.00001)
+        violation = Violation("stoichiometry.production.2",
+                              "species 1 may consume only the substrate that limits it")
+        assert validate_config(cfg).violations == (violation,)
+        with pytest.raises(ConfigError, match="species 1 may consume only"):
+            run(cfg)
+
+    @pytest.mark.parametrize("w", [0.5, 0.0, -0.0])
+    def test_production_of_another_substrate_valid(self, w):
+        assert validate_config(self.consumer_of_substrate_2(w)).ok
+
     @pytest.mark.parametrize("index", ["2", None, 2.0])
     def test_non_integer_substrate_index_reported(self, index):
         # reported once, without the range check that would raise on it

@@ -2,21 +2,23 @@ import collections
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from biofilm1d import kinetics, oracle
-from biofilm1d.errors import (ConfigError, DetachmentRegime, NonConvergence,
-                              OutOfDomain)
-from biofilm1d.model import BoundaryTrace, ProfileTrace, RunResult
+from biofilm1d.errors import (BoundaryLayerResolutionWarning, ConfigError,
+                              DetachmentRegime, NonConvergence, OutOfDomain)
+from biofilm1d.model import (BoundaryTrace, ProfileTrace, RunResult,
+                             Stoichiometry)
 from biofilm1d.oracle import (CharPath, ContractionBox, _ctz,
                               box_from_run, characteristic_trace,
                               estimate_contraction, map_run_to_char_grid,
                               picard_solve, window_root)
 from biofilm1d.presets import DEFAULT_T1, build_preset
 from biofilm1d.stepper import run
-from biofilm1d.traces import ConstantTrace, TableTrace
+from biofilm1d.traces import BulkTraces, ConstantTrace, TableTrace
 
 CASE1 = build_preset("case1").cfg
 CASE2 = build_preset("case2").cfg
@@ -56,6 +58,12 @@ def short_cfg(cfg, horizon, N=100, dt_max=None):
     nm = dataclasses.replace(cfg.numerics, N=N, dt_max=dt_max)
     return dataclasses.replace(cfg, numerics=nm, horizon=horizon,
                                snapshot_times=())
+
+
+def fixed_box(n=3, m=3):
+    """A contraction box of fixed radii for n species and m substrates."""
+    return ContractionBox(h_x=(10.0,) * n, h_s=(1.0,) * m, h_psi=(1.0,) * n,
+                          h_L=1e-6, h_c1=1e-6, h_c2=1e-4)
 
 
 def take_concat_ctz(A, axis, delta):
@@ -667,8 +675,7 @@ class TestContractionEstimate:
         assert window_root(1e-300, 1.0) == 1.0
 
     def test_zero_rates_unbounded_by_contraction(self):
-        box = ContractionBox(h_x=(10.0,) * 3, h_s=(1.0,) * 3, h_psi=(1.0,) * 3,
-                             h_L=1e-6, h_c1=1e-6, h_c2=1e-4)
+        box = fixed_box()
         est = estimate_contraction(dead_cfg(), box, t_max=0.05)
         assert est.a == 0.0 and est.b == 0.0
         np.testing.assert_array_equal(est.M_x, np.zeros(3))
@@ -696,8 +703,183 @@ class TestContractionEstimate:
             assert max(ratios) <= 1.1 * lam_o
 
     def test_estimate_is_deterministic(self):
-        box = ContractionBox(h_x=(10.0,) * 3, h_s=(1.0,) * 3, h_psi=(1.0,) * 3,
-                             h_L=1e-6, h_c1=1e-6, h_c2=1e-4)
+        box = fixed_box()
         a = estimate_contraction(CASE1, box, t_max=0.01)
         b = estimate_contraction(CASE1, box, t_max=0.01)
         assert a.a == b.a and a.b == b.b and a.T_star == b.T_star
+
+
+def reference_estimate_contraction(cfg, box, t_max, seed=0):
+    """Reference window: each component's cap and slope sum written out by
+    hand, one block per kernel.
+
+    Bounds ``M`` come from dense random sampling of the kernels over the box
+    (4096 points plus its corners); Lipschitz constants come from symmetric
+    difference quotients along each argument, taking the worst sample.  The
+    window ``T_star`` is the least of the per-component caps and the positive
+    root of the contraction condition, shrunk by a 1 percent safety margin.
+    """
+    a_ = cfg.arrays
+    n, m = cfg.n, cfg.m
+    tgrid = np.linspace(0.0, max(t_max, 1e-12), 257)
+
+    psi_b, S_b, sig, X0 = oracle._boundary_data(cfg, tgrid)
+
+    lo = np.concatenate([
+        np.maximum(X0.min(axis=1) - np.asarray(box.h_x), 0.0),
+        np.maximum(S_b.min(axis=1) - np.asarray(box.h_s), 0.0),
+        np.maximum(psi_b.min(axis=1) - np.asarray(box.h_psi), 0.0),
+        [max(sig.min() - box.h_c2, 0.0)],
+    ])
+    hi = np.concatenate([
+        X0.max(axis=1) + np.asarray(box.h_x),
+        S_b.max(axis=1) + np.asarray(box.h_s),
+        psi_b.max(axis=1) + np.asarray(box.h_psi),
+        [sig.max() + box.h_c2],
+    ])
+    dim = lo.size
+    rng = np.random.default_rng(seed)
+    pts = lo + (hi - lo) * rng.random((4096, dim))
+    # Corner points sharpen the bound estimates for monotone kernels.
+    if dim <= 12:
+        corners = np.array(np.meshgrid(*[(l, h) for l, h in zip(lo, hi)],
+                                       indexing="ij")).reshape(dim, -1).T
+        pts = np.vstack([pts, corners])
+
+    sl_x = slice(0, n)
+    sl_s = slice(n, n + m)
+    sl_psi = slice(n + m, n + m + n)
+    i_c = n + m + n
+
+    def kernels(P):
+        x = P[:, sl_x].T
+        s = P[:, sl_s].T
+        psi = P[:, sl_psi].T
+        ct0 = P[:, i_c]
+        f = x / a_["rho"][:, None]
+        bundle = kinetics.rate_bundle(f, s, psi, cfg)
+        F_x = a_["rho"][:, None] * (bundle.r_M + bundle.r_col) - x * bundle.G
+        F_s = bundle.r_S * ct0[None, :] ** 2 / a_["D"][:, None]
+        F_psi = bundle.r_Psi * ct0[None, :] ** 2 / a_["D_psi"][:, None]
+        F_geo = bundle.G * ct0
+        return F_x, F_s, F_psi, F_geo
+
+    F_x, F_s, F_psi, F_geo = kernels(pts)
+    M_x = np.max(np.abs(F_x), axis=1)
+    M_s = np.max(np.abs(F_s), axis=1)
+    M_psi = np.max(np.abs(F_psi), axis=1)
+    M_geo = float(np.max(np.abs(F_geo)))
+
+    lam_x = np.zeros(n)
+    lam_s = np.zeros(m)
+    lam_psi = np.zeros(n)
+    lam_geo = 0.0
+    width = hi - lo
+    for d in range(dim):
+        if width[d] == 0.0:
+            continue
+        step = max(1e-6 * width[d], 1e-12)
+        inner = pts.copy()
+        inner[:, d] = np.clip(inner[:, d], lo[d] + step, hi[d] - step)
+        plus = inner.copy()
+        plus[:, d] += step
+        minus = inner.copy()
+        minus[:, d] -= step
+        Fxp, Fsp, Fpp, Fgp = kernels(plus)
+        Fxm, Fsm, Fpm, Fgm = kernels(minus)
+        scale = 1.0 / (2.0 * step)
+        # The x-kernel ignores ct0; the dissolved kernels ignore the
+        # arguments outside their signature, so slopes there are zero anyway.
+        lam_x = np.maximum(lam_x, np.max(np.abs(Fxp - Fxm), axis=1) * scale)
+        lam_s = np.maximum(lam_s, np.max(np.abs(Fsp - Fsm), axis=1) * scale)
+        lam_psi = np.maximum(lam_psi, np.max(np.abs(Fpp - Fpm), axis=1) * scale)
+        lam_geo = max(lam_geo, float(np.max(np.abs(Fgp - Fgm))) * scale)
+
+    a_sum = float(np.sum(lam_s) + np.sum(lam_psi) + lam_geo + 2.0 * lam_geo)
+    b_sum = float(np.sum(lam_x) + lam_geo)
+
+    def cap_div(h, M):
+        return math.inf if M == 0.0 else h / M
+
+    def cap_sqrt(h, M):
+        return math.inf if M == 0.0 else math.sqrt(h / M)
+
+    caps = {}
+    for i in range(n):
+        caps[f"x{i + 1}"] = cap_div(box.h_x[i], M_x[i])
+    for j in range(m):
+        caps[f"s{j + 1}"] = cap_sqrt(box.h_s[j], M_s[j])
+    for i in range(n):
+        caps[f"psi{i + 1}"] = cap_sqrt(box.h_psi[i], M_psi[i])
+    caps["L"] = cap_sqrt(box.h_L, M_geo)
+    caps["c1"] = math.inf if M_geo == 0.0 else math.sqrt(box.h_c1 / (2.0 * M_geo))
+    caps["c2"] = cap_div(box.h_c2, M_geo)
+    caps["contraction"] = window_root(a_sum, b_sum)
+
+    T_min = min(caps.values())
+    T_star = T_min if math.isinf(T_min) else 0.99 * T_min
+
+    return oracle.ContractionEstimate(
+        M_x=M_x, M_s=M_s, M_psi=M_psi, M_L=M_geo, a=a_sum, b=b_sum, caps=caps,
+        T_star=T_star, samples=pts.shape[0])
+
+
+@pytest.fixture(scope="module")
+def run_boxes():
+    """Each preset with the ``box_from_run`` box of its 0.05 d run."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryLayerResolutionWarning)
+        return {name: (cfg, box_from_run(run(short_cfg(cfg, 0.05), record_profiles=True)))
+                for name, cfg in (("case1", CASE1), ("case2", CASE2), ("case3", CASE3))}
+
+
+def assert_same_estimate(got, ref):
+    for name in ("M_x", "M_s", "M_psi", "M_L", "a", "b", "T_star"):
+        assert_bitwise_equal(getattr(got, name), getattr(ref, name))
+    assert got.samples == ref.samples
+    assert list(got.caps) == list(ref.caps)
+    assert_bitwise_equal(list(got.caps.values()), list(ref.caps.values()))
+
+
+def two_species_one_substrate():
+    """Species 1 and 2 of case1, both limited by substrate 1."""
+    return dataclasses.replace(
+        CASE1, species=CASE1.species[:2], substrates=CASE1.substrates[:1],
+        bulk=BulkTraces(CASE1.bulk.psi_star[:2], CASE1.bulk.s_star[:1]),
+        stoichiometry=Stoichiometry((0, 0), ((-1.0, -1.0),)))
+
+
+class TestContractionTable:
+    """The window computed from one table of the map's components equals
+    the one written out by hand, bit for bit."""
+
+    @pytest.mark.parametrize("case, seed", [("case1", 0), ("case1", 3),
+                                            ("case2", 0), ("case3", 0)])
+    def test_run_boxes_bitwise_equal_to_reference(self, run_boxes, case, seed):
+        cfg, box = run_boxes[case]
+        assert_same_estimate(estimate_contraction(cfg, box, 0.05, seed=seed),
+                             reference_estimate_contraction(cfg, box, 0.05, seed=seed))
+
+    @pytest.mark.parametrize("cfg", [CASE1, dead_cfg()], ids=["case1", "dead"])
+    def test_fixed_box_bitwise_equal_to_reference(self, cfg):
+        assert_same_estimate(estimate_contraction(cfg, fixed_box(), 0.05),
+                             reference_estimate_contraction(cfg, fixed_box(), 0.05))
+
+    @pytest.mark.parametrize("radius, cap", [("h_L", "L"), ("h_c1", "c1")])
+    def test_outer_radius_scales_its_own_cap_as_a_double_integral(self, radius, cap):
+        # h_L and h_c1 lie outside the sampled box: four times the radius
+        # doubles their own cap, and nothing else moves
+        box = fixed_box()
+        base = estimate_contraction(CASE1, box, 0.01)
+        wide = estimate_contraction(
+            CASE1, dataclasses.replace(box, **{radius: 4.0 * getattr(box, radius)}), 0.01)
+        assert wide.caps[cap] == 2.0 * base.caps[cap]
+        for name in ("M_x", "M_s", "M_psi", "M_L", "a", "b"):
+            assert_bitwise_equal(getattr(wide, name), getattr(base, name))
+        assert {k: v for k, v in wide.caps.items() if k != cap} == \
+            {k: v for k, v in base.caps.items() if k != cap}
+
+    def test_cap_names_follow_the_network(self):
+        est = estimate_contraction(two_species_one_substrate(), fixed_box(2, 1), 0.01)
+        assert list(est.caps) == ["x1", "x2", "s1", "psi1", "psi2",
+                                  "L", "c1", "c2", "contraction"]

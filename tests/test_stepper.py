@@ -637,6 +637,8 @@ class TestRun:
 # Signed production coefficients other than +-1, zeros of either sign among them.
 NON_UNIT = st.floats(-4.0, 4.0).filter(lambda w: abs(w) >= 0.05 and abs(w) != 1.0)
 COEFFICIENT = st.one_of(st.sampled_from([0.0, -0.0]), NON_UNIT, NON_UNIT)
+# A species consumes only its limiting substrate: other coefficients are >= 0.
+OFF_OWN = COEFFICIENT.filter(lambda w: not w < 0.0)
 LEVEL = st.floats(0.0, 200.0)
 
 
@@ -658,8 +660,9 @@ def bulk_traces(draw, horizon):
 @st.composite
 def scenarios(draw):
     """Valid scenarios off the presets' kinetics: 1-3 species and substrates,
-    any wiring with signed non-unit coefficients, constant, ramp and table
-    bulk traces, N <= 40 and horizons <= 0.05 d."""
+    any wiring with non-unit coefficients (negative only on a species'
+    limiting substrate), constant, ramp and table bulk traces, N <= 40 and
+    horizons <= 0.05 d."""
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     horizon = draw(st.floats(1e-3, 0.05))
     # species 1 attaches from the start, so a run has a film to grow
@@ -667,10 +670,11 @@ def scenarios(draw):
         dataclasses.replace(sp, v_a=draw(st.sampled_from((0.0, 0.025))) if i else 0.025,
                             k_col=draw(st.sampled_from((0.0, 2.5))))
         for i, sp in enumerate(build_preset("case2").cfg.species[:n]))
+    substrate_of = tuple(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
     stoich = Stoichiometry(
-        substrate_of=tuple(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))),
-        production=tuple(tuple(draw(st.lists(COEFFICIENT, min_size=n, max_size=n)))
-                         for _ in range(m)))
+        substrate_of=substrate_of,
+        production=tuple(tuple(draw(COEFFICIENT if k == j else OFF_OWN) for k in substrate_of)
+                         for j in range(m)))
     times = draw(st.lists(st.floats(0.0, horizon), max_size=3))
     return dataclasses.replace(
         CASE1, species=species, substrates=CASE1.substrates[:m],
