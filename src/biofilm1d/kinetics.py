@@ -179,25 +179,36 @@ def detachment_flux(L, delta) -> float:
     return delta * L * L
 
 
-def inflow_fractions(psi_star, cfg) -> np.ndarray:
-    """Composition of freshly attached biomass.
-
-    Proportional to v_a_i * psi_i; species with zero attachment stay exactly
-    zero, and the closure to unit sum is folded into the last nonzero
-    component so the fractions sum to one.
-    """
-    a = cfg.arrays
-    psi = np.maximum(np.asarray(psi_star, dtype=float), 0.0)
-    raw = a["v_a"] * psi
-    total = float(raw.sum())
-    if total <= 0.0:
-        raise NoAttachment("all attachment fluxes vanish")
-    out = raw / total
-    k = int(np.nonzero(raw)[0][-1])
+def _closed(shares, k) -> np.ndarray:
+    """``shares`` with the closure to unit sum folded into share ``k``."""
+    out = shares.copy()
     out[k] = 1.0 - (out.sum() - out[k])
     for _ in range(3):
         err = out.sum() - 1.0
         if err == 0.0:
             break
         out[k] -= err
+    return out
+
+
+def inflow_fractions(psi_star, cfg) -> np.ndarray:
+    """Composition of freshly attached biomass.
+
+    Proportional to v_a_i * psi_i; species with zero attachment stay exactly
+    +0.0 (a -0.0 velocity or bulk value counts as +0.0), and the closure to unit sum is folded into the last nonzero
+    component so the fractions sum to one.  Where that component is below
+    rounding and the fold would make it negative, the closure goes into the
+    largest component instead: that one is at least 1/n, so no share is
+    negative.
+    """
+    a = cfg.arrays
+    psi = np.maximum(np.asarray(psi_star, dtype=float), 0.0)
+    raw = np.maximum(a["v_a"], 0.0) * psi
+    total = float(raw.sum())
+    if total <= 0.0:
+        raise NoAttachment("all attachment fluxes vanish")
+    shares = raw / total
+    out = _closed(shares, int(np.nonzero(raw)[0][-1]))
+    if out.min() < 0.0:
+        out = _closed(shares, int(np.argmax(shares)))
     return out

@@ -202,7 +202,6 @@ class BoundaryTrace:
     sigma_d: np.ndarray
     u_L: np.ndarray
     sum_f_drift: np.ndarray
-    clamped_nodes: np.ndarray
 
     @property
     def attachment(self) -> np.ndarray:
@@ -331,7 +330,7 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
 
     def trace_ok(name, trace):
         """Report a bulk trace that is not a descriptor or holds a number
-        that is not finite; True when its lower bound can be checked."""
+        that is not finite; True when its bounds can be checked."""
         kinds = (ConstantTrace, RampTrace, TableTrace)
         return (section(name, trace, kinds, "bulk trace")
                 and finite(name, *_trace_numbers(trace)))
@@ -366,10 +365,10 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
         check(not (s_ok and substrates_ok) or len(s_star) == cfg.m, "bulk.s",
               "one trace per substrate required")
         for i, tr in enumerate(psi_star if psi_ok else (), start=1):
-            check(not trace_ok(f"bulk.psi.{i}", tr) or tr.lower_bound() >= 0,
+            check(not trace_ok(f"bulk.psi.{i}", tr) or tr.bounds()[0] >= 0,
                   f"bulk.psi.{i}", "bulk trace must stay >= 0 over the horizon")
         for j, tr in enumerate(s_star if s_ok else (), start=1):
-            check(not trace_ok(f"bulk.s.{j}", tr) or tr.lower_bound() >= 0,
+            check(not trace_ok(f"bulk.s.{j}", tr) or tr.bounds()[0] >= 0,
                   f"bulk.s.{j}", "bulk trace must stay >= 0 over the horizon")
 
     st = cfg.stoichiometry
@@ -404,6 +403,24 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
 
     if section("numerics", cfg.numerics, NumericsConfig):
         params("numerics", cfg.numerics)
+
+    # The explicit update f + dt (r - f G) of a fraction f >= 0 is at least
+    # f (1 - dt G), so the fractions stay >= 0 while dt G <= 1.  G is at most
+    # max mu_max + sum k_col psi*_max / rho: the Monod factor is at most 1,
+    # Psi stays within [0, psi*] and a linear interpolant within its data.
+    # Half the exact bound leaves room for rounding in G, in the
+    # interpolants and in the fraction sum.  Checked when every field it
+    # reads is valid, so it cannot raise and is not hidden by another field.
+    reads = {"species", "bulk", "bulk.psi", "numerics", "numerics.dt_max"}
+    for i in range(1, cfg.n + 1) if species_ok else ():
+        reads |= {f"species.{i}", f"species.{i}.mu_max", f"species.{i}.k_col",
+                  f"species.{i}.rho", f"bulk.psi.{i}"}
+    if species_ok and not reads & {v.field for v in bad}:
+        g_max = float(max(sp.mu_max for sp in cfg.species)
+                      + sum(sp.k_col * tr.bounds()[1] / sp.rho
+                            for sp, tr in zip(cfg.species, cfg.bulk.psi_star)))
+        check(g_max == 0 or cfg.numerics.dt_max <= 0.5 / g_max, "numerics.dt_max",
+              f"dt_max * G_max must be <= 0.5, with G_max = {g_max:.6g} 1/d")
 
     return ValidationReport(tuple(bad))
 

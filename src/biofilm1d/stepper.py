@@ -175,8 +175,10 @@ def make_snapshot(p: _Parcels, S_guess, cfg: ScenarioConfig) -> Snapshot:
 def _commit(p: _Parcels, dt: float, t_new: float, rhs: _Rhs, cfg: ScenarioConfig):
     """The parcels moved by ``dt`` along ``rhs`` with a parcel attached or
     parcels shed at the new top, at time ``t_new``; a parcel attached over the
-    step takes that label.  Returns them with the step's fraction-sum drift
-    and clamped-parcel count, writing no argument."""
+    step takes that label.  Returns them with the step's fraction-sum drift,
+    writing no argument.  The fractions stay non-negative without a clamp:
+    ``validate_config`` bounds ``dt * G`` by 0.5, and the attached inflow
+    fractions are never negative."""
     L_new = p.L + dt * (rhs.u_L + rhs.sigma_a - rhs.sigma_d)
     if L_new < cfg.numerics.L_eps:
         logger.info("thickness fell below the seed value; re-seeding")
@@ -185,8 +187,6 @@ def _commit(p: _Parcels, dt: float, t_new: float, rhs: _Rhs, cfg: ScenarioConfig
     rates = rhs.rates
     growth = rates.r_M + rates.r_col
     f_new = p.fz + dt * (growth - p.fz * rates.G)
-    clamped = int(np.sum(np.any(f_new < 0.0, axis=0)))
-    f_new = np.maximum(f_new, 0.0)
     col = f_new.sum(axis=0)
     drift = float(np.max(np.abs(col - 1.0)))
     if np.min(col) <= 0.1:
@@ -213,7 +213,7 @@ def _commit(p: _Parcels, dt: float, t_new: float, rhs: _Rhs, cfg: ScenarioConfig
         keep[0] = True
     return _Parcels(t=t_new, L=L_new, z=np.append(z_new[keep], L_new),
                     t0=np.append(p.t0[keep], t0_top),
-                    fz=np.column_stack([f_new[:, keep], f_top])), drift, clamped
+                    fz=np.column_stack([f_new[:, keep], f_top])), drift
 
 
 def _append(columns, *values) -> None:
@@ -241,8 +241,8 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
     solved = []  # (t, S) of the last two step solves, oldest first
     snaps = []
     # one column per BoundaryTrace and per ProfileTrace field, in declaration
-    # order; a scalar field takes one 8-byte value per step
-    columns = [array("d") for _ in range(6)] + [array("q")]
+    # order; a scalar field takes one float64 per step
+    columns = [array("d") for _ in range(6)]
     profile_columns = [array("d"), array("d"), [], [], [], [], []]
     # each snapshot right after its forced time; at t = 0 the seed's
     for target in [0.0] + _forced_times(cfg):
@@ -253,10 +253,10 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
             t_end = target if abs(p.t + dt - target) <= tol else p.t + dt
             rhs = _rhs(p.t, p.L, p.z, p.fz, _predicted_S(solved, p.t, cfg), cfg)
             solved = solved[-1:] + [(p.t, rhs.S)]
-            nxt, drift, clamped = _commit(p, dt, t_end, rhs, cfg)
+            nxt, drift = _commit(p, dt, t_end, rhs, cfg)
             if not (np.isfinite(nxt.L) and np.all(np.isfinite(nxt.fz))):
                 raise NumericalBlowup("non-finite state after step", t=t_end)
-            _append(columns, p.t, p.L, rhs.sigma_a, rhs.sigma_d, rhs.u_L, drift, clamped)
+            _append(columns, p.t, p.L, rhs.sigma_a, rhs.sigma_d, rhs.u_L, drift)
             if record_profiles and p.t <= profile_t_max:
                 _append(profile_columns, p.t, p.L, rhs.S, rhs.Psi, p.z, p.t0, p.fz)
             p = nxt
@@ -266,13 +266,12 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
     # Final row at the horizon (reuses the last snapshot if it is here).
     last = (snaps[-1] if snaps and snaps[-1].t == p.t
             else make_snapshot(p, _last_S(solved, cfg), cfg))
-    _append(columns, p.t, p.L, last.sigma_a, last.sigma_d, last.u_L, 0.0, 0)
+    _append(columns, p.t, p.L, last.sigma_a, last.sigma_d, last.u_L, 0.0)
     if record_profiles and p.t <= profile_t_max:
         _append(profile_columns, p.t, p.L, last.S, last.Psi, p.z, p.t0, p.fz)
 
-    # the traces view the buffers without a copy: "d" is float64, "q" int64
-    boundary = BoundaryTrace(*(np.frombuffer(c, dtype=np.dtype(c.typecode))
-                               for c in columns))
+    # the traces view the buffers without a copy
+    boundary = BoundaryTrace(*(np.frombuffer(c, dtype=np.float64) for c in columns))
     warn_under_resolved(float(boundary.L.max()), cfg)
     profiles = None
     t, L, S, Psi, z, t0, fz = profile_columns

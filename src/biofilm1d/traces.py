@@ -31,8 +31,9 @@ class ConstantTrace:
     def breakpoints(self):
         return ()
 
-    def lower_bound(self):
-        return self.value
+    def bounds(self):
+        """``(low, high)`` of the trace over all time."""
+        return self.value, self.value
 
     def descriptor(self):
         return f"constant,{self.value!r}"
@@ -76,8 +77,10 @@ class RampTrace:
     def breakpoints(self):
         return (self.t1,)
 
-    def lower_bound(self):
-        return 0.0 if self.psi30 >= 0.0 else self.psi30
+    def bounds(self):
+        """``(low, high)`` of the trace over all time: it runs from 0
+        toward ``psi30``."""
+        return min(0.0, self.psi30), max(0.0, self.psi30)
 
     def descriptor(self):
         return f"ramp,{self.psi30!r},{self.t1!r},{self.variant}"
@@ -120,8 +123,10 @@ class TableTrace:
     def breakpoints(self):
         return self.times
 
-    def lower_bound(self):
-        return min(self.values)
+    def bounds(self):
+        """``(low, high)`` of the trace over all time: the knot values'
+        range, which linear interpolation stays inside."""
+        return min(self.values), max(self.values)
 
     def descriptor(self):
         pairs = ";".join(f"{t!r}:{v!r}" for t, v in zip(self.times, self.values))

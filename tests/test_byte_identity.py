@@ -447,20 +447,22 @@ def step_schedule(cfg):
 
 def frozen_run(cfg):
     """:func:`stepper.run` with profiles recorded, over the frozen engine:
-    snapshots, boundary rows and profile records, each a list."""
+    snapshots, boundary rows, profile records and the fraction clamp's
+    count at each step, each a list."""
     eng = FrozenEngine(cfg)
     snaps = [eng.snapshot() for s in cfg.snapshot_times if s == 0.0]
-    rows, records = [], []
+    rows, records, clamped = [], [], []
     for dt, t_end in step_schedule(cfg):
         t, L, t0, fz = eng.t, eng.L, eng.t0, eng.fz
         sigma_a, sigma_d, u_L, z, _, S, Psi = eng.advance(dt, t_end)
-        rows.append((t, L, sigma_a, sigma_d, u_L, eng.drift, eng.clamped))
+        rows.append((t, L, sigma_a, sigma_d, u_L, eng.drift))
         records.append((t, L, S, Psi, z, t0, fz))
+        clamped.append(eng.clamped)
         snaps.extend(eng.snapshot() for s in cfg.snapshot_times if s == t_end)
     last = snaps[-1] if snaps and snaps[-1].t == eng.t else eng.snapshot()
-    rows.append((eng.t, eng.L, last.sigma_a, last.sigma_d, last.u_L, 0.0, 0))
+    rows.append((eng.t, eng.L, last.sigma_a, last.sigma_d, last.u_L, 0.0))
     records.append((eng.t, eng.L, last.S, last.Psi, eng.z, eng.t0, eng.fz))
-    return snaps, rows, records
+    return snaps, rows, records, clamped
 
 
 def assert_same_bits(actual, expected, what):
@@ -490,15 +492,20 @@ def test_steps_bitwise_equal_to_frozen_stepper(make_cfg, recedes):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryLayerResolutionWarning)
         new = stepper.run(cfg, record_profiles=True)
-    snaps, rows, records = frozen_run(cfg)
+    snaps, rows, records, clamped = frozen_run(cfg)
 
+    # the frozen step still clamps its fractions at zero; it never acts, so
+    # the bit-equality below shows the stepper needs no clamp on these runs
+    assert clamped == [0] * (len(rows) - 1)
     assert len(new.snapshots) == len(snaps) == 9
     for k, (a, b) in enumerate(zip(new.snapshots, snaps)):
         assert_same_snapshot(a, b, f"snapshot {k}")
     # one boundary row and one profile record per step start and the horizon
     b = new.boundary
     assert b.t.size == len(rows) == len(records)
-    for name, column in zip([f.name for f in dataclasses.fields(b)], zip(*rows)):
+    names = [f.name for f in dataclasses.fields(b)]
+    assert names == ["t", "L", "sigma_a", "sigma_d", "u_L", "sum_f_drift"]
+    for name, column in zip(names, zip(*rows), strict=True):
         assert_same_bits(getattr(b, name), column, f"boundary {name}")
     p = new.profiles
     for name, column in zip([f.name for f in dataclasses.fields(p)], zip(*records)):

@@ -312,6 +312,48 @@ class TestValidateConfig:
             assert report.violations == tuple(
                 Violation(f"{tag}.{i}", constraint) for i in (1, 2, 3))
 
+    # case2's bound on the velocity source: max mu_max + sum k_col psi*_max / rho
+    CASE2_G_MAX = 1.5 + sum([2.5 * 100.0 / 5000.0] * 3)
+
+    @staticmethod
+    def case2_with(dt_max, **species_1):
+        cfg = build_preset("case2").cfg
+        return dataclasses.replace(
+            cfg, numerics=dataclasses.replace(cfg.numerics, dt_max=dt_max),
+            species=(dataclasses.replace(cfg.species[0], **species_1),) + cfg.species[1:])
+
+    def test_step_above_half_the_source_bound_reported(self):
+        assert self.CASE2_G_MAX == pytest.approx(1.65, rel=1e-15)
+        bound = 0.5 / self.CASE2_G_MAX
+        report = validate_config(self.case2_with(np.nextafter(bound, 1.0)))
+        assert [v.field for v in report.violations] == ["numerics.dt_max"]
+        assert "dt_max * G_max must be <= 0.5" in str(report)
+        assert validate_config(self.case2_with(bound)).ok
+
+    def test_step_bound_checked_beside_other_violations(self):
+        # a field the bound does not read leaves it checked; a field it reads
+        # that is invalid leaves it unchecked, so it cannot divide by zero
+        report = validate_config(self.case2_with(1.0, K=0.0))
+        assert [v.field for v in report.violations] == ["species.1.K", "numerics.dt_max"]
+        report = validate_config(self.case2_with(1.0, rho=0.0))
+        assert [v.field for v in report.violations] == ["species.1.rho"]
+
+    def test_trace_bounds(self):
+        assert ConstantTrace(3.0).bounds() == (3.0, 3.0)
+        assert RampTrace(4.0, 0.5).bounds() == (0.0, 4.0)
+        assert RampTrace(-2.0, 0.5).bounds() == (-2.0, 0.0)
+        assert TableTrace((0.0, 1.0, 2.0), (1.0, 5.0, 0.5)).bounds() == (0.5, 5.0)
+        # the low end is checked against zero ...
+        report = validate_config(with_trace(make_cfg(), "psi_star", 2, RampTrace(-2.0, 0.5)))
+        assert report.violations == (
+            Violation("bulk.psi.3", "bulk trace must stay >= 0 over the horizon"),)
+        # ... and the high end bounds colonization: k_col psi / rho = 2.5 psi / 5000
+        # adds 100 1/d to case2's G_max at psi = 2e5 and 500 at 1e6
+        case2 = build_preset("case2").cfg
+        for high, ok in [(2e5, True), (1e6, False)]:
+            table = TableTrace((0.0, 1.0), (0.0, high))
+            assert validate_config(with_trace(case2, "psi_star", 2, table)).ok == ok
+
     def test_every_numeric_parameter_has_one_lower_bound(self):
         # validate_config checks each int and float field by its declared
         # type and its bound in one table, so a field added later cannot

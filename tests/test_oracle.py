@@ -397,8 +397,7 @@ def synthetic_run(times, L_of_t, c_of=None, N=40):
                              sigma_a=np.full(times.size, 1e-3),
                              sigma_d=np.zeros(times.size),
                              u_L=np.zeros(times.size),
-                             sum_f_drift=np.zeros(times.size),
-                             clamped_nodes=np.zeros(times.size, int))
+                             sum_f_drift=np.zeros(times.size))
     return RunResult(cfg=CASE1, snapshots=[], boundary=boundary,
                      profiles=profiles)
 

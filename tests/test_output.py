@@ -191,8 +191,7 @@ def hand_built_run(N, snapshot_times, steps, seed=0):
              for t in snapshot_times]
     boundary = BoundaryTrace(
         t=np.cumsum(rng.random(steps)), L=field(steps), sigma_a=field(steps),
-        sigma_d=field(steps), u_L=field(steps), sum_f_drift=np.zeros(steps),
-        clamped_nodes=np.zeros(steps, dtype=int))
+        sigma_d=field(steps), u_L=field(steps), sum_f_drift=np.zeros(steps))
     assert boundary.attachment.any() and not boundary.attachment.all()
     return RunResult(cfg=cfg, snapshots=snaps, boundary=boundary)
 

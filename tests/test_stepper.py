@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from biofilm1d import configio, elliptic, kinetics, stepper
 from biofilm1d.errors import Biofilm1dError, BoundaryLayerResolutionWarning, NoAttachment
@@ -37,9 +37,45 @@ def two_species_cfg(v_a=(0.0, 0.0), psi=(0.0, 0.0), delta=0.0):
         delta=delta,
         bulk=BulkTraces(psi_star=tuple(ConstantTrace(p) for p in psi),
                         s_star=(ConstantTrace(100.0),)),
-        stoichiometry=Stoichiometry(substrate_of=(0, 0),
-                                    production=((-1.0, -1.0),)),
+        stoichiometry=Stoichiometry(substrate_of=(0,) * len(v_a),
+                                    production=((-1.0,) * len(v_a),)),
         numerics=NumericsConfig(N=16), horizon=1.0, snapshot_times=())
+
+
+def tiny_share_case2():
+    """case2 whose third inflow share, v_a psi = 1e-21 against about 2.2, is
+    below rounding: the closure folded into it came out at -2.2e-16."""
+    case2 = build_preset("case2").cfg
+    return dataclasses.replace(
+        case2, species=tuple(dataclasses.replace(sp, v_a=v)
+                             for sp, v in zip(case2.species, (0.03, 0.02, 0.1))),
+        bulk=dataclasses.replace(case2.bulk, psi_star=tuple(
+            ConstantTrace(p) for p in (55.263, 26.827, 1e-20))),
+        numerics=dataclasses.replace(case2.numerics, N=50), horizon=0.05,
+        snapshot_times=(0.0, 0.01, 0.05))
+
+
+TINY_SHARE = tiny_share_case2()
+
+
+def frozen_inflow_fractions(psi_star, cfg):
+    """The inflow fractions as first written, kept as a reference: the
+    closure always folded into the last nonzero share."""
+    a = cfg.arrays
+    psi = np.maximum(np.asarray(psi_star, dtype=float), 0.0)
+    raw = a["v_a"] * psi
+    total = float(raw.sum())
+    if total <= 0.0:
+        raise NoAttachment("all attachment fluxes vanish")
+    out = raw / total
+    k = int(np.nonzero(raw)[0][-1])
+    out[k] = 1.0 - (out.sum() - out[k])
+    for _ in range(3):
+        err = out.sum() - 1.0
+        if err == 0.0:
+            break
+        out[k] -= err
+    return out
 
 
 def parcels(z, f, t=0.0):
@@ -52,11 +88,10 @@ def parcels(z, f, t=0.0):
 def step(cfg, p, dt, t_new=None):
     """One step of ``run`` from ``p`` (Newton started from the bulk values),
     ending at ``t_new`` (default ``p.t + dt``): the next parcels, the
-    right-hand side at ``p``, the fraction-sum drift and the clamp count."""
+    right-hand side at ``p`` and the fraction-sum drift."""
     rhs = stepper._rhs(p.t, p.L, p.z, p.fz, stepper._predicted_S([], p.t, cfg), cfg)
-    nxt, drift, clamped = stepper._commit(p, dt, p.t + dt if t_new is None else t_new,
-                                          rhs, cfg)
-    return nxt, rhs, drift, clamped
+    nxt, drift = stepper._commit(p, dt, p.t + dt if t_new is None else t_new, rhs, cfg)
+    return nxt, rhs, drift
 
 
 def read_only(a):
@@ -109,6 +144,37 @@ class TestInterfaceFluxes:
     def test_inflow_requires_attachment(self):
         with pytest.raises(NoAttachment):
             inflow_fractions(np.zeros(3), CASE1)
+
+    def test_inflow_share_below_rounding_stays_non_negative(self):
+        # folding the closure into the last nonzero share made it negative;
+        # the largest share takes the closure instead
+        psi = TINY_SHARE.psi_star(0.0)
+        assert frozen_inflow_fractions(psi, TINY_SHARE)[2] < 0.0
+        f = inflow_fractions(psi, TINY_SHARE)
+        assert np.all(f >= 0.0) and not np.signbit(f).any()
+        assert f[2] > 0.0 and f.sum() == 1.0
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-3, 1.0)),
+                 min_size=n, max_size=n),
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e-16), st.floats(1e-3, 200.0)),
+                 min_size=n, max_size=n))))
+    @example(((0.03, 0.02, 0.1), (55.263, 26.827, 1e-20)))
+    @example(((0.02, -0.0), (50.0, 50.0)))
+    def test_inflow_shares_non_negative_with_unit_sum(self, draw):
+        v_a, psi = draw
+        raw = np.array(v_a) * np.array(psi)
+        assume(raw.sum() > 0.0)
+        cfg = two_species_cfg(v_a=v_a, psi=psi)
+        f = inflow_fractions(np.array(psi), cfg)
+        assert np.all(f >= 0.0) and not np.signbit(f).any()
+        assert np.all(f[raw == 0.0] == 0.0)
+        assert f.sum() == 1.0
+        # the bits move only where the first rule gave a negative share or -0.0
+        reference = frozen_inflow_fractions(np.array(psi), cfg)
+        if not np.signbit(reference).any():
+            assert_same_bits(f, reference)
 
 
 class TestVelocity:
@@ -177,11 +243,11 @@ class TestAdvanceBiomass:
 
     def test_identity_without_forcing(self):
         f = np.stack([np.linspace(0.2, 0.8, 17), np.linspace(0.8, 0.2, 17)])
-        p, _, drift, clamped = step(self.cfg, parcels(self.z, f), 1e-3)
+        p, _, drift = step(self.cfg, parcels(self.z, f), 1e-3)
         np.testing.assert_array_equal(p.z[:-1], self.z)
         np.testing.assert_array_equal(p.fz[:, :-1], f)
         np.testing.assert_array_equal(p.fz[:, -1], [1.0, 0.0])
-        assert drift == 0.0 and clamped == 0
+        assert drift == 0.0
 
     def test_uniform_reaction_reduces_to_ode(self, monkeypatch):
         # r = (0.2, 0.6) f with f = (0.5, 0.5), G = sum r = 0.4:
@@ -275,7 +341,7 @@ class TestLaunchLabels:
 class TestStep:
     def test_nucleation_arithmetic(self):
         cfg = small_case1()
-        p, rhs, _, _ = step(cfg, _seed(cfg), 1e-4)
+        p, rhs, _ = step(cfg, _seed(cfg), 1e-4)
         # L ~ sigma_a dt = 1e-7 (the 1e-9 seed and u_L are negligible)
         assert p.L == pytest.approx(1e-7, rel=0.02)
         assert attaching(rhs.sigma_a, rhs.sigma_d)
@@ -313,7 +379,7 @@ class TestStep:
         cfg = small_case1()
         start = step(cfg, _seed(cfg), 1e-4)[0]
         dt = cfg.numerics.dt_max
-        p, rhs, drift, clamped = step(cfg, start, dt)
+        p, rhs, drift = step(cfg, start, dt)
         assert p.t == start.t + dt
         assert rhs.u[0] == 0.0 and rhs.u_L == rhs.u[-1]
         assert rhs.u.shape == rhs.rates.G.shape == start.z.shape
@@ -322,7 +388,7 @@ class TestStep:
         np.testing.assert_array_equal(p.z[:-1], start.z + dt * rhs.u)
         np.testing.assert_array_equal(p.t0[:-1], start.t0)
         assert rhs.S.shape == rhs.Psi.shape == (3, cfg.numerics.N + 1)
-        assert drift <= 1e-8 and clamped == 0
+        assert drift <= 1e-8
 
 
 class TestRightHandSide:
@@ -394,11 +460,10 @@ class TestCommit:
         kept = [np.array(getattr(p, name)) for name in ("z", "t0", "fz")]
         t_new = p.t + dt
         first, second = (stepper._commit(p, dt, t_new, rhs, cfg) for _ in range(2))
-        (a, drift_a, clamped_a), (b, drift_b, clamped_b) = first, second
+        (a, drift_a), (b, drift_b) = first, second
         for name in ("t", "L", "z", "t0", "fz"):
             assert_same_bits(getattr(a, name), getattr(b, name))
         assert_same_bits(drift_a, drift_b)
-        assert clamped_a == clamped_b
         for name, before in zip(("z", "t0", "fz"), kept):
             assert_same_bits(getattr(p, name), before)
         # the branch taken
@@ -412,6 +477,22 @@ class TestCommit:
                 assert a.L == cfg.numerics.L_eps
             else:
                 assert a.t0[-1] == t_new
+
+    def test_step_at_half_the_bound_keeps_fractions_non_negative(self):
+        # case2 at the largest dt_max validate_config accepts: dt G_max = 0.5,
+        # G_max = max mu_max + sum k_col psi*_max / rho; nearly all of the
+        # film is the fastest grower, so G is close to G_max
+        case2 = build_preset("case2").cfg
+        g_max = 1.5 + sum([2.5 * 100.0 / 5000.0] * 3)
+        cfg = dataclasses.replace(case2, numerics=dataclasses.replace(
+            case2.numerics, dt_max=0.5 / g_max))
+        assert validate_config(cfg).ok
+        f = np.repeat([[0.0], [1.0 - 1e-300], [1e-300]], 17, axis=1)
+        p, rhs, drift = step(cfg, parcels(np.linspace(0.0, 1e-5, 17), f),
+                             cfg.numerics.dt_max)
+        assert cfg.numerics.dt_max * rhs.rates.G.max() > 0.35
+        assert np.all(p.fz >= 0.0) and not np.signbit(p.fz).any()
+        assert drift <= CONSTRAINT_TOL
 
 
 class TestRun:
@@ -566,12 +647,12 @@ class TestRun:
         steps = res.boundary.t.size - 1
         assert steps == 100 and len(res.snapshots) == 2
         assert calls == {"solve_substrates": steps, "rate_bundle": steps}
-        # one entry per step start plus the horizon in every boundary column
+        # one float64 entry per step start plus the horizon in every
+        # boundary column
         for field in dataclasses.fields(res.boundary):
             column = getattr(res.boundary, field.name)
             assert column.shape == (steps + 1,)
-            assert column.dtype == (np.int64 if field.name == "clamped_nodes"
-                                    else np.float64)
+            assert column.dtype == np.float64
         # perfbench fails a traced op in which either kinetics count is zero.
         # The coupled check evaluates every rate once per step.  The first
         # step needs no Newton iteration: at the seed thickness the bulk
@@ -589,7 +670,7 @@ class TestRun:
     def test_step_records_cost_a_few_bytes_per_step(self):
         """The traced peak of ``run`` grows by less than 150 B per extra step.
 
-        The boundary trace's seven columns need 56 B per step (one 8-byte
+        The boundary trace's six columns need 48 B per step (one 8-byte
         value per field) plus the slack of their growing buffers; on this
         config the peak is set by a step's temporaries and grows by -10 to
         +12 B per step.  Records kept as a tuple of boxed floats per step and
@@ -691,6 +772,7 @@ def scenarios(draw):
 class TestRunProperties:
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(scenarios())
+    @example(TINY_SHARE)
     def test_valid_scenarios_run_within_their_invariants(self, cfg):
         assert validate_config(cfg).ok
         assert configio.loads(configio.dumps(cfg)) == cfg
@@ -703,8 +785,14 @@ class TestRunProperties:
         assert len(res.snapshots) == len(cfg.snapshot_times)
         for snap in res.snapshots:
             assert snap.sum_f_drift() <= CONSTRAINT_TOL
+            assert np.all(snap.f >= 0.0) and not np.signbit(snap.f).any()
             assert np.all(snap.S >= 0.0) and np.all(snap.Psi >= 0.0)
             assert snap.L >= cfg.numerics.L_eps
+
+    def test_tiny_inflow_share_keeps_every_parcel_non_negative(self):
+        res = run(TINY_SHARE, record_profiles=True)
+        for fz in res.profiles.parcel_f:
+            assert np.all(fz >= 0.0) and not np.signbit(fz).any()
 
 
 class TestPredictedNewtonStart:
