@@ -26,16 +26,17 @@ per field) with an analytic diagonal Jacobian.  The Newton for field j
 evaluates row j only: the growth load of the species on substrate j and the
 species-order sum of row j (:func:`kinetics.substrate_row_rates`), and the
 Jacobian of that row.  Cross-substrate coupling is relaxed by Gauss-Seidel
-sweeps until the coupled residual of all fields, evaluated in one vectorised
-pass, meets tolerance (the built-in network is triangular, so one sweep
-already lands on the coupled solution).  Planktonic fields are linear in
-themselves at frozen substrates, so each is one homogeneous solve, and a
-species without colonization (``k_col = 0``) or with a zero bulk value is its
-Dirichlet value everywhere.
+sweeps until the coupled residual of every field, checked field by field,
+meets tolerance (the built-in network is triangular, so one sweep already
+lands on the coupled solution).  Planktonic fields are linear in themselves
+at frozen substrates, so each is one homogeneous solve, and a species without
+colonization (``k_col = 0``) or with a zero bulk value is its Dirichlet value
+everywhere.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import warnings
@@ -157,10 +158,9 @@ class EllipticSolution:
 
 
 def _residual(v: np.ndarray, rate: np.ndarray, dirichlet, scale) -> np.ndarray:
-    """Scaled residual along the first (node) axis; rows carry g/m^3 and
-    ``scale = h^2 / D``.  Fields may run along a second axis, with one
-    ``dirichlet`` and ``scale`` each.  ``-(scale * rate)`` is added last,
-    which is exactly subtracting ``scale * rate``."""
+    """Scaled residual of one field; rows carry g/m^3 and ``scale = h^2 / D``.
+    ``-(scale * rate)`` is added last, which is exactly subtracting
+    ``scale * rate``."""
     r = rate * -scale
     mid = 2.0 * v[1:-1]
     mid -= v[:-2]
@@ -209,7 +209,7 @@ def solve_problem(reaction, jacobian, initial, dirichlet: float, scale: float,
         delta = tridiagonal_solve(diag, -res)
         alpha = 1.0
         for _ in range(30):
-            v_try = v + delta if alpha == 1.0 else v + alpha * delta
+            v_try = v + alpha * delta
             res_try = _residual(v_try, reaction(v_try), dirichlet, scale)
             norm_try = float(np.abs(res_try).max())
             if norm_try <= (1.0 - 1e-4 * alpha) * res_norm:
@@ -242,7 +242,7 @@ def solve_substrates(t: float, L: float, f: np.ndarray, S: np.ndarray,
     S_work = np.maximum(np.asarray(S, dtype=float), 0.0)
     h = L / (S_work.shape[1] - 1)
     scales = [h * h / sb.D for sb in cfg.substrates]
-    dirichlet = cfg.s_star(t)
+    dirichlet = cfg.s_star(t).tolist()
     iters = [0] * cfg.m
     worst = math.inf
     # The other rows stay at their latest values while field j is solved.
@@ -253,27 +253,18 @@ def solve_substrates(t: float, L: float, f: np.ndarray, S: np.ndarray,
     # Newton iterate holds -0.0: its start is clamped, and a sum is -0.0
     # only of two).
     row_rate = kinetics.substrate_row_rates(f, S_work, cfg)
-
-    def closures(j):
-        def reaction(v):
-            return row_rate(j, v)
-
-        def jacobian(v):
-            return kinetics.substrate_rate_jacobian_diag(f, v, j, cfg)
-
-        return reaction, jacobian
-
     for _sweep in range(nm.newton_max_iter):
         for j in range(cfg.m):
-            sol = solve_problem(*closures(j), S_work[j], float(dirichlet[j]),
-                                scales[j], nm.newton_tol, nm.newton_max_iter)
+            sol = solve_problem(
+                functools.partial(row_rate, j),
+                functools.partial(kinetics.substrate_rate_jacobian_diag, f, j=j, cfg=cfg),
+                S_work[j], dirichlet[j], scales[j], nm.newton_tol, nm.newton_max_iter)
             S_work[j] = sol.values
             iters[j] += sol.iterations
         # Coupled convergence check with every field at its latest value.
         rates = kinetics.substrate_rates(f, S_work, cfg)
-        norms = np.abs(_residual(S_work.T, rates.T, dirichlet,
-                                 np.array(scales))).max(axis=0)
-        worst = float((norms / np.maximum(1.0, np.abs(dirichlet))).max())
+        worst = max(float(np.abs(_residual(s, r, d, scale)).max()) / max(1.0, abs(d))
+                    for s, r, d, scale in zip(S_work, rates, dirichlet, scales))
         if worst <= nm.newton_tol:
             return [EllipticSolution(S_work[j], iters[j]) for j in range(cfg.m)]
     raise NonConvergence("coupled substrate sweeps did not converge",
@@ -306,19 +297,20 @@ def solve_planktonic(t: float, L: float, S: np.ndarray, cfg) -> np.ndarray:
     substrates S (one homogeneous solve each)."""
     if L <= 0:
         raise ValueError("domain length must be positive")
-    N = S.shape[1] - 1
-    h = L / N
+    h = L / (S.shape[1] - 1)
     kappa = kinetics.planktonic_sink_coefficients(S, cfg)
     psi_bulk = cfg.psi_star(t)
-    Psi = np.empty((cfg.n, N + 1))
-    for i, sp in enumerate(cfg.species):
-        dirichlet = float(psi_bulk[i])
+    Psi = np.empty((cfg.n, S.shape[1]))
+    for i, (sp, dirichlet) in enumerate(zip(cfg.species, psi_bulk.tolist())):
         if sp.k_col == 0 or dirichlet == 0.0:
             # kappa = 0: every pivot ratio is 1 and the product is constant;
-            # a zero bulk value (never negative, by validate_config) times
-            # the positive, finite pivot ratios is +0.0 throughout.
-            v = np.full(N + 1, dirichlet + 0.0)
+            # a zero bulk value times the positive, finite pivot ratios is
+            # +0.0 throughout.
+            Psi[i] = dirichlet + 0.0
         else:
-            v = _homogeneous_solve(h * h / sp.D_psi * kappa[i], dirichlet)
-        Psi[i] = _clamp_solution(v, dirichlet)
+            Psi[i] = _homogeneous_solve(h * h / sp.D_psi * kappa[i], dirichlet)
+    # Pivot ratios in (0, 1] and bulk values >= 0 (by validate_config) make
+    # every field >= +0.0 without a clamp; the interface row takes the raw
+    # bulk values, a -0.0 included.
+    Psi[:, -1] = psi_bulk
     return Psi

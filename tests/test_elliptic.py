@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import biofilm1d
-from biofilm1d import elliptic, stepper
+from biofilm1d import elliptic, kinetics, stepper
 from biofilm1d.elliptic import (_clamp_solution, _homogeneous_solve, _residual,
                                 resolution_limit, solve_planktonic, solve_problem,
                                 solve_substrates, tridiagonal_solve, warn_under_resolved)
-from biofilm1d.errors import BoundaryLayerResolutionWarning, SingularJacobian
+from biofilm1d.errors import (BoundaryLayerResolutionWarning, NonConvergence,
+                              SingularJacobian)
 from biofilm1d.kinetics import inflow_fractions, planktonic_sink_coefficients
 from biofilm1d.presets import build_preset
 from biofilm1d.traces import ConstantTrace
@@ -600,6 +601,194 @@ class TestPlanktonicSolves:
         assert calls["solve_planktonic"] > 0
         assert calls["_homogeneous_solve"] == 2 * calls["solve_planktonic"]
 
+
+
+# The dissolved-field solves as they stood with a closure factory, an
+# ``alpha == 1.0`` fork in the Newton update, one coupled check over both
+# axes and a clamp pass over every planktonic field, kept as a bitwise
+# reference.
+
+def frozen_residual(v, rate, dirichlet, scale):
+    """The scaled residual along the first axis; fields may run along a
+    second axis, with one ``dirichlet`` and ``scale`` each."""
+    r = rate * -scale
+    mid = 2.0 * v[1:-1]
+    mid -= v[:-2]
+    mid -= v[2:]
+    r[1:-1] += mid
+    r[0] += 2.0 * v[0] - 2.0 * v[1]
+    r[-1] = v[-1] - dirichlet
+    return r
+
+
+def frozen_solve_problem(reaction, jacobian, initial, dirichlet, scale, tol, max_iter):
+    tol_abs = tol * max(1.0, abs(dirichlet))
+    v = np.array(initial, dtype=float)
+    v[-1] = dirichlet
+    res = frozen_residual(v, reaction(v), dirichlet, scale)
+    res_norm = float(np.abs(res).max())
+    for it in range(1, max_iter + 1):
+        if res_norm <= tol_abs:
+            return elliptic.EllipticSolution(_clamp_solution(v, dirichlet), it - 1)
+        diag = 2.0 - scale * jacobian(v)
+        diag[-1] = 1.0
+        delta = tridiagonal_solve(diag, -res)
+        alpha = 1.0
+        for _ in range(30):
+            v_try = v + delta if alpha == 1.0 else v + alpha * delta
+            res_try = frozen_residual(v_try, reaction(v_try), dirichlet, scale)
+            norm_try = float(np.abs(res_try).max())
+            if norm_try <= (1.0 - 1e-4 * alpha) * res_norm:
+                v, res, res_norm = v_try, res_try, norm_try
+                break
+            alpha *= 0.5
+        else:
+            raise NonConvergence("elliptic line search stalled",
+                                 iterations=it, residual=res_norm)
+    if res_norm <= tol_abs:
+        return elliptic.EllipticSolution(_clamp_solution(v, dirichlet), max_iter)
+    raise NonConvergence("elliptic Newton exceeded max iterations",
+                         iterations=max_iter, residual=res_norm)
+
+
+def frozen_solve_substrates(t, L, f, S, cfg):
+    """The Gauss-Seidel sweep; returns the solutions and the sweeps made."""
+    nm = cfg.numerics
+    S_work = np.maximum(np.asarray(S, dtype=float), 0.0)
+    h = L / (S_work.shape[1] - 1)
+    scales = [h * h / sb.D for sb in cfg.substrates]
+    dirichlet = cfg.s_star(t)
+    iters = [0] * cfg.m
+    worst = math.inf
+    row_rate = kinetics.substrate_row_rates(f, S_work, cfg)
+
+    def closures(j):
+        def reaction(v):
+            return row_rate(j, v)
+
+        def jacobian(v):
+            return kinetics.substrate_rate_jacobian_diag(f, v, j, cfg)
+
+        return reaction, jacobian
+
+    for sweep in range(1, nm.newton_max_iter + 1):
+        for j in range(cfg.m):
+            sol = frozen_solve_problem(*closures(j), S_work[j], float(dirichlet[j]),
+                                       scales[j], nm.newton_tol, nm.newton_max_iter)
+            S_work[j] = sol.values
+            iters[j] += sol.iterations
+        rates = kinetics.substrate_rates(f, S_work, cfg)
+        norms = np.abs(frozen_residual(S_work.T, rates.T, dirichlet,
+                                       np.array(scales))).max(axis=0)
+        worst = float((norms / np.maximum(1.0, np.abs(dirichlet))).max())
+        if worst <= nm.newton_tol:
+            return [elliptic.EllipticSolution(S_work[j], iters[j])
+                    for j in range(cfg.m)], sweep
+    raise NonConvergence("coupled substrate sweeps did not converge",
+                         iterations=sum(iters), residual=worst)
+
+
+def frozen_solve_planktonic(t, L, S, cfg):
+    N = S.shape[1] - 1
+    h = L / N
+    kappa = kinetics.planktonic_sink_coefficients(S, cfg)
+    psi_bulk = cfg.psi_star(t)
+    Psi = np.empty((cfg.n, N + 1))
+    for i, sp in enumerate(cfg.species):
+        dirichlet = float(psi_bulk[i])
+        if sp.k_col == 0 or dirichlet == 0.0:
+            v = np.full(N + 1, dirichlet + 0.0)
+        else:
+            v = _homogeneous_solve(h * h / sp.D_psi * kappa[i], dirichlet)
+        Psi[i] = _clamp_solution(v, dirichlet)
+    return Psi
+
+
+# Substrate 1 feeds species 1 and 3 and is produced by species 2; substrate 2
+# feeds species 2 and is produced by species 1, so neither field can be
+# solved before the other and the sweep count depends on the start.
+CYCLIC = dataclasses.replace(CASE1, stoichiometry=dataclasses.replace(
+    CASE1.stoichiometry, substrate_of=(0, 1, 0),
+    production=((-1.0, 0.9, -1.0), (0.9, -1.0, 0.0), (1.0, 0.0, 0.0))))
+
+
+@pytest.fixture(scope="module")
+def states():
+    """``{name: (cfg, snapshot)}``: each preset, and the cyclic network, run
+    to 0.5 d."""
+    out = {}
+    for name, cfg in (("case1", CASE1), ("case2", CASE2),
+                      ("case3", build_preset("case3").cfg), ("cyclic", CYCLIC)):
+        cfg = dataclasses.replace(cfg, horizon=0.5, snapshot_times=(0.5,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryLayerResolutionWarning)
+            out[name] = cfg, stepper.run(cfg).snapshots[-1]
+    return out
+
+
+def newton_starts(cfg, snap):
+    """The state's own solution, the bulk values and half the solution."""
+    bulk = np.outer(cfg.s_star(snap.t), np.ones(snap.N + 1))
+    return {"own": snap.S, "bulk": bulk, "half": 0.5 * snap.S}
+
+
+def colonizer_bulk(bulk):
+    """case2 with the bulk value of species 1, a colonizer, set to ``bulk``."""
+    return dataclasses.replace(CASE2, bulk=dataclasses.replace(
+        CASE2.bulk, psi_star=(ConstantTrace(bulk),) + CASE2.bulk.psi_star[1:]))
+
+
+class TestFrozenReference:
+    """The solves agree bit for bit, zero signs and Newton iterations
+    included, with the frozen reference above."""
+
+    @pytest.mark.parametrize("name", ["case1", "case2", "case3", "cyclic"])
+    def test_substrates(self, states, name, monkeypatch):
+        cfg, snap = states[name]
+        rates, sweeps = kinetics.substrate_rates, {}
+        for start, S in newton_starts(cfg, snap).items():
+            calls = []  # the coupled check evaluates every row once a sweep
+            with monkeypatch.context() as m:
+                m.setattr(kinetics, "substrate_rates",
+                          lambda *args: calls.append(args) or rates(*args))
+                sols = solve_substrates(snap.t, snap.L, snap.f, S, cfg)
+            ref, sweeps[start] = frozen_solve_substrates(snap.t, snap.L, snap.f, S, cfg)
+            assert len(calls) == sweeps[start], start
+            for sol, expected in zip(sols, ref):
+                assert sol.iterations == expected.iterations, start
+                assert_bitwise_equal(sol.values, expected.values)
+        if name == "cyclic":
+            # from its own solution one sweep suffices; the others iterate
+            assert sweeps == {"own": 1, "bulk": 2, "half": 3}
+
+    @pytest.mark.parametrize("name", ["case1", "case2", "case3", "cyclic"])
+    def test_planktonic(self, states, name):
+        cfg, snap = states[name]
+        assert_bitwise_equal(solve_planktonic(snap.t, snap.L, snap.S, cfg),
+                             frozen_solve_planktonic(snap.t, snap.L, snap.S, cfg))
+
+    @pytest.mark.parametrize("bulk", [-0.0, 0.0, 1e-300])
+    def test_planktonic_colonizer_bulk(self, bulk):
+        cfg = colonizer_bulk(bulk)
+        t, L, _, S = developed(cfg)
+        Psi = solve_planktonic(t, L, S, cfg)
+        assert_bitwise_equal(Psi, frozen_solve_planktonic(t, L, S, cfg))
+        assert math.copysign(1.0, Psi[0, -1]) == math.copysign(1.0, bulk)
+
+
+class TestPlanktonicNonNegative:
+    """The planktonic fields are >= +0.0 by construction: no clamp runs."""
+
+    @pytest.mark.parametrize("name", ["case1", "case2", "case3"])
+    def test_no_clamp_on_developed_states(self, states, name, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the planktonic solve clamped")
+
+        monkeypatch.setattr(elliptic, "_clamp_solution", refuse)
+        cfg, snap = states[name]
+        Psi = solve_planktonic(snap.t, snap.L, snap.S, cfg)
+        assert np.all(Psi >= 0.0) and not np.signbit(Psi).any()
+        assert_bitwise_equal(Psi[:, -1], cfg.psi_star(snap.t))
 
 def test_import_loads_neither_scipy_nor_numba():
     # Importing scipy.linalg more than doubles the package's import time and

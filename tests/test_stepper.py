@@ -787,6 +787,10 @@ class TestRunProperties:
             assert snap.sum_f_drift() <= CONSTRAINT_TOL
             assert np.all(snap.f >= 0.0) and not np.signbit(snap.f).any()
             assert np.all(snap.S >= 0.0) and np.all(snap.Psi >= 0.0)
+            # the interface row holds the bulk values bit for bit, and no
+            # other planktonic value is -0.0: Psi takes no clamp
+            assert snap.Psi[:, -1].tobytes() == cfg.psi_star(snap.t).tobytes()
+            assert not np.signbit(snap.Psi[:, :-1]).any()
             assert snap.L >= cfg.numerics.L_eps
 
     def test_tiny_inflow_share_keeps_every_parcel_non_negative(self):

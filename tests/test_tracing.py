@@ -102,6 +102,32 @@ def test_traced_emit_counts_the_written_bytes(tracing, tmp_path):
         assert "output.emit.bytes" in expected[workload], workload
 
 
+def test_traced_case2_run_reaches_every_expected_layer(tracing, tmp_path):
+    # a short case2 run through the CLI, as the preset-case2 op makes it: a
+    # binding bound at import time or a dropped kinetics call would leave one
+    # of the layers the benchmark requires at zero
+    cli = biofilm1d.cli
+    cfg = biofilm1d.build_preset("case2").cfg
+    cfg = dataclasses.replace(
+        cfg, numerics=dataclasses.replace(cfg.numerics, N=40), horizon=0.05,
+        snapshot_times=(0.05,))
+    config = tmp_path / "short-case2.cfg"
+    biofilm1d.configio.save(cfg, config)
+    tracer = tracing.Tracer()
+    tracer.install(biofilm1d)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryLayerResolutionWarning)
+            assert cli.cli(["run", "--config", str(config),
+                            "--out", str(tmp_path / "out")]) == 0
+    finally:
+        tracer.close()
+    layers = tracer.metrics()
+    assert layers["output.emit.bytes"] > 0
+    for name in load_perfbench("workload").EXPECTED_LAYERS["preset-case2"]:
+        assert layers[name] > 0, name
+
+
 def test_traced_run_counts_steps_snapshots_and_parcels(tracing):
     # the counters read what the run records: a snapshot solve outside
     # make_snapshot would count as a step, and a rate evaluation off the
