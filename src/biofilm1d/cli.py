@@ -4,7 +4,7 @@ Subcommands: ``run`` (integrate a scenario and emit CSV output), ``oracle``
 (short-horizon fixed-point solve plus cross-validation against the stepper),
 ``window`` (contraction-window estimate), ``validate`` (configuration check).
 
-Exit codes: 0 success, 1 validation failure, 2 numerical failure,
+Exit codes: 0 success, 1 validation failure, 2 numerical or I/O failure,
 64 usage error.
 """
 

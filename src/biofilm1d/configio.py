@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .errors import ConfigError, IoFailure
+from .errors import ConfigError, io_failure
 from .model import (NumericsConfig, ScenarioConfig, SpeciesParams, Stoichiometry,
                     SubstrateParams)
 from .traces import BulkTraces, parse_descriptor
@@ -156,11 +156,8 @@ def loads(text: str) -> ScenarioConfig:
 
 def save(cfg: ScenarioConfig, path) -> None:
     """Write ``cfg`` to ``path``; :class:`IoFailure` names the path on failure."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dumps(cfg))
-    except OSError as exc:
-        raise IoFailure(f"could not write {path}: {exc}", path=str(path)) from exc
+    with io_failure("write", path), open(path, "w", encoding="utf-8") as fh:
+        fh.write(dumps(cfg))
 
 
 def load(path) -> ScenarioConfig:

@@ -26,12 +26,12 @@ per field) with an analytic diagonal Jacobian.  The Newton for field j
 evaluates row j only: the growth load of the species on substrate j and the
 species-order sum of row j (:func:`kinetics.substrate_row_rates`), and the
 Jacobian of that row.  Cross-substrate coupling is relaxed by Gauss-Seidel
-sweeps until the coupled residual of every field, checked field by field,
-meets tolerance (the built-in network is triangular, so one sweep already
-lands on the coupled solution).  Planktonic fields are linear in themselves
-at frozen substrates, so each is one homogeneous solve, and a species without
-colonization (``k_col = 0``) or with a zero bulk value is its Dirichlet value
-everywhere.
+sweeps until the coupled residual of every field meets the stop its Newton
+meets, one rule (:func:`_stop_tol`) for both (the built-in network is
+triangular, so one sweep already lands on the coupled solution).  Planktonic
+fields are linear in themselves at frozen substrates, so each is one
+homogeneous solve, and a species without colonization (``k_col = 0``) or with
+a zero bulk value is its Dirichlet value everywhere.
 """
 
 from __future__ import annotations
@@ -187,23 +187,31 @@ def _clamp_solution(values: np.ndarray, dirichlet: float) -> np.ndarray:
     return out
 
 
+def _stop_tol(tol: float, dirichlet: float) -> float:
+    """The substrate stop: the largest residual inf-norm a converged field has."""
+    return tol * max(1.0, abs(dirichlet))
+
+
 def solve_problem(reaction, jacobian, initial, dirichlet: float, scale: float,
                   tol: float, max_iter: int) -> EllipticSolution:
     """Damped Newton for one field on the nodes of ``initial``.
 
     ``reaction(v)`` is the nodal source (g/m^3/day) and ``jacobian(v)`` its
     derivative with respect to the local unknown; ``scale = h^2 / D``.
-    ``tol`` is relative: convergence at residual inf-norm below
-    ``tol * max(1, |dirichlet|)``.
+    ``tol`` is relative: convergence at residual inf-norm at most
+    ``tol * max(1, |dirichlet|)`` (:func:`_stop_tol`).
     """
-    tol_abs = tol * max(1.0, abs(dirichlet))
+    tol_abs = _stop_tol(tol, dirichlet)
     v = np.array(initial, dtype=float)
     v[-1] = dirichlet
     res = _residual(v, reaction(v), dirichlet, scale)
     res_norm = float(np.abs(res).max())
-    for it in range(1, max_iter + 1):
-        if res_norm <= tol_abs:
-            return EllipticSolution(_clamp_solution(v, dirichlet), it - 1)
+    it = 0
+    while not res_norm <= tol_abs:  # a NaN norm keeps iterating
+        if it == max_iter:
+            raise NonConvergence("elliptic Newton exceeded max iterations",
+                                 iterations=max_iter, residual=res_norm)
+        it += 1
         diag = 2.0 - scale * jacobian(v)
         diag[-1] = 1.0
         delta = tridiagonal_solve(diag, -res)
@@ -219,10 +227,7 @@ def solve_problem(reaction, jacobian, initial, dirichlet: float, scale: float,
         else:
             raise NonConvergence("elliptic line search stalled",
                                  iterations=it, residual=res_norm)
-    if res_norm <= tol_abs:
-        return EllipticSolution(_clamp_solution(v, dirichlet), max_iter)
-    raise NonConvergence("elliptic Newton exceeded max iterations",
-                         iterations=max_iter, residual=res_norm)
+    return EllipticSolution(_clamp_solution(v, dirichlet), it)
 
 
 def solve_substrates(t: float, L: float, f: np.ndarray, S: np.ndarray,
@@ -244,7 +249,7 @@ def solve_substrates(t: float, L: float, f: np.ndarray, S: np.ndarray,
     scales = [h * h / sb.D for sb in cfg.substrates]
     dirichlet = cfg.s_star(t).tolist()
     iters = [0] * cfg.m
-    worst = math.inf
+    norms = [math.inf]
     # The other rows stay at their latest values while field j is solved.
     # The Newton's last reaction call is at the field it accepts, so the
     # fields after it see that field's load without a further call.  The
@@ -261,14 +266,15 @@ def solve_substrates(t: float, L: float, f: np.ndarray, S: np.ndarray,
                 S_work[j], dirichlet[j], scales[j], nm.newton_tol, nm.newton_max_iter)
             S_work[j] = sol.values
             iters[j] += sol.iterations
-        # Coupled convergence check with every field at its latest value.
+        # Coupled check with every field at its latest value, by each
+        # field's own Newton stop.
         rates = kinetics.substrate_rates(f, S_work, cfg)
-        worst = max(float(np.abs(_residual(s, r, d, scale)).max()) / max(1.0, abs(d))
-                    for s, r, d, scale in zip(S_work, rates, dirichlet, scales))
-        if worst <= nm.newton_tol:
+        norms = [float(np.abs(_residual(s, r, d, scale)).max())
+                 for s, r, d, scale in zip(S_work, rates, dirichlet, scales)]
+        if all(norm <= _stop_tol(nm.newton_tol, d) for norm, d in zip(norms, dirichlet)):
             return [EllipticSolution(S_work[j], iters[j]) for j in range(cfg.m)]
     raise NonConvergence("coupled substrate sweeps did not converge",
-                         iterations=sum(iters), residual=worst)
+                         iterations=sum(iters), residual=max(norms))
 
 
 def resolution_limit(L, species) -> float:

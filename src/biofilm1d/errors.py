@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 
 class Biofilm1dError(Exception):
     """Base class for all package errors."""
@@ -54,6 +56,15 @@ class IoFailure(Biofilm1dError):
     def __init__(self, message, path=None):
         super().__init__(message)
         self.path = path
+
+
+@contextlib.contextmanager
+def io_failure(verb, path):
+    """An ``OSError`` in the block as :class:`IoFailure` ``could not <verb> <path>``."""
+    try:
+        yield
+    except OSError as exc:
+        raise IoFailure(f"could not {verb} {path}: {exc}", path=str(path)) from exc
 
 
 class BoundaryLayerResolutionWarning(UserWarning):

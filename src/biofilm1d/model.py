@@ -136,7 +136,7 @@ class ScenarioConfig:
         for a in (D, sigma, rho_Y) + tuple(a for row in rows for a in row[2:5]):
             a.flags.writeable = False
         return {
-            "mu_max": mu, "K": K, "Y": col("Y"),
+            "mu_max": mu, "K": K,
             "rho": col("rho"), "v_a": col("v_a"), "k_col": col("k_col"),
             "Y_psi": col("Y_psi"), "D_psi": col("D_psi"),
             "D": D, "substrate_of": sigma, "rho_Y": rho_Y,
@@ -144,10 +144,10 @@ class ScenarioConfig:
         }
 
     def psi_star(self, t: float) -> np.ndarray:
-        return np.array(self.bulk.psi(t), dtype=float)
+        return np.array([tr(t) for tr in self.bulk.psi_star], dtype=float)
 
     def s_star(self, t: float) -> np.ndarray:
-        return np.array(self.bulk.s(t), dtype=float)
+        return np.array([tr(t) for tr in self.bulk.s_star], dtype=float)
 
 
 def _frozen(a) -> np.ndarray:

@@ -545,21 +545,22 @@ def box_from_run(run_output: RunResult) -> ContractionBox:
         raise OutOfDomain("run was not recorded with dense profiles")
     cfg = run_output.cfg
     a_ = cfg.arrays
-    bnd = run_output.boundary
-    span = float(profiles.t[-1] - profiles.t[0])
+    t, L = profiles.t, profiles.L  # the first len(t) boundary rows: one span
+    sigma_a, u_L = run_output.boundary.sigma_a[:len(t)], run_output.boundary.u_L[:len(t)]
+    span = float(t[-1] - t[0])
 
-    psi_b, S_b, _, X0 = _boundary_data(cfg, profiles.t)
+    psi_b, S_b, _, X0 = _boundary_data(cfg, t)
     dev_x = np.max([np.max(np.abs(a_["rho"][:, None] * f - X0[:, k, None]), axis=1)
                     for k, f in enumerate(profiles.parcel_f)], axis=0)
     dev_s = np.max(np.abs(profiles.S - S_b.T[:, :, None]), axis=(0, 2))
     dev_psi = np.max(np.abs(profiles.Psi - psi_b.T[:, :, None]), axis=(0, 2))
 
-    Sigma = _ctz(bnd.sigma_a, axis=0, delta=np.diff(bnd.t))
-    dev_L = float(np.max(np.abs(bnd.L - Sigma)))
-    u_max = float(np.max(np.abs(bnd.u_L)))
+    Sigma = _ctz(sigma_a, axis=0, delta=np.diff(t))
+    dev_L = float(np.max(np.abs(L - Sigma)))
+    u_max = float(np.max(np.abs(u_L)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        G_max = float(np.nanmax(np.where(bnd.L > 0, bnd.u_L / bnd.L, 0.0)))
-    sig_max = float(np.max(bnd.sigma_a))
+        G_max = float(np.nanmax(np.where(L > 0, u_L / L, 0.0)))
+    sig_max = float(np.max(sigma_a))
 
     floor, margin = 1e-9, 2.0
     h_x = tuple(margin * max(v, 1e-3 * r) for v, r in zip(dev_x, a_["rho"]))

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import configio
-from .errors import IoFailure
+from .errors import io_failure
 from .model import RunResult
 
 PROFILE_NAME = "profiles.csv"
@@ -80,24 +80,18 @@ def _stream(path: Path, chunks: Iterable[str], content) -> str:
     """Write ``chunks`` to ``path``, each encoded once and fed to the file's
     own hash and to ``content``; returns the file's SHA-256."""
     digest = hashlib.sha256()
-    try:
-        with open(path, "wb") as fh:
-            for text in chunks:
-                data = text.encode()
-                fh.write(data)
-                digest.update(data)
-                content.update(data)
-    except OSError as exc:
-        raise IoFailure(f"could not write {path}: {exc}", path=str(path)) from exc
+    with io_failure("write", path), open(path, "wb") as fh:
+        for text in chunks:
+            data = text.encode()
+            fh.write(data)
+            digest.update(data)
+            content.update(data)
     return digest.hexdigest()
 
 
 def _write(path: Path, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoFailure(f"could not write {path}: {exc}", path=str(path)) from exc
+    with io_failure("write", path), open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def emit(run: RunResult, out_dir, notes: Sequence[str] = ()) -> OutputBundle:
@@ -111,10 +105,8 @@ def emit(run: RunResult, out_dir, notes: Sequence[str] = ()) -> OutputBundle:
     if any("\n" in note or "\r" in note for note in notes):
         raise ValueError(f"a manifest note must be one line: {notes!r}")
     out = Path(out_dir)
-    try:
+    with io_failure("create", out):
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"could not create {out}: {exc}", path=str(out)) from exc
 
     hasher = hashlib.sha256()
     file_hashes = []
@@ -125,11 +117,8 @@ def emit(run: RunResult, out_dir, notes: Sequence[str] = ()) -> OutputBundle:
         file_hashes.append((PROFILE_NAME, _stream(
             profiles_path, _profile_chunks(run), hasher)))
     else:
-        try:
+        with io_failure("remove", out / PROFILE_NAME):
             (out / PROFILE_NAME).unlink(missing_ok=True)
-        except OSError as exc:
-            raise IoFailure(f"could not remove {out / PROFILE_NAME}: {exc}",
-                            path=str(out / PROFILE_NAME)) from exc
 
     boundary_path = out / BOUNDARY_NAME
     file_hashes.append((BOUNDARY_NAME, _stream(

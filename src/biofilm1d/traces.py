@@ -167,13 +167,6 @@ class BulkTraces:
     psi_star: tuple
     s_star: tuple
 
-    def psi(self, t):
-        """Planktonic bulk concentrations at time ``t`` as an array-friendly list."""
-        return [tr(t) for tr in self.psi_star]
-
-    def s(self, t):
-        return [tr(t) for tr in self.s_star]
-
     def breakpoints(self):
         """Times where a descriptor changes analytic form (forced step times)."""
         pts = set()

@@ -2,7 +2,8 @@
 line (run with ``pytest tests/test_acceptance.py -v -s`` to see them all).
 
 The three reference scenarios run once per session at N = 200 and
-dt_max = 1e-3 d over the full 10 d horizon.
+dt_max = 1e-3 d over the full 10 d horizon (the ``case*_run`` fixtures in
+``conftest.py``).
 """
 
 import dataclasses
@@ -30,21 +31,6 @@ T1 = DEFAULT_T1
 def report(tag, ok, detail):
     print(f"CRITERION {tag}: {'PASS' if ok else 'FAIL'} ({detail})")
     return ok
-
-
-@pytest.fixture(scope="session")
-def case1_run():
-    return run(build_preset("case1").cfg, record_profiles=True, profile_t_max=1.05)
-
-
-@pytest.fixture(scope="session")
-def case2_run():
-    return run(build_preset("case2").cfg, record_profiles=True, profile_t_max=0.55)
-
-
-@pytest.fixture(scope="session")
-def case3_run():
-    return run(build_preset("case3").cfg)
 
 
 def snapshot_at(result, t):

@@ -18,7 +18,7 @@ count) and every snapshot must agree bit for bit.
 
 Short runs of the three presets, and of case2 with the corrected ramp, must
 reproduce committed content hashes with libm's exp, log and pow patched to
-raise.
+raise, and so must the 10 d preset runs of the session fixtures.
 """
 
 import dataclasses
@@ -155,7 +155,7 @@ def species_loop_jacobian_diag(f, S, cfg):
     mu = a["mu_max"].reshape((-1,) + trail)
     K = a["K"].reshape(mu.shape)
     s_sel = S[a["substrate_of"]]
-    dload = mu * kinetics.dmonod(s_sel, K) * f * (a["rho"] / a["Y"]).reshape(mu.shape)
+    dload = mu * kinetics.dmonod(s_sel, K) * f * a["rho_Y"].reshape(mu.shape)
     W = np.array(cfg.stoichiometry.production, dtype=float)
     out = np.zeros_like(S)
     for i, j in enumerate(a["substrate_of"]):
@@ -556,3 +556,20 @@ def test_content_hash_matches_committed(monkeypatch, tmp_path, case, variant):
         warnings.simplefilter("ignore", BoundaryLayerResolutionWarning)
         sha = emit(stepper.run(cfg), tmp_path).sha256
     assert sha == COMMITTED_SHA256[case, variant], f"{case}-{variant} now hashes to {sha}"
+
+
+# content-sha256 of ``run --preset <case>`` at the defaults (10 d, N = 200),
+# checked on x86-64 as the short-run hashes above were; the session fixtures
+# record profiles, which emit does not read
+PRESET_SHA256 = {
+    "case1": "c5f647ecbf33b6ce50b8cad91827b4a3538ff8cd249c80ba97245bc8ed27c04c",
+    "case2": "0f644248c32a08ed11e440841ae5c2cccda425e03b3410aab68ed9a86948a1cb",
+    "case3": "9c53eb2c479b79601fd0d45dfa6ff8b9b39941c4aa767887e761d7bca9ae6ffe",
+}
+
+
+@pytest.mark.filterwarnings("ignore::biofilm1d.errors.BoundaryLayerResolutionWarning")
+@pytest.mark.parametrize("case", list(PRESET_SHA256))
+def test_preset_hash_matches_committed(request, tmp_path, case):
+    sha = emit(request.getfixturevalue(f"{case}_run"), tmp_path).sha256
+    assert sha == PRESET_SHA256[case], f"{case} now hashes to {sha}"

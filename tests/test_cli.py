@@ -62,6 +62,15 @@ class TestRunCommand:
         assert "line break" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unwritable_output_is_an_io_failure(self, tiny_config, tmp_path, capsys):
+        # the output directory cannot be made below a regular file
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "results"
+        code = cli(["run", "--config", str(tiny_config), "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith(f"io error: could not create {out}: ")
+
 
 class TestValidateCommand:
     def test_ok_config(self, tiny_config, capsys):

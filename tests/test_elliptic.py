@@ -17,8 +17,9 @@ from biofilm1d.elliptic import (_clamp_solution, _homogeneous_solve, _residual,
 from biofilm1d.errors import (BoundaryLayerResolutionWarning, NonConvergence,
                               SingularJacobian)
 from biofilm1d.kinetics import inflow_fractions, planktonic_sink_coefficients
+from biofilm1d.model import Stoichiometry, SubstrateParams
 from biofilm1d.presets import build_preset
-from biofilm1d.traces import ConstantTrace
+from biofilm1d.traces import BulkTraces, ConstantTrace
 
 
 def stencil_bands(n):
@@ -432,6 +433,47 @@ class TestSubstrateSolves:
         t, _, f, S = developed(CASE1)
         with pytest.raises(ValueError, match="domain length"):
             solve_substrates(t, 0.0, f, S, CASE1)
+
+
+def one_substrate_at(s_star, N=8):
+    """One species without growth on one substrate of bulk value ``s_star``;
+    ``(L, D)`` make ``h^2/D = 1``."""
+    cfg = dataclasses.replace(
+        CASE1, species=(dataclasses.replace(CASE1.species[0], mu_max=0.0),),
+        substrates=(SubstrateParams(D=2.0 ** -20),),
+        stoichiometry=Stoichiometry(substrate_of=(0,), production=((-1.0,),)),
+        bulk=BulkTraces(psi_star=(ConstantTrace(0.0),), s_star=(ConstantTrace(s_star),)),
+        numerics=dataclasses.replace(CASE1.numerics, N=N, newton_tol=1e-9))
+    return cfg, N * 2.0 ** -10
+
+
+class TestSubstrateStop:
+    """The coupled check accepts a field by the rule its Newton stops on: the
+    residual inf-norm at most ``newton_tol * max(1, |S*|)``."""
+
+    @pytest.mark.parametrize("above", [False, True], ids=["at-bound", "one-ulp-above"])
+    def test_check_uses_the_newton_stop(self, above, monkeypatch):
+        cfg, L = one_substrate_at(125.0)
+        bound = 1e-9 * 125.0  # 1.2500000000000002e-07; over 125 it exceeds 1e-9
+        node0 = np.nextafter(bound, math.inf) if above else bound
+
+        def rates(f, S, cfg):
+            # with h^2/D = 1 on a flat field, node 0's residual is -rate
+            out = np.zeros_like(S)
+            out[0, 0] = -node0
+            return out
+
+        monkeypatch.setattr(kinetics, "substrate_rates", rates)
+        f = np.ones((1, cfg.numerics.N + 1))
+        S = np.full((1, cfg.numerics.N + 1), 125.0)
+        assert _residual(S[0], rates(f, S, cfg)[0], 125.0, 1.0)[0] == node0
+        if not above:
+            # the Newton accepts the start at once, and so does the check
+            assert [sol.iterations for sol in solve_substrates(0.0, L, f, S, cfg)] == [0]
+            return
+        with pytest.raises(NonConvergence) as info:
+            solve_substrates(0.0, L, f, S, cfg)
+        assert (info.value.iterations, info.value.residual) == (0, node0)
 
 
 def clamping_case():

@@ -393,7 +393,7 @@ class TestGeneralStoichiometry:
         f = np.array([0.2, 0.3, 0.1])
         S = np.array([50.0, 10.0, 20.0])
         a = SHARED.arrays
-        load = rates(SHARED, f, S).r_M * a["rho"] / a["Y"]
+        load = rates(SHARED, f, S).r_M * a["rho_Y"]
         r_s = kinetics.substrate_rates(f, S, SHARED)
         assert r_s[0] == pytest.approx(-1.3 * load[0] - 0.7 * load[1], rel=1e-14)
         assert r_s[1] == pytest.approx(0.25 * load[0], rel=1e-14)

@@ -701,6 +701,22 @@ class TestContractionEstimate:
         if ratios:
             assert max(ratios) <= 1.1 * lam_o
 
+    def test_box_reads_only_the_recorded_rows(self):
+        # a run recorded to 0.05 d of 0.2 d: every bound covers the recorded
+        # span, as if the boundary trace ended there
+        cfg = dataclasses.replace(CASE1, horizon=0.2, snapshot_times=())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryLayerResolutionWarning)
+            res = run(cfg, record_profiles=True, profile_t_max=0.05)
+        k = len(res.profiles.t)
+        assert k < res.boundary.t.size
+        cut = BoundaryTrace(*(getattr(res.boundary, f.name)[:k]
+                              for f in dataclasses.fields(BoundaryTrace)))
+        got = box_from_run(res)
+        ref = box_from_run(dataclasses.replace(res, boundary=cut))
+        for name in ("h_x", "h_s", "h_psi", "h_L", "h_c1", "h_c2"):
+            assert_bitwise_equal(getattr(got, name), getattr(ref, name))
+
     def test_estimate_is_deterministic(self):
         box = fixed_box()
         a = estimate_contraction(CASE1, box, t_max=0.01)

@@ -715,6 +715,32 @@ class TestRun:
         assert snap.sum_f_drift() <= 1e-8
 
 
+class TestProfileWindow:
+    """``profile_t_max`` records exactly the steps that start by it, and the
+    records are the first boundary rows."""
+
+    @pytest.mark.filterwarnings("ignore::biofilm1d.errors.BoundaryLayerResolutionWarning")
+    def test_records_the_steps_that_start_by_t_max(self, case1_run):
+        b, p = case1_run.boundary, case1_run.profiles
+        k = len(p.t)
+        assert (k, b.t.size) == (1051, 10001)  # case1 recorded to 1.05 d of 10 d
+        assert b.t[k - 1] <= 1.05 < b.t[k]
+        assert_same_bits(p.t, b.t[:k])
+        assert_same_bits(p.L, b.L[:k])
+        assert len(p.S) == len(p.Psi) == len(p.parcel_z) == len(p.parcel_f) == k
+
+    def test_horizon_row_recorded_only_when_t_max_reaches_it(self):
+        cfg = small_case1()
+        full = run(cfg, record_profiles=True, profile_t_max=cfg.horizon)
+        short = run(cfg, record_profiles=True,
+                    profile_t_max=np.nextafter(cfg.horizon, 0.0))
+        assert full.profiles.t.size == full.boundary.t.size
+        assert full.profiles.t[-1] == cfg.horizon
+        assert short.profiles.t.size == short.boundary.t.size - 1
+        assert short.profiles.t[-1] < cfg.horizon
+        assert_same_bits(short.profiles.t, full.profiles.t[:-1])
+
+
 # Signed production coefficients other than +-1, zeros of either sign among them.
 NON_UNIT = st.floats(-4.0, 4.0).filter(lambda w: abs(w) >= 0.05 and abs(w) != 1.0)
 COEFFICIENT = st.one_of(st.sampled_from([0.0, -0.0]), NON_UNIT, NON_UNIT)

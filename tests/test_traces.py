@@ -179,5 +179,7 @@ class TestDescriptors:
             psi_star=(ConstantTrace(1.0), RampTrace(5.0, 0.3)),
             s_star=(TableTrace((0.0, 0.3, 1.0), (1.0, 2.0, 3.0)),))
         assert bulk.breakpoints() == (0.0, 0.3, 1.0)
-        assert bulk.psi(0.0) == [1.0, 0.0]
-        assert bulk.s(0.15) == [1.5]
+        # the scenario evaluates the traces, one value per species/substrate
+        cfg = dataclasses.replace(build_preset("case1").cfg, bulk=bulk)
+        assert cfg.psi_star(0.0).tolist() == [1.0, 0.0]
+        assert cfg.s_star(0.15).tolist() == [1.5]
