@@ -14,21 +14,23 @@ them with their fractions: the sessile unknowns ``x(t0, t)``.
 One step evaluates the right-hand side and then commits it.  The
 right-hand side (:func:`_rhs`) is pure: quasi-static substrate and
 planktonic solves on the uniform grid, rate evaluation on the parcels,
-velocity quadrature over the parcel spacing and the interface fluxes.  The
-commit is the explicit interface update and the explicit parcel update, with
-a parcel attached or parcels shed at the new top.  A snapshot evaluates the
-same right-hand side on the same parcels, so its ``u_L`` is the one a step
-from there would move the interface by (up to the Newton start).  The
-dissolved fields are constraints re-solved from the resampled fractions, so
-they pass between the solves as arrays; only :func:`make_snapshot` packages
-them, with the resampled fractions, into a :class:`~biofilm1d.model.Snapshot`.
-The substrate Newton of a step starts from the linear extrapolation in time
-of the last two substrate solutions, the standard starting value for the
-algebraic part of a differential-algebraic system.
+velocity quadrature over the parcel spacing and the interface fluxes.  It
+returns the solution at the parcels' time as a
+:class:`~biofilm1d.model.Snapshot` (the resampled fractions, the dissolved
+fields, the fluxes and ``u_L``) with the rates and velocity on the parcels.
+The commit is the explicit interface update and the explicit parcel update,
+with a parcel attached or parcels shed at the new top.  A snapshot
+(:func:`make_snapshot`) is that same right-hand side's first part, so its
+``u_L`` is the one a step from there would move the interface by (up to the
+Newton start).  The dissolved fields are constraints re-solved from the
+resampled fractions, so they pass between the solves as arrays.  The
+substrate Newton of a step starts from the linear extrapolation in time of
+the last two step solutions, the standard starting value for the algebraic
+part of a differential-algebraic system; a snapshot starts from the last.
 Between steps the sessile state is a frozen :class:`_Parcels` value, and
 neither :func:`_rhs` nor :func:`_commit` writes an argument.  :func:`run`
 alone holds the stepping state: the current parcels (whose ``t`` is the one
-clock), the last two substrate solves, the snapshots and the step records;
+clock), the last two step snapshots, the emitted snapshots and the records;
 it also issues the grid-resolution warning.  Its steps are capped at
 ``dt_max`` and land exactly on snapshot times and bulk-trace breakpoints, so
 a run is deterministic for a fixed configuration.
@@ -45,8 +47,7 @@ import numpy as np
 
 from .elliptic import solve_planktonic, solve_substrates, warn_under_resolved
 from .errors import ConfigError, NoAttachment, NumericalBlowup
-from .kinetics import (RateBundle, attachment_flux, detachment_flux,
-                       inflow_fractions, rate_bundle)
+from .kinetics import attachment_flux, detachment_flux, inflow_fractions, rate_bundle
 from .model import (BoundaryTrace, ProfileTrace, RunResult, ScenarioConfig,
                     Snapshot, attaching, validate_config)
 
@@ -71,42 +72,6 @@ def compute_velocity(G, dz) -> np.ndarray:
 def _resample(x, xp, fp) -> np.ndarray:
     """Each row of ``fp``, given at the nodes ``xp``, interpolated at ``x``."""
     return np.stack([np.interp(x, xp, row) for row in fp])
-
-
-@dataclass(frozen=True, eq=False)
-class _Rhs:
-    """The right-hand side at one parcel state: the fractions and dissolved
-    fields on the uniform grid, the rates and velocity on the parcels, and
-    the interface fluxes."""
-
-    f: np.ndarray        # (n, N+1)
-    S: np.ndarray        # (m, N+1)
-    Psi: np.ndarray      # (n, N+1)
-    rates: RateBundle    # on the parcels
-    u: np.ndarray        # on the parcels, u(0) = 0
-    sigma_a: float
-    sigma_d: float
-
-    @property
-    def u_L(self) -> float:
-        return float(self.u[-1])
-
-
-def _rhs(t, L, z, fz, S_guess, cfg: ScenarioConfig) -> _Rhs:
-    """Right-hand side at thickness L and fractions ``fz`` on the parcels
-    ``z``, mutating no argument.  The fractions are resampled onto the
-    uniform grid for the dissolved-field solves (Newton start ``S_guess``),
-    whose results are resampled back onto the parcels for the rates; the
-    velocity is the trapezoid over the parcel spacing."""
-    N = cfg.numerics.N
-    zu = np.arange(N + 1, dtype=float) / N * L
-    f = _resample(zu, z, fz)
-    S = np.stack([sol.values for sol in solve_substrates(t, L, f, S_guess, cfg)])
-    Psi = solve_planktonic(t, L, S, cfg)
-    rates = rate_bundle(fz, _resample(z, zu, S), _resample(z, zu, Psi), cfg)
-    return _Rhs(f=f, S=S, Psi=Psi, rates=rates, u=compute_velocity(rates.G, np.diff(z)),
-                sigma_a=attachment_flux(cfg.psi_star(t), cfg),
-                sigma_d=detachment_flux(L, cfg.delta))
 
 
 # ---------------------------------------------------------------------------
@@ -145,46 +110,62 @@ def _seed(cfg: ScenarioConfig) -> _Parcels:
                     fz=np.column_stack([inflow_fractions(psi0, cfg)] * 2))
 
 
+def _rhs(p: _Parcels, S_guess, cfg: ScenarioConfig):
+    """The right-hand side at the parcels ``p``, mutating no argument: the
+    :class:`Snapshot` at ``p.t``, then the rates and the velocity
+    (``u(0) = 0``) on the parcels.  The fractions are resampled onto the
+    uniform grid for the dissolved-field solves (Newton start ``S_guess``),
+    whose results are resampled back onto the parcels for the rates; the
+    velocity is the trapezoid over the parcel spacing."""
+    N = cfg.numerics.N
+    zu = np.arange(N + 1, dtype=float) / N * p.L
+    f = _resample(zu, p.z, p.fz)
+    S = np.stack([sol.values for sol in solve_substrates(p.t, p.L, f, S_guess, cfg)])
+    Psi = solve_planktonic(p.t, p.L, S, cfg)
+    rates = rate_bundle(p.fz, _resample(p.z, zu, S), _resample(p.z, zu, Psi), cfg)
+    u = compute_velocity(rates.G, np.diff(p.z))
+    return Snapshot(t=p.t, L=p.L, f=f, S=S, Psi=Psi,
+                    sigma_a=attachment_flux(cfg.psi_star(p.t), cfg),
+                    sigma_d=detachment_flux(p.L, cfg.delta), u_L=float(u[-1])), rates, u
+
+
 def _last_S(solved, cfg: ScenarioConfig) -> np.ndarray:
-    """The last substrate solution in ``solved``, or the bulk values before
-    the first solve."""
+    """The substrates of the last snapshot in ``solved``, or the bulk values
+    before the first solve."""
     if solved:
-        return solved[-1][1]
+        return solved[-1].S
     return np.outer(cfg.s_star(0.0), np.ones(cfg.numerics.N + 1))
 
 
 def _predicted_S(solved, t: float, cfg: ScenarioConfig) -> np.ndarray:
-    """Newton start for the substrates at time t from the ``(t, S)`` of the
+    """Newton start for the substrates at time t from the snapshots of the
     last two solves, oldest first: their linear extrapolation in time (steps
     may be uneven), or the last solution while there are fewer than two."""
     if len(solved) < 2:
         return _last_S(solved, cfg)
-    (t2, S2), (t1, S1) = solved
-    return S1 + (t - t1) / (t1 - t2) * (S1 - S2)
+    old, last = solved
+    return last.S + (t - last.t) / (last.t - old.t) * (last.S - old.S)
 
 
 def make_snapshot(p: _Parcels, S_guess, cfg: ScenarioConfig) -> Snapshot:
-    """The step right-hand side at the parcels ``p`` (Newton start
-    ``S_guess``) packaged as a snapshot: the fractions and dissolved fields
-    on the uniform grid, the interface fluxes and ``u_L``."""
-    rhs = _rhs(p.t, p.L, p.z, p.fz, S_guess, cfg)
-    return Snapshot(t=p.t, L=p.L, f=rhs.f, S=rhs.S, Psi=rhs.Psi, sigma_a=rhs.sigma_a,
-                    sigma_d=rhs.sigma_d, u_L=rhs.u_L)
+    """The snapshot of the step right-hand side at the parcels ``p`` (Newton
+    start ``S_guess``)."""
+    return _rhs(p, S_guess, cfg)[0]
 
 
-def _commit(p: _Parcels, dt: float, t_new: float, rhs: _Rhs, cfg: ScenarioConfig):
-    """The parcels moved by ``dt`` along ``rhs`` with a parcel attached or
-    parcels shed at the new top, at time ``t_new``; a parcel attached over the
-    step takes that label.  Returns them with the step's fraction-sum drift,
-    writing no argument.  The fractions stay non-negative without a clamp:
-    ``validate_config`` bounds ``dt * G`` by 0.5, and the attached inflow
-    fractions are never negative."""
-    L_new = p.L + dt * (rhs.u_L + rhs.sigma_a - rhs.sigma_d)
+def _commit(p: _Parcels, dt: float, t_new: float, rhs, cfg: ScenarioConfig):
+    """The parcels moved by ``dt`` along ``rhs``, the triple of :func:`_rhs`,
+    with a parcel attached or parcels shed at the new top, at time ``t_new``;
+    a parcel attached over the step takes that label.  Returns them with the
+    step's fraction-sum drift, writing no argument.  The fractions stay
+    non-negative without a clamp: ``validate_config`` bounds ``dt * G`` by
+    0.5, and the attached inflow fractions are never negative."""
+    snap, rates, u = rhs
+    L_new = p.L + dt * (snap.u_L + snap.sigma_a - snap.sigma_d)
     if L_new < cfg.numerics.L_eps:
         logger.info("thickness fell below the seed value; re-seeding")
         L_new = cfg.numerics.L_eps
 
-    rates = rhs.rates
     growth = rates.r_M + rates.r_col
     f_new = p.fz + dt * (growth - p.fz * rates.G)
     col = f_new.sum(axis=0)
@@ -193,12 +174,12 @@ def _commit(p: _Parcels, dt: float, t_new: float, rhs: _Rhs, cfg: ScenarioConfig
         raise NumericalBlowup("volume-fraction sum collapsed", t=t_new)
     f_new = f_new / col
 
-    z_new = p.z + dt * rhs.u
+    z_new = p.z + dt * u
 
     # Parcel gaps never shrink (G >= 0 stretches material), so only the
     # interface node needs care to keep the abscissae strictly increasing.
     margin = 1e-9 * L_new / cfg.numerics.N
-    if attaching(rhs.sigma_a, rhs.sigma_d) and L_new > z_new[-1]:
+    if attaching(snap.sigma_a, snap.sigma_d) and L_new > z_new[-1]:
         # composition of the parcel attached over [t, t+dt], sampled at
         # the step start where the attachment regime is guaranteed
         f_top, t0_top = inflow_fractions(cfg.psi_star(p.t), cfg), t_new
@@ -238,12 +219,18 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
     if not report.ok:
         raise ConfigError(f"invalid configuration:\n{report}")
     p = _seed(cfg)
-    solved = []  # (t, S) of the last two step solves, oldest first
+    solved = []  # the snapshots of the last two steps, oldest first
     snaps = []
     # one column per BoundaryTrace and per ProfileTrace field, in declaration
     # order; a scalar field takes one float64 per step
     columns = [array("d") for _ in range(6)]
     profile_columns = [array("d"), array("d"), [], [], [], [], []]
+
+    def record(p, snap, drift):
+        _append(columns, p.t, p.L, snap.sigma_a, snap.sigma_d, snap.u_L, drift)
+        if record_profiles and p.t <= profile_t_max:
+            _append(profile_columns, p.t, p.L, snap.S, snap.Psi, p.z, p.t0, p.fz)
+
     # each snapshot right after its forced time; at t = 0 the seed's
     for target in [0.0] + _forced_times(cfg):
         tol = _TIME_SNAP * max(1.0, target)
@@ -251,24 +238,20 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
             dt = min(cfg.numerics.dt_max, target - p.t)
             # a step that ends within rounding of the forced time lands on it
             t_end = target if abs(p.t + dt - target) <= tol else p.t + dt
-            rhs = _rhs(p.t, p.L, p.z, p.fz, _predicted_S(solved, p.t, cfg), cfg)
-            solved = solved[-1:] + [(p.t, rhs.S)]
+            rhs = _rhs(p, _predicted_S(solved, p.t, cfg), cfg)
+            solved = solved[-1:] + [rhs[0]]
             nxt, drift = _commit(p, dt, t_end, rhs, cfg)
             if not (np.isfinite(nxt.L) and np.all(np.isfinite(nxt.fz))):
                 raise NumericalBlowup("non-finite state after step", t=t_end)
-            _append(columns, p.t, p.L, rhs.sigma_a, rhs.sigma_d, rhs.u_L, drift)
-            if record_profiles and p.t <= profile_t_max:
-                _append(profile_columns, p.t, p.L, rhs.S, rhs.Psi, p.z, p.t0, p.fz)
+            record(p, rhs[0], drift)
             p = nxt
-        snaps.extend(make_snapshot(p, _last_S(solved, cfg), cfg)
-                     for s in cfg.snapshot_times if s == target)
+        # a time listed more than once is solved once
+        if count := sum(s == target for s in cfg.snapshot_times):
+            snaps += [make_snapshot(p, _last_S(solved, cfg), cfg)] * count
 
     # Final row at the horizon (reuses the last snapshot if it is here).
-    last = (snaps[-1] if snaps and snaps[-1].t == p.t
-            else make_snapshot(p, _last_S(solved, cfg), cfg))
-    _append(columns, p.t, p.L, last.sigma_a, last.sigma_d, last.u_L, 0.0)
-    if record_profiles and p.t <= profile_t_max:
-        _append(profile_columns, p.t, p.L, last.S, last.Psi, p.z, p.t0, p.fz)
+    record(p, snaps[-1] if snaps and snaps[-1].t == p.t
+           else make_snapshot(p, _last_S(solved, cfg), cfg), 0.0)
 
     # the traces view the buffers without a copy
     boundary = BoundaryTrace(*(np.frombuffer(c, dtype=np.float64) for c in columns))

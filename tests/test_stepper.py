@@ -88,8 +88,9 @@ def parcels(z, f, t=0.0):
 def step(cfg, p, dt, t_new=None):
     """One step of ``run`` from ``p`` (Newton started from the bulk values),
     ending at ``t_new`` (default ``p.t + dt``): the next parcels, the
-    right-hand side at ``p`` and the fraction-sum drift."""
-    rhs = stepper._rhs(p.t, p.L, p.z, p.fz, stepper._predicted_S([], p.t, cfg), cfg)
+    right-hand side at ``p`` (snapshot, rates, velocity) and the fraction-sum
+    drift."""
+    rhs = stepper._rhs(p, stepper._predicted_S([], p.t, cfg), cfg)
     nxt, drift = stepper._commit(p, dt, p.t + dt if t_new is None else t_new, rhs, cfg)
     return nxt, rhs, drift
 
@@ -341,11 +342,11 @@ class TestLaunchLabels:
 class TestStep:
     def test_nucleation_arithmetic(self):
         cfg = small_case1()
-        p, rhs, _ = step(cfg, _seed(cfg), 1e-4)
+        p, (snap, _, _), _ = step(cfg, _seed(cfg), 1e-4)
         # L ~ sigma_a dt = 1e-7 (the 1e-9 seed and u_L are negligible)
         assert p.L == pytest.approx(1e-7, rel=0.02)
-        assert attaching(rhs.sigma_a, rhs.sigma_d)
-        assert rhs.sigma_a == pytest.approx(1e-3, rel=1e-12)
+        assert attaching(snap.sigma_a, snap.sigma_d)
+        assert snap.sigma_a == pytest.approx(1e-3, rel=1e-12)
         # the seed parcels stay uniform and near the inflow split to O(dt);
         # the parcel attached over the step carries the split exactly
         np.testing.assert_allclose(p.fz[0], 0.5, atol=1e-4)
@@ -379,15 +380,15 @@ class TestStep:
         cfg = small_case1()
         start = step(cfg, _seed(cfg), 1e-4)[0]
         dt = cfg.numerics.dt_max
-        p, rhs, drift = step(cfg, start, dt)
+        p, (snap, rates, u), drift = step(cfg, start, dt)
         assert p.t == start.t + dt
-        assert rhs.u[0] == 0.0 and rhs.u_L == rhs.u[-1]
-        assert rhs.u.shape == rhs.rates.G.shape == start.z.shape
-        assert p.L == start.L + dt * (rhs.u_L + rhs.sigma_a - rhs.sigma_d)
+        assert u[0] == 0.0 and snap.u_L == u[-1]
+        assert u.shape == rates.G.shape == start.z.shape
+        assert p.L == start.L + dt * (snap.u_L + snap.sigma_a - snap.sigma_d)
         # attachment: the old parcels ride u and one parcel is appended
-        np.testing.assert_array_equal(p.z[:-1], start.z + dt * rhs.u)
+        np.testing.assert_array_equal(p.z[:-1], start.z + dt * u)
         np.testing.assert_array_equal(p.t0[:-1], start.t0)
-        assert rhs.S.shape == rhs.Psi.shape == (3, cfg.numerics.N + 1)
+        assert snap.S.shape == snap.Psi.shape == (3, cfg.numerics.N + 1)
         assert drift <= 1e-8
 
 
@@ -400,14 +401,16 @@ class TestRightHandSide:
         for _ in range(20):
             p = step(cfg, p, cfg.numerics.dt_max)[0]
         z, fz, S_guess = (read_only(a) for a in (p.z, p.fz, stepper._predicted_S([], p.t, cfg)))
-        first, second = (stepper._rhs(p.t, p.L, z, fz, S_guess, cfg)
-                         for _ in range(2))
+        p = dataclasses.replace(p, z=z, fz=fz)
+        (first, first_rates, first_u), (second, second_rates, second_u) = (
+            stepper._rhs(p, S_guess, cfg) for _ in range(2))
         assert z.size == 22  # the two seed parcels and one attached per step
-        assert first.u.shape == z.shape
+        assert first_u.shape == z.shape
         pairs = [(getattr(first, name), getattr(second, name))
-                 for name in ("f", "S", "Psi", "u", "sigma_a", "sigma_d")]
-        pairs += [(getattr(first.rates, f.name), getattr(second.rates, f.name))
-                  for f in dataclasses.fields(first.rates)]
+                 for name in ("f", "S", "Psi", "sigma_a", "sigma_d")]
+        pairs += [(first_u, second_u)]
+        pairs += [(getattr(first_rates, f.name), getattr(second_rates, f.name))
+                  for f in dataclasses.fields(first_rates)]
         for a, b in pairs:
             assert_same_bits(a, b)
 
@@ -421,15 +424,14 @@ class TestCommit:
 
     @staticmethod
     def frozen(cfg, p):
-        """``p`` and its right-hand side with every array read-only."""
-        rhs = stepper._rhs(p.t, p.L, p.z, p.fz, stepper._predicted_S([], p.t, cfg), cfg)
-        rates = dataclasses.replace(rhs.rates, **{
-            f.name: read_only(getattr(rhs.rates, f.name))
-            for f in dataclasses.fields(rhs.rates)})
-        rhs = dataclasses.replace(rhs, S=read_only(rhs.S), Psi=read_only(rhs.Psi),
-                                  u=read_only(rhs.u), rates=rates)
+        """``p`` and its right-hand side with every array read-only (the
+        snapshot's arrays come read-only)."""
+        snap, rates, u = stepper._rhs(p, stepper._predicted_S([], p.t, cfg), cfg)
+        rates = dataclasses.replace(rates, **{
+            f.name: read_only(getattr(rates, f.name))
+            for f in dataclasses.fields(rates)})
         return dataclasses.replace(p, z=read_only(p.z), t0=read_only(p.t0),
-                                   fz=read_only(p.fz)), rhs
+                                   fz=read_only(p.fz)), (snap, rates, read_only(u))
 
     def grown(self):
         cfg = small_case1()
@@ -488,9 +490,9 @@ class TestCommit:
             case2.numerics, dt_max=0.5 / g_max))
         assert validate_config(cfg).ok
         f = np.repeat([[0.0], [1.0 - 1e-300], [1e-300]], 17, axis=1)
-        p, rhs, drift = step(cfg, parcels(np.linspace(0.0, 1e-5, 17), f),
-                             cfg.numerics.dt_max)
-        assert cfg.numerics.dt_max * rhs.rates.G.max() > 0.35
+        p, (_, rates, _), drift = step(cfg, parcels(np.linspace(0.0, 1e-5, 17), f),
+                                       cfg.numerics.dt_max)
+        assert cfg.numerics.dt_max * rates.G.max() > 0.35
         assert np.all(p.fz >= 0.0) and not np.signbit(p.fz).any()
         assert drift <= CONSTRAINT_TOL
 
@@ -572,6 +574,24 @@ class TestRun:
         assert set(times[1:]) | set(cfg.bulk.breakpoints()) <= set(b.t.tolist())
         for snap in res.snapshots:
             assert b.L[np.flatnonzero(b.t == snap.t)[0]] == snap.L
+
+    def test_repeated_snapshot_time_solved_once(self, monkeypatch):
+        cfg = small_case1(horizon=0.02, snapshots=(0.01, 0.01, 0.02))
+        calls = [0]
+        real = stepper.make_snapshot
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(stepper, "make_snapshot", counted)
+        res = run(cfg)
+        assert [snap.t for snap in res.snapshots] == [0.01, 0.01, 0.02]
+        first, second = res.snapshots[:2]
+        for field in dataclasses.fields(first):
+            assert_same_bits(getattr(first, field.name), getattr(second, field.name))
+        # one solve per distinct time; the horizon row reuses the last one
+        assert calls[0] == 2
 
     @pytest.mark.parametrize("case, warned", [("case1", []), ("case2", [1, 2, 3])])
     def test_one_resolution_warning_per_species(self, case, warned):
@@ -818,6 +838,24 @@ class TestRunProperties:
             assert snap.Psi[:, -1].tobytes() == cfg.psi_star(snap.t).tobytes()
             assert not np.signbit(snap.Psi[:, :-1]).any()
             assert snap.L >= cfg.numerics.L_eps
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(scenarios(), st.floats(0.0, 1.0))
+    def test_profile_records_are_boundary_rows_ending_at_the_interface(self, cfg, share):
+        # box_from_run and characteristic_trace read the records as the
+        # first boundary rows, with every parcel set topped by the interface
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryLayerResolutionWarning)
+            try:
+                res = run(cfg, record_profiles=True, profile_t_max=share * cfg.horizon)
+            except Biofilm1dError:
+                return
+        b, p = res.boundary, res.profiles
+        k = len(p.t)
+        assert 1 <= k <= b.t.size
+        assert_same_bits(p.t, b.t[:k])
+        assert_same_bits(p.L, b.L[:k])
+        assert_same_bits([z[-1] for z in p.parcel_z], p.L)
 
     def test_tiny_inflow_share_keeps_every_parcel_non_negative(self):
         res = run(TINY_SHARE, record_profiles=True)
