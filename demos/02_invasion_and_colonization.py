@@ -8,11 +8,16 @@ Runs the two colonization scenarios against the attachment-only baseline:
 With the default parameters the planktonic consumption coefficient
 k_col / Y_psi = 2.5 / 2e-7 = 1.25e7 1/d is enormous, so cells diffusing
 into the matrix are consumed within a boundary layer of width
-sqrt(D_psi Y_psi / k_col) ~ 0.9 um, about a thousandth of the film
-thickness.  Colonization therefore seeds only a thin skin under the
-interface, and erosion (newest material detaches first) removes those
-seeds again: invasion stays cosmetically small at these parameter values.
-The script quantifies all of that.
+sqrt(D_psi Y_psi / k_col) ~ 0.9 um where their substrate is supplied at
+the interface (species 3 sees S3* = 0 there: an Airy layer of 1.6-1.8 um),
+about a thousandth of the film thickness.  After the arrival colonization
+therefore seeds only a thin skin under the interface, and erosion (newest
+material detaches first) removes those seeds again.  What reaches depth is
+the one seed planted on arrival, while the film is thin.  At the default
+arrival t1 = 0.2 d that seed is about 1e-88, so invasion stays small
+within these 10 d (2b's 1e-3 is predicted after about 900 d); with
+t1 = 0.01 d it is about 1e-6, and species 3 takes over the inner layers by
+20-40 d.  The script quantifies the default case.
 
 Runtime: ~40 s.
 """
@@ -56,5 +61,5 @@ s3_2 = results["case2"].snapshots[-1].S[2]
 print("\nsubstrate 3 at t = 10 d (produced inside, vented at the interface):")
 print(f"  attachment-only max = {s3_1.max():.3f} g/m^3, "
       f"with colonization max = {s3_2.max():.3f} g/m^3")
-print("the two differ only marginally: with the default yield, colonization "
-      "never builds enough f3 to dent the substrate-3 pool.")
+print("the two differ only marginally: with the arrival at t1 = 0.2 d, colonization "
+      "builds too little f3 within 10 d to dent the substrate-3 pool.")

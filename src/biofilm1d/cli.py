@@ -24,7 +24,7 @@ from .model import validate_config
 from .oracle import (box_from_run, cross_check_errors, estimate_contraction,
                      map_run_to_char_grid, picard_solve)
 from .output import emit
-from .presets import DEFAULT_T1, PRESET_IDS, build_preset
+from .presets import PRESET_IDS, build_preset
 from .stepper import run as run_scenario
 from .traces import RAMP_VARIANTS
 
@@ -57,10 +57,11 @@ def _build_parser() -> _Parser:
                      description="1D free-boundary multispecies biofilm simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    preset_opts = argparse.ArgumentParser(add_help=False)  # run, oracle and window
-    preset_opts.add_argument("--t1", type=float, default=DEFAULT_T1,
+    # run, oracle and window; unset unless given, so run --config can refuse them
+    preset_opts = argparse.ArgumentParser(add_help=False)
+    preset_opts.add_argument("--t1", type=float,
                              help="arrival time of the third bulk species (presets)")
-    preset_opts.add_argument("--ramp", choices=RAMP_VARIANTS, default="printed",
+    preset_opts.add_argument("--ramp", choices=RAMP_VARIANTS,
                              help="arrival-ramp denominator variant")
 
     p_run = sub.add_parser("run", parents=[preset_opts],
@@ -98,8 +99,14 @@ def _load_cfg(args):
         return cfg, (f"configuration loaded from file {name}",)
     if not args.preset:
         raise ConfigError("either --preset or --config is required")
-    preset = build_preset(args.preset, t1=args.t1, variant=args.ramp)
+    preset = _preset(args)
     return preset.cfg, preset.notes
+
+
+def _preset(args):
+    """The preset ``args.preset``, with ``--t1`` and ``--ramp`` where given."""
+    given = {"t1": args.t1, "variant": args.ramp}
+    return build_preset(args.preset, **{k: v for k, v in given.items() if v is not None})
 
 
 def _cmd_run(args) -> int:
@@ -116,8 +123,7 @@ def _short_numerics(cfg, horizon):
 
 
 def _cmd_oracle(args) -> int:
-    preset = build_preset(args.preset, t1=args.t1, variant=args.ramp)
-    cfg = preset.cfg
+    cfg = _preset(args).cfg
     fields, history = picard_solve(cfg, args.horizon, args.grid)
     print(f"fixed point reached after {len(history)} iteration(s)")
     print("iterate distances:")
@@ -140,7 +146,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_window(args) -> int:
-    preset = build_preset(args.preset, t1=args.t1, variant=args.ramp)
+    preset = _preset(args)
     run_cfg = _short_numerics(preset.cfg, args.span)
     result = run_scenario(run_cfg, record_profiles=True)
     box = box_from_run(result)
@@ -167,6 +173,9 @@ def cli(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        for flag in ("t1", "ramp"):  # a scenario file sets its own
+            if getattr(args, "config", None) and getattr(args, flag, None) is not None:
+                parser.error(f"argument --{flag}: not allowed with argument --config")
     except SystemExit as exc:
         return int(exc.code or 0)
     handlers = {"run": _cmd_run, "oracle": _cmd_oracle,

@@ -1,7 +1,7 @@
 """Domain types: scenario parameters, snapshots and run results.
 
-All types are frozen dataclasses.  A :class:`Snapshot` also freezes its
-arrays; the traces of a :class:`RunResult` hold arrays nothing writes.
+All types are frozen dataclasses.  A :class:`Snapshot` also freezes copies
+of its arrays; the traces of a :class:`RunResult` hold arrays nothing writes.
 """
 
 from __future__ import annotations
@@ -150,12 +150,6 @@ class ScenarioConfig:
         return np.array([tr(t) for tr in self.bulk.s_star], dtype=float)
 
 
-def _frozen(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class Snapshot:
     """The solution at a scheduled output time on the normalized moving grid
@@ -172,8 +166,10 @@ class Snapshot:
     u_L: float
 
     def __post_init__(self):
-        for name in ("f", "S", "Psi"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        for name in ("f", "S", "Psi"):  # read-only copies; the caller's arrays are untouched
+            a = np.array(getattr(self, name), dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def N(self) -> int:
@@ -213,10 +209,9 @@ class BoundaryTrace:
 class ProfileTrace:
     """Records at each step start and at the horizon: the dissolved fields on
     the uniform grid they are solved on, and the parcels' abscissae, launch
-    times and fractions, bottom to top."""
+    times and fractions, bottom to top.  Record k is at boundary row k's
+    ``t`` and ``L``."""
 
-    t: np.ndarray        # (steps,)
-    L: np.ndarray        # (steps,)
     S: np.ndarray        # (steps, m, N+1)
     Psi: np.ndarray      # (steps, n, N+1)
     parcel_z: tuple      # (steps,) arrays of the parcel count at each record

@@ -325,9 +325,10 @@ def characteristic_trace(run_output: RunResult, t0,
         paths = characteristic_trace(result, np.linspace(0.0, 0.5, 6), 1.0)
     """
     profiles = run_output.profiles
-    if profiles is None or profiles.t.size < 2:
+    if profiles is None or len(profiles.parcel_z) < 2:
         raise OutOfDomain("run was not recorded with dense profiles")
-    pt, pL = profiles.t, profiles.L
+    b, rows = run_output.boundary, slice(len(profiles.parcel_z))  # record k is row k
+    pt, pL = b.t[rows], b.L[rows]
     t_end = float(pt[-1]) if t_end is None else float(t_end)
     launches = np.asarray(t0, dtype=float)
     t0s = launches.reshape(-1)
@@ -378,7 +379,7 @@ def map_run_to_char_grid(run_output: RunResult, times: np.ndarray):
     Returns ``(x, c, L)`` with the same layout as :class:`CharField`; entries
     outside the wedge are zero.  Row i is the path launched at ``times[i]``,
     interpolated linearly in time: its position and its fractions times the
-    densities.
+    densities; ``L[i]`` is where it launches.
     """
     paths = characteristic_trace(run_output, times, float(times[-1]))
     rho = run_output.cfg.arrays["rho"][:, None]
@@ -388,7 +389,7 @@ def map_run_to_char_grid(run_output: RunResult, times: np.ndarray):
     for i, path in enumerate(paths):
         c[i, i:] = np.interp(times[i:], path.t, path.z)
         x[:, i, i:] = rho * np.array([np.interp(times[i:], path.t, f) for f in path.f])
-    return x, c, np.interp(times, run_output.profiles.t, run_output.profiles.L)
+    return x, c, np.array([path.z[0] for path in paths])
 
 
 def cross_check_errors(fields: CharField, x_fd, c_fd, L_fd):
@@ -545,8 +546,8 @@ def box_from_run(run_output: RunResult) -> ContractionBox:
         raise OutOfDomain("run was not recorded with dense profiles")
     cfg = run_output.cfg
     a_ = cfg.arrays
-    t, L = profiles.t, profiles.L  # the first len(t) boundary rows: one span
-    sigma_a, u_L = run_output.boundary.sigma_a[:len(t)], run_output.boundary.u_L[:len(t)]
+    b, rows = run_output.boundary, slice(len(profiles.parcel_z))  # record k is row k
+    t, L, sigma_a, u_L = b.t[rows], b.L[rows], b.sigma_a[rows], b.u_L[rows]
     span = float(t[-1] - t[0])
 
     psi_b, S_b, _, X0 = _boundary_data(cfg, t)

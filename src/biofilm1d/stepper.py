@@ -211,8 +211,8 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
     species whose planktonic layer the grid misses at the run's largest
     thickness gets one :class:`BoundaryLayerResolutionWarning`.
     ``record_profiles`` keeps a :class:`ProfileTrace` of every step that
-    starts by ``profile_t_max``: the uniform-grid dissolved fields, and the
-    labelled parcels with their fractions that
+    starts by ``profile_t_max``, so record k is boundary row k: the dissolved
+    fields, and the labelled parcels with their fractions that
     :func:`biofilm1d.oracle.characteristic_trace` reads paths from.
     """
     report = validate_config(cfg)
@@ -221,15 +221,15 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
     p = _seed(cfg)
     solved = []  # the snapshots of the last two steps, oldest first
     snaps = []
-    # one column per BoundaryTrace and per ProfileTrace field, in declaration
-    # order; a scalar field takes one float64 per step
+    # one column per BoundaryTrace field (one float64 per step) and per
+    # ProfileTrace field, in declaration order
     columns = [array("d") for _ in range(6)]
-    profile_columns = [array("d"), array("d"), [], [], [], [], []]
+    profile_columns = [[] for _ in range(5)]
 
     def record(p, snap, drift):
         _append(columns, p.t, p.L, snap.sigma_a, snap.sigma_d, snap.u_L, drift)
         if record_profiles and p.t <= profile_t_max:
-            _append(profile_columns, p.t, p.L, snap.S, snap.Psi, p.z, p.t0, p.fz)
+            _append(profile_columns, snap.S, snap.Psi, p.z, p.t0, p.fz)
 
     # each snapshot right after its forced time; at t = 0 the seed's
     for target in [0.0] + _forced_times(cfg):
@@ -257,9 +257,7 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
     boundary = BoundaryTrace(*(np.frombuffer(c, dtype=np.float64) for c in columns))
     warn_under_resolved(float(boundary.L.max()), cfg)
     profiles = None
-    t, L, S, Psi, z, t0, fz = profile_columns
-    if t:
-        profiles = ProfileTrace(np.frombuffer(t, dtype=np.float64),
-                                np.frombuffer(L, dtype=np.float64),
-                                np.stack(S), np.stack(Psi), tuple(z), tuple(t0), tuple(fz))
+    S, Psi, z, t0, fz = profile_columns
+    if S:
+        profiles = ProfileTrace(np.stack(S), np.stack(Psi), tuple(z), tuple(t0), tuple(fz))
     return RunResult(cfg=cfg, snapshots=snaps, boundary=boundary, profiles=profiles)

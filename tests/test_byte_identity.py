@@ -507,8 +507,10 @@ def test_steps_bitwise_equal_to_frozen_stepper(make_cfg, recedes):
     assert names == ["t", "L", "sigma_a", "sigma_d", "u_L", "sum_f_drift"]
     for name, column in zip(names, zip(*rows), strict=True):
         assert_same_bits(getattr(b, name), column, f"boundary {name}")
+    # a profile record is a boundary row: its t and L are the row's, checked above
     p = new.profiles
-    for name, column in zip([f.name for f in dataclasses.fields(p)], zip(*records)):
+    frozen = list(zip(*records))[2:]
+    for name, column in zip([f.name for f in dataclasses.fields(p)], frozen, strict=True):
         value = getattr(p, name)
         if name.startswith("parcel_"):
             assert len(value) == len(column)

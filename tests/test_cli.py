@@ -28,6 +28,16 @@ class TestRunCommand:
         assert (out / MANIFEST_NAME).exists()
         assert "content sha256" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value", [("--t1", "0.001"), ("--ramp", "corrected")])
+    def test_run_rejects_preset_option_with_config(self, tiny_config, tmp_path, capsys,
+                                                   flag, value):
+        # a scenario file sets its own arrival; the option would be dropped
+        out = tmp_path / "results"
+        argv = ["run", "--config", str(tiny_config), flag, value, "--out", str(out)]
+        assert cli(argv) == EXIT_USAGE
+        assert f"argument {flag}: not allowed with argument --config" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_requires_scenario(self, tmp_path):
         assert cli(["run", "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
 

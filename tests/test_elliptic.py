@@ -476,6 +476,30 @@ class TestSubstrateStop:
         assert (info.value.iterations, info.value.residual) == (0, node0)
 
 
+class TestNewtonFailures:
+    """The Newton's two failures carry its iteration count and last residual."""
+
+    def test_iteration_cap(self):
+        # an unconverged start, residual 100 at every free node, and no iteration
+        with pytest.raises(NonConvergence, match="exceeded max iterations") as info:
+            solve_problem(lambda v: np.full_like(v, -100.0), np.zeros_like,
+                          np.full(9, BULK), BULK, 1.0, 1e-9, 0)
+        assert (info.value.iterations, info.value.residual) == (0, 100.0)
+
+    def test_stalled_line_search(self):
+        def stuck(v):
+            """A source that cancels the stencil: every field has residual -1
+            at every free node, so no step decreases it."""
+            lap = np.zeros_like(v)
+            lap[0] = 2.0 * v[0] - 2.0 * v[1]
+            lap[1:-1] = 2.0 * v[1:-1] - v[:-2] - v[2:]
+            return lap + 1.0
+
+        with pytest.raises(NonConvergence, match="line search stalled") as info:
+            solve_problem(stuck, np.zeros_like, np.full(9, BULK), BULK, 1.0, 1e-9, 50)
+        assert (info.value.iterations, info.value.residual) == (1, 1.0)
+
+
 def clamping_case():
     """``(t, L, f, S)`` and a config whose second substrate field is clamped.
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import biofilm1d
 from biofilm1d import model
 from biofilm1d.errors import ConfigError, NoAttachment
-from biofilm1d.model import (CONSTRAINT_TOL, NumericsConfig, ScenarioConfig,
+from biofilm1d.model import (CONSTRAINT_TOL, NumericsConfig, ScenarioConfig, Snapshot,
                              SpeciesParams, Stoichiometry, SubstrateParams,
                              Violation, attaching, validate_config)
 from biofilm1d.oracle import picard_solve
@@ -442,6 +442,16 @@ class TestInitialState:
         st = seed_snapshot(make_cfg())
         with pytest.raises(ValueError):
             st.f[0, 0] = 2.0
+
+    def test_freezes_a_copy_of_the_callers_arrays(self):
+        x = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+        s = Snapshot(t=0.0, L=1.0, f=x, S=x, Psi=x, sigma_a=0.0, sigma_d=0.0, u_L=0.0)
+        assert x.flags.writeable
+        x[0, 0] = 0.5  # the caller may go on writing its own array
+        for name in ("f", "S", "Psi"):
+            a = getattr(s, name)
+            assert a is not x and not a.flags.writeable
+            np.testing.assert_array_equal(a, np.linspace(0.0, 1.0, 6).reshape(2, 3))
 
     def test_constraint_tolerance_value(self):
         assert CONSTRAINT_TOL == 1e-8

@@ -9,7 +9,8 @@ import pytest
 
 from biofilm1d import kinetics, oracle
 from biofilm1d.errors import (BoundaryLayerResolutionWarning, ConfigError,
-                              DetachmentRegime, NonConvergence, OutOfDomain)
+                              DetachmentRegime, NoAttachment, NonConvergence,
+                              OutOfDomain)
 from biofilm1d.model import (BoundaryTrace, ProfileTrace, RunResult,
                              Stoichiometry)
 from biofilm1d.oracle import (CharPath, ContractionBox, _ctz,
@@ -151,6 +152,14 @@ class TestPicardSolve:
         cfg = dataclasses.replace(CASE1, delta=1e12)
         with pytest.raises(DetachmentRegime):
             picard_solve(cfg, T_o=0.02, grid_n=30)
+
+    def test_supply_ending_inside_the_horizon_refused(self):
+        # every attaching species' bulk value drops to 0 at the horizon
+        drop = TableTrace((0.0, 0.01, 0.02), (100.0, 100.0, 0.0))
+        cfg = dataclasses.replace(
+            CASE1, bulk=dataclasses.replace(CASE1.bulk, psi_star=(drop,) * 3))
+        with pytest.raises(NoAttachment, match="attachment flux must stay positive"):
+            picard_solve(cfg, T_o=0.02, grid_n=10)
 
     def test_long_horizon_does_not_converge(self):
         with pytest.raises(NonConvergence), np.errstate(all="ignore"):
@@ -390,8 +399,8 @@ def synthetic_run(times, L_of_t, c_of=None, N=40):
         parcel_z.append(np.concatenate(([0.0], [c_of(t0, t) for t0 in launched])))
     S = np.zeros((times.size, 1, N + 1))
     Psi = np.zeros((times.size, 1, N + 1))
-    profiles = ProfileTrace(t=times, L=L, S=S, Psi=Psi,
-                            parcel_z=tuple(parcel_z), parcel_t0=tuple(parcel_t0),
+    profiles = ProfileTrace(S=S, Psi=Psi, parcel_z=tuple(parcel_z),
+                            parcel_t0=tuple(parcel_t0),
                             parcel_f=tuple(t0[None, :] for t0 in parcel_t0))
     boundary = BoundaryTrace(t=times, L=L,
                              sigma_a=np.full(times.size, 1e-3),
@@ -407,6 +416,13 @@ def growth_run(times):
     L_of_t = lambda t: 1e-4 * math.exp(4.0 * t)
     return synthetic_run(times, L_of_t,
                          lambda t0, t: L_of_t(t0) * math.exp(3.0 * (t - t0)))
+
+
+def recorded(res):
+    """The boundary rows' ``t`` and ``L`` over the recorded span: record k
+    is boundary row k."""
+    k = len(res.profiles.parcel_z)
+    return res.boundary.t[:k], res.boundary.L[:k]
 
 
 @pytest.fixture(scope="module")
@@ -455,7 +471,7 @@ class TestCharacteristicTrace:
             characteristic_trace(res, t0=0.5, t_end=1.5)
 
     def test_path_stays_inside_domain(self, case1_recorded):
-        pt, pL = case1_recorded.profiles.t, case1_recorded.profiles.L
+        pt, pL = recorded(case1_recorded)
         for path in characteristic_trace(case1_recorded, pt[::5]):
             assert np.all(path.z >= 0.0)
             assert np.all(path.z <= np.interp(path.t, pt, pL))
@@ -466,18 +482,18 @@ class TestCharacteristicTrace:
         cfg = dataclasses.replace(short_cfg(CASE1, 0.1, N=50, dt_max=5e-4),
                                   delta=1e7)
         res = run(cfg, record_profiles=True)
-        profiles = res.profiles
+        profiles, (pt, _) = res.profiles, recorded(res)
         top = np.array([labels[-1] for labels in profiles.parcel_t0])
         assert not res.boundary.attachment[-1]
         for t0 in (0.02, 0.0213, 0.025):
             path = characteristic_trace(res, t0)
-            k_last = int(np.searchsorted(profiles.t, path.t[-1]))
-            assert profiles.t[k_last] == path.t[-1] < profiles.t[-1]
+            k_last = int(np.searchsorted(pt, path.t[-1]))
+            assert pt[k_last] == path.t[-1] < pt[-1]
             # alive at every record it visits, shed at the next one
-            assert np.all(t0 <= top[np.searchsorted(profiles.t, path.t[1:])])
+            assert np.all(t0 <= top[np.searchsorted(pt, path.t[1:])])
             assert t0 > top[k_last + 1]
         # the deepest material stays; the last parcels attached leave first
-        assert characteristic_trace(res, 0.005).t[-1] == profiles.t[-1]
+        assert characteristic_trace(res, 0.005).t[-1] == pt[-1]
         assert characteristic_trace(res, 0.025).t[-1] < 0.05
 
 
@@ -505,8 +521,7 @@ class TestArrayLaunch:
     def test_launch_on_a_record_time(self, case1_recorded):
         # the path is the parcel labelled with that time, bitwise: its
         # position after the launch, its fractions from the launch on
-        profiles = case1_recorded.profiles
-        pt = profiles.t
+        profiles, (pt, _) = case1_recorded.profiles, recorded(case1_recorded)
         ks = [0, 1, 7, pt.size - 2, pt.size - 1]
         paths = self.assert_matches_scalar_calls(case1_recorded, pt[ks])
         for k, path in zip(ks, paths):
@@ -518,8 +533,7 @@ class TestArrayLaunch:
                 assert_bitwise_equal(path.f[:, j - k], profiles.parcel_f[j][:, mine][:, 0])
 
     def test_end_between_record_times(self, case1_recorded):
-        profiles = case1_recorded.profiles
-        pt = profiles.t
+        profiles, (pt, _) = case1_recorded.profiles, recorded(case1_recorded)
         t_end = 0.5 * (pt[-3] + pt[-2])
         self.assert_matches_scalar_calls(
             case1_recorded, [pt[0], 0.5 * (pt[1] + pt[2]), pt[-3],
@@ -536,8 +550,7 @@ class TestArrayLaunch:
                                    rtol=1e-12, atol=1e-300)
 
     def test_launch_at_end_is_a_point(self, case1_recorded):
-        profiles = case1_recorded.profiles
-        pt, pL = profiles.t, profiles.L
+        profiles, (pt, pL) = case1_recorded.profiles, recorded(case1_recorded)
         for t, k in ((float(pt[-1]), pt.size - 1), (0.5 * (pt[4] + pt[5]), 4)):
             path = characteristic_trace(case1_recorded, t, t)
             np.testing.assert_array_equal(path.t, [t])
@@ -591,8 +604,7 @@ def per_point_map(run_output, times):
     at or before t0) and every record after t0, where the label t0 is
     interpolated between its parcels; t is blended linearly in time between
     the two nodes around it.  Assumes no parcel is shed."""
-    profiles = run_output.profiles
-    pt = profiles.t
+    profiles, (pt, pL) = run_output.profiles, recorded(run_output)
     rho = run_output.cfg.arrays["rho"]
     G1 = times.size
 
@@ -606,7 +618,7 @@ def per_point_map(run_output, times):
     c = np.zeros((G1, G1))
     for i, t0 in enumerate(times):
         k0 = int(np.searchsorted(pt, t0, side="right")) - 1
-        launch = [np.interp(t0, pt, profiles.L)] + at(k0, t0)[1:]
+        launch = [np.interp(t0, pt, pL)] + at(k0, t0)[1:]
         after = np.flatnonzero(pt > t0)
         node_t = np.concatenate(([t0], pt[after]))
         for j in range(i, G1):
@@ -619,7 +631,7 @@ def per_point_map(run_output, times):
                 v = [np.interp(times[j], node_t[m:m + 2], pair) for pair in zip(lo, hi)]
             c[i, j] = v[0]
             x[:, i, j] = rho * np.array(v[1:])
-    return x, c, np.interp(times, pt, profiles.L)
+    return x, c, np.interp(times, pt, pL)
 
 
 class TestMapRunToCharGrid:
@@ -701,6 +713,12 @@ class TestContractionEstimate:
         if ratios:
             assert max(ratios) <= 1.1 * lam_o
 
+    def test_box_requires_profiles(self):
+        bare = dataclasses.replace(synthetic_run(np.linspace(0.0, 1.0, 11), lambda t: 1e-4),
+                                   profiles=None)
+        with pytest.raises(OutOfDomain, match="not recorded with dense profiles"):
+            box_from_run(bare)
+
     def test_box_reads_only_the_recorded_rows(self):
         # a run recorded to 0.05 d of 0.2 d: every bound covers the recorded
         # span, as if the boundary trace ended there
@@ -708,7 +726,7 @@ class TestContractionEstimate:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BoundaryLayerResolutionWarning)
             res = run(cfg, record_profiles=True, profile_t_max=0.05)
-        k = len(res.profiles.t)
+        k = len(res.profiles.parcel_z)
         assert k < res.boundary.t.size
         cut = BoundaryTrace(*(getattr(res.boundary, f.name)[:k]
                               for f in dataclasses.fields(BoundaryTrace)))

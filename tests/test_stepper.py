@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from biofilm1d import configio, elliptic, kinetics, stepper
-from biofilm1d.errors import Biofilm1dError, BoundaryLayerResolutionWarning, NoAttachment
+from biofilm1d.errors import (Biofilm1dError, BoundaryLayerResolutionWarning, NoAttachment,
+                              NumericalBlowup)
 from biofilm1d.kinetics import (RateBundle, attachment_flux, detachment_flux,
                                 inflow_fractions)
 from biofilm1d.model import (CONSTRAINT_TOL, NumericsConfig, ScenarioConfig,
@@ -309,9 +310,9 @@ class TestLaunchLabels:
         cfg = dataclasses.replace(
             cfg, numerics=dataclasses.replace(cfg.numerics, dt_max=0.1),
             horizon=1.0, snapshot_times=())
-        p = run(cfg, record_profiles=True).profiles
-        assert p.t[-2] + 0.1 != 1.0
-        assert p.parcel_t0[-1][-1] == p.t[-1] == 1.0
+        res = run(cfg, record_profiles=True)
+        assert res.boundary.t[-2] + 0.1 != 1.0
+        assert res.profiles.parcel_t0[-1][-1] == res.boundary.t[-1] == 1.0
 
     def test_records_through_regime_flips(self):
         from biofilm1d.traces import TableTrace
@@ -323,19 +324,19 @@ class TestLaunchLabels:
         cfg = dataclasses.replace(cfg, bulk=bulk, horizon=0.1, snapshot_times=())
         res = run(cfg, record_profiles=True)
         p, b = res.profiles, res.boundary
-        assert len(p.parcel_z) == len(p.parcel_t0) == len(p.parcel_f) == p.t.size == b.t.size
+        assert len(p.parcel_z) == len(p.parcel_t0) == len(p.parcel_f) == b.t.size
         for k, (z, t0, f) in enumerate(zip(p.parcel_z, p.parcel_t0, p.parcel_f)):
             assert z.shape == t0.shape == f.shape[1:]
             np.testing.assert_allclose(f.sum(axis=0), 1.0, atol=1e-12)
-            assert z[0] == 0.0 and z[-1] == p.L[k]
+            assert z[0] == 0.0 and z[-1] == b.L[k]
             assert t0[0] == -cfg.numerics.dt_max
             assert np.all(np.diff(t0) > 0.0)
             # a parcel attached over the last step carries the record time,
             # landings on the supply breakpoints included
             if k and b.attachment[k - 1]:
-                assert t0[-1] == p.t[k]
+                assert t0[-1] == b.t[k]
             elif k:
-                assert t0[-1] < p.t[k - 1]
+                assert t0[-1] < b.t[k - 1]
         assert (~b.attachment).any()
 
 
@@ -512,6 +513,24 @@ class TestRun:
         np.testing.assert_allclose(snap.Psi, np.outer(cfg.psi_star(0.0), ones),
                                    atol=1e-9)
         assert abs(snap.u_L) < 1e-8
+
+    @pytest.mark.parametrize("spoil, message", [
+        # a NaN growth rate turns the fractions non-finite
+        (lambda r, dt: dataclasses.replace(r, r_M=np.full_like(r.r_M, np.nan)),
+         "non-finite state after step"),
+        # a source G of 0.95/dt leaves about a twentieth of the volume
+        (lambda r, dt: dataclasses.replace(r, G=np.full_like(r.G, 0.95 / dt)),
+         "volume-fraction sum collapsed"),
+    ])
+    def test_blowup_carries_the_step_end(self, monkeypatch, spoil, message):
+        # no validated config reaches these guards, so the rates are spoiled
+        cfg = small_case1()
+        dt = cfg.numerics.dt_max
+        real = stepper.rate_bundle
+        monkeypatch.setattr(stepper, "rate_bundle", lambda *args: spoil(real(*args), dt))
+        with pytest.raises(NumericalBlowup, match=message) as info:
+            run(cfg)
+        assert info.value.t == dt
 
     def test_snapshots_well_formed(self):
         res = run(small_case1())
@@ -742,11 +761,9 @@ class TestProfileWindow:
     @pytest.mark.filterwarnings("ignore::biofilm1d.errors.BoundaryLayerResolutionWarning")
     def test_records_the_steps_that_start_by_t_max(self, case1_run):
         b, p = case1_run.boundary, case1_run.profiles
-        k = len(p.t)
+        k = len(p.parcel_z)
         assert (k, b.t.size) == (1051, 10001)  # case1 recorded to 1.05 d of 10 d
         assert b.t[k - 1] <= 1.05 < b.t[k]
-        assert_same_bits(p.t, b.t[:k])
-        assert_same_bits(p.L, b.L[:k])
         assert len(p.S) == len(p.Psi) == len(p.parcel_z) == len(p.parcel_f) == k
 
     def test_horizon_row_recorded_only_when_t_max_reaches_it(self):
@@ -754,11 +771,12 @@ class TestProfileWindow:
         full = run(cfg, record_profiles=True, profile_t_max=cfg.horizon)
         short = run(cfg, record_profiles=True,
                     profile_t_max=np.nextafter(cfg.horizon, 0.0))
-        assert full.profiles.t.size == full.boundary.t.size
-        assert full.profiles.t[-1] == cfg.horizon
-        assert short.profiles.t.size == short.boundary.t.size - 1
-        assert short.profiles.t[-1] < cfg.horizon
-        assert_same_bits(short.profiles.t, full.profiles.t[:-1])
+        k = len(short.profiles.parcel_z)
+        assert len(full.profiles.parcel_z) == full.boundary.t.size == k + 1
+        assert full.boundary.t[-1] == cfg.horizon
+        assert short.boundary.t.size == k + 1
+        assert short.boundary.t[k - 1] < cfg.horizon
+        assert_same_bits(short.boundary.t[:k], full.boundary.t[:-1])
 
 
 # Signed production coefficients other than +-1, zeros of either sign among them.
@@ -851,11 +869,9 @@ class TestRunProperties:
             except Biofilm1dError:
                 return
         b, p = res.boundary, res.profiles
-        k = len(p.t)
+        k = len(p.parcel_z)
         assert 1 <= k <= b.t.size
-        assert_same_bits(p.t, b.t[:k])
-        assert_same_bits(p.L, b.L[:k])
-        assert_same_bits([z[-1] for z in p.parcel_z], p.L)
+        assert_same_bits([z[-1] for z in p.parcel_z], b.L[:k])
 
     def test_tiny_inflow_share_keeps_every_parcel_non_negative(self):
         res = run(TINY_SHARE, record_profiles=True)
