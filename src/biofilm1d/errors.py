@@ -31,7 +31,7 @@ class SingularJacobian(Biofilm1dError):
 
 
 class NumericalBlowup(Biofilm1dError):
-    """A state field turned non-finite; carries the failing time."""
+    """A state field turned non-finite or broke its constraint; carries the failing time."""
 
     def __init__(self, message, t=None):
         super().__init__(message)

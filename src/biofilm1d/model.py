@@ -17,10 +17,14 @@ import numpy as np
 
 from .traces import BulkTraces, ConstantTrace, RampTrace, TableTrace
 
-#: Absolute tolerance on the nodewise volume-fraction sum constraint.  Tight
-#: enough to catch scheme bugs, loose enough for accumulated round-off over
-#: very long runs.
+#: Absolute tolerance on the nodewise volume-fraction sum constraint; the
+#: stepper raises above it.  Tight enough to catch scheme bugs, loose enough
+#: for accumulated round-off over very long runs.
 CONSTRAINT_TOL = 1e-8
+
+#: Relative tolerance of the run clock: two times within
+#: ``TIME_TOL * max(1, |t|)`` are one instant.
+TIME_TOL = 1e-12
 
 
 def attaching(sigma_a, sigma_d):

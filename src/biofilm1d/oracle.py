@@ -51,7 +51,7 @@ from . import kinetics
 from .errors import (ConfigError, DetachmentRegime, NoAttachment, NonConvergence,
                      OutOfDomain)
 from .kinetics import attachment_flux, inflow_fractions
-from .model import RunResult, attaching, validate_config
+from .model import TIME_TOL, RunResult, attaching, validate_config
 
 
 def _ctz(A, axis, delta):
@@ -310,16 +310,16 @@ def characteristic_trace(run_output: RunResult, t0,
     read from the labelled parcels of a run recorded by
     :func:`biofilm1d.stepper.run`.
 
-    A path starts at ``(t0, L(t0))`` with the fractions of the last record at
-    or before ``t0`` (clamped to its top parcel).  It visits every record
-    time after ``t0`` up to ``t_end``, where its position and fractions are
-    interpolated linearly in launch-time label between the two parcels that
-    bracket ``t0``; a path launched at a record time is that record's top
-    parcel.  An off-grid ``t_end`` is reached by interpolating linearly in
-    time towards the next record.  A path ends at the last record where its
-    parcel still exists, that is before detachment sheds it.  A float ``t0`` returns one
-    :class:`CharPath`; a 1-D array of launch times returns a list with one
-    path per launch::
+    A path starts at ``(t0, L(t0))`` with the fractions of the last record at or
+    before ``t0`` (clamped to its top parcel).  It visits every record time after
+    ``t0`` up to ``t_end``, a record within ``TIME_TOL`` of ``t_end`` included, where
+    its position and fractions are interpolated linearly in launch-time label
+    between the two parcels that bracket ``t0``; a path launched at a record time
+    is that record's top parcel.  An off-grid ``t_end`` is reached by interpolating
+    linearly in time towards the next record.  A path ends at the last record where
+    its parcel still exists, that is before detachment sheds it.  A float ``t0``
+    returns one :class:`CharPath`; a 1-D array of launch times returns a list with
+    one path per launch::
 
         path = characteristic_trace(result, 0.2, t_end=1.0)
         paths = characteristic_trace(result, np.linspace(0.0, 0.5, 6), 1.0)
@@ -330,10 +330,11 @@ def characteristic_trace(run_output: RunResult, t0,
     b, rows = run_output.boundary, slice(len(profiles.parcel_z))  # record k is row k
     pt, pL = b.t[rows], b.L[rows]
     t_end = float(pt[-1]) if t_end is None else float(t_end)
+    tol = TIME_TOL * max(1.0, abs(t_end))
     launches = np.asarray(t0, dtype=float)
     t0s = launches.reshape(-1)
     if not (np.all((pt[0] <= t0s) & (t0s <= pt[-1]) & (t0s <= t_end))
-            and t_end <= pt[-1] + 1e-12):
+            and t_end <= pt[-1] + tol):
         raise OutOfDomain("requested path leaves the recorded time span")
     if t0s.size == 0:
         return []
@@ -347,10 +348,10 @@ def characteristic_trace(run_output: RunResult, t0,
 
     # The record times up to t_end, each once; an off-grid t_end is bracketed
     # by the last of them and the record after it.
-    k_end = int(np.searchsorted(pt, t_end + 1e-15, side="right"))
+    k_end = int(np.searchsorted(pt, t_end + tol, side="right"))
     ks = [k for k in range(k_end) if k == 0 or pt[k] > pt[k - 1]]
     vals, alive = (np.array(a) for a in zip(*map(at_record, ks)))
-    off_grid = pt[ks[-1]] < t_end - 1e-15 and k_end < pt.size
+    off_grid = pt[ks[-1]] < t_end - tol and k_end < pt.size
     if off_grid:
         v_next, alive_next = at_record(k_end)
     z_launch = np.interp(t0s, pt, pL)
@@ -365,7 +366,7 @@ def characteristic_trace(run_output: RunResult, t0,
         t = np.concatenate(([ta], tk[rows]))
         v = vals[np.concatenate(([launch_rows[i]], rows)), :, i].T
         v[0, 0] = z_launch[i]
-        if off_grid and ta < t_end - 1e-15 and kept.all() and alive_next[i]:
+        if off_grid and ta < t_end - tol and kept.all() and alive_next[i]:
             w = (t_end - t[-1]) / (pt[k_end] - t[-1])
             t = np.append(t, t_end)
             v = np.column_stack([v, v[:, -1] + w * (v_next[:, i] - v[:, -1])])
@@ -379,7 +380,8 @@ def map_run_to_char_grid(run_output: RunResult, times: np.ndarray):
     Returns ``(x, c, L)`` with the same layout as :class:`CharField`; entries
     outside the wedge are zero.  Row i is the path launched at ``times[i]``,
     interpolated linearly in time: its position and its fractions times the
-    densities; ``L[i]`` is where it launches.
+    densities; ``L[i]`` is where it launches.  A path that detachment sheds
+    before ``times[-1]`` raises :class:`OutOfDomain`.
     """
     paths = characteristic_trace(run_output, times, float(times[-1]))
     rho = run_output.cfg.arrays["rho"][:, None]
@@ -387,6 +389,8 @@ def map_run_to_char_grid(run_output: RunResult, times: np.ndarray):
     x = np.zeros((rho.shape[0], G1, G1))
     c = np.zeros((G1, G1))
     for i, path in enumerate(paths):
+        if path.t[-1] < times[-1] - TIME_TOL * max(1.0, abs(times[-1])):
+            raise OutOfDomain(f"path launched at {times[i]} is shed at {path.t[-1]}")
         c[i, i:] = np.interp(times[i:], path.t, path.z)
         x[:, i, i:] = rho * np.array([np.interp(times[i:], path.t, f) for f in path.f])
     return x, c, np.array([path.z[0] for path in paths])

@@ -48,12 +48,10 @@ import numpy as np
 from .elliptic import solve_planktonic, solve_substrates, warn_under_resolved
 from .errors import ConfigError, NoAttachment, NumericalBlowup
 from .kinetics import attachment_flux, detachment_flux, inflow_fractions, rate_bundle
-from .model import (BoundaryTrace, ProfileTrace, RunResult, ScenarioConfig,
-                    Snapshot, attaching, validate_config)
+from .model import (CONSTRAINT_TOL, TIME_TOL, BoundaryTrace, ProfileTrace, RunResult,
+                    ScenarioConfig, Snapshot, attaching, validate_config)
 
 logger = logging.getLogger(__name__)
-
-_TIME_SNAP = 1e-12
 
 
 def compute_velocity(G, dz) -> np.ndarray:
@@ -157,9 +155,10 @@ def _commit(p: _Parcels, dt: float, t_new: float, rhs, cfg: ScenarioConfig):
     """The parcels moved by ``dt`` along ``rhs``, the triple of :func:`_rhs`,
     with a parcel attached or parcels shed at the new top, at time ``t_new``;
     a parcel attached over the step takes that label.  Returns them with the
-    step's fraction-sum drift, writing no argument.  The fractions stay
-    non-negative without a clamp: ``validate_config`` bounds ``dt * G`` by
-    0.5, and the attached inflow fractions are never negative."""
+    step's fraction-sum drift, writing no argument; a drift above
+    ``CONSTRAINT_TOL`` raises, so the renormalisation only corrects rounding.
+    The fractions stay non-negative without a clamp: ``validate_config`` bounds
+    ``dt * G`` by 0.5, and the attached inflow fractions are never negative."""
     snap, rates, u = rhs
     L_new = p.L + dt * (snap.u_L + snap.sigma_a - snap.sigma_d)
     if L_new < cfg.numerics.L_eps:
@@ -170,8 +169,8 @@ def _commit(p: _Parcels, dt: float, t_new: float, rhs, cfg: ScenarioConfig):
     f_new = p.fz + dt * (growth - p.fz * rates.G)
     col = f_new.sum(axis=0)
     drift = float(np.max(np.abs(col - 1.0)))
-    if np.min(col) <= 0.1:
-        raise NumericalBlowup("volume-fraction sum collapsed", t=t_new)
+    if drift > CONSTRAINT_TOL:
+        raise NumericalBlowup(f"volume-fraction sum drifted by {drift:.3g}", t=t_new)
     f_new = f_new / col
 
     z_new = p.z + dt * u
@@ -207,13 +206,13 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
         profile_t_max: float = math.inf) -> RunResult:
     """Integrate from t = 0 to the horizon, emitting scheduled snapshots.
 
-    Steps land exactly on snapshot times and on bulk-trace breakpoints.  A
-    species whose planktonic layer the grid misses at the run's largest
-    thickness gets one :class:`BoundaryLayerResolutionWarning`.
-    ``record_profiles`` keeps a :class:`ProfileTrace` of every step that
-    starts by ``profile_t_max``, so record k is boundary row k: the dissolved
-    fields, and the labelled parcels with their fractions that
-    :func:`biofilm1d.oracle.characteristic_trace` reads paths from.
+    Steps land exactly on snapshot times and on bulk-trace breakpoints; two
+    times within ``TIME_TOL * max(1, t)`` are one instant.  A species whose
+    planktonic layer the grid misses at the run's largest thickness gets one
+    :class:`BoundaryLayerResolutionWarning`.  ``record_profiles`` keeps a
+    :class:`ProfileTrace` of every step that starts by ``profile_t_max``, so
+    record k is boundary row k: the dissolved fields, and the labelled parcels
+    with their fractions that :func:`biofilm1d.oracle.characteristic_trace` reads.
     """
     report = validate_config(cfg)
     if not report.ok:
@@ -225,15 +224,16 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
     # ProfileTrace field, in declaration order
     columns = [array("d") for _ in range(6)]
     profile_columns = [[] for _ in range(5)]
+    t_keep = profile_t_max + TIME_TOL * max(1.0, profile_t_max)
 
     def record(p, snap, drift):
         _append(columns, p.t, p.L, snap.sigma_a, snap.sigma_d, snap.u_L, drift)
-        if record_profiles and p.t <= profile_t_max:
+        if record_profiles and p.t <= t_keep:
             _append(profile_columns, snap.S, snap.Psi, p.z, p.t0, p.fz)
 
     # each snapshot right after its forced time; at t = 0 the seed's
     for target in [0.0] + _forced_times(cfg):
-        tol = _TIME_SNAP * max(1.0, target)
+        tol = TIME_TOL * max(1.0, target)
         while p.t < target - tol:
             dt = min(cfg.numerics.dt_max, target - p.t)
             # a step that ends within rounding of the forced time lands on it

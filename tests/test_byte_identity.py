@@ -37,7 +37,7 @@ from biofilm1d.errors import (BoundaryLayerResolutionWarning, NonConvergence,
                               NumericalBlowup, SingularJacobian)
 from biofilm1d.kinetics import (attachment_flux, detachment_flux,
                                 inflow_fractions)
-from biofilm1d.model import (NumericsConfig, ScenarioConfig, Snapshot,
+from biofilm1d.model import (TIME_TOL, NumericsConfig, ScenarioConfig, Snapshot,
                              SpeciesParams, Stoichiometry, SubstrateParams)
 from biofilm1d.output import emit
 from biofilm1d.presets import build_preset
@@ -437,7 +437,7 @@ def step_schedule(cfg):
     """``(dt, t_end)`` of every step :func:`stepper.run` takes for ``cfg``."""
     t = 0.0
     for target in stepper._forced_times(cfg):
-        tol = stepper._TIME_SNAP * max(1.0, target)
+        tol = TIME_TOL * max(1.0, target)
         while t < target - tol:
             dt = min(cfg.numerics.dt_max, target - t)
             t_end = target if abs(t + dt - target) <= tol else t + dt

@@ -2,11 +2,13 @@ import dataclasses
 
 import pytest
 
-from biofilm1d import configio
+from biofilm1d import cli as cli_module, configio
 from biofilm1d.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
                            cli)
 from biofilm1d.output import BOUNDARY_NAME, MANIFEST_NAME
 from biofilm1d.presets import build_preset
+from biofilm1d.stepper import run
+from biofilm1d.traces import RampTrace
 
 
 @pytest.fixture()
@@ -37,6 +39,26 @@ class TestRunCommand:
         assert cli(argv) == EXIT_USAGE
         assert f"argument {flag}: not allowed with argument --config" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_run_with_preset_options(self, tmp_path, monkeypatch):
+        # the preset's 10 d run cut to 0.02 d: the options reach the cfg and
+        # the manifest, whatever the horizon
+        received = []
+
+        def short_run(cfg):
+            received.append(cfg)
+            return run(dataclasses.replace(cfg, horizon=0.02, snapshot_times=(0.02,)))
+
+        monkeypatch.setattr(cli_module, "run_scenario", short_run)
+        out = tmp_path / "results"
+        argv = ["run", "--preset", "case1", "--t1", "0.3", "--ramp", "corrected",
+                "--out", str(out)]
+        assert cli(argv) == EXIT_OK
+        [cfg] = received
+        assert cfg.bulk.psi_star[2] == RampTrace(100.0, 0.3, "corrected")
+        manifest = (out / MANIFEST_NAME).read_text()
+        assert "t1 = 0.3 d: " in manifest
+        assert "psi3 ramp variant = corrected: " in manifest
 
     def test_run_requires_scenario(self, tmp_path):
         assert cli(["run", "--out", str(tmp_path / "o")]) == EXIT_VALIDATION

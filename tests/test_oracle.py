@@ -496,6 +496,19 @@ class TestCharacteristicTrace:
         assert characteristic_trace(res, 0.005).t[-1] == pt[-1]
         assert characteristic_trace(res, 0.025).t[-1] < 0.05
 
+    @pytest.mark.filterwarnings("ignore::biofilm1d.errors.BoundaryLayerResolutionWarning")
+    def test_end_within_the_clock_tolerance_of_a_record_is_that_record(self):
+        # the clock reaches 1.05 d a few ulps early; that record is t_end,
+        # not a node a few ulps before a second, interpolated one
+        cfg = dataclasses.replace(CASE1, numerics=dataclasses.replace(CASE1.numerics, N=16),
+                                  horizon=1.06, snapshot_times=())
+        res = run(cfg, record_profiles=True)
+        pt, _ = recorded(res)
+        k = int(np.argmin(np.abs(pt - 1.05)))
+        assert pt[k] != 1.05 and abs(pt[k] - 1.05) < 1e-13
+        path = characteristic_trace(res, 0.5, 1.05)
+        np.testing.assert_array_equal(path.t[-2:], pt[k - 1:k + 1])
+
 
 class TestArrayLaunch:
     def assert_matches_scalar_calls(self, res, t0s, t_end=None):
@@ -668,6 +681,15 @@ class TestMapRunToCharGrid:
         before = times < DEFAULT_T1
         assert np.all(x[2][before] == 0.0)
         assert np.max(x[2][~before]) > 0.0
+
+    def test_path_shed_before_the_last_time_rejected(self):
+        # strong erosion sheds the parcel launched at 0.02 d before 0.1 d;
+        # holding its last value would sample material no longer there
+        cfg = dataclasses.replace(short_cfg(CASE1, 0.1, N=50, dt_max=5e-4),
+                                  delta=1e7)
+        res = run(cfg, record_profiles=True)
+        with pytest.raises(OutOfDomain, match=r"launched at 0\.02 is shed at 0\.05"):
+            map_run_to_char_grid(res, np.linspace(0.0, 0.1, 11))
 
 
 class TestContractionEstimate:

@@ -12,9 +12,10 @@ from biofilm1d.errors import (Biofilm1dError, BoundaryLayerResolutionWarning, No
                               NumericalBlowup)
 from biofilm1d.kinetics import (RateBundle, attachment_flux, detachment_flux,
                                 inflow_fractions)
-from biofilm1d.model import (CONSTRAINT_TOL, NumericsConfig, ScenarioConfig,
+from biofilm1d.model import (CONSTRAINT_TOL, TIME_TOL, NumericsConfig, ScenarioConfig,
                              SpeciesParams, Stoichiometry, SubstrateParams, attaching,
                              validate_config)
+from biofilm1d.oracle import characteristic_trace
 from biofilm1d.presets import build_preset
 from biofilm1d.stepper import _Parcels, _seed, compute_velocity, run
 from biofilm1d.traces import (RAMP_VARIANTS, BulkTraces, ConstantTrace, RampTrace,
@@ -520,7 +521,11 @@ class TestRun:
          "non-finite state after step"),
         # a source G of 0.95/dt leaves about a twentieth of the volume
         (lambda r, dt: dataclasses.replace(r, G=np.full_like(r.G, 0.95 / dt)),
-         "volume-fraction sum collapsed"),
+         "volume-fraction sum drifted by 0.9"),
+        # a source 1e-6/dt too large drifts the sum by 1e-6, far above
+        # round-off: the renormalisation does not hide it
+        (lambda r, dt: dataclasses.replace(r, G=r.G + 1e-6 / dt),
+         "volume-fraction sum drifted by 1e-06"),
     ])
     def test_blowup_carries_the_step_end(self, monkeypatch, spoil, message):
         # no validated config reaches these guards, so the rates are spoiled
@@ -770,13 +775,24 @@ class TestProfileWindow:
         cfg = small_case1()
         full = run(cfg, record_profiles=True, profile_t_max=cfg.horizon)
         short = run(cfg, record_profiles=True,
-                    profile_t_max=np.nextafter(cfg.horizon, 0.0))
+                    profile_t_max=cfg.horizon - 2 * TIME_TOL * max(1.0, cfg.horizon))
         k = len(short.profiles.parcel_z)
         assert len(full.profiles.parcel_z) == full.boundary.t.size == k + 1
         assert full.boundary.t[-1] == cfg.horizon
         assert short.boundary.t.size == k + 1
         assert short.boundary.t[k - 1] < cfg.horizon
         assert_same_bits(short.boundary.t[:k], full.boundary.t[:-1])
+
+    @pytest.mark.filterwarnings("ignore::biofilm1d.errors.BoundaryLayerResolutionWarning")
+    def test_step_within_the_clock_tolerance_of_t_max_recorded(self):
+        # the clock p.t + dt reaches 0.1 d one rounding above it; that step
+        # starts at 0.1 d, so it is recorded and a path can be traced there
+        cfg = dataclasses.replace(CASE1, horizon=0.12, snapshot_times=())
+        res = run(cfg, record_profiles=True, profile_t_max=0.1)
+        k = len(res.profiles.parcel_z)
+        assert k == 101 and res.boundary.t[k - 1] == 0.10000000000000007
+        path = characteristic_trace(res, 0.05, 0.1)
+        assert path.t[-1] == res.boundary.t[k - 1]
 
 
 # Signed production coefficients other than +-1, zeros of either sign among them.
@@ -844,8 +860,11 @@ class TestRunProperties:
             warnings.simplefilter("ignore", BoundaryLayerResolutionWarning)
             try:
                 res = run(cfg)
+            except NumericalBlowup:
+                raise
             except Biofilm1dError:
                 return
+        assert res.boundary.sum_f_drift.max() <= CONSTRAINT_TOL
         assert len(res.snapshots) == len(cfg.snapshot_times)
         for snap in res.snapshots:
             assert snap.sum_f_drift() <= CONSTRAINT_TOL
