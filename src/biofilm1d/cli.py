@@ -66,8 +66,9 @@ def _build_parser() -> _Parser:
 
     p_run = sub.add_parser("run", parents=[preset_opts],
                            help="integrate a scenario and write CSV output")
-    p_run.add_argument("--preset", choices=PRESET_IDS)
-    p_run.add_argument("--config", help="scenario file (overrides --preset)")
+    scenario = p_run.add_mutually_exclusive_group()
+    scenario.add_argument("--preset", choices=PRESET_IDS)
+    scenario.add_argument("--config", help="scenario file")
     p_run.add_argument("--out", required=True, help="output directory")
 
     p_or = sub.add_parser("oracle", parents=[preset_opts],

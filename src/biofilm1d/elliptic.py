@@ -37,7 +37,6 @@ a zero bulk value is its Dirichlet value everywhere.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -46,8 +45,6 @@ import numpy as np
 
 from . import kinetics
 from .errors import BoundaryLayerResolutionWarning, NonConvergence, SingularJacobian
-
-logger = logging.getLogger(__name__)
 
 _PIVOT_FLOOR = 1e-30
 
@@ -171,22 +168,6 @@ def _residual(v: np.ndarray, rate: np.ndarray, dirichlet, scale) -> np.ndarray:
     return r
 
 
-def _clamp_solution(values: np.ndarray, dirichlet: float) -> np.ndarray:
-    """``np.maximum(values, 0.0)`` with the Dirichlet node set.
-
-    When every value is above zero that maximum is ``values`` itself, so
-    ``values`` is set and returned.  Otherwise (a negative value, a zero of
-    either sign or a NaN, whose bits the maximum may rewrite) it is copied.
-    """
-    floor = -1e-12 * max(1.0, abs(dirichlet))
-    low = float(values.min())
-    if low < floor:
-        logger.warning("elliptic solution undershoots zero by %.3e; clamping", -low)
-    out = values if low > 0.0 else np.maximum(values, 0.0)
-    out[-1] = dirichlet
-    return out
-
-
 def _stop_tol(tol: float, dirichlet: float) -> float:
     """The substrate stop: the largest residual inf-norm a converged field has."""
     return tol * max(1.0, abs(dirichlet))
@@ -199,7 +180,8 @@ def solve_problem(reaction, jacobian, initial, dirichlet: float, scale: float,
     ``reaction(v)`` is the nodal source (g/m^3/day) and ``jacobian(v)`` its
     derivative with respect to the local unknown; ``scale = h^2 / D``.
     ``tol`` is relative: convergence at residual inf-norm at most
-    ``tol * max(1, |dirichlet|)`` (:func:`_stop_tol`).
+    ``tol * max(1, |dirichlet|)`` (:func:`_stop_tol`).  The accepted field
+    is returned as the Newton left it, its Dirichlet node reset.
     """
     tol_abs = _stop_tol(tol, dirichlet)
     v = np.array(initial, dtype=float)
@@ -227,7 +209,8 @@ def solve_problem(reaction, jacobian, initial, dirichlet: float, scale: float,
         else:
             raise NonConvergence("elliptic line search stalled",
                                  iterations=it, residual=res_norm)
-    return EllipticSolution(_clamp_solution(v, dirichlet), it)
+    v[-1] = dirichlet
+    return EllipticSolution(v, it)
 
 
 def solve_substrates(t: float, L: float, f: np.ndarray, S: np.ndarray,
@@ -253,10 +236,8 @@ def solve_substrates(t: float, L: float, f: np.ndarray, S: np.ndarray,
     # The other rows stay at their latest values while field j is solved.
     # The Newton's last reaction call is at the field it accepts, so the
     # fields after it see that field's load without a further call.  The
-    # clamp changes that field only where the Monod factor clamps the same
-    # way, and at the Dirichlet node, whose rate no residual reads (no
-    # Newton iterate holds -0.0: its start is clamped, and a sum is -0.0
-    # only of two).
+    # accepted field differs from that call's only in the sign of a zero
+    # at the Dirichlet node, whose rate no residual reads.
     row_rate = kinetics.substrate_row_rates(f, S_work, cfg)
     for _sweep in range(nm.newton_max_iter):
         for j in range(cfg.m):

@@ -4,8 +4,9 @@ and the interface attachment and detachment fluxes.
 All functions are pure.  The rates broadcast over a trailing node axis, so
 they can be evaluated for a single point ``(n,)`` or a whole grid ``(n, K)``
 alike; the Newton row kernels take grids only.
-Negative concentrations (transient numerical undershoot) are clamped to zero
-on the rate side only; state arrays are never mutated.
+The Monod factor reads a negative substrate iterate as zero, the package's
+one clamp of a negative value; fractions and planktonic fields are
+non-negative by construction and read as given.
 Every substrate-network row (rates, single Newton rows, their Jacobian) is
 one species-order sum of elementwise products, so a row computed alone is
 bitwise that row of all and no CPU-chosen BLAS kernel decides a bit.
@@ -23,26 +24,26 @@ from .errors import NoAttachment
 logger = logging.getLogger(__name__)
 
 
-def _clamped(a, label):
+def _clamped(a):
     a = np.asarray(a, dtype=float)
     # any(a < 0), NaN ignored, without the boolean temporary
     if np.fmin.reduce(a, axis=None, initial=0.0) < 0.0:
         if logger.isEnabledFor(logging.DEBUG):  # the count costs a pass
-            logger.debug("clamped %d negative %s value(s) during rate evaluation",
-                         int(np.sum(a < 0.0)), label)
+            logger.debug("clamped %d negative substrate value(s) during rate evaluation",
+                         int(np.sum(a < 0.0)))
         a = np.maximum(a, 0.0)
     return a
 
 
 def monod(s, K):
-    """Saturating limitation factor s/(K+s), clamped at s = 0."""
-    s = _clamped(s, "substrate")
+    """Saturating limitation factor s/(K+s); a negative s reads as 0, the one clamp."""
+    s = _clamped(s)
     return s / (K + s)
 
 
 def dmonod(s, K):
     """d/ds of :func:`monod`; the clamp branch uses the one-sided value 1/K."""
-    s = _clamped(s, "substrate")
+    s = _clamped(s)
     return K / (K + s) ** 2
 
 
@@ -84,7 +85,7 @@ def _network_weighted(r_m, a):
 def substrate_rates(f, S, cfg):
     """Substrate conversion rates (g/m^3/day), network-weighted."""
     a = cfg.arrays
-    f = _clamped(f, "fraction")
+    f = np.asarray(f, dtype=float)
     return _network_weighted(_growth(f, _limitation(S, a, f.ndim), a), a)
 
 
@@ -98,7 +99,7 @@ def substrate_row_rates(f, S, cfg):
     rule as :func:`substrate_rates`, so it is bitwise that function's row j.
     """
     a = cfg.arrays
-    f = _clamped(f, "fraction")
+    f = np.asarray(f, dtype=float)
     load = _growth(f, _limitation(S, a, f.ndim), a) * _column(a["rho_Y"], 2)
     rows = [(sp, mu, K, f[sp], rho_Y, terms)
             for sp, _, mu, K, rho_Y, terms in a["substrate_rows"]]
@@ -122,7 +123,7 @@ def substrate_rate_jacobian_diag(f, s, j, cfg):
         raise ValueError(f"need f (n, K) with n = {cfg.n} and s (K,), "
                          f"got {f.shape} and {np.shape(s)}")
     sp, own, mu, K, rho_Y, _ = cfg.arrays["substrate_rows"][j]
-    dload = mu * dmonod(s, K) * _clamped(f[sp], "fraction") * rho_Y
+    dload = mu * dmonod(s, K) * f[sp] * rho_Y
     return _row_sum(own, dload)
 
 
@@ -156,8 +157,8 @@ class RateBundle:
 def rate_bundle(f, S, Psi, cfg) -> RateBundle:
     """Evaluate every rate once; ``G`` is the exact ordered sum of the parts."""
     a = cfg.arrays
-    f = _clamped(f, "fraction")
-    Psi = _clamped(Psi, "planktonic")
+    f = np.asarray(f, dtype=float)
+    Psi = np.asarray(Psi, dtype=float)
     limitation = _limitation(S, a, f.ndim)  # shared by both rates
     r_m = _growth(f, limitation, a)
     r_col = _colonization(Psi, limitation, a)

@@ -31,8 +31,7 @@ import numpy as np
 import pytest
 
 from biofilm1d import elliptic, kinetics, stepper
-from biofilm1d.elliptic import (EllipticSolution, _clamp_solution, _residual,
-                                resolution_limit)
+from biofilm1d.elliptic import EllipticSolution, _residual, resolution_limit
 from biofilm1d.errors import (BoundaryLayerResolutionWarning, NonConvergence,
                               NumericalBlowup, SingularJacobian)
 from biofilm1d.kinetics import (attachment_flux, detachment_flux,
@@ -102,6 +101,22 @@ def off_diagonals(K):
     return lower, upper
 
 
+def clamp_solution(values, dirichlet):
+    """The earlier clamp of every accepted field, less its warning."""
+    low = float(values.min())
+    out = values if low > 0.0 else np.maximum(values, 0.0)
+    out[-1] = dirichlet
+    return out
+
+
+def clamped_fractions(f):
+    """The earlier rate-side clamp of the fractions."""
+    f = np.asarray(f, dtype=float)
+    if np.fmin.reduce(f, axis=None, initial=0.0) < 0.0:
+        f = np.maximum(f, 0.0)
+    return f
+
+
 def general_solve_problem(problem, N, tol=1e-9, max_iter=50, initial=None):
     if problem.L <= 0:
         raise ValueError("domain length must be positive")
@@ -118,7 +133,7 @@ def general_solve_problem(problem, N, tol=1e-9, max_iter=50, initial=None):
         rhs = scale * _nodal(problem.reaction(zero), zero)
         rhs[-1] = problem.dirichlet_value
         v = four_band_solve(lower, _diagonal(problem, zero, scale), upper, rhs)
-        return EllipticSolution(_clamp_solution(v, problem.dirichlet_value), 1)
+        return EllipticSolution(clamp_solution(v, problem.dirichlet_value), 1)
 
     v = np.full(N + 1, float(problem.dirichlet_value)) if initial is None \
         else np.array(initial, dtype=float)
@@ -127,7 +142,7 @@ def general_solve_problem(problem, N, tol=1e-9, max_iter=50, initial=None):
     res_norm = float(np.max(np.abs(res)))
     for it in range(1, max_iter + 1):
         if res_norm <= tol_abs:
-            return EllipticSolution(_clamp_solution(v, problem.dirichlet_value), it - 1)
+            return EllipticSolution(clamp_solution(v, problem.dirichlet_value), it - 1)
         delta = four_band_solve(lower, _diagonal(problem, v, scale), upper, -res)
         alpha = 1.0
         for _ in range(30):
@@ -142,14 +157,14 @@ def general_solve_problem(problem, N, tol=1e-9, max_iter=50, initial=None):
             raise NonConvergence("elliptic line search stalled",
                                  iterations=it, residual=res_norm)
     if res_norm <= tol_abs:
-        return EllipticSolution(_clamp_solution(v, problem.dirichlet_value), max_iter)
+        return EllipticSolution(clamp_solution(v, problem.dirichlet_value), max_iter)
     raise NonConvergence("elliptic Newton exceeded max iterations",
                          iterations=max_iter, residual=res_norm)
 
 
 def species_loop_jacobian_diag(f, S, cfg):
     a = cfg.arrays
-    f = kinetics._clamped(f, "fraction")
+    f = clamped_fractions(f)
     S = np.asarray(S, dtype=float)
     trail = (1,) * (f.ndim - 1)
     mu = a["mu_max"].reshape((-1,) + trail)

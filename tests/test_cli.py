@@ -40,6 +40,15 @@ class TestRunCommand:
         assert f"argument {flag}: not allowed with argument --config" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_run_rejects_preset_with_config(self, tiny_config, tmp_path, capsys):
+        # the file's scenario would run and the preset be dropped unsaid
+        out = tmp_path / "results"
+        argv = ["run", "--preset", "case2", "--config", str(tiny_config), "--out", str(out)]
+        assert cli(argv) == EXIT_USAGE
+        assert "argument --config: not allowed with argument --preset" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_with_preset_options(self, tmp_path, monkeypatch):
         # the preset's 10 d run cut to 0.02 d: the options reach the cfg and
         # the manifest, whatever the horizon

@@ -11,9 +11,9 @@ import pytest
 
 import biofilm1d
 from biofilm1d import elliptic, kinetics, stepper
-from biofilm1d.elliptic import (_clamp_solution, _homogeneous_solve, _residual,
-                                resolution_limit, solve_planktonic, solve_problem,
-                                solve_substrates, tridiagonal_solve, warn_under_resolved)
+from biofilm1d.elliptic import (_homogeneous_solve, _residual, resolution_limit,
+                                solve_planktonic, solve_problem, solve_substrates,
+                                tridiagonal_solve, warn_under_resolved)
 from biofilm1d.errors import (BoundaryLayerResolutionWarning, NonConvergence,
                               SingularJacobian)
 from biofilm1d.kinetics import inflow_fractions, planktonic_sink_coefficients
@@ -237,9 +237,23 @@ class TestPivotGuard:
         assert_bitwise_equal(x, reference_solve(diag, rhs))
 
 
+def frozen_clamp_solution(values, dirichlet):
+    """Frozen copy of the earlier solves' clamp of every accepted field, less
+    its warning: ``np.maximum(values, 0.0)`` with the Dirichlet node set.
+
+    When every value is above zero that maximum is ``values`` itself, so
+    ``values`` is set and returned.  Otherwise (a negative value, a zero of
+    either sign or a NaN, whose bits the maximum may rewrite) it is copied.
+    """
+    low = float(values.min())
+    out = values if low > 0.0 else np.maximum(values, 0.0)
+    out[-1] = dirichlet
+    return out
+
+
 def clamp_inputs(K):
-    """Length-K fields for :func:`_clamp_solution`, as ``(values, kept)``:
-    ``kept`` says that every value is above zero."""
+    """Length-K fields for :func:`frozen_clamp_solution`, as
+    ``(values, kept)``: ``kept`` says that every value is above zero."""
     rng = np.random.default_rng(K)
     positive = rng.uniform(0.5, 2.0, K)
     tiny = positive.copy()
@@ -263,8 +277,9 @@ def clamp_inputs(K):
 
 
 class TestClampSolution:
-    """``_clamp_solution`` is bitwise ``np.maximum(values, 0.0)`` with the
-    Dirichlet node set, and copies unless every value is above zero."""
+    """The frozen references below clamp as the earlier solves did:
+    ``frozen_clamp_solution`` is bitwise ``np.maximum(values, 0.0)`` with
+    the Dirichlet node set, and copies unless every value is above zero."""
 
     @staticmethod
     def bits(values):
@@ -278,7 +293,7 @@ class TestClampSolution:
         expected = np.maximum(values, 0.0)
         expected[-1] = 7.0
         given = values.copy()
-        out = _clamp_solution(given, 7.0)
+        out = frozen_clamp_solution(given, 7.0)
         assert self.bits(out) == self.bits(expected)
         assert (out is given) == kept
         if not kept:
@@ -380,6 +395,14 @@ class TestClosedForms:
         v = screening_solve(64, k=50.0)
         assert np.all(v >= 0.0)
         assert np.all(v <= BULK)
+
+    def test_undershoot_returned_as_computed(self):
+        # the source drives the field below zero at the substratum, and the
+        # accepted field is the quadratic there too: nothing is clamped
+        q = 4000.0
+        values = quadratic_solve(200, q).values
+        assert quadratic_exact(0.0, q) == -100.0
+        assert np.max(np.abs(values - quadratic_exact(np.linspace(0, 1, 201), q))) <= 2e-13
 
     def test_interface_flux_balances_consumption(self):
         # trapezoid of the sink equals the diffusive flux through z = L, to O(h)
@@ -501,13 +524,13 @@ class TestNewtonFailures:
 
 
 def clamping_case():
-    """``(t, L, f, S)`` and a config whose second substrate field is clamped.
+    """``(t, L, f, S)`` and a config whose second substrate field is negative.
 
     Species 1 also consumes substrate 2, at a rate that substrate does not
     limit, and substrate 2 is absent from the bulk, so the Newton solution of
-    field 2 dips below zero throughout.  The sink is weak enough that the
-    clamped field still meets the coupled tolerance, and species 2, growing
-    on substrate 2, produces substrate 3, so field 3 reads the clamped one.
+    field 2 dips below zero throughout, and the Monod factor clamps it.
+    Species 2, growing on substrate 2, produces substrate 3, so field 3 reads
+    the negative one.  ``validate_config`` rejects this network.
     """
     N = 8
     st = dataclasses.replace(CASE1.stoichiometry, production=(
@@ -523,46 +546,39 @@ def clamping_case():
 
 class TestRowEvaluations:
     """The Newton's last reaction call is at the field it accepts, so no row
-    is evaluated again; the rates clamp a negative substrate value as the
-    solution's clamp does, so a clamped field needs no evaluation either."""
+    is evaluated again, negative fields included."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Substrate rows evaluated, and whether each clamp changed a value."""
-        calls = {"rows": [], "clamped": []}
-        row_rates, clamp = elliptic.kinetics.substrate_row_rates, elliptic._clamp_solution
+        """Substrate rows evaluated."""
+        calls = []
+        row_rates = elliptic.kinetics.substrate_row_rates
 
         def counting_row_rates(*args):
             rate = row_rates(*args)
 
             def counted(j, s):
-                calls["rows"].append(j)
+                calls.append(j)
                 return rate(j, s)
             return counted
 
-        def recording_clamp(values, dirichlet):
-            calls["clamped"].append(bool((values < 0.0).any()))
-            return clamp(values, dirichlet)
-
         monkeypatch.setattr(elliptic.kinetics, "substrate_row_rates", counting_row_rates)
-        monkeypatch.setattr(elliptic, "_clamp_solution", recording_clamp)
         return calls
 
     def test_one_evaluation_per_newton_residual(self, calls):
         sols = solve_substrates(*developed(CASE1), CASE1)
-        assert calls["clamped"] == [False] * CASE1.m
         iterations = [sol.iterations for sol in sols]
         assert sum(iterations) > 0
         # the starting residual and one per accepted step: no line search
         # halved, and the accepted field is not evaluated again
-        assert len(calls["rows"]) == CASE1.m + sum(iterations)
+        assert len(calls) == CASE1.m + sum(iterations)
         for j, its in enumerate(iterations):
-            assert calls["rows"].count(j) == 1 + its
+            assert calls.count(j) == 1 + its
 
     def test_clamped_field_matches_reevaluation(self, calls, monkeypatch):
         args, cfg = clamping_case()
         sols = solve_substrates(*args, cfg)
-        assert calls["clamped"] == [False, True, False]
+        assert sols[1].values.min() < 0.0
         # Reference: every accepted field evaluated again before the next
         # field is solved.
         solve = elliptic.solve_problem
@@ -574,7 +590,6 @@ class TestRowEvaluations:
 
         monkeypatch.setattr(elliptic, "solve_problem", reevaluated)
         reference = solve_substrates(*args, cfg)
-        assert calls["clamped"] == [False, True, False] * 2
         for sol, ref in zip(sols, reference):
             assert sol.iterations == ref.iterations
             assert_bitwise_equal(sol.values, ref.values)
@@ -642,7 +657,7 @@ class TestPlanktonicSolves:
         swept = TestHomogeneousSolve.swept(kappa, (L / N) ** 2 / cfg.species[0].D_psi,
                                            bulk)
         assert_bitwise_equal(solve_planktonic(t, L, S, cfg)[0],
-                             _clamp_solution(swept, bulk))
+                             frozen_clamp_solution(swept, bulk))
 
     def test_zero_bulk_species_skip_the_sweep(self, monkeypatch):
         # case2's third species is absent from the bulk until t1 = 0.2 d, so
@@ -695,7 +710,7 @@ def frozen_solve_problem(reaction, jacobian, initial, dirichlet, scale, tol, max
     res_norm = float(np.abs(res).max())
     for it in range(1, max_iter + 1):
         if res_norm <= tol_abs:
-            return elliptic.EllipticSolution(_clamp_solution(v, dirichlet), it - 1)
+            return elliptic.EllipticSolution(frozen_clamp_solution(v, dirichlet), it - 1)
         diag = 2.0 - scale * jacobian(v)
         diag[-1] = 1.0
         delta = tridiagonal_solve(diag, -res)
@@ -712,7 +727,7 @@ def frozen_solve_problem(reaction, jacobian, initial, dirichlet, scale, tol, max
             raise NonConvergence("elliptic line search stalled",
                                  iterations=it, residual=res_norm)
     if res_norm <= tol_abs:
-        return elliptic.EllipticSolution(_clamp_solution(v, dirichlet), max_iter)
+        return elliptic.EllipticSolution(frozen_clamp_solution(v, dirichlet), max_iter)
     raise NonConvergence("elliptic Newton exceeded max iterations",
                          iterations=max_iter, residual=res_norm)
 
@@ -766,7 +781,7 @@ def frozen_solve_planktonic(t, L, S, cfg):
             v = np.full(N + 1, dirichlet + 0.0)
         else:
             v = _homogeneous_solve(h * h / sp.D_psi * kappa[i], dirichlet)
-        Psi[i] = _clamp_solution(v, dirichlet)
+        Psi[i] = frozen_clamp_solution(v, dirichlet)
     return Psi
 
 
@@ -843,14 +858,10 @@ class TestFrozenReference:
 
 
 class TestPlanktonicNonNegative:
-    """The planktonic fields are >= +0.0 by construction: no clamp runs."""
+    """The planktonic fields are >= +0.0 by construction, with no clamp."""
 
     @pytest.mark.parametrize("name", ["case1", "case2", "case3"])
-    def test_no_clamp_on_developed_states(self, states, name, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the planktonic solve clamped")
-
-        monkeypatch.setattr(elliptic, "_clamp_solution", refuse)
+    def test_no_clamp_on_developed_states(self, states, name):
         cfg, snap = states[name]
         Psi = solve_planktonic(snap.t, snap.L, snap.S, cfg)
         assert np.all(Psi >= 0.0) and not np.signbit(Psi).any()

@@ -126,9 +126,11 @@ class TestSubstrateRates:
 
 def all_rows_jacobian_diag(f, S, cfg):
     """Frozen copy of the earlier all-rows kernel: the Jacobian diagonal of
-    every row, accumulated species by species."""
+    every row, accumulated species by species, with its fraction clamp."""
     a = cfg.arrays
-    f = kinetics._clamped(f, "fraction")
+    f = np.asarray(f, dtype=float)
+    if np.fmin.reduce(f, axis=None, initial=0.0) < 0.0:
+        f = np.maximum(f, 0.0)
     S = np.asarray(S, dtype=float)
     mu = a["mu_max"].reshape(-1, 1)
     K = a["K"].reshape(mu.shape)
@@ -287,6 +289,16 @@ class TestSourceG:
         at_zero = kinetics.rate_bundle(f, np.zeros(3), Psi, CASE2)
         np.testing.assert_array_equal(below.G, at_zero.G)
         np.testing.assert_array_equal(below.r_S, at_zero.r_S)
+
+    def test_negative_states_read_as_given(self):
+        # only the Monod factor clamps: a fraction or planktonic value below
+        # zero gives a rate below zero
+        f, S, Psi = np.full((3, 4), 0.2), np.full((3, 4), 10.0), np.full((3, 4), 50.0)
+        f[2, 1], Psi[2, 1] = -1e-3, -1.0
+        bundle = kinetics.rate_bundle(f, S, Psi, CASE2)
+        assert bundle.r_M[2, 1] == pytest.approx(0.5 * (10.0 / 11.0) * -1e-3, rel=1e-15)
+        assert bundle.r_col[2, 1] == pytest.approx((2.5 / 5000.0) * (10.0 / 11.0) * -1.0,
+                                                   rel=1e-15)
 
 
 def network_load(f, S, cfg):
