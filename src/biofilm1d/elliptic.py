@@ -221,8 +221,12 @@ def solve_substrates(t: float, L: float, f: np.ndarray, S: np.ndarray,
     as the stepper's extrapolation from its last two solves is: started from
     the bulk values on a depleted film (case1's inflow fractions at 0.5 d,
     N = 200, L = 2e-3 m) the Newton raises :class:`NonConvergence`.
-    Substrates are swept in order with the latest companion fields until the
-    fully coupled residual of every field meets tolerance.
+    The start is projected onto S >= 0, because a Newton that meets its stop
+    at the start returns it unchanged (an extrapolated start dips to about
+    -1e-14 where a substrate vanishes); the projection acts on a guess, so
+    the Monod factor stays the one clamp of a computed value.  Substrates
+    are swept in order with the latest companion fields until the fully
+    coupled residual of every field meets tolerance.
     """
     if L <= 0:
         raise ValueError("domain length must be positive")

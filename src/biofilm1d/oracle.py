@@ -72,6 +72,16 @@ def _ctz(A, axis, delta):
     return out
 
 
+def _from_launch(A, base, delta):
+    """``base + C - diag(C)``, C the running integral of ``A`` along t (last axis)."""
+    C = _ctz(A, axis=-1, delta=delta)
+    idx = np.arange(C.shape[-1])
+    diag = C[..., idx, idx][..., None]
+    np.add(base[..., None], C, out=C)
+    C -= diag
+    return C
+
+
 @dataclass(frozen=True, eq=False)
 class CharField:
     """Solution on the triangular grid (valid where t index >= t0 index)."""
@@ -119,12 +129,8 @@ def _iterate_map(cfg, times, mask, X0, S_star, psi_star, Sigma, sigma_a,
     F_x *= mask
 
     # Sessile concentrations: line integrals along each characteristic.
-    # x_new = X0 + Cx - diag(Cx)
-    x_new = _ctz(F_x, axis=2, delta=delta)
+    x_new = _from_launch(F_x, X0, delta)
     del F_x
-    diag = x_new[:, idx, idx][:, :, None]
-    np.add(X0[:, :, None], x_new, out=x_new)
-    x_new -= diag
 
     # Dissolved fields: double integrals across the slice at fixed t,
     # written over the rate buffer.
@@ -163,17 +169,10 @@ def _iterate_map(cfg, times, mask, X0, S_star, psi_star, Sigma, sigma_a,
     u_iface = Ig[idx, idx]
     L_new = Sigma + _ctz(u_iface, axis=0, delta=delta)
 
-    # Characteristic positions and their t0 derivative:
-    # c_new = L_new + Q - diag(Q), ct0_new = sigma_a + R - diag(R).
-    c_new = _ctz(Ig, axis=1, delta=delta)
+    # Characteristic positions and their t0 derivative.
+    c_new = _from_launch(Ig, L_new, delta)
     del Ig
-    diag = c_new[idx, idx][:, None]
-    np.add(L_new[:, None], c_new, out=c_new)
-    c_new -= diag
-    ct0_new = _ctz(g, axis=1, delta=delta)
-    diag = ct0_new[idx, idx][:, None]
-    np.add(sigma_a[:, None], ct0_new, out=ct0_new)
-    ct0_new -= diag
+    ct0_new = _from_launch(g, sigma_a, delta)
 
     return x_new, s_new, psi_new, L_new, c_new, ct0_new
 

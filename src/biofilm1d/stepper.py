@@ -196,12 +196,6 @@ def _commit(p: _Parcels, dt: float, t_new: float, rhs, cfg: ScenarioConfig):
                     fz=np.column_stack([f_new[:, keep], f_top])), drift
 
 
-def _append(columns, *values) -> None:
-    """Append each value to its column buffer."""
-    for column, value in zip(columns, values):
-        column.append(value)
-
-
 def run(cfg: ScenarioConfig, record_profiles: bool = False,
         profile_t_max: float = math.inf) -> RunResult:
     """Integrate from t = 0 to the horizon, emitting scheduled snapshots.
@@ -220,16 +214,15 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
     p = _seed(cfg)
     solved = []  # the snapshots of the last two steps, oldest first
     snaps = []
-    # one column per BoundaryTrace field (one float64 per step) and per
-    # ProfileTrace field, in declaration order
-    columns = [array("d") for _ in range(6)]
-    profile_columns = [[] for _ in range(5)]
+    # per record one BoundaryTrace row and one ProfileTrace tuple, fields in order
+    rows = array("d")
+    records = []
     t_keep = profile_t_max + TIME_TOL * max(1.0, profile_t_max)
 
     def record(p, snap, drift):
-        _append(columns, p.t, p.L, snap.sigma_a, snap.sigma_d, snap.u_L, drift)
+        rows.extend((p.t, p.L, snap.sigma_a, snap.sigma_d, snap.u_L, drift))
         if record_profiles and p.t <= t_keep:
-            _append(profile_columns, snap.S, snap.Psi, p.z, p.t0, p.fz)
+            records.append((snap.S, snap.Psi, p.z, p.t0, p.fz))
 
     # each snapshot right after its forced time; at t = 0 the seed's
     for target in [0.0] + _forced_times(cfg):
@@ -253,11 +246,11 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
     record(p, snaps[-1] if snaps and snaps[-1].t == p.t
            else make_snapshot(p, _last_S(solved, cfg), cfg), 0.0)
 
-    # the traces view the buffers without a copy
-    boundary = BoundaryTrace(*(np.frombuffer(c, dtype=np.float64) for c in columns))
+    # the boundary trace's fields view the one buffer's columns without a copy
+    boundary = BoundaryTrace(*np.frombuffer(rows, dtype=np.float64).reshape(-1, 6).T)
     warn_under_resolved(float(boundary.L.max()), cfg)
     profiles = None
-    S, Psi, z, t0, fz = profile_columns
-    if S:
-        profiles = ProfileTrace(np.stack(S), np.stack(Psi), tuple(z), tuple(t0), tuple(fz))
+    if records:
+        S, Psi, z, t0, fz = zip(*records)
+        profiles = ProfileTrace(np.stack(S), np.stack(Psi), z, t0, fz)
     return RunResult(cfg=cfg, snapshots=snaps, boundary=boundary, profiles=profiles)

@@ -13,7 +13,7 @@ from biofilm1d.errors import (BoundaryLayerResolutionWarning, ConfigError,
                               OutOfDomain)
 from biofilm1d.model import (BoundaryTrace, ProfileTrace, RunResult,
                              Stoichiometry)
-from biofilm1d.oracle import (CharPath, ContractionBox, _ctz,
+from biofilm1d.oracle import (CharPath, ContractionBox, _ctz, _from_launch,
                               box_from_run, characteristic_trace,
                               estimate_contraction, map_run_to_char_grid,
                               picard_solve, window_root)
@@ -92,6 +92,74 @@ class TestCumulativeTrapezoid:
         np.testing.assert_array_equal(out, take_concat_ctz(A, 1, 0.5))
         np.testing.assert_array_equal(out, np.zeros((3, 1, 7)))
         np.testing.assert_array_equal(_ctz([2.5], 0, 0.1), [0.0])
+
+
+def frozen_x_launch(F_x, X0, delta):
+    """The map's sessile block as first written, kept as a reference:
+    x_new = X0 + Cx - diag(Cx)."""
+    idx = np.arange(F_x.shape[-1])
+    x_new = _ctz(F_x, axis=2, delta=delta)
+    diag = x_new[:, idx, idx][:, :, None]
+    np.add(X0[:, :, None], x_new, out=x_new)
+    x_new -= diag
+    return x_new
+
+
+def frozen_c_launch(Ig, L_new, delta):
+    """The map's c block as first written, kept as a reference:
+    c_new = L_new + Q - diag(Q)."""
+    idx = np.arange(Ig.shape[-1])
+    c_new = _ctz(Ig, axis=1, delta=delta)
+    diag = c_new[idx, idx][:, None]
+    np.add(L_new[:, None], c_new, out=c_new)
+    c_new -= diag
+    return c_new
+
+
+def frozen_ct0_launch(g, sigma_a, delta):
+    """The map's c_t0 block as first written, kept as a reference:
+    ct0_new = sigma_a + R - diag(R)."""
+    idx = np.arange(g.shape[-1])
+    ct0_new = _ctz(g, axis=1, delta=delta)
+    diag = ct0_new[idx, idx][:, None]
+    np.add(sigma_a[:, None], ct0_new, out=ct0_new)
+    ct0_new -= diag
+    return ct0_new
+
+
+class TestFromLaunch:
+    """``_from_launch`` is the launch-point integral of x, c and c_t0, bit for
+    bit the blocks of the map it replaced."""
+
+    @staticmethod
+    def integrand(rng, shape):
+        # masked below the diagonal, with zeros of either sign, as in the map
+        A = rng.normal(size=shape) * np.triu(np.ones(shape[-2:]))
+        A[..., 0, :] *= rng.choice([0.0, -0.0, 1.0], size=shape[-1])
+        return A
+
+    @pytest.mark.parametrize("G1", [1, 2, 9])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sessile_block(self, G1, seed):
+        rng = np.random.default_rng(seed)
+        F_x = self.integrand(rng, (3, G1, G1))
+        X0 = rng.normal(size=(3, G1))
+        before = F_x.copy()
+        got = _from_launch(F_x, X0, 0.013)
+        assert_bitwise_equal(got, frozen_x_launch(F_x, X0, 0.013))
+        assert_bitwise_equal(F_x, before)
+
+    @pytest.mark.parametrize("frozen", [frozen_c_launch, frozen_ct0_launch])
+    @pytest.mark.parametrize("G1", [1, 2, 9])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_geometric_blocks(self, frozen, G1, seed):
+        rng = np.random.default_rng(seed)
+        A = self.integrand(rng, (G1, G1))
+        base = rng.uniform(0.0, 1e-3, size=G1)
+        before = A.copy()
+        got = _from_launch(A, base, 0.013)
+        assert_bitwise_equal(got, frozen(A, base, 0.013))
+        assert_bitwise_equal(A, before)
 
 
 class TestPicardSolve:

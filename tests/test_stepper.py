@@ -60,6 +60,22 @@ def tiny_share_case2():
 TINY_SHARE = tiny_share_case2()
 
 
+def dipping_start_case():
+    """A substrate that vanishes after a pulse: the extrapolated Newton start
+    of the last step dips to about -1e-14, and a Newton started there meets
+    its stop with no iteration, so only the projection of the start keeps
+    the emitted substrate non-negative."""
+    species = tuple(dataclasses.replace(sp, v_a=v, k_col=0.0)
+                    for sp, v in zip(build_preset("case2").cfg.species, (0.025, 0.0)))
+    return dataclasses.replace(
+        CASE1, species=species, substrates=CASE1.substrates[:1], delta=0.0,
+        bulk=BulkTraces((ConstantTrace(1.0), ConstantTrace(0.0)),
+                        (TableTrace((0.0, 1e-30, 0.015625), (0.0, 1.0, 0.0)),)),
+        stoichiometry=Stoichiometry(substrate_of=(0, 0), production=((0.0, 0.0),)),
+        numerics=NumericsConfig(N=8, dt_max=1e-3), horizon=0.03125,
+        snapshot_times=(0.03125,))
+
+
 def frozen_inflow_fractions(psi_star, cfg):
     """The inflow fractions as first written, kept as a reference: the
     closure always folded into the last nonzero share."""
@@ -714,8 +730,8 @@ class TestRun:
     def test_step_records_cost_a_few_bytes_per_step(self):
         """The traced peak of ``run`` grows by less than 150 B per extra step.
 
-        The boundary trace's six columns need 48 B per step (one 8-byte
-        value per field) plus the slack of their growing buffers; on this
+        The boundary trace's one buffer needs 48 B per step (one 8-byte
+        value per field) plus the slack of its growth; on this
         config the peak is set by a step's temporaries and grows by -10 to
         +12 B per step.  Records kept as a tuple of boxed floats per step and
         transposed at the end cost about 310 B per step here.  A coarse grid
@@ -853,6 +869,7 @@ class TestRunProperties:
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(scenarios())
     @example(TINY_SHARE)
+    @example(dipping_start_case())
     def test_valid_scenarios_run_within_their_invariants(self, cfg):
         assert validate_config(cfg).ok
         assert configio.loads(configio.dumps(cfg)) == cfg
@@ -880,7 +897,8 @@ class TestRunProperties:
     @given(scenarios(), st.floats(0.0, 1.0))
     def test_profile_records_are_boundary_rows_ending_at_the_interface(self, cfg, share):
         # box_from_run and characteristic_trace read the records as the
-        # first boundary rows, with every parcel set topped by the interface
+        # first boundary rows, in time order, with every parcel set topped by
+        # the interface
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BoundaryLayerResolutionWarning)
             try:
@@ -890,6 +908,9 @@ class TestRunProperties:
         b, p = res.boundary, res.profiles
         k = len(p.parcel_z)
         assert 1 <= k <= b.t.size
+        assert all(getattr(b, field.name).shape == b.t.shape == (b.t.size,)
+                   for field in dataclasses.fields(b))
+        assert np.all(np.diff(b.t) > 0.0)
         assert_same_bits([z[-1] for z in p.parcel_z], b.L[:k])
 
     def test_tiny_inflow_share_keeps_every_parcel_non_negative(self):
