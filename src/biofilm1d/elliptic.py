@@ -15,6 +15,9 @@ are two solves for it:
 * a homogeneous solve for the planktonic fields, whose right-hand side is
   zero except on the Dirichlet row: the pivots, then one cumulative product.
 
+Both sweeps run compiled from ``_sweeps.c`` where a C compiler has built it
+(:func:`sweep_backend`), else as Python loops; the bits are the same.
+
 The fields are constraints re-solved from the current sessile fractions at
 every instant, so both solves take arrays: ``solve_substrates(t, L, f, S,
 cfg)``, where S is the Newton starting guess (the stepper extrapolates it in
@@ -43,10 +46,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kinetics
+from . import _sweeps, kinetics
 from .errors import BoundaryLayerResolutionWarning, NonConvergence, SingularJacobian
 
 _PIVOT_FLOOR = 1e-30
+
+
+def sweep_backend() -> str:
+    """``"compiled"`` when the sweeps run the compiled ``_sweeps.c``, else
+    ``"python"``.  The first call of a process decides, building the library
+    if the cache lacks it; the outputs are the same bits either way."""
+    return "python" if _sweeps.library() is None else "compiled"
+
+
+def _pivot_error(row: int) -> SingularJacobian:
+    return SingularJacobian(f"pivot magnitude below {_PIVOT_FLOOR:g} at row {row}")
 
 
 def tridiagonal_solve(diag, rhs) -> np.ndarray:
@@ -55,12 +69,29 @@ def tridiagonal_solve(diag, rhs) -> np.ndarray:
     Row 0 is the ghost-node row (superdiagonal -2), rows 1..K-2 have -1 on
     both off-diagonals and row K-1 is the Dirichlet row (no subdiagonal);
     ``diag`` and ``rhs`` have length K.  Raises :class:`SingularJacobian`
-    when an elimination pivot falls below 1e-30.
+    when an elimination pivot falls below 1e-30.  The sweep is compiled
+    where :func:`sweep_backend` says so, else :func:`_thomas_loop`; both
+    make the same operations in the same order.
     """
-    diag = np.asarray(diag, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
+    diag = np.ascontiguousarray(diag, dtype=float)
+    rhs = np.ascontiguousarray(rhs, dtype=float)
+    if diag.ndim != 1 or rhs.ndim != 1:
+        raise ValueError("diagonal and right-hand side must be one-dimensional")
     if not len(diag) or len(rhs) != len(diag):
         raise ValueError("diagonal and right-hand side lengths differ")
+    lib = _sweeps.library()
+    if lib is None:
+        return _thomas_loop(diag, rhs)
+    x, gamma = np.empty(len(diag)), np.empty(len(diag))
+    row = lib.thomas_sweep(len(diag), diag.ctypes.data, rhs.ctypes.data,
+                           gamma.ctypes.data, x.ctypes.data, _PIVOT_FLOOR)
+    if row >= 0:
+        raise _pivot_error(row)
+    return x
+
+
+def _thomas_loop(diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The sweep of :func:`tridiagonal_solve` over Python floats."""
     # A leading run of rows 0..p-1 with diagonal exactly 2 (a substrate no
     # species there consumes) has pivots 2, 1, 1, ... and gamma = -1, so its
     # forward values are the running sum y_k = r_k + y_{k-1} from r_0/2 and
@@ -94,7 +125,7 @@ def tridiagonal_solve(diag, rhs) -> np.ndarray:
     else:
         piv = b[0]
         if -floor < piv < floor:
-            raise SingularJacobian(f"pivot magnitude below {floor:g} at row 0")
+            raise _pivot_error(0)
         g = -2.0 / piv
         yk = r[0] / piv
         if len(b) == 1:
@@ -105,16 +136,14 @@ def tridiagonal_solve(diag, rhs) -> np.ndarray:
     for bk, dk in zip(b[start:-1], r[start:-1]):
         piv = bk + g
         if -floor < piv < floor:
-            raise SingularJacobian(
-                f"pivot magnitude below {floor:g} at row {p + len(y)}")
+            raise _pivot_error(p + len(y))
         g = -1.0 / piv
         yk = (dk + yk) / piv
         gamma_append(g)
         y_append(yk)
     piv = b[-1] - 0.0 * g
     if -floor < piv < floor:
-        raise SingularJacobian(
-            f"pivot magnitude below {floor:g} at row {p + len(y)}")
+        raise _pivot_error(p + len(y))
     xk = (r[-1] - 0.0 * yk) / piv
     x = [xk]
     for g, yk in zip(reversed(gamma), reversed(y)):
@@ -139,8 +168,22 @@ def _homogeneous_solve(sk: np.ndarray, dirichlet: float) -> np.ndarray:
     ``x_k = y_k - gamma_k x_{k+1}`` is the product ``(-gamma_k) x_{k+1}``:
     the sweep computes only the pivots and then one cumulative product,
     bitwise equal to the full sweep.  The last row turns a -0.0 Dirichlet
-    value into +0.0, as the sweep does.
+    value into +0.0, as the sweep does.  Compiled or :func:`_homogeneous_loop`,
+    as for :func:`tridiagonal_solve`.
     """
+    sk = np.ascontiguousarray(sk, dtype=float)
+    if sk.ndim != 1 or len(sk) < 2:
+        raise ValueError("sk must be one-dimensional with at least two rows")
+    lib = _sweeps.library()
+    if lib is None:
+        return _homogeneous_loop(sk, dirichlet)
+    x = np.empty(len(sk))
+    lib.homogeneous_sweep(len(sk), sk.ctypes.data, dirichlet, x.ctypes.data)
+    return x
+
+
+def _homogeneous_loop(sk: np.ndarray, dirichlet: float) -> np.ndarray:
+    """The sweep of :func:`_homogeneous_solve` over Python floats."""
     b = (2.0 + sk[:-1]).tolist()
     h = 2.0 / b[0]  # -gamma_0
     minus_gamma = [h] + [h := 1.0 / (bk - h) for bk in b[1:]]

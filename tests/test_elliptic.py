@@ -65,7 +65,23 @@ def assert_bitwise_equal(actual, expected):
     np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
 
 
-class TestTridiagonal:
+class SweepPaths:
+    """Runs its tests on the compiled sweeps; a subclass with ``loops =
+    True`` runs them again on the Python loops, which stay the reference."""
+
+    loops = False
+
+    @pytest.fixture(autouse=True)
+    def sweep_path(self, monkeypatch):
+        if self.loops:
+            monkeypatch.setattr(elliptic._sweeps, "library", lambda: None)
+        elif elliptic.sweep_backend() != "compiled":
+            pytest.skip("the compiled sweeps did not build (no C compiler, or "
+                        "see the biofilm1d._sweeps INFO log)")
+        assert elliptic.sweep_backend() == ("python" if self.loops else "compiled")
+
+
+class TestTridiagonal(SweepPaths):
     def test_identity(self):
         # The stencil's trivial system: diagonal 2 (1 on the Dirichlet row)
         # and a zero right-hand side make every pivot 1, so the solution is
@@ -128,6 +144,8 @@ class TestTridiagonal:
             tridiagonal_solve(np.ones(3), np.ones(2))
         with pytest.raises(ValueError):
             tridiagonal_solve(np.empty(0), np.empty(0))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            tridiagonal_solve(np.ones((3, 0)), np.ones((3, 0)))
 
 
 def leading_run_system(rng, K, p, last=1.0):
@@ -158,7 +176,7 @@ def run_lengths(K, rng):
                    if 0 <= p <= K - 1})
 
 
-class TestLeadingTwoRows:
+class TestLeadingTwoRows(SweepPaths):
     """Rows 0..p-1 with diagonal exactly 2 are swept as running sums; the
     result stays bitwise that of the full sweep."""
 
@@ -198,7 +216,7 @@ class TestLeadingTwoRows:
                 tridiagonal_solve(diag, rhs)
 
 
-class TestPivotGuard:
+class TestPivotGuard(SweepPaths):
     """A pivot of magnitude below 1e-30 raises, naming its row; NaN, +-inf
     and a pivot at the floor itself pass through."""
 
@@ -300,7 +318,7 @@ class TestClampSolution:
             assert self.bits(given) == before
 
 
-class TestHomogeneousSolve:
+class TestHomogeneousSolve(SweepPaths):
     """The planktonic solve against the full sweep over its linear system:
     the sink ``-kappa * v`` assembled at ``v = 0``, so the right-hand side is
     ``scale * (-kappa * 0) = -0.0`` off the Dirichlet row."""
@@ -332,6 +350,17 @@ class TestHomogeneousSolve:
         assert x[0] == 0.0 and not np.signbit(x[0])
         assert_bitwise_equal(x, self.swept(k, 1.0, 100.0))
 
+    @pytest.mark.parametrize("N", [200, 400])
+    def test_criterion_6_call(self, N):
+        # the screened profile of acceptance criterion 6, as it calls the solve
+        x = _homogeneous_solve(np.full(N + 1, (L / N) ** 2 / D * 5.0), BULK)
+        assert_bitwise_equal(x, self.swept(np.full(N + 1, 5.0), (L / N) ** 2 / D, BULK))
+
+    @pytest.mark.parametrize("sk", [np.empty(0), np.ones(1), np.ones((3, 0))])
+    def test_fewer_than_two_rows_rejected(self, sk):
+        with pytest.raises(ValueError, match="at least two"):
+            _homogeneous_solve(sk, 1.0)
+
 
 D, L, BULK = 1e-5, 1e-3, 100.0
 
@@ -361,7 +390,7 @@ def screening_exact(zeta, k=5.0):
     return BULK * np.cosh(mu * zeta * L) / math.cosh(mu * L)
 
 
-class TestClosedForms:
+class TestClosedForms(SweepPaths):
     def test_quadratic_profile_exact(self):
         sol = quadratic_solve(200)
         zeta = np.linspace(0, 1, 201)
@@ -410,6 +439,26 @@ class TestClosedForms:
         v = quadratic_solve(N, q).values
         flux = D * (v[-1] - v[-2]) / (L / N)
         assert flux == pytest.approx(q * L, rel=2.0 / N)
+
+
+class TestTridiagonalLoops(TestTridiagonal):
+    loops = True
+
+
+class TestLeadingTwoRowsLoops(TestLeadingTwoRows):
+    loops = True
+
+
+class TestPivotGuardLoops(TestPivotGuard):
+    loops = True
+
+
+class TestHomogeneousSolveLoops(TestHomogeneousSolve):
+    loops = True
+
+
+class TestClosedFormsLoops(TestClosedForms):
+    loops = True
 
 
 CASE1 = build_preset("case1").cfg
@@ -867,14 +916,20 @@ class TestPlanktonicNonNegative:
         assert np.all(Psi >= 0.0) and not np.signbit(Psi).any()
         assert_bitwise_equal(Psi[:, -1], cfg.psi_star(snap.t))
 
-def test_import_loads_neither_scipy_nor_numba():
+def test_import_loads_neither_scipy_nor_numba(tmp_path):
     # Importing scipy.linalg more than doubles the package's import time and
     # adds over 20 MB of resident memory; numba cannot be installed offline.
+    # The compiled sweeps are built and loaded by the first sweep, not by the
+    # import: no compiler machinery is imported, no library is loaded and the
+    # cache stays empty.  (numpy itself imports ctypes.)
     src = str(Path(biofilm1d.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, biofilm1d, biofilm1d.cli; "
-            "print(sorted({m.partition('.')[0] for m in sys.modules} & {'scipy', 'numba'}))")
+            "print(sorted({m.partition('.')[0] for m in sys.modules} "
+            "& {'scipy', 'numba', 'subprocess'}), "
+            "biofilm1d.elliptic._sweeps.library.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[] 0"
+    assert list(tmp_path.iterdir()) == []

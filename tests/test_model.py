@@ -575,6 +575,15 @@ def _libm_uses(tree):
                 yield node.lineno, "import"
 
 
+def _c_uses(source):
+    """Preprocessor directives and the names written before ``(`` (calls,
+    definitions and ``if``/``for``/``while``) in C ``source``, comments
+    stripped; each name as often as it occurs."""
+    code = re.sub(r"/\*.*?\*/|//[^\n]*", "", source, flags=re.S)
+    return (re.findall(r"^\s*#\s*\w+", code, flags=re.M),
+            sorted(re.findall(r"\b([A-Za-z_]\w*)\s*\(", code)))
+
+
 def test_run_path_calls_no_libm_routine():
     # libm's exp, log and pow, and numpy's transcendental loops (picked by
     # the CPU's SIMD level), may round differently on another machine; a
@@ -594,6 +603,15 @@ def test_run_path_calls_no_libm_routine():
                                              "traces.py", "model.py", "output.py")
                   for hit in _libm_uses(ast.parse((pkg_dir / name).read_text())))
     assert uses == []
+    # The compiled sweeps include no header and call no function: the names
+    # before a parenthesis are the two definitions and the loops' keywords.
+    assert _c_uses("#include <math.h>\n/* exp(x) */ double f(double x)\n"
+                   "{ if (x) return exp(x) + sqrt (x); }") \
+        == (["#include"], ["exp", "f", "if", "sqrt"])
+    directives, names = _c_uses((pkg_dir / "_sweeps.c").read_text())
+    assert directives == []
+    assert set(names) - {"if", "for", "while"} == {"thomas_sweep", "homogeneous_sweep"}
+    assert names.count("thomas_sweep") == names.count("homogeneous_sweep") == 1
 
 
 def test_every_parameter_is_read():
