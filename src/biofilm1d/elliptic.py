@@ -271,8 +271,8 @@ def solve_substrates(t: float, L: float, f: np.ndarray, S: np.ndarray,
     are swept in order with the latest companion fields until the fully
     coupled residual of every field meets tolerance.
     """
-    if L <= 0:
-        raise ValueError("domain length must be positive")
+    if L < 0:
+        raise ValueError("domain length must not be negative")
     nm = cfg.numerics
     S_work = np.maximum(np.asarray(S, dtype=float), 0.0)
     h = L / (S_work.shape[1] - 1)
@@ -329,8 +329,8 @@ def warn_under_resolved(L_max: float, cfg) -> None:
 def solve_planktonic(t: float, L: float, S: np.ndarray, cfg) -> np.ndarray:
     """All planktonic fields (n, N+1) at time t on [0, L] at frozen
     substrates S (one homogeneous solve each)."""
-    if L <= 0:
-        raise ValueError("domain length must be positive")
+    if L < 0:
+        raise ValueError("domain length must not be negative")
     h = L / (S.shape[1] - 1)
     kappa = kinetics.planktonic_sink_coefficients(S, cfg)
     psi_bulk = cfg.psi_star(t)

@@ -84,7 +84,6 @@ class NumericsConfig:
 
     N: int = 200             # interior grid intervals (N+1 nodes)
     dt_max: float = 1e-3     # time-step cap, day
-    L_eps: float = 1e-9      # seed thickness replacing the L(0)=0 singularity, m
     newton_tol: float = 1e-9     # relative elliptic residual tolerance
     newton_max_iter: int = 50
     picard_tol: float = 1e-8     # fixed-point iterate distance tolerance
@@ -260,7 +259,7 @@ _LOWER_BOUNDS = {
     "mu_max": (0, False), "K": (0, True), "Y": (0, True), "rho": (0, True),
     "v_a": (0, False), "k_col": (0, False), "Y_psi": (0, True), "D_psi": (0, True),
     "D": (0, True), "delta": (0, False), "horizon": (0, False),
-    "N": (8, False), "dt_max": (0, True), "L_eps": (0, True), "newton_tol": (0, True),
+    "N": (8, False), "dt_max": (0, True), "newton_tol": (0, True),
     "newton_max_iter": (0, True), "picard_tol": (0, True), "picard_max_iter": (0, True),
 }
 

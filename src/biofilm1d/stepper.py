@@ -1,15 +1,17 @@
 """Time integration of the coupled free-boundary system.
 
-The sessile volume fractions are transported along characteristics:
-material parcels carry them with the flow, so the grid of unknowns moves
-with ``u``.  A parcel is injected at the interface while attachment
-dominates, and parcels above the receding interface are shed during
-detachment.  Composition fronts stay sharp to round-off because fractions
-are never interpolated between parcels during a run; the parcels are
-resampled onto the uniform normalized grid only for the dissolved-field
+A run starts from the paper's vanishing initial value, the empty film
+L(0) = 0, and the sessile volume fractions are transported along
+characteristics: material parcels carry them with the flow, so the grid of
+unknowns moves with ``u``.  A parcel is injected at the interface while
+attachment dominates, and parcels above the receding interface are shed
+during detachment.  Composition fronts stay sharp to round-off because
+fractions are never interpolated between parcels during a run; the parcels
+are resampled onto the uniform normalized grid only for the dissolved-field
 solves and for emitted snapshots.  Labelled with their launch times t0,
-the parcels are the characteristics ``c(t0, t)``, and a recorded run keeps
-them with their fractions: the sessile unknowns ``x(t0, t)``.
+the parcels are the characteristics ``c(t0, t)`` (the substratum's t0 is 0),
+and a recorded run keeps them with their fractions: the sessile unknowns
+``x(t0, t)``.
 
 One step evaluates the right-hand side and then commits it.  The
 right-hand side (:func:`_rhs`) is pure: quasi-static substrate and
@@ -38,7 +40,6 @@ a run is deterministic for a fixed configuration.
 
 from __future__ import annotations
 
-import logging
 import math
 from array import array
 from dataclasses import dataclass
@@ -50,8 +51,6 @@ from .errors import ConfigError, NoAttachment, NumericalBlowup
 from .kinetics import attachment_flux, detachment_flux, inflow_fractions, rate_bundle
 from .model import (CONSTRAINT_TOL, TIME_TOL, BoundaryTrace, ProfileTrace, RunResult,
                     ScenarioConfig, Snapshot, attaching, validate_config)
-
-logger = logging.getLogger(__name__)
 
 
 def compute_velocity(G, dz) -> np.ndarray:
@@ -96,16 +95,15 @@ class _Parcels:
 
 
 def _seed(cfg: ScenarioConfig) -> _Parcels:
-    """The film at t = 0 in place of L(0) = 0: a seed of thickness ``L_eps``,
-    two parcels with the inflow fractions, counted as attached over the step
-    before t = 0, so the substratum parcel takes ``-dt_max``."""
-    nm = cfg.numerics
+    """The empty film at t = 0, L(0) = 0: one parcel at the substratum,
+    launched at t0 = 0 with the inflow fractions.  On it the dissolved
+    fields are their bulk values with no Newton iteration and ``u_L`` is
+    zero, so the first step attaches ``L = sigma_a(0) dt``."""
     psi0 = cfg.psi_star(0.0)
     if attachment_flux(psi0, cfg) <= 0.0:
         raise NoAttachment("total attachment flux at t = 0 is zero")
-    L = float(nm.L_eps)
-    return _Parcels(t=0.0, L=L, z=np.array([0.0, L]), t0=np.array([-nm.dt_max, 0.0]),
-                    fz=np.column_stack([inflow_fractions(psi0, cfg)] * 2))
+    return _Parcels(t=0.0, L=0.0, z=np.zeros(1), t0=np.zeros(1),
+                    fz=inflow_fractions(psi0, cfg)[:, None])
 
 
 def _rhs(p: _Parcels, S_guess, cfg: ScenarioConfig):
@@ -158,12 +156,12 @@ def _commit(p: _Parcels, dt: float, t_new: float, rhs, cfg: ScenarioConfig):
     step's fraction-sum drift, writing no argument; a drift above
     ``CONSTRAINT_TOL`` raises, so the renormalisation only corrects rounding.
     The fractions stay non-negative without a clamp: ``validate_config`` bounds
-    ``dt * G`` by 0.5, and the attached inflow fractions are never negative."""
+    ``dt * G`` by 0.5, and the attached inflow fractions are never negative.
+    A step that would empty the film (it needs ``dt delta L >= 1``) raises."""
     snap, rates, u = rhs
     L_new = p.L + dt * (snap.u_L + snap.sigma_a - snap.sigma_d)
-    if L_new < cfg.numerics.L_eps:
-        logger.info("thickness fell below the seed value; re-seeding")
-        L_new = cfg.numerics.L_eps
+    if L_new <= 0.0:
+        raise NumericalBlowup(f"the step empties the film (L = {L_new:.3g} m)", t=t_new)
 
     growth = rates.r_M + rates.r_col
     f_new = p.fz + dt * (growth - p.fz * rates.G)
@@ -198,7 +196,8 @@ def _commit(p: _Parcels, dt: float, t_new: float, rhs, cfg: ScenarioConfig):
 
 def run(cfg: ScenarioConfig, record_profiles: bool = False,
         profile_t_max: float = math.inf) -> RunResult:
-    """Integrate from t = 0 to the horizon, emitting scheduled snapshots.
+    """Integrate from the empty film at t = 0 to the horizon, emitting
+    scheduled snapshots.
 
     Steps land exactly on snapshot times and on bulk-trace breakpoints; two
     times within ``TIME_TOL * max(1, t)`` are one instant.  A species whose
@@ -224,7 +223,7 @@ def run(cfg: ScenarioConfig, record_profiles: bool = False,
         if record_profiles and p.t <= t_keep:
             records.append((snap.S, snap.Psi, p.z, p.t0, p.fz))
 
-    # each snapshot right after its forced time; at t = 0 the seed's
+    # each snapshot right after its forced time; at t = 0 the empty film's
     for target in [0.0] + _forced_times(cfg):
         tol = TIME_TOL * max(1.0, target)
         while p.t < target - tol:

@@ -167,6 +167,16 @@ class TestValidateCommand:
         assert cli(["validate", "--config", str(path)]) == EXIT_VALIDATION
         assert f"bad trace descriptor '{ramp}'" in capsys.readouterr().err
 
+    def test_seed_thickness_rejected(self, tiny_config, capsys):
+        # a file saved while runs started from a seed film names its thickness
+        text = tiny_config.read_text()
+        assert "numerics.dt_max = 0.0005\n" in text
+        path = tiny_config.parent / "seeded.cfg"
+        path.write_text(text.replace("numerics.dt_max = 0.0005\n",
+                                     "numerics.dt_max = 0.0005\nnumerics.L_eps = 1e-09\n"))
+        assert cli(["validate", "--config", str(path)]) == EXIT_VALIDATION
+        assert "unknown keys: numerics.L_eps" in capsys.readouterr().err
+
     def test_unparseable_config(self, tmp_path):
         path = tmp_path / "broken.cfg"
         path.write_text("scenario.delta == oops\n")

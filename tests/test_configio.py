@@ -154,6 +154,15 @@ class TestRemovedKeys:
         keys = [line.split(" = ")[0] for line in
                 configio.dumps(build_preset("case1").cfg).splitlines()
                 if line.startswith("numerics.")]
-        assert keys == ["numerics.N", "numerics.dt_max", "numerics.L_eps",
+        assert keys == ["numerics.N", "numerics.dt_max",
                         "numerics.newton_tol", "numerics.newton_max_iter",
                         "numerics.picard_tol", "numerics.picard_max_iter"]
+
+    def test_seed_thickness_rejected(self):
+        # files written while runs started from a seed film carry its
+        # thickness after dt_max; every run now starts from the empty film
+        text = configio.dumps(build_preset("case1").cfg).replace(
+            "numerics.dt_max = 0.001\n", "numerics.dt_max = 0.001\nnumerics.L_eps = 1e-09\n")
+        assert "numerics.L_eps = 1e-09\n" in text
+        with pytest.raises(ConfigError, match="unknown keys: numerics.L_eps$"):
+            configio.loads(text)

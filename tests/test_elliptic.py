@@ -502,9 +502,15 @@ class TestSubstrateSolves:
             assert np.all(sol.values >= 0.0)
 
     def test_empty_domain_rejected(self):
+        # the empty film of t = 0 (h = 0) is solved: started from the bulk
+        # values its residual is zero, so they come back bit for bit with no
+        # Newton iteration; only a negative length is rejected
         t, _, f, S = developed(CASE1)
+        sols = solve_substrates(t, 0.0, f, S, CASE1)
+        assert [sol.iterations for sol in sols] == [0] * CASE1.m
+        assert np.stack([sol.values for sol in sols]).tobytes() == S.tobytes()
         with pytest.raises(ValueError, match="domain length"):
-            solve_substrates(t, 0.0, f, S, CASE1)
+            solve_substrates(t, -1e-12, f, S, CASE1)
 
 
 def one_substrate_at(s_star, N=8):
@@ -689,8 +695,14 @@ class TestPlanktonicSolves:
         assert v[0] < 1e-30
 
     def test_empty_domain_rejected(self):
+        # on the empty film of t = 0 every field is its bulk value bit for
+        # bit, colonizers included (case2); only a negative length is rejected
+        for cfg in (CASE1, CASE2):
+            ones = np.ones(cfg.numerics.N + 1)
+            assert planktonic(cfg, L=0.0).tobytes() == \
+                np.outer(cfg.psi_star(0.0), ones).tobytes()
         with pytest.raises(ValueError, match="domain length"):
-            planktonic(CASE1, L=0.0)
+            planktonic(CASE1, L=-1e-12)
 
     @pytest.mark.parametrize("bulk", [0.0, -0.0])
     def test_zero_bulk_colonizer_equals_sweep(self, bulk):

@@ -162,8 +162,6 @@ class TestValidateConfig:
          lambda cfg, x: dataclasses.replace(cfg, snapshot_times=(0.5, x))),
         ("numerics.dt_max", lambda cfg, x: dataclasses.replace(
             cfg, numerics=dataclasses.replace(cfg.numerics, dt_max=x))),
-        ("numerics.L_eps", lambda cfg, x: dataclasses.replace(
-            cfg, numerics=dataclasses.replace(cfg.numerics, L_eps=x))),
         ("numerics.newton_tol", lambda cfg, x: dataclasses.replace(
             cfg, numerics=dataclasses.replace(cfg.numerics, newton_tol=x))),
         ("numerics.picard_tol", lambda cfg, x: dataclasses.replace(
@@ -363,7 +361,7 @@ class TestValidateConfig:
                    for f in dataclasses.fields(cls))
         names = [f.name for cls in entries + (ScenarioConfig,)
                  for f in dataclasses.fields(cls) if f.type in ("int", "float")]
-        assert len(names) == len(set(names)) == 18
+        assert len(names) == len(set(names)) == 17
         assert set(names) == set(model._LOWER_BOUNDS)
 
     @settings(derandomize=True, max_examples=400, deadline=None)
@@ -387,14 +385,14 @@ class TestValidateConfig:
 
 
 def seed_snapshot(cfg):
-    """The snapshot of ``cfg`` at t = 0: the seed film under dissolved fields
-    equilibrated to it."""
+    """The snapshot of ``cfg`` at t = 0: the empty film under the bulk
+    dissolved values."""
     return run(dataclasses.replace(cfg, horizon=0.0, snapshot_times=(0.0,))).snapshots[0]
 
 
 class TestInitialState:
-    """The film at t = 0: the stepper's seed of thickness L_eps, carrying the
-    attachment inflow fractions."""
+    """The film at t = 0: the paper's vanishing initial value, one parcel at
+    the substratum carrying the attachment inflow fractions."""
 
     def test_equal_velocities_split_by_bulk_abundance(self):
         st = seed_snapshot(make_cfg(psi=(100.0, 100.0, 0.0)))
@@ -416,17 +414,17 @@ class TestInitialState:
         seed = _seed(cfg)
         nm = cfg.numerics
         assert seed.t == 0.0
-        assert seed.L == nm.L_eps
-        np.testing.assert_array_equal(seed.z, [0.0, nm.L_eps])
-        # the seed counts as attached over the step before t = 0
-        np.testing.assert_array_equal(seed.t0, [-nm.dt_max, 0.0])
+        assert seed.L == 0.0
+        # the substratum parcel is the characteristic launched at t0 = 0
+        np.testing.assert_array_equal(seed.z, [0.0])
+        np.testing.assert_array_equal(seed.t0, [0.0])
         # before the first solve the substrate Newton starts from the bulk
         np.testing.assert_array_equal(_predicted_S([], 0.0, cfg),
                                       np.full((3, nm.N + 1), 100.0))
         snap = seed_snapshot(cfg)
-        assert snap.t == 0.0 and snap.L == nm.L_eps
+        assert snap.t == 0.0 and snap.L == 0.0
         np.testing.assert_array_equal(snap.zeta, np.arange(nm.N + 1) / nm.N)
-        assert abs(snap.u_L) < 1e-8
+        assert snap.u_L == 0.0
 
     def test_deterministic(self):
         a = seed_snapshot(make_cfg())

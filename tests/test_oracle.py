@@ -597,7 +597,10 @@ class TestArrayLaunch:
         paths = self.assert_matches_scalar_calls(case1_recorded, times,
                                                  float(times[-1]))
         assert all(path.t[-1] == times[-1] for path in paths)
-        assert np.ptp(characteristic_trace(case1_recorded, 0.0).z) > 0.0
+        # the run starts from the empty film, so the path launched at t0 = 0
+        # is the substratum parcel: at z = +0.0 throughout
+        bottom = characteristic_trace(case1_recorded, 0.0)
+        assert_bitwise_equal(bottom.z, np.zeros(bottom.z.size))
 
     def test_launch_on_a_record_time(self, case1_recorded):
         # the path is the parcel labelled with that time, bitwise: its
@@ -728,8 +731,14 @@ class TestMapRunToCharGrid:
         below = np.tril(np.ones((times.size, times.size), dtype=bool), k=-1)
         assert np.all(c[below] == 0.0)
         assert np.all(x[:, below] == 0.0)
-        # the sampled wedge is not trivially zero
-        assert np.all(c[~below] > 0.0)
+        # the path launched at t0 = 0 stays on the substratum, as the fixed
+        # point's c(0, t) = L(0) = 0 does; above it the wedge is not
+        # trivially zero
+        fields, _ = picard_solve(res.cfg, T_o=0.02, grid_n=times.size - 1)
+        np.testing.assert_array_equal(fields.times, times)
+        assert_bitwise_equal(c[0], fields.c[0])
+        assert_bitwise_equal(c[0], np.zeros(times.size))
+        assert np.all(c[1:][~below[1:]] > 0.0)
         assert np.all(x[0][~below] > 0.0)
 
     def test_requires_profiles(self):

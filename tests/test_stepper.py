@@ -1,5 +1,4 @@
 import dataclasses
-import logging
 import tracemalloc
 import warnings
 
@@ -231,9 +230,13 @@ class TestBoundary:
     f = np.stack([np.full(17, 1.0), np.zeros(17)])
 
     def test_nucleation_step(self):
+        # from the empty film the step attaches L = sigma_a dt: two parcels,
+        # the substratum's launched at 0 and the attached one at dt
         cfg = two_species_cfg(v_a=(0.02, 0.0), psi=(50.0, 0.0))
         p = step(cfg, _seed(cfg), 1e-3)[0]
-        assert p.L == pytest.approx(1e-9 + 1e-6, rel=1e-14)
+        assert p.L == pytest.approx(1e-6, rel=1e-14)
+        np.testing.assert_array_equal(p.z, [0.0, p.L])
+        np.testing.assert_array_equal(p.t0, [0.0, 1e-3])
 
     def test_equilibrium(self):
         # delta L^2 = 1e5 * (1e-4)^2 balances the attachment flux
@@ -241,16 +244,18 @@ class TestBoundary:
         p = step(cfg, parcels(self.z, self.f), 1e-2)[0]
         assert p.L == pytest.approx(1e-4, rel=1e-12)
 
-    def test_floor_at_zero(self, caplog):
-        # erosion removes 1e-3 m in one step from a 1e-4 m film: the step
-        # lands on the seed thickness, not below the substratum
+    def test_floor_at_zero(self):
+        # erosion removes 1e-3 m in one step from a 1e-4 m film
+        # (dt delta L = 10): the step raises rather than land at or below
+        # the substratum, and writes no argument
         cfg = two_species_cfg(v_a=(0.02, 0.0), psi=(50.0, 0.0), delta=1e7)
-        with caplog.at_level(logging.INFO, logger="biofilm1d.stepper"):
-            p = step(cfg, parcels(self.z, self.f), 1e-2)[0]
-        assert p.L == cfg.numerics.L_eps
-        np.testing.assert_array_equal(p.z, [0.0, cfg.numerics.L_eps])
-        np.testing.assert_array_equal(p.fz, self.f[:, :2])
-        assert "re-seeding" in caplog.text
+        start = parcels(self.z, self.f)
+        kept = [np.array(getattr(start, name)) for name in ("z", "t0", "fz")]
+        with pytest.raises(NumericalBlowup, match="the step empties the film") as info:
+            step(cfg, start, 1e-2)
+        assert info.value.t == 1e-2
+        for name, before in zip(("z", "t0", "fz"), kept):
+            assert_same_bits(getattr(start, name), before)
 
 
 class TestAdvanceBiomass:
@@ -346,7 +351,7 @@ class TestLaunchLabels:
             assert z.shape == t0.shape == f.shape[1:]
             np.testing.assert_allclose(f.sum(axis=0), 1.0, atol=1e-12)
             assert z[0] == 0.0 and z[-1] == b.L[k]
-            assert t0[0] == -cfg.numerics.dt_max
+            assert t0[0] == 0.0
             assert np.all(np.diff(t0) > 0.0)
             # a parcel attached over the last step carries the record time,
             # landings on the supply breakpoints included
@@ -361,14 +366,14 @@ class TestStep:
     def test_nucleation_arithmetic(self):
         cfg = small_case1()
         p, (snap, _, _), _ = step(cfg, _seed(cfg), 1e-4)
-        # L ~ sigma_a dt = 1e-7 (the 1e-9 seed and u_L are negligible)
-        assert p.L == pytest.approx(1e-7, rel=0.02)
+        # the empty film has u_L = 0 and sigma_d = 0, so L = sigma_a dt
+        assert snap.u_L == snap.sigma_d == 0.0
+        assert p.L == 1e-4 * snap.sigma_a
         assert attaching(snap.sigma_a, snap.sigma_d)
         assert snap.sigma_a == pytest.approx(1e-3, rel=1e-12)
-        # the seed parcels stay uniform and near the inflow split to O(dt);
-        # the parcel attached over the step carries the split exactly
+        # the substratum parcel stays near the inflow split to O(dt); the
+        # parcel attached over the step carries the split exactly
         np.testing.assert_allclose(p.fz[0], 0.5, atol=1e-4)
-        assert np.ptp(p.fz[0][:-1]) <= 1e-14
         np.testing.assert_array_equal(p.fz[:, -1], [0.5, 0.5, 0.0])
         np.testing.assert_array_equal(p.fz[2], np.zeros(p.fz.shape[1]))
 
@@ -422,7 +427,7 @@ class TestRightHandSide:
         p = dataclasses.replace(p, z=z, fz=fz)
         (first, first_rates, first_u), (second, second_rates, second_u) = (
             stepper._rhs(p, S_guess, cfg) for _ in range(2))
-        assert z.size == 22  # the two seed parcels and one attached per step
+        assert z.size == 21  # the substratum parcel and one attached per step
         assert first_u.shape == z.shape
         pairs = [(getattr(first, name), getattr(second, name))
                  for name in ("f", "S", "Psi", "sigma_a", "sigma_d")]
@@ -469,10 +474,13 @@ class TestCommit:
         return cfg, parcels(self.z, self.f), 1e-4
 
     def reseeded(self):
+        # erosion takes the 1e-4 m film to L = 1.99e-6 m, below the first
+        # parcel above the substratum: the film is left with two parcels,
+        # the substratum's and the resampled top, as after a first step
         cfg = two_species_cfg(v_a=(0.02, 0.0), psi=(50.0, 0.0), delta=1e7)
-        return cfg, parcels(self.z, self.f), 1e-2
+        return cfg, parcels(self.z, self.f), 9.9e-4
 
-    @pytest.mark.parametrize("case, count", [("grown", 23), ("attached_within_margin", 17),
+    @pytest.mark.parametrize("case, count", [("grown", 22), ("attached_within_margin", 17),
                                              ("receding", None), ("reseeded", 2)])
     def test_pure(self, case, count):
         cfg, p, dt = getattr(self, case)()
@@ -489,14 +497,14 @@ class TestCommit:
         # the branch taken
         assert a.t == t_new
         if case == "receding":
-            assert p.L > a.L > cfg.numerics.L_eps and 2 < a.z.size < p.z.size
+            assert p.L > a.L > 0.0 and 2 < a.z.size < p.z.size
             assert a.t0[-1] < 0.0
+        elif case == "reseeded":
+            assert p.z[1] > a.L > 0.0 and a.z.size == count
+            assert a.z[0] == 0.0 and a.t0[0] == p.t0[0] < a.t0[-1] < p.t0[1]
         else:
             assert a.z.size == count
-            if case == "reseeded":
-                assert a.L == cfg.numerics.L_eps
-            else:
-                assert a.t0[-1] == t_new
+            assert a.t0[-1] == t_new
 
     def test_step_at_half_the_bound_keeps_fractions_non_negative(self):
         # case2 at the largest dt_max validate_config accepts: dt G_max = 0.5,
@@ -517,6 +525,8 @@ class TestCommit:
 
 class TestRun:
     def test_zero_horizon_returns_initial_snapshot(self):
+        # the empty film, bit for bit: the bulk values under the inflow
+        # fractions, with nothing growing and nothing eroded
         cfg = small_case1(horizon=0.0, snapshots=(0.0,))
         res = run(cfg)
         assert len(res.snapshots) == 1
@@ -524,12 +534,11 @@ class TestRun:
         seed = _seed(cfg)
         ones = np.ones(cfg.numerics.N + 1)
         assert snap.t == 0.0
-        assert snap.L == seed.L == cfg.numerics.L_eps
-        np.testing.assert_array_equal(snap.f, np.outer([0.5, 0.5, 0.0], ones))
-        np.testing.assert_allclose(snap.S, np.outer(cfg.s_star(0.0), ones), atol=1e-9)
-        np.testing.assert_allclose(snap.Psi, np.outer(cfg.psi_star(0.0), ones),
-                                   atol=1e-9)
-        assert abs(snap.u_L) < 1e-8
+        assert snap.L == seed.L == 0.0
+        assert_same_bits(snap.f, np.outer(inflow_fractions(cfg.psi_star(0.0), cfg), ones))
+        assert_same_bits(snap.S, np.outer(cfg.s_star(0.0), ones))
+        assert_same_bits(snap.Psi, np.outer(cfg.psi_star(0.0), ones))
+        assert_same_bits([snap.u_L, snap.sigma_d], [0.0, 0.0])
 
     @pytest.mark.parametrize("spoil, message", [
         # a NaN growth rate turns the fractions non-finite
@@ -891,7 +900,8 @@ class TestRunProperties:
             # other planktonic value is -0.0: Psi takes no clamp
             assert snap.Psi[:, -1].tobytes() == cfg.psi_star(snap.t).tobytes()
             assert not np.signbit(snap.Psi[:, :-1]).any()
-            assert snap.L >= cfg.numerics.L_eps
+            # the empty film at t = 0, a film after every step
+            assert snap.L > 0.0 if snap.t > 0.0 else snap.L == 0.0
 
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(scenarios(), st.floats(0.0, 1.0))
